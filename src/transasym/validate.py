@@ -7,7 +7,10 @@ minimal-distance matching of predicted pole arrays against observed ones.
 
 Conventions.  A path is a sequence of waypoints joined by straight legs;
 the integrator is an embedded Runge-Kutta pair (scipy's RK45) driven at
-the requested tolerances per leg.  Blow-up ends a run with
+the requested tolerances per leg.  A validation run seeds each hunt with
+the two-scale expansion on the level curve |xi(x)| = ``anchor_xi`` at the
+height of its predicted pole, so every approach leg has about the same
+length whatever the pole's index.  Blow-up ends a run with
 ``StepUnderflow``; the partial trajectory is attached to the exception as
 ``err.trajectory`` and is the input the detector works from.  The point
 stored in ``StepUnderflow.where`` marks where integration stopped, not
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -58,6 +62,8 @@ __all__ = [
 # farther than 0.35 from both is reported as unknown_blowup.
 _NOMINAL_EXPONENTS = {"double_pole": -2.0, "branch_neg_half": -0.5}
 _CLASSIFY_WINDOW = 0.35
+
+_log = logging.getLogger("transasym")
 
 
 @dataclass(frozen=True)
@@ -443,6 +449,10 @@ def hunt_singularity(
     what the detector sees.  Aiming straight at the prediction is not
     enough: the true pole sits a little off it, and a leg that merely
     passes by can stay below the escape norm.
+
+    Each hunt logs one DEBUG record to the ``transasym`` logger, whose
+    ``hunt`` attribute holds the start point, the approach length, the
+    number of integrated legs and their summed right-hand-side calls.
     """
     x_start, target = complex(x_start), complex(target)
     prev = complex(via[-1]) if via else x_start
@@ -453,8 +463,11 @@ def hunt_singularity(
     p_nom = float(s.blowup_model.get("exponent", -2.0))
 
     parts_x, parts_y = [], []
+    tally = {"legs": 0, "n_rhs": 0}
 
     def _absorb(tr):
+        tally["legs"] += 1
+        tally["n_rhs"] += tr.stats.get("n_rhs", 0)
         if tr.x.size:
             skip = 0
             if parts_x and tr.x[0] == parts_x[-1][-1]:
@@ -469,6 +482,7 @@ def hunt_singularity(
         return detect_singularity(s, approach, threshold=threshold, refine=refine)
 
     x, y = x_start, np.asarray(y_start, dtype=complex)
+    stopped = False
     try:
         if len(pts) >= 2:
             traj = integrate_path(
@@ -500,6 +514,14 @@ def hunt_singularity(
             x, y = tgt, traj.y[:, -1]
     except StepUnderflow as err:
         _absorb(err.trajectory)
+        stopped = True
+    approach = sum(abs(b - a) for a, b in zip(pts, pts[1:]))
+    _log.debug(
+        "hunt from %s toward %s: approach %.4g, %d legs, %d rhs",
+        x_start, target, approach, tally["legs"], tally["n_rhs"],
+        extra={"hunt": {"start": x_start, "approach_length": approach, **tally}},
+    )
+    if stopped:
         return _detect()
     # a weak blow-up (branch point) can pin the homing to the singularity
     # without ever underflowing a step; the collected legs are the approach
@@ -754,19 +776,30 @@ def compare_arrays(
 # -- end-to-end orchestration -------------------------------------------------
 
 
+def _on_level(s: NormalSystem, C, xi_abs: float, line, lo: float, hi: float):
+    """The point ``line(t)``, lo < t < hi, where |xi(x)| equals ``xi_abs``.
+
+    log|xi| = log|C| - Re x + Re(alpha_1 log x), so Im alpha_1 enters
+    through arg x.
+    """
+    alpha1 = complex(s.alpha[0])
+    level = math.log(abs(complex(C)) / xi_abs)
+
+    def f(t):
+        x = line(t)
+        return level - x.real + (alpha1 * cmath.log(x)).real
+
+    return line(brentq(f, lo, hi, xtol=1e-14))
+
+
 def anchor_point(s: NormalSystem, C, arg: float, xi_abs: float = 1e-3):
     """Point on the ray arg(x) = arg where |xi| equals ``xi_abs``."""
-    a1 = complex(s.alpha[0]).real
-    absC = abs(complex(C))
-    if absC == 0:
+    if complex(C) == 0:
         raise ValueError("C = 0 has no singularity scale to anchor to")
     if math.cos(arg) <= 0:
         raise ValueError("anchor ray must point into the decaying half-plane")
-
-    def f(r):
-        return math.log(absC) - r * math.cos(arg) + a1 * math.log(r) - math.log(xi_abs)
-
-    return brentq(f, 1.0, 1e4) * cmath.exp(1j * arg)
+    direction = cmath.exp(1j * arg)
+    return _on_level(s, C, xi_abs, lambda r: r * direction, 1.0, 1e4)
 
 
 @dataclass(frozen=True)
@@ -814,11 +847,15 @@ def run_validation(
 ) -> ValidationRun:
     """Predict a pole array, hunt each pole by integration, and compare.
 
-    Each hunt starts from a fresh two-scale seed at the anchor (where
-    |xi| = ``anchor_xi``, far from every pole) and aims at the refined
-    predicted location.  With ``extract`` set, a radius ladder on the
-    anchor ray re-measures C from the integrated solution, seeding from
-    a level-``deep_M`` expansion (deepened on demand).
+    The anchor x_a is the point of the ray arg x = ``anchor_arg`` where
+    |xi| = ``anchor_xi``, far from every pole.  The hunt for a pole above
+    x_a starts on the same level curve |xi| = ``anchor_xi`` at the height
+    of the refined predicted location and aims straight at it, from a
+    fresh two-scale seed there; poles no higher than x_a are hunted from
+    x_a itself, since the level curve below it comes closer to the origin,
+    where the seed is less accurate.  With ``extract`` set, a radius
+    ladder on the anchor ray re-measures C from the integrated solution,
+    seeding from a level-``deep_M`` expansion (deepened on demand).
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
@@ -830,13 +867,18 @@ def run_validation(
     for en in predicted.entries:
         if en.x_ref is None:
             continue
+        x0, y0 = x_a, y_a
+        height = en.x_ref.imag
+        if height > x_a.imag:
+            x0 = _on_level(s, C, anchor_xi, lambda u: complex(u, height), -1e4, 1e4)
+            y0, _ = eval_two_scale(e, C, x0)
         csv_path = None
         if csv_dir is not None:
             csv_path = f"{csv_dir}/pole_n{en.n}.csv"
         obs = hunt_singularity(
             s,
-            x_a,
-            y_a,
+            x0,
+            y0,
             en.x_ref,
             rel_tol=rel_tol,
             abs_tol=abs_tol,

@@ -2,20 +2,23 @@
 
 import cmath
 import csv
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from transasym import validate
 from transasym.errors import NoBlowup, NotConverging, StepUnderflow
 from transasym.expansion import build_expansion, eval_two_scale, formal_power_series
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
-from transasym.systems import NormalSystem
-from transasym.validate import (CEstimate, PathSpec, Trajectory, ValidationRun,
-                                anchor_point, compare_arrays, detect_singularity,
-                                extract_C, extraction_ladder, hunt_singularity,
-                                integrate_path, ladder_radii)
+from transasym.systems import NormalSystem, builtin
+from transasym.validate import (CEstimate, PathSpec, PoleObservation, Trajectory,
+                                ValidationRun, anchor_point, compare_arrays,
+                                detect_singularity, extract_C, extraction_ladder,
+                                hunt_singularity, integrate_path, ladder_radii,
+                                run_validation)
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +213,17 @@ def test_compare_dissolves_outliers():
     assert rep_tight.stats["n_pairs"] == 0
 
 
-def test_anchor_sits_on_the_requested_level(p1):
-    for arg in (1.0, 1.2):
-        x = anchor_point(p1, 12.0, arg, 1e-3)
-        xi = 12.0 * cmath.exp(-x - 0.5 * cmath.log(x))
-        assert cmath.phase(x) == pytest.approx(arg, abs=1e-12)
-        assert abs(xi) == pytest.approx(1e-3, rel=1e-9)
+def test_anchor_sits_on_the_requested_level(p1, e_p1):
+    # p2b with alpha = 0.3 + 0.4i has alpha_1 = -0.8 - 0.4i, whose imaginary
+    # part scales |x^{alpha_1}| by e^{-Im alpha_1 arg x}
+    p2b = builtin("p2b", alpha=0.3 + 0.4j)[0]
+    e_p2b = build_expansion(p2b, 1, 8)
+    assert complex(p2b.alpha[0]).imag != 0
+    for s, e, C in ((p1, e_p1, 12.0), (p2b, e_p2b, 2.0 - 1.0j)):
+        for arg in (1.0, 1.2):
+            x = anchor_point(s, C, arg, 1e-3)
+            assert cmath.phase(x) == pytest.approx(arg, abs=1e-12)
+            assert abs(e.xi(C, x)) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_anchor_rejects_bad_rays(p1):
@@ -235,3 +243,104 @@ def test_validation_run_serialization():
     est = CEstimate(12.0 + 0j, 1e-4, (12.0 + 0j,))
     d2 = ValidationRun("p1", 12.0 + 0j, 30.0 + 0j, pred, (), rep, est).to_dict()
     assert d2["C_extracted"]["value"] == [12.0, 0.0]
+
+
+# -- per-pole starts ---------------------------------------------------------
+
+
+def _starts(monkeypatch, s, e, C, n_range):
+    """Run ``run_validation`` with a stub hunt; return the run and every
+    (x_start, y_start, target) it was asked to hunt from."""
+    calls = []
+
+    def stub(s_, x_start, y_start, target, **kwargs):
+        calls.append((complex(x_start), np.asarray(y_start), complex(target)))
+        return PoleObservation(complex(target), "double_pole", (1.0, -2.0, 0.0),
+                               "direct", 0.0)
+
+    monkeypatch.setattr(validate, "hunt_singularity", stub)
+    return run_validation(s, e, C, n_range), calls
+
+
+@pytest.mark.parametrize("label, C, n_range", [("p1", 12.0, range(8, 21)),
+                                               ("abel", 1.0, range(1, 11))])
+def test_each_hunt_starts_on_the_level_at_its_pole_height(
+        monkeypatch, request, label, C, n_range):
+    s = request.getfixturevalue(label)
+    e = request.getfixturevalue(f"e_{label}")
+    run, calls = _starts(monkeypatch, s, e, C, n_range)
+    x_a = run.anchor
+    assert x_a == anchor_point(s, C, 1.2, 1e-3)
+    y_a, bound_a = eval_two_scale(e, C, x_a)
+    targets = [en.x_ref for en in run.predicted.entries if en.x_ref is not None]
+    assert [t for _, _, t in calls] == targets
+    for x0, y0, target in calls:
+        y_seed, bound = eval_two_scale(e, C, x0)
+        assert abs(e.xi(C, x0)) == pytest.approx(1e-3, rel=1e-12)
+        assert x0.imag == max(target.imag, x_a.imag)
+        assert bound <= bound_a
+        assert np.array_equal(y0, y_seed)
+        if target.imag <= x_a.imag:
+            assert x0 == x_a and np.array_equal(y0, y_a)
+    if label == "abel":
+        # the lowest branch points keep the shared ray anchor and its seed
+        low = [x0 for x0, _, t in calls if t.imag <= x_a.imag]
+        assert len(low) == 3 and all(x0 == x_a for x0 in low)
+
+
+@pytest.mark.parametrize("label, C, n_range", [("p1", 12.0, range(8, 21)),
+                                               ("abel", 1.0, range(3, 11))])
+def test_integration_between_starts_stays_within_the_gevrey_bounds(
+        monkeypatch, request, label, C, n_range):
+    # ground truth for the eval_two_scale error bound: the integrated state
+    # at the next start must agree with the seed there within both bounds
+    s = request.getfixturevalue(label)
+    e = request.getfixturevalue(f"e_{label}")
+    _, calls = _starts(monkeypatch, s, e, C, n_range)
+    starts = list(dict.fromkeys(x0 for x0, _, _ in calls))
+    assert len(starts) == len(n_range)
+    for a, b in zip(starts, starts[1:]):
+        y_a, bound_a = eval_two_scale(e, C, a)
+        y_b, bound_b = eval_two_scale(e, C, b)
+        y_end = integrate_path(s, y_a, PathSpec((a, b))).y[:, -1]
+        assert np.max(np.abs(y_end - y_b)) <= bound_a + bound_b
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Counter of NormalSystem.field calls made while the test runs."""
+    count = [0]
+    field = NormalSystem.field
+
+    def counted(self, x, y):
+        count[0] += 1
+        return field(self, x, y)
+
+    monkeypatch.setattr(NormalSystem, "field", counted)
+    return count
+
+
+def test_far_pole_is_cheap(field_calls, p1, e_p1):
+    run = run_validation(p1, e_p1, 12.0, [100])
+    assert run.report.stats["n_pairs"] == 1
+    assert run.report.stats["max_distance"] < 0.15
+    assert field_calls[0] <= 20_000
+
+
+def test_hunt_logs_its_legs(field_calls, caplog, capsys, p1, e_p1):
+    en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        hunt_singularity(p1, x_a, y_a, en.x_ref, refine=False)
+    records = [r for r in caplog.records if hasattr(r, "hunt")]
+    assert len(records) == 1
+    hunt = records[0].hunt
+    assert records[0].name == "transasym" and records[0].levelno == logging.DEBUG
+    assert hunt["start"] == x_a
+    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - 0.35)
+    # every field call is a leg's rhs evaluation, the diverging leg
+    # included, except one log-derivative per homing leg
+    assert hunt["legs"] >= 2
+    assert hunt["n_rhs"] + hunt["legs"] - 1 == field_calls[0]
+    assert capsys.readouterr() == ("", "")
