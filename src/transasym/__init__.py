@@ -26,9 +26,7 @@ from .series import (
     InvXSeries,
     LinearSeriesSolution,
     TaylorSeries,
-    germ_compose,
     series_field_solve_linear,
-    series_mul,
 )
 from .systems import (
     BUILTIN_LABELS,

@@ -17,9 +17,9 @@ with sorted keys and fixed indentation, so identical configurations
 produce byte-identical files.  Exit status: 0 success, 1 usage error,
 2 domain error (including failed release checks).
 
-The environment variable TRANSASYM_PRECISION (double | extended) selects
-the working precision; ``--precision`` sets it for one invocation.  The
-``--seed`` flag is reserved; nothing is stochastic at present.
+``expand`` and ``validate`` take ``--precision double|extended``, the
+dtype (complex128 or clongdouble) of the two-scale hierarchy they build.
+Integration always runs in double, and a saved expansion stores doubles.
 """
 
 from __future__ import annotations
@@ -28,18 +28,21 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TransasymError
 from .expansion import TwoScaleExpansion, build_expansion, eval_two_scale
-from .precision import precision_mode
 from .singular import continue_f0, predict_array
 from .systems import BUILTIN_LABELS, builtin
 from .validate import run_validation
 
 __all__ = ["RunConfig", "main"]
+
+# --precision value -> dtype of the hierarchy build
+_DTYPES = {"double": np.complex128, "extended": np.clongdouble}
 
 
 class _UsageError(Exception):
@@ -149,7 +152,7 @@ def _cmd_system(args) -> int:
 
 def _cmd_expand(args) -> int:
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
-    e = build_expansion(s, args.M, args.K)
+    e = build_expansion(s, args.M, args.K, dtype=_DTYPES[args.precision])
     e.save(args.out)
     consts = " ".join(_fmt_c(c) for c in e.free_constants) or "-"
     print(f"{args.label}: M = {e.M}, K = {e.K}, free constants {consts} -> {args.out}")
@@ -216,14 +219,14 @@ def _cmd_validate(args) -> int:
             C=args.C, n_range=args.n, rel_tol=args.rel_tol,
             abs_tol=args.abs_tol, capture=args.capture, extract=args.extract,
             out=args.out or "run.json", csv_dir=args.csv_dir,
-            precision=precision_mode())
+            precision=args.precision)
+    if cfg.precision not in _DTYPES:
+        raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
     if args.emit_config:
         cfg.save(args.emit_config)
-    if cfg.precision != "double":
-        os.environ["TRANSASYM_PRECISION"] = cfg.precision
 
     s, _ = builtin(cfg.label)
-    e = build_expansion(s, cfg.M, cfg.K)
+    e = build_expansion(s, cfg.M, cfg.K, dtype=_DTYPES[cfg.precision])
     kw = {} if cfg.k_max is None else {"deep_M": cfg.k_max}
     run = run_validation(s, e, cfg.C, cfg.n_range, rel_tol=cfg.rel_tol,
                          abs_tol=cfg.abs_tol, capture=cfg.capture,
@@ -262,12 +265,15 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    dest="b_branch", help="sign branch of B in p2b")
 
 
+def _add_precision_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--precision", choices=sorted(_DTYPES), default="double",
+                   help="dtype of the hierarchy build (default double); "
+                        "integration runs in double")
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="transasym",
                   description="two-scale expansions and their singularity arrays")
-    top.add_argument("--precision", choices=("double", "extended"),
-                     help="working precision for this invocation")
-    top.add_argument("--seed", type=int, help="reserved; nothing is stochastic")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("system", help="list builtins or dump one as JSON")
@@ -281,6 +287,7 @@ def _build_parser() -> _Parser:
     _add_family_flags(p)
     p.add_argument("--M", type=int, default=8, help="deepest level (default 8)")
     p.add_argument("--K", type=int, default=64, help="Taylor order (default 64)")
+    _add_precision_flag(p)
     p.add_argument("--out", default="expansion.json")
     p.set_defaults(fn=_cmd_expand)
 
@@ -324,6 +331,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_int_range, default=(), help="indices a..b")
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--K", type=int, default=32)
+    _add_precision_flag(p)
     p.add_argument("--k-max", dest="k_max", type=int,
                    help="level for the deepened extraction expansion")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
@@ -347,8 +355,6 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.precision:
-        os.environ["TRANSASYM_PRECISION"] = args.precision
     try:
         return args.fn(args)
     except _UsageError as err:

@@ -14,9 +14,13 @@ where G = d_y g(0, F_0) and
 
 Each linear level is resonant at xi^1 in the first component; the free
 constant c_m there is pinned one level later, by solvability of the
-F_{m+1} recursion.  The pinning defect is exactly affine in c_m, so two
-trial assemblies determine it, after which S_{m+1} is rebuilt from the
-finalized F_m.
+F_{m+1} recursion.  The pinning defect is exactly affine in c_m with the
+closed-form slope -(m + [g_{1,e_1}]_1), so one trial assembly determines
+it, after which S_{m+1} is rebuilt from the finalized F_m.
+
+The hierarchy is built in the dtype passed to :func:`build_expansion`
+(complex128 by default, ``numpy.clongdouble`` for extended precision);
+every later operation on the levels keeps that dtype.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .errors import (
     ResonantOrder,
     ScalePastBranch,
 )
-from .precision import complex_dtype
-from .series import InvXSeries, TaylorSeries, compose_germ_series, series_field_solve_linear
+from .series import (InvXSeries, TaylorSeries, complex_array, compose_germ_series,
+                     series_field_solve_linear)
 from .systems import NormalSystem
 
 __all__ = [
@@ -58,13 +62,12 @@ def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
 
     Order-r identification gives L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y),
     and the germ order condition makes the z^r coefficient depend only on
-    c_2..c_{r-1}.
+    c_2..c_{r-1}.  Computed in complex128.
     """
     if R < 2:
         raise ValueError("R must be at least 2")
-    dt = complex_dtype()
     n = s.n
-    Y = np.zeros((n, R + 1), dtype=dt)
+    Y = np.zeros((n, R + 1), dtype=complex)
     lam = s.lam
     for r in range(2, R + 1):
         grow = compose_germ_series(s.germ, _z_identity(R), Y, R)[:, r]
@@ -76,7 +79,7 @@ def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
 
 
 def _z_identity(K: int) -> np.ndarray:
-    z = np.zeros(K + 1, dtype=complex_dtype())
+    z = np.zeros(K + 1, dtype=complex)
     z[1] = 1.0
     return z
 
@@ -84,12 +87,11 @@ def _z_identity(K: int) -> np.ndarray:
 # -- leading profile and the linear levels -----------------------------------
 
 
-def _f0_array(s: NormalSystem, K: int) -> np.ndarray:
+def _f0_array(s: NormalSystem, K: int, dtype) -> np.ndarray:
     """Coefficients of F_0 from (k I - L) f_k = -[xi^k] g(0, F_0), f_1 = e_1."""
-    dt = complex_dtype()
     n = s.n
     lam = s.lam
-    F = np.zeros((n, K + 1), dtype=dt)
+    F = np.zeros((n, K + 1), dtype=dtype)
     if K >= 1:
         F[0, 1] = 1.0
     for k in range(2, K + 1):
@@ -103,9 +105,8 @@ def _f0_array(s: NormalSystem, K: int) -> np.ndarray:
 
 def _gmatrix_series(s: NormalSystem, F0: np.ndarray, K: int) -> np.ndarray:
     """G(xi) = d_y g(0, F_0(xi)) as a (K+1, n, n) coefficient stack."""
-    dt = complex_dtype()
     n = s.n
-    G = np.zeros((K + 1, n, n), dtype=dt)
+    G = np.zeros((K + 1, n, n), dtype=F0.dtype)
     for l in range(n):
         cols = compose_germ_series(s.germ.partial_y(l), 0.0 + 0.0j, F0, K)
         for j in range(n):
@@ -128,7 +129,7 @@ def _compose_germ_bivariate(germ, Y: np.ndarray, mz: int, K: int) -> np.ndarray:
 
     Returns (dims, mz+1, K+1).  The z-power of a term shifts rows.
     """
-    dt = complex_dtype()
+    dt = Y.dtype
     dims = germ.dims
     out = np.zeros((dims, mz + 1, K + 1), dtype=dt)
     one = np.zeros((mz + 1, K + 1), dtype=dt)
@@ -165,9 +166,8 @@ def _compose_germ_bivariate(germ, Y: np.ndarray, mz: int, K: int) -> np.ndarray:
 
 def _assemble_rhs(s: NormalSystem, fm: Sequence[np.ndarray], m: int, K: int) -> np.ndarray:
     """S_m (n, K+1) from the finalized F_0..F_{m-1}."""
-    dt = complex_dtype()
     n = s.n
-    Y = np.zeros((n, m + 1, K + 1), dtype=dt)
+    Y = np.zeros((n, m + 1, K + 1), dtype=fm[0].dtype)
     for j in range(min(m, len(fm))):
         Y[:, j, :] = fm[j][:, : K + 1]
     gamma = _compose_germ_bivariate(s.germ, Y, m, K)[:, m, :]
@@ -177,16 +177,17 @@ def _assemble_rhs(s: NormalSystem, fm: Sequence[np.ndarray], m: int, K: int) -> 
     return s.alpha[0] * xi_dprev - ((m - 1) + s.alpha)[:, None] * prev - gamma
 
 
-def _pin_defect(N: np.ndarray, S: np.ndarray) -> complex:
+def _pin_defect(N: np.ndarray, S: np.ndarray):
     """First-row xi^1 defect of the level whose right side is S.
 
     Order 0 gives c_0 = -L^{-1} S_0; the order-1 first row is then
-    S_1[0] + (N_1 c_0)[0], which must vanish for solvability.
+    S_1[0] + (N_1 c_0)[0], which must vanish for solvability.  Returned
+    as a scalar of the levels' dtype.
     """
     lam = np.diagonal(N[0])
     c0 = -S[:, 0] / lam
     r1 = S[:, 1] + N[1] @ c0
-    return complex(r1[0])
+    return r1[0]
 
 
 # -- expansion container -----------------------------------------------------
@@ -201,17 +202,15 @@ class TwoScaleExpansion:
     """
 
     def __init__(self, system: NormalSystem, fm: Sequence[np.ndarray],
-                 free_constants: Sequence[complex], K: int,
-                 continuation_radius: float | None = None):
+                 free_constants: Sequence[complex], K: int):
         self.system = system
-        self.fm = [np.asarray(a, dtype=complex_dtype()) for a in fm]
+        self.fm = [complex_array(a) for a in fm]
         for a in self.fm:
             a.setflags(write=False)
         self.free_constants = tuple(complex(c) for c in free_constants)
         self.K = int(K)
         self.M = len(self.fm) - 1
         self.xi_scale = (complex(system.lam[0]), complex(system.alpha[0]))
-        self.continuation_radius = continuation_radius
         self._radius: float | None = None
         self._default_fit: "GevreyFit | None" = None
 
@@ -245,7 +244,7 @@ class TwoScaleExpansion:
         construction, which is the substitution-identity check.
         """
         mm = self.M if m_max is None else min(m_max, self.M)
-        dt = complex_dtype()
+        dt = self.fm[0].dtype
         n, K = self.system.n, self.K
         Y = np.zeros((n, mm + 2, K + 1), dtype=dt)
         for j in range(mm + 1):
@@ -318,17 +317,31 @@ def _profile_radius(f0: TaylorSeries) -> float:
         return float(min(v ** (-1.0 / k) for k, v in nz))
 
 
-def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9) -> TwoScaleExpansion:
+def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
+                    dtype=np.complex128) -> TwoScaleExpansion:
     """Compute F_0..F_M to Taylor order K with delayed-constant pinning.
 
-    The free constant of F_M needs a throwaway level-(M+1) assembly, done at
-    reduced order K//2 (its xi^0 and xi^1 rows are all the pin uses).
+    ``dtype`` is the precision of the whole hierarchy: ``numpy.complex128``
+    or ``numpy.clongdouble``.  A germ that breaks the order condition
+    g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
+
+    The pin of c_m reads the first-row xi^1 defect d of S_{m+1}, which is
+    affine in c_m: with H = O(xi), H_1 = e_1, F_0 = O(xi) and F_1(0) = 0,
+    only -(m + A) H and the germ's z y_1 term reach that row, so the slope
+    is -(m + [g_{1,e_1}]_1) and one trial assembly gives the intercept.
+    The trial for F_M is done at reduced order K//2 (its xi^0 and xi^1
+    rows are all the pin uses).
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     if K < 2:
         raise ValueError("K must be at least 2")
-    F0 = _f0_array(s, K)
+    bad = s.germ.order_violations()
+    if bad:
+        terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
+        raise ValueError(f"germ breaks the order condition at {terms}")
+    dtype = np.result_type(dtype, np.complex128)
+    F0 = _f0_array(s, K, dtype)
     fm = [F0]
     consts: list[complex] = []
     if M >= 1:
@@ -336,10 +349,11 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9) -> Tw
         N = -G
         idx = np.arange(s.n)
         N[0, idx, idx] += s.lam
-        e1 = np.zeros(s.n, dtype=complex_dtype())
+        e1 = np.zeros(s.n, dtype=dtype)
         e1[0] = 1.0
         zero_rhs = [TaylorSeries.zeros(K) for _ in range(s.n)]
         H = _solution_array(series_field_solve_linear(N, zero_rhs, seed={1: e1}, tol=tol))
+        g11 = complex(s.germ.coefficient(1, (1,) + (0,) * (s.n - 1))[0])
         for m in range(1, M + 1):
             S = _assemble_rhs(s, fm, m, K)
             P = _solution_array(series_field_solve_linear(
@@ -347,11 +361,9 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9) -> Tw
                 seed={1: np.zeros(s.n)}, tol=tol))
             K_pin = K if m < M else max(2, K // 2)
             d0 = _pin_defect(N, _assemble_rhs(s, fm + [P], m + 1, K_pin))
-            d1 = _pin_defect(N, _assemble_rhs(s, fm + [P + H], m + 1, K_pin))
-            slope = d1 - d0
-            scale = max(1.0, abs(d0), abs(d1))
-            if abs(slope) < 1e-13 * scale:
-                if abs(d0) > tol * scale:
+            slope = -(m + g11)
+            if abs(slope) < 1e-13 * max(1, m):
+                if abs(d0) > tol:
                     raise ResonantOrder(1)
                 c_m = 0.0 + 0.0j
             else:
@@ -391,10 +403,9 @@ def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex,
         raise ValueError("evaluation requires |x| > 1")
     xi = e.xi(C, x)
     r = e.reliability_radius()
-    r_cont = e.continuation_radius if e.continuation_radius is not None else r
-    if abs(xi) > r_cont:
+    if abs(xi) > r:
         raise ScalePastBranch(
-            f"|xi| = {abs(xi):.6g} exceeds the continuation radius {r_cont:.6g}"
+            f"|xi| = {abs(xi):.6g} exceeds the reliability radius {r:.6g}"
         )
     if math.isfinite(r) and abs(xi) > 0 and (abs(xi) / r) ** (e.K + 1) > 1e-8:
         raise OutsideReliableDisk(
@@ -404,8 +415,7 @@ def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex,
         fit = e.default_fit()
     m_star = m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M)
     m_star = min(m_star, e.M)
-    dt = complex_dtype()
-    value = np.zeros(e.system.n, dtype=dt)
+    value = np.zeros(e.system.n, dtype=e.fm[0].dtype)
     xm = 1.0 + 0.0j
     for m in range(m_star + 1):
         level = e.fm[m]

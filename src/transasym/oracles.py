@@ -6,9 +6,6 @@ geometry of the leading Abel profile, and the pole-cancellation
 reconstruction that reads the first singularity-location correction off
 the computed levels.  The test and validation layers compare computed
 objects against these curves.
-
-Each family is exposed both as plain functions and through a
-``<label>_oracles(kind, *args)`` dispatcher keyed by short kind names.
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ from .errors import NewtonDiverged, PoleOfOracle, SheetUnreachable, ZeroC
 from .series import TaylorSeries
 
 __all__ = [
-    "p1_oracles",
-    "abel_oracles",
-    "p2_oracles",
     "AbelGeometry",
     "abel_geometry",
     "abel_xi_of_F0",
@@ -143,28 +137,6 @@ def p1_second_array_offset(x_s, n: int):
     return -cmath.log(x_s) + (2 * int(n) + 1) * math.pi * 1j - math.log(60.0)
 
 
-_P1_KINDS = {
-    "H0": p1_h0,
-    "H1": p1_h1,
-    "H2": p1_h2,
-    "h_taylor": p1_h_taylor,
-    "xi_s_refined": p1_xi_s_refined,
-    "pole_z": p1_pole_z,
-    "xi_condition": p1_xi_condition,
-    "second_array_offset": p1_second_array_offset,
-}
-
-
-def p1_oracles(kind: str, *args):
-    """Dispatch on ``kind``: H0|H1|H2 (xi), h_taylor (m, K), xi_s_refined (x),
-    pole_z (C, n), xi_condition (z), second_array_offset (x_s, n)."""
-    try:
-        fn = _P1_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kind {kind!r}; have {sorted(_P1_KINDS)}") from None
-    return fn(*args)
-
-
 # -- Abel branch geometry ----------------------------------------------------
 
 
@@ -251,9 +223,6 @@ class AbelGeometry:
     lattice_ratio: float
     xi1: complex
 
-    def xi_set(self, p1: int, p2: int) -> complex:
-        return abel_xi_set(p1, p2)
-
     @property
     def first_sheet_cuts(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Real cut rays (-inf, xi1] and [xi0, inf) of the principal sheet."""
@@ -268,26 +237,6 @@ def abel_geometry() -> AbelGeometry:
     v1 = abel_xi_of_F0(-1.0e6)
     v2 = abel_xi_of_F0(-2.0e6)
     return AbelGeometry(complex(XI0), LATTICE_RATIO, (4.0 * v2 - v1) / 3.0)
-
-
-_ABEL_KINDS = {
-    "xi_of_F0": abel_xi_of_F0,
-    "F0_of_xi": abel_F0_of_xi,
-    "xi_set": abel_xi_set,
-    "local_branch_model": abel_local_branch_model,
-    "phase_field": abel_phase_field,
-}
-
-
-def abel_oracles(kind: str, *args, **kw):
-    """Dispatch on ``kind``: xi_of_F0 (F0[, winding]), F0_of_xi (xi[, winding,
-    seed]), xi_set (p1, p2), local_branch_model (z, z0[, sign]),
-    phase_field (X, Y)."""
-    try:
-        fn = _ABEL_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kind {kind!r}; have {sorted(_ABEL_KINDS)}") from None
-    return fn(*args, **kw)
 
 
 # -- second worked family ----------------------------------------------------
@@ -322,19 +271,6 @@ def p2_f0_taylor(which: str, K: int, b_branch: int = 1) -> np.ndarray:
         B = 1j * b_branch / math.sqrt(2.0)
         return _rational_taylor([0.0, 2.0, 2.0 * B], [2.0, 0.0, 1.0], K)
     raise ValueError("which must be 'a' or 'b'")
-
-
-_P2_KINDS = {"f0_a": p2_f0_a, "f0_b": p2_f0_b, "f0_taylor": p2_f0_taylor}
-
-
-def p2_oracles(kind: str, *args):
-    """Dispatch on ``kind``: f0_a (xi), f0_b (xi[, b_branch]),
-    f0_taylor (which, K[, b_branch])."""
-    try:
-        fn = _P2_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kind {kind!r}; have {sorted(_P2_KINDS)}") from None
-    return fn(*args)
 
 
 # -- pole cancellation -------------------------------------------------------

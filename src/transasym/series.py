@@ -13,6 +13,13 @@ Three carriers:
 All values are immutable after construction and every operation returns a new
 object.  Binary operations never extrapolate: the result carries the minimum
 truncation order of the operands.
+
+Precision follows the data.  The Taylor carriers and the series-level
+composition and solve keep the dtype of the arrays they are given, promoted
+to at least complex128, so an extended (``numpy.clongdouble``) hierarchy stays
+extended.  ``AnalyticGerm`` coefficients are always complex128: they come
+from Python floats, and pointwise evaluation feeds the double-precision
+integrator.
 """
 
 from __future__ import annotations
@@ -23,15 +30,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegreeCapExceeded, ResonantOrder
-from .precision import complex_dtype
 
 __all__ = [
     "TaylorSeries",
     "InvXSeries",
     "AnalyticGerm",
     "LinearSeriesSolution",
-    "series_mul",
-    "germ_compose",
     "series_field_solve_linear",
 ]
 
@@ -41,13 +45,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def complex_array(a) -> np.ndarray:
+    """``a`` as a complex array of its own precision, at least complex128."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a.dtype, np.complex128), copy=False)
+
+
 class TaylorSeries:
     """Taylor polynomial sum_{k=0}^{K} c_k xi^k with truncation order K."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs, truncation_order: int | None = None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex_dtype()))
+        c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if truncation_order is not None:
@@ -62,13 +72,13 @@ class TaylorSeries:
 
     @classmethod
     def zeros(cls, truncation_order: int) -> "TaylorSeries":
-        return cls(np.zeros(truncation_order + 1, dtype=complex_dtype()))
+        return cls(np.zeros(truncation_order + 1, dtype=complex))
 
     @classmethod
     def monomial(cls, power: int, truncation_order: int, coefficient=1.0) -> "TaylorSeries":
         if not 0 <= power <= truncation_order:
             raise ValueError("monomial power outside truncation range")
-        c = np.zeros(truncation_order + 1, dtype=complex_dtype())
+        c = np.zeros(truncation_order + 1, dtype=complex)
         c[power] = coefficient
         return cls(c)
 
@@ -176,18 +186,13 @@ class TaylorSeries:
         return cls(coeffs, truncation_order=int(d["truncation"]))
 
 
-def series_mul(a: TaylorSeries, b: TaylorSeries) -> TaylorSeries:
-    """Cauchy product truncated at min(K_a, K_b)."""
-    return a * b
-
-
 class InvXSeries:
     """Series sum_{r=r_min}^{R} c_r x^{-r} (dense in r)."""
 
     __slots__ = ("_c", "_r_min")
 
     def __init__(self, coeffs, r_min: int = 2, truncation_order: int | None = None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex_dtype()))
+        c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if r_min < 0:
@@ -263,7 +268,6 @@ class AnalyticGerm:
     def __init__(self, dims: int, terms: Mapping, degree_cap: int = 12, radius: float | None = None):
         if dims < 1:
             raise ValueError("dims must be positive")
-        dt = complex_dtype()
         clean: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         for (i, k), coeff in terms.items():
             k = tuple(int(v) for v in k)
@@ -272,7 +276,7 @@ class AnalyticGerm:
                 raise ValueError(f"malformed germ key (i={i}, k={k})")
             if i + sum(k) > degree_cap:
                 raise DegreeCapExceeded(f"term (i={i}, k={k}) exceeds degree cap {degree_cap}")
-            vec = np.asarray(coeff, dtype=dt)
+            vec = np.asarray(coeff, dtype=complex)
             if vec.ndim == 0:
                 vec = np.full(dims, complex(vec)) if dims == 1 else None
                 if vec is None:
@@ -289,7 +293,7 @@ class AnalyticGerm:
         T = len(clean)
         self._I = np.array([i for (i, _) in clean], dtype=np.int64).reshape(T)
         self._Km = np.array([k for (_, k) in clean], dtype=np.int64).reshape(T, dims)
-        self._Cm = np.array([clean[key] for key in clean], dtype=dt).reshape(T, dims)
+        self._Cm = np.array([clean[key] for key in clean], dtype=complex).reshape(T, dims)
 
     @property
     def dims(self) -> int:
@@ -317,7 +321,7 @@ class AnalyticGerm:
         key = (int(i), tuple(int(v) for v in k))
         vec = self._terms.get(key)
         if vec is None:
-            return np.zeros(self._dims, dtype=complex_dtype())
+            return np.zeros(self._dims, dtype=complex)
         return vec
 
     def order_violations(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -331,10 +335,10 @@ class AnalyticGerm:
         return sorted(bad)
 
     def evaluate(self, z, y) -> np.ndarray:
-        """Pointwise g(z, y); y is a length-dims vector."""
+        """Pointwise g(z, y) in complex128; y is a length-dims vector."""
         if len(self._terms) == 0:
-            return np.zeros(self._dims, dtype=complex_dtype())
-        y = np.asarray(y, dtype=complex_dtype())
+            return np.zeros(self._dims, dtype=complex)
+        y = np.asarray(y, dtype=complex)
         zp = np.where(self._I == 0, 1.0 + 0.0j, complex(z) ** self._I)
         yk = np.prod(np.where(self._Km == 0, 1.0 + 0.0j, y[None, :] ** self._Km), axis=1)
         return (zp * yk) @ self._Cm
@@ -370,9 +374,7 @@ class AnalyticGerm:
         if self._radius is not None:
             if any(abs(complex(s.coeffs[0])) >= self._radius for s in y_args):
                 raise ValueError("composition argument starts outside the germ's validity polydisk")
-        arrays = np.zeros((self._dims, K + 1), dtype=complex_dtype())
-        for j, s in enumerate(y_args):
-            arrays[j, :] = s.coeffs[: K + 1]
+        arrays = complex_array([s.coeffs[: K + 1] for s in y_args])
         if z_arg is None:
             z_spec: complex | np.ndarray = 0.0 + 0.0j
         elif isinstance(z_arg, TaylorSeries):
@@ -411,11 +413,6 @@ class AnalyticGerm:
         return cls(dims, terms, degree_cap=int(d.get("degree_cap", 12)), radius=d.get("radius"))
 
 
-def germ_compose(g: AnalyticGerm, z_arg, y_args: Sequence[TaylorSeries]) -> tuple[TaylorSeries, ...]:
-    """Functional form of :meth:`AnalyticGerm.compose`."""
-    return g.compose(z_arg, y_args)
-
-
 # -- low-level composition over coefficient arrays --------------------------
 
 
@@ -435,9 +432,10 @@ def compose_germ_series(g: AnalyticGerm, z_spec, Y: np.ndarray, K: int) -> np.nd
 
     Returns
     -------
-    (dims, K+1) array.
+    (dims, K+1) array, in the precision of ``Y`` and ``z_spec``.
     """
-    dt = complex_dtype()
+    z_is_series = isinstance(z_spec, np.ndarray)
+    dt = np.result_type(Y, z_spec if z_is_series else np.complex128, np.complex128)
     out = np.zeros((g.dims, K + 1), dtype=dt)
     if len(g) == 0:
         return out
@@ -455,7 +453,6 @@ def compose_germ_series(g: AnalyticGerm, z_spec, Y: np.ndarray, K: int) -> np.nd
         pow_cache[key] = val
         return val
 
-    z_is_series = isinstance(z_spec, np.ndarray)
     zpow_cache: dict[int, np.ndarray] = {}
 
     def zpow(i: int) -> np.ndarray:
@@ -501,48 +498,41 @@ class LinearSeriesSolution:
     """Result of series_field_solve_linear.
 
     ``series`` holds the solution components; ``resonant_orders`` lists every
-    order whose linear solve was singular but consistent (coefficient taken
-    from the seed when provided, else minimal-norm).
+    order whose linear solve was singular but consistent (free components
+    taken from the seed when provided, else zero).
     """
 
     series: tuple[TaylorSeries, ...]
     resonant_orders: tuple[int, ...]
 
 
-def _coerce_matrix_series(N, n_hint: int | None = None) -> np.ndarray:
+def _coerce_matrix_series(N) -> np.ndarray:
     """Accept TaylorSeries (n=1), nested sequences of TaylorSeries, or an
     ndarray shaped (K+1, n, n); return (K+1, n, n)."""
     if isinstance(N, TaylorSeries):
         return N.coeffs.reshape(-1, 1, 1)
     if isinstance(N, np.ndarray) and N.ndim == 3:
-        return np.asarray(N, dtype=complex_dtype())
-    rows = list(N)
+        return complex_array(N)
+    rows = [list(row) for row in N]
     n = len(rows)
-    K = None
-    entries = []
-    for row in rows:
-        row = list(row)
-        if len(row) != n:
-            raise ValueError("matrix series must be square")
-        entries.append(row)
-        for s in row:
-            K = s.truncation_order if K is None else min(K, s.truncation_order)
-    out = np.zeros((K + 1, n, n), dtype=complex_dtype())
-    for a in range(n):
-        for b in range(n):
-            out[:, a, b] = entries[a][b].coeffs[: K + 1]
-    return out
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix series must be square")
+    K = min(s.truncation_order for row in rows for s in row)
+    out = complex_array([[s.coeffs[: K + 1] for s in row] for row in rows])
+    return np.moveaxis(out, 2, 0)
 
 
 def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
                               *, tol: float = 1e-9) -> LinearSeriesSolution:
     """Solve xi F'(xi) = N(xi) F(xi) + rhs(xi) order by order.
 
-    The order-k equation is (k I - N_0) c_k = r_k + sum_{j>=1} N_j c_{k-j}.
-    At a singular order the equation must be consistent (relative defect below
-    ``tol``); the coefficient then comes from ``seed[k]`` when given, else the
-    minimal-norm particular solution, and the order is recorded.  An
-    inconsistent singular order raises :class:`ResonantOrder`.
+    The order-k equation is (k I - N_0) c_k = r_k + sum_{j>=1} N_j c_{k-j},
+    with N_0 diagonal (a non-diagonal N_0 raises ``ValueError``), so each
+    order is a componentwise division.  At a singular order the equation
+    must be consistent (relative defect below ``tol``); the free components
+    then come from ``seed[k]`` when given, else zero, and the order is
+    recorded.  An inconsistent singular order raises :class:`ResonantOrder`.
+    The solve runs in the precision of ``N`` and ``rhs``.
 
     Parameters
     ----------
@@ -560,72 +550,42 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
     n = Nc.shape[1]
     if len(rhs_list) != n:
         raise ValueError(f"rhs must have {n} components")
+    N0 = Nc[0]
+    lam = np.diagonal(N0).copy()
+    if np.any(N0 != np.diag(lam)):
+        raise ValueError("N_0 must be diagonal")
     K = min(Nc.shape[0] - 1, min(s.truncation_order for s in rhs_list))
-    dt = complex_dtype()
-    R = np.zeros((K + 1, n), dtype=dt)
-    for j, s in enumerate(rhs_list):
-        R[:, j] = s.coeffs[: K + 1]
+    R = complex_array([s.coeffs[: K + 1] for s in rhs_list]).T
+    dt = np.result_type(Nc, R)
     seed = dict(seed or {})
 
     C = np.zeros((K + 1, n), dtype=dt)
     resonant: list[int] = []
-    N0 = Nc[0]
-    diagonal = np.allclose(N0, np.diag(np.diagonal(N0)), atol=0.0)
-    lam = np.diagonal(N0).copy()
-    ident = np.eye(n, dtype=dt)
-
     for k in range(K + 1):
-        r = R[k].copy()
-        jmax = min(k, Nc.shape[0] - 1)
-        for j in range(1, jmax + 1):
+        r = R[k].astype(dt)
+        for j in range(1, min(k, Nc.shape[0] - 1) + 1):
             r += Nc[j] @ C[k - j]
         scale = max(1.0, float(np.max(np.abs(r))))
-        if diagonal:
-            denom = k - lam
-            sing = np.abs(denom) < 1e-12 * max(1.0, float(np.max(np.abs(lam))) + k)
-            if not np.any(sing):
-                C[k] = r / denom
-                continue
-            defect = float(np.max(np.abs(r[sing])))
-            if defect > tol * scale:
-                raise ResonantOrder(k)
-            ck = np.zeros(n, dtype=dt)
-            ok = ~sing
-            ck[ok] = r[ok] / denom[ok]
-            if k in seed:
-                sv = np.atleast_1d(np.asarray(seed[k], dtype=dt))
-                if sv.shape != (n,):
-                    raise ValueError(f"seed for order {k} must have {n} components")
-                ck[sing] = sv[sing]
-                check = (k * ident - N0) @ ck - r
-                if float(np.max(np.abs(check))) > tol * scale:
-                    raise ValueError(f"seed for order {k} is inconsistent with the equation")
-            resonant.append(k)
-            C[k] = ck
-        else:
-            A = k * ident - N0
-            u, s, vh = np.linalg.svd(A)
-            smax = s[0] if len(s) else 0.0
-            cutoff = 1e-12 * max(1.0, smax)
-            rank = int(np.sum(s > cutoff))
-            if rank == n:
-                C[k] = np.linalg.solve(A, r)
-                continue
-            # consistency: project rhs on the left null space
-            null_left = u[:, rank:]
-            defect = float(np.max(np.abs(null_left.conj().T @ r))) if null_left.size else 0.0
-            if defect > tol * scale:
-                raise ResonantOrder(k)
-            s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-            ck = (vh.conj().T * s_inv) @ (u.conj().T @ r)
-            if k in seed:
-                sv = np.atleast_1d(np.asarray(seed[k], dtype=dt))
-                check = A @ sv - r
-                if float(np.max(np.abs(check))) > tol * scale:
-                    raise ValueError(f"seed for order {k} is inconsistent with the equation")
-                ck = sv
-            resonant.append(k)
-            C[k] = ck
+        denom = k - lam
+        sing = np.abs(denom) < 1e-12 * max(1.0, float(np.max(np.abs(lam))) + k)
+        if not np.any(sing):
+            C[k] = r / denom
+            continue
+        defect = float(np.max(np.abs(r[sing])))
+        if defect > tol * scale:
+            raise ResonantOrder(k)
+        ck = np.zeros(n, dtype=dt)
+        ok = ~sing
+        ck[ok] = r[ok] / denom[ok]
+        if k in seed:
+            sv = np.atleast_1d(np.asarray(seed[k], dtype=dt))
+            if sv.shape != (n,):
+                raise ValueError(f"seed for order {k} must have {n} components")
+            ck[sing] = sv[sing]
+            if float(np.max(np.abs(denom * ck - r))) > tol * scale:
+                raise ValueError(f"seed for order {k} is inconsistent with the equation")
+        resonant.append(k)
+        C[k] = ck
 
     out = tuple(TaylorSeries(C[:, j]) for j in range(n))
     return LinearSeriesSolution(series=out, resonant_orders=tuple(resonant))

@@ -40,21 +40,16 @@ __all__ = [
     "predict_array",
 ]
 
-_METHODS = ("domb_sykes", "closed_form", "continuation")
-
-
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Dominant-singularity data read off a truncated Taylor series."""
+    """Dominant-singularity data read off a truncated Taylor series by
+    Domb-Sykes ratio analysis."""
 
     radius: float
     xi_s: complex
     exponent: float
-    method: str = "domb_sykes"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
 
@@ -144,8 +139,7 @@ def radius_estimate(f) -> RadiusEstimate:
     exponent = float((-B / A - 1.0).real)
     xi_s = eta_s ** (1.0 / stride) if stride > 1 else eta_s
     return RadiusEstimate(radius=abs(eta_s) ** (1.0 / stride),
-                          xi_s=complex(xi_s), exponent=exponent,
-                          method="domb_sykes")
+                          xi_s=complex(xi_s), exponent=exponent)
 
 
 # -- continuation of F_0 in the xi plane ------------------------------------

@@ -12,6 +12,10 @@ order condition g = O(x^{-2}) + O(|y|^2).  Second-order scalar equations
 
 are reduced to 2-systems in the diagonalizing variables u1 = (h - h')/2,
 u2 = (h + h')/2, so h is recovered as the observable u1 + u2.
+
+A system's coefficients and its pointwise field are complex128: the
+integrator, the blow-up detectors and the extraction of C run in double,
+whatever precision the two-scale hierarchy was built in.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from .errors import OnBranchCut, UnknownLabel
 from .series import AnalyticGerm
-from .precision import complex_dtype
 
 __all__ = [
     "BUILTIN_LABELS",
@@ -67,9 +70,8 @@ class NormalSystem:
     def __init__(self, lam, alpha, germ: AnalyticGerm, label: str = "custom",
                  observable=None, xi_s_hint=None, blowup_model: dict | None = None,
                  params: dict | None = None):
-        dt = complex_dtype()
-        lam = np.atleast_1d(np.asarray(lam, dtype=dt))
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=dt))
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
         n = len(lam)
         if len(alpha) != n:
             raise ValueError("lambda and alpha must have equal length")
@@ -87,9 +89,9 @@ class NormalSystem:
         self.germ = germ
         self.label = label
         if observable is None:
-            observable = np.zeros(n, dtype=dt)
+            observable = np.zeros(n, dtype=complex)
             observable[0] = 1.0
-        self.observable = np.asarray(observable, dtype=dt)
+        self.observable = np.asarray(observable, dtype=complex)
         self.observable.setflags(write=False)
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
         self.blowup_model = dict(blowup_model or {})
@@ -99,11 +101,11 @@ class NormalSystem:
         return f"NormalSystem(label={self.label!r}, n={self.n})"
 
     def field(self, x, y) -> np.ndarray:
-        """Right-hand side -L y + (1/x) A y + g(1/x, y) at a point."""
+        """Right-hand side -L y + (1/x) A y + g(1/x, y) at a point, in complex128."""
         x = complex(x)
         if x == 0:
             raise ValueError("the field is singular at x = 0")
-        y = np.asarray(y, dtype=complex_dtype())
+        y = np.asarray(y, dtype=complex)
         z = 1.0 / x
         return -self.lam * y + z * (self.alpha * y) + self.germ.evaluate(z, y)
 
@@ -176,7 +178,6 @@ class CoordinateMap:
     branch_choice: int = 0
     forward_cuts: tuple[float, ...] = ()
     inverse_cuts: tuple[float, ...] = ()
-    sample_domain: Callable | None = None
 
     def _check_cut(self, value: complex, cuts: tuple[float, ...], tol: float) -> None:
         if not cuts or value == 0:
@@ -206,20 +207,11 @@ def map_point(m: CoordinateMap, direction: str, value) -> complex:
     return m.apply(direction, value)
 
 
-def _annulus_sampler(r_lo: float, r_hi: float, arg_lo: float, arg_hi: float):
-    def sample(rng) -> complex:
-        r = r_lo + (r_hi - r_lo) * rng.random()
-        a = arg_lo + (arg_hi - arg_lo) * rng.random()
-        return r * np.exp(1j * a)
-    return sample
-
-
 def identity_map() -> CoordinateMap:
     return CoordinateMap(
         label="identity",
         forward=lambda v: v,
         inverse=lambda v: v,
-        sample_domain=_annulus_sampler(0.5, 5.0, -math.pi + 0.2, math.pi - 0.2),
     )
 
 
@@ -241,10 +233,6 @@ def _abel_map(winding: int = 0) -> CoordinateMap:
         branch_choice=winding,
         forward_cuts=(math.pi,),
         inverse_cuts=(math.pi,),
-        # the embedded e^{i pi} winding makes forward/inverse mutually
-        # consistent on the upper half plane, which contains the sector
-        # arg z in (3 pi/10, 9 pi/10) where the solutions live
-        sample_domain=_annulus_sampler(0.5, 5.0, 0.05, math.pi),
     )
 
 
@@ -266,8 +254,6 @@ def _p1_map(winding: int = 0) -> CoordinateMap:
         branch_choice=winding,
         forward_cuts=(0.0,),
         inverse_cuts=(math.pi,),
-        # stay where both the forward principal power and its inverse agree
-        sample_domain=_annulus_sampler(0.5, 5.0, math.pi / 5 + 0.2, 9 * math.pi / 5 - 0.2),
     )
 
 
@@ -293,7 +279,6 @@ def _p2_map(label: str, A: complex, winding: int = 0) -> CoordinateMap:
         branch_choice=winding,
         forward_cuts=(math.pi,),
         inverse_cuts=(math.pi,),
-        sample_domain=_annulus_sampler(0.5, 5.0, -math.pi / 2 + 0.2, math.pi / 2 - 0.2),
     )
 
 
@@ -314,7 +299,7 @@ def _second_order_germ(a: complex, N: Mapping[tuple[int, int], complex],
         key = (i, k)
         vec = terms.get(key)
         if vec is None:
-            vec = np.zeros(2, dtype=complex_dtype())
+            vec = np.zeros(2, dtype=complex)
             terms[key] = vec
         vec[0] += c1
         vec[1] += c2

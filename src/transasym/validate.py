@@ -15,6 +15,10 @@ length whatever the pole's index.  Blow-up ends a run with
 ``err.trajectory`` and is the input the detector works from.  The point
 stored in ``StepUnderflow.where`` marks where integration stopped, not
 the singularity itself; ``detect_singularity`` recovers the latter.
+
+Integration, detection and the extraction of C run in complex128.  An
+extended-precision expansion only seeds them: its values are cast to
+double at the start of each path.
 """
 
 from __future__ import annotations
@@ -841,9 +845,7 @@ def run_validation(
     capture: float = 1.0,
     extract: bool = False,
     deep_M: int = 12,
-    refine: bool = True,
     csv_dir=None,
-    label: str = "",
 ) -> ValidationRun:
     """Predict a pole array, hunt each pole by integration, and compare.
 
@@ -855,7 +857,8 @@ def run_validation(
     x_a itself, since the level curve below it comes closer to the origin,
     where the seed is less accurate.  With ``extract`` set, a radius
     ladder on the anchor ray re-measures C from the integrated solution,
-    seeding from a level-``deep_M`` expansion (deepened on demand).
+    seeding from a level-``deep_M`` expansion (deepened on demand, in the
+    precision of ``e``).  The run is labelled with ``s.label``.
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
@@ -882,7 +885,6 @@ def run_validation(
             en.x_ref,
             rel_tol=rel_tol,
             abs_tol=abs_tol,
-            refine=refine,
             csv_path=csv_path,
         )
         observations.append(obs)
@@ -891,12 +893,12 @@ def run_validation(
     if extract:
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not
         # enough for a 1e-3 constant measurement, so deepen if needed
-        e_x = e if e.M >= deep_M else build_expansion(s, deep_M, e.K)
+        e_x = e if e.M >= deep_M else build_expansion(s, deep_M, e.K, dtype=e.fm[0].dtype)
         extraction = extraction_ladder(
             s, e_x, C, anchor_arg, ladder_radii(e_x, anchor_arg)
         )
     return ValidationRun(
-        system=label or "custom",
+        system=s.label,
         C=C,
         anchor=x_a,
         predicted=predicted,

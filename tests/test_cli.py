@@ -87,7 +87,7 @@ def test_validate_flow_and_config_round_trip(tmp_path, monkeypatch, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "n = 8: predicted" in out and "1/1 matched" in out
-    assert (tmp_path / "run.json").exists()
+    assert json.loads((tmp_path / "run.json").read_text())["system"] == "p1"
     cfg = RunConfig.load("cfg.json")
     assert cfg.label == "p1" and cfg.C == 12.0 + 0j and cfg.n_range == (8,)
     cfg.save("cfg2.json")
@@ -121,11 +121,13 @@ def test_report_single_criterion(capsys):
     assert "1/1 checks passed" in out
 
 
-def test_precision_flag_sets_environment(monkeypatch, capsys):
-    import os
-
-    # setenv first so teardown restores the pre-test state even though
-    # main() mutates the variable directly
-    monkeypatch.setenv("TRANSASYM_PRECISION", "double")
-    assert main(["--precision", "extended", "system"]) == 0
-    assert os.environ["TRANSASYM_PRECISION"] == "extended"
+def test_precision_is_a_flag_of_expand_and_validate(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # neither --precision nor the former reserved --seed is a top-level flag
+    for argv in (["--precision", "extended", "system"], ["--seed", "1", "system"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+    assert main(["expand", "p1", "--M", "2", "--K", "32",
+                 "--precision", "extended"]) == 0
+    assert (tmp_path / "expansion.json").exists()

@@ -11,7 +11,8 @@ from transasym.errors import OutsideReliableDisk, ScalePastBranch
 from transasym.expansion import (TwoScaleExpansion, build_expansion,
                                  eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
-from transasym.systems import builtin
+from transasym.series import AnalyticGerm
+from transasym.systems import NormalSystem, builtin, validate_system
 
 
 # -- level recursion ---------------------------------------------------------
@@ -44,6 +45,26 @@ def test_p1_delayed_constants(e_p1):
 def test_abel_delayed_constants(e_abel):
     assert e_abel.free_constants[0] == pytest.approx(-0.36, abs=1e-12)
     assert e_abel.free_constants[1] == pytest.approx(-0.33253333333333335, abs=1e-12)
+
+
+def test_p1_builds_past_level_nineteen(p1):
+    # the pin slope is the closed form -m, not a difference of trial
+    # defects that grow like m! B^m
+    e = build_expansion(p1, 20, 32)
+    res = e.residual_coefficients()
+    for m in range(e.M + 1):
+        assert np.max(np.abs(res[:, m, :])) <= 1e-14 * np.max(np.abs(e.fm[m]))
+    e16 = build_expansion(p1, 16, 32)
+    for a, b in zip(e.free_constants, e16.free_constants):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_order_violations_are_rejected():
+    germ = AnalyticGerm(1, {(0, (1,)): 0.5, (1, (0,)): 0.1, (0, (2,)): 1.0})
+    s = NormalSystem([1.0], [0.0], germ, label="bad")
+    assert validate_system(s, 2).order_violations == [(0, (1,)), (1, (0,))]
+    with pytest.raises(ValueError, match=r"\(i=0, k=\[1\]\), \(i=1, k=\[0\]\)"):
+        build_expansion(s, 2, 16)
 
 
 def test_substitution_residual_vanishes(e_p1):

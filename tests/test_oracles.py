@@ -66,12 +66,6 @@ def test_second_array_offset_formula():
     assert got == pytest.approx(want, abs=1e-14)
 
 
-def test_first_family_dispatch():
-    assert oracles.p1_oracles("H0", 6.0) == pytest.approx(24.0)
-    with pytest.raises(ValueError):
-        oracles.p1_oracles("H9", 1.0)
-
-
 # -- Abel branch geometry ----------------------------------------------------
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from transasym.errors import DegreeCapExceeded, ResonantOrder
 from transasym.series import (AnalyticGerm, InvXSeries, TaylorSeries,
-                              germ_compose, series_field_solve_linear,
-                              series_mul)
+                              series_field_solve_linear)
 
 RNG = np.random.default_rng(7)
 
@@ -31,7 +30,7 @@ def test_truncation_follows_min_rule():
     a, b = _rand_series(5), _rand_series(9)
     assert (a + b).truncation_order == 5
     assert (a * b).truncation_order == 5
-    assert series_mul(a, b).truncation_order == 5
+    assert (b * a).truncation_order == 5
 
 
 def test_derivative_product_rule():
@@ -107,7 +106,7 @@ def test_germ_compose_matches_pointwise():
                          (0, (1, 1)): [0.0, 1.0]})
     y1, y2 = _rand_series(10), _rand_series(10)
     z = _rand_series(10)
-    comp = germ_compose(g, z, (y1, y2))
+    comp = g.compose(z, (y1, y2))
     t = 0.04 - 0.02j
     vals = np.array([y1.evaluate(t), y2.evaluate(t)])
     direct = g.evaluate(z.evaluate(t), vals)
@@ -164,3 +163,26 @@ def test_linear_solver_rejects_inconsistent_resonance():
     rhs = TaylorSeries.monomial(1, 8)   # (1-1) c_1 = 1 has no solution
     with pytest.raises(ResonantOrder):
         series_field_solve_linear(N, rhs)
+
+
+def test_linear_solver_rejects_non_diagonal_leading_matrix():
+    N = np.zeros((9, 2, 2), dtype=complex)
+    N[0] = [[1.0, 0.5], [0.0, -1.0]]
+    rhs = [TaylorSeries.zeros(8), TaylorSeries.zeros(8)]
+    with pytest.raises(ValueError, match="diagonal"):
+        series_field_solve_linear(N, rhs)
+
+
+def test_series_keep_their_precision():
+    # extended input stays extended; anything narrower is promoted to complex128
+    ext = TaylorSeries(np.arange(5, dtype=np.longdouble))
+    assert ext.coeffs.dtype == np.clongdouble
+    assert (ext * _rand_series(4)).coeffs.dtype == np.clongdouble
+    assert TaylorSeries([1, 2, 3]).coeffs.dtype == np.complex128
+    assert InvXSeries(np.ones(3, dtype=np.float32)).coeffs.dtype == np.complex128
+    g = AnalyticGerm(1, {(0, (2,)): 1.0})
+    assert g.compose(None, (ext,))[0].coeffs.dtype == np.clongdouble
+    assert g.evaluate(0.1, np.ones(1, dtype=np.clongdouble)).dtype == np.complex128
+    sol = series_field_solve_linear(TaylorSeries(np.full(5, 0.5, dtype=np.clongdouble)),
+                                    TaylorSeries.monomial(1, 4))
+    assert sol.series[0].coeffs.dtype == np.clongdouble
