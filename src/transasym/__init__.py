@@ -2,7 +2,6 @@
 ODE systems near a rank-one irregular singular point."""
 
 from .errors import (
-    ChartAmbiguous,
     DegreeCapExceeded,
     InsufficientCoefficients,
     NewtonDiverged,

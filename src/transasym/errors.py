@@ -90,12 +90,6 @@ class NoBlowup(TransasymError):
     """A trajectory tail shows no blow-up to fit a singularity model to."""
 
 
-class ChartAmbiguous(TransasymError):
-    """Local-model branch selection could not be decided; both in ``candidates``."""
-
-    def __init__(self, candidates, message: str | None = None):
-        self.candidates = tuple(candidates)
-        super().__init__(message or f"ambiguous chart branch: candidates {self.candidates}")
 
 
 class NotConverging(TransasymError):

@@ -63,8 +63,10 @@ class NormalSystem:
         Known first-sheet singular value of the leading two-scale profile,
         used to seed singularity searches.
     blowup_model : dict, optional
-        Local model of the observable at a movable singularity, e.g.
-        {"kind": "double_pole", "amplitude": 12.0}.
+        Local model h ~ A (x - x*)^p of the observable at a movable
+        singularity.  Only its ``"exponent"`` p is read, by the pole
+        locator of :mod:`transasym.validate`; without one p = -2 (a
+        double pole).  Other keys are kept and serialized, never read.
     """
 
     def __init__(self, lam, alpha, germ: AnalyticGerm, label: str = "custom",
@@ -341,8 +343,7 @@ def builtin(label: str, alpha: complex = 0.0, b_branch: int = 1):
         system = NormalSystem(
             lam=[1.0], alpha=[0.2], germ=germ, label="abel",
             xi_s_hint=_XI0_ABEL,
-            blowup_model={"kind": "branch_neg_half", "exponent": -0.5,
-                          "chart": "inverse_square"},
+            blowup_model={"exponent": -0.5},
         )
         return system, _abel_map()
     if label == "p1":
@@ -350,8 +351,7 @@ def builtin(label: str, alpha: complex = 0.0, b_branch: int = 1):
         system = NormalSystem(
             lam=[1.0, -1.0], alpha=[-0.5, -0.5], germ=germ, label="p1",
             observable=[1.0, 1.0], xi_s_hint=12.0,
-            blowup_model={"kind": "double_pole", "exponent": -2.0,
-                          "amplitude": 12.0},
+            blowup_model={"exponent": -2.0},
         )
         return system, _p1_map()
     if label == "p2a":

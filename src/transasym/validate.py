@@ -1,7 +1,7 @@
 """Ground truth by complex-plane integration.
 
 Adaptive integration of a normalized system along polyline paths in the
-x plane, blow-up detection against the system's local singularity model,
+x plane, location of the singularities the solution blows up at,
 extraction of the transseries constant C from far-field samples, and
 minimal-distance matching of predicted pole arrays against observed ones.
 
@@ -15,6 +15,15 @@ length whatever the pole's index.  Blow-up ends a run with
 ``err.trajectory`` and is the input the detector works from.  The point
 stored in ``StepUnderflow.where`` marks where integration stopped, not
 the singularity itself; ``detect_singularity`` recovers the latter.
+
+One estimate locates every singularity, whatever its kind.  Where
+h ~ A (x - x*)^p, the log-derivative h'/h of the observable, with h'
+read from the field, gives x* = x - p h/h' up to terms of second order
+in x - x*; p is the exponent of the system's ``blowup_model`` (-2, a
+double pole, when it declares none).  The homing legs of
+``hunt_singularity`` aim at this estimate, and ``detect_singularity``
+extrapolates it over the diverging tail to the singularity, without a
+second integration.
 
 Integration, detection and the extraction of C run in complex128.  An
 extended-precision expansion only seeds them: its values are cast to
@@ -34,7 +43,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .errors import ChartAmbiguous, NoBlowup, NotConverging, StepUnderflow
+from .errors import NoBlowup, NotConverging, StepUnderflow
 from .expansion import (
     TwoScaleExpansion,
     build_expansion,
@@ -246,7 +255,6 @@ class PoleObservation:
     location: complex
     kind: str
     local_fit: tuple
-    chart: str
     exponent_deviation: float
 
     def to_dict(self) -> dict:
@@ -257,7 +265,6 @@ class PoleObservation:
             "amplitude": [complex(amp).real, complex(amp).imag],
             "exponent": float(expo),
             "fit_residual": float(resid),
-            "chart": self.chart,
             "exponent_deviation": float(self.exponent_deviation),
         }
 
@@ -307,10 +314,10 @@ def _classify(exponent):
     return kind, deviation
 
 
-def _finish(xs, hs, x0, chart, nominal=None):
+def _finish(xs, hs, x0):
     exponent, resid, sel, keep = _loglog_exponent(xs, hs, x0)
     kind, deviation = _classify(exponent)
-    p_amp = _NOMINAL_EXPONENTS.get(kind, exponent) if nominal is None else nominal
+    p_amp = _NOMINAL_EXPONENTS.get(kind, exponent)
     dx = (xs[keep][sel] - x0).astype(complex)
     amps = hs[keep][sel] * dx ** (-p_amp)
     coef = np.polynomial.polynomial.polyfit(dx, amps, 1)
@@ -319,63 +326,17 @@ def _finish(xs, hs, x0, chart, nominal=None):
         location=complex(x0),
         kind=kind,
         local_fit=(amplitude, exponent, resid),
-        chart=chart,
         exponent_deviation=deviation,
     )
 
 
-def _direct_chart(xs, hs, a_nom):
-    """Pole estimates x - sqrt(A/h) with the branch fixed by continuity."""
-    t = np.sqrt(a_nom / hs.astype(complex))
-    est = np.empty(xs.shape, complex)
-    step = xs[1] - xs[0]
-    fwd = [((xs[0] - tt - xs[0]) / step).real for tt in (t[0], -t[0])]
-    # first point: the pole lies ahead along the direction of travel
-    if abs(fwd[0] - fwd[1]) < 0.1 * max(abs(fwd[0]), abs(fwd[1]), 1e-30):
-        raise ChartAmbiguous((xs[0] - t[0], xs[0] + t[0]))
-    est[0] = xs[0] - t[0] if fwd[0] > fwd[1] else xs[0] + t[0]
-    for k in range(1, xs.size):
-        cand = (xs[k] - t[k], xs[k] + t[k])
-        d = (abs(cand[0] - est[k - 1]), abs(cand[1] - est[k - 1]))
-        if abs(d[0] - d[1]) < 1e-2 * abs(t[k]):
-            raise ChartAmbiguous(cand)
-        est[k] = cand[0] if d[0] < d[1] else cand[1]
-    # est_k = x0 + O(t^2); extrapolate the even/odd correction away
-    V = np.column_stack([np.ones_like(t), t * t, t * t * t])
-    coef, *_ = np.linalg.lstsq(V, est, rcond=None)
-    return complex(coef[0]), est
+def _log_derivative(s, x, y) -> complex:
+    """h'/h of the observable at the state y at x, with h' from the field.
 
-
-def _inverse_square_chart(s, xs, ys, hs):
-    """w = h^{-2} vanishes linearly at the branch point; w' from the field."""
-    est = np.empty(xs.shape, complex)
-    t = np.empty(xs.shape, complex)
-    for k in range(xs.size):
-        dh = complex(s.observable_value(s.field(xs[k], ys[:, k])))
-        w = hs[k] ** -2
-        dw = -2.0 * dh * hs[k] ** -3
-        t[k] = w / dw
-        est[k] = xs[k] - t[k]
-    V = np.column_stack([np.ones_like(t), t * t, t * t * t])
-    coef, *_ = np.linalg.lstsq(V, est, rcond=None)
-    return complex(coef[0]), est
-
-
-def _inverse_chart(xs, hs):
-    """Generic fallback: 1/L is affine in x when h ~ A (x - x*)^p.
-
-    The log-derivative L = h'/h is taken by centered differencing along
-    the path, so no model beyond analyticity of h is assumed.
+    Near a blow-up h ~ A (x - x*)^p it equals p / (x - x*), so
+    x - p h/h' estimates x*.
     """
-    dh = (hs[2:] - hs[:-2]) / (xs[2:] - xs[:-2])
-    L = dh / hs[1:-1]
-    u = 1.0 / L
-    V = np.column_stack([np.ones_like(u), xs[1:-1]])
-    coef, *_ = np.linalg.lstsq(V, u, rcond=None)
-    b0, b1 = coef
-    p = 1.0 / b1
-    x0 = -b0 / b1
-    return complex(x0), float(p.real)
+    return s.observable_value(s.field(x, y)) / s.observable_value(y)
 
 
 def detect_singularity(
@@ -383,48 +344,24 @@ def detect_singularity(
     approach: Trajectory,
     *,
     threshold: float = 1e4,
-    refine: bool = True,
 ) -> PoleObservation:
-    """Fit the system's local blow-up model to a diverging trajectory tail.
+    """Locate the singularity a diverging trajectory tail runs into.
 
-    The chart comes from ``s.blowup_model``; the reported kind comes from
-    the fitted exponent, so a system whose data disagree with its declared
-    model is reported as seen, with the deviation on record.  When
-    ``refine`` is set a second, tighter integration is aimed at the first
-    location estimate and the fit is repeated on its tail.
+    Every tail sample gives the estimate x - t with t = p h/h', h' taken
+    from the field and p the exponent of ``s.blowup_model`` (-2 when it
+    declares none); the estimates are extrapolated to t -> 0 by least
+    squares on [1, t^2, t^3].  No second integration is made.  The
+    reported kind comes from the exponent fitted at that location, so a
+    system whose data disagree with its declared exponent is reported as
+    seen, with the deviation on record.
     """
     xs, hs, tail = _blowup_tail(s, approach, threshold)
-    model = s.blowup_model or {}
-    chart = model.get("chart", "")
-    if model.get("kind") == "double_pole":
-        chart = chart or "direct"
-        a_nom = complex(model.get("amplitude", 1.0))
-        x0, _ = _direct_chart(xs, hs, a_nom)
-        obs = _finish(xs, hs, x0, "direct")
-    elif chart == "inverse_square":
-        x0, _ = _inverse_square_chart(s, xs, approach.y[:, tail], hs)
-        obs = _finish(xs, hs, x0, "inverse_square")
-    else:
-        x0, p = _inverse_chart(xs, hs)
-        obs = _finish(xs, hs, x0, "inverse", nominal=p)
-
-    if refine:
-        k0 = tail[int(np.argmin(np.abs(np.abs(hs) - threshold)))]
-        start = approach.x[k0]
-        if abs(start - obs.location) > 0:
-            spec = PathSpec(
-                (start, obs.location), rel_tol=1e-12, abs_tol=1e-14
-            )
-            try:
-                integrate_path(s, approach.y[:, k0], spec, escape=1e12)
-            except StepUnderflow as err:
-                try:
-                    return detect_singularity(
-                        s, err.trajectory, threshold=threshold, refine=False
-                    )
-                except NoBlowup:
-                    pass
-    return obs
+    p = float(s.blowup_model.get("exponent", -2.0))
+    ys = approach.y[:, tail].T
+    t = np.array([p / _log_derivative(s, x, y) for x, y in zip(xs, ys)])
+    V = np.column_stack([np.ones_like(t), t * t, t * t * t])
+    coef, *_ = np.linalg.lstsq(V, xs - t, rcond=None)
+    return _finish(xs, hs, complex(coef[0]))
 
 
 def hunt_singularity(
@@ -439,20 +376,23 @@ def hunt_singularity(
     abs_tol: float = 1e-12,
     escape: float = 1e8,
     threshold: float = 1e4,
-    refine: bool = True,
     max_legs: int = 20,
     csv_path=None,
 ) -> PoleObservation:
     """Integrate from a trusted state into a suspected pole and locate it.
 
     The path runs through ``via`` to a staging point ``staging`` away
-    from ``target``.  From there the hunt homes in: the local
-    log-derivative of the observable gives a pole estimate
-    x* = x - p / (h'/h), and successive legs aim at it with shrinking
-    stand-off until the blow-up ends integration.  The diverging leg is
-    what the detector sees.  Aiming straight at the prediction is not
-    enough: the true pole sits a little off it, and a leg that merely
-    passes by can stay below the escape norm.
+    from ``target``.  From there the hunt homes in: the log-derivative
+    h'/h of the observable, with h' from the field, gives the pole
+    estimate x* = x - p h/h' with p the exponent of ``s.blowup_model``
+    (-2 when it declares none), and successive legs aim at it with
+    shrinking stand-off until the blow-up ends integration.  The
+    diverging leg is what ``detect_singularity`` sees; it applies the
+    same estimate to every sample of the tail and integrates no further.
+    Aiming straight at the prediction is not enough: the true pole sits
+    a little off it, and a leg that merely passes by can stay below the
+    escape norm.  A ``target`` equal to ``x_start``, or to the last
+    ``via`` point, raises ``ValueError``.
 
     Each hunt logs one DEBUG record to the ``transasym`` logger, whose
     ``hunt`` attribute holds the start point, the approach length, the
@@ -460,6 +400,9 @@ def hunt_singularity(
     """
     x_start, target = complex(x_start), complex(target)
     prev = complex(via[-1]) if via else x_start
+    if prev == target:
+        where = "the last via point" if via else "x_start"
+        raise ValueError(f"target {target:.6g} coincides with {where}")
     u = (prev - target) / abs(prev - target)
     stage = target + staging * u
     pts = [x_start, *map(complex, via), stage]
@@ -483,7 +426,7 @@ def hunt_singularity(
         approach = Trajectory(np.concatenate(parts_x), np.concatenate(parts_y, axis=1))
         if csv_path is not None:
             approach.to_csv(csv_path)
-        return detect_singularity(s, approach, threshold=threshold, refine=refine)
+        return detect_singularity(s, approach, threshold=threshold)
 
     x, y = x_start, np.asarray(y_start, dtype=complex)
     stopped = False
@@ -496,11 +439,10 @@ def hunt_singularity(
             _absorb(traj)
             x, y = pts[-1], traj.y[:, -1]
         for _ in range(max_legs):
-            h = complex(s.observable_value(y))
-            dh = complex(s.observable_value(s.field(x, y)))
-            if h == 0 or dh == 0:
+            try:
+                x_star = x - p_nom / _log_derivative(s, x, y)
+            except ZeroDivisionError:  # h or h' vanishes: nothing to aim at
                 break
-            x_star = x - p_nom * h / dh
             r = abs(x - x_star)
             if r == 0:
                 break

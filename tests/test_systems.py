@@ -37,9 +37,9 @@ def test_observable_projection_shapes(p1):
 
 def test_builtin_metadata(p1, abel):
     assert p1.xi_s_hint == 12.0
-    assert p1.blowup_model["kind"] == "double_pole"
+    assert p1.blowup_model["exponent"] == -2.0
     assert abel.alpha[0] == pytest.approx(0.2)
-    assert abel.blowup_model["chart"] == "inverse_square"
+    assert abel.blowup_model["exponent"] == -0.5
 
 
 def test_serialization_round_trip(p1):

@@ -85,16 +85,18 @@ def test_trajectory_csv_round_trip(tmp_path, lin):
 
 
 def _synthetic_double_pole(p1):
+    # p1 states are ((h - h')/2, (h + h')/2), so the field returns h'
     x0 = 1.0 + 10.0j
     d = np.logspace(math.log10(0.03), -4, 80)
     xs = x0 + d * cmath.exp(2.4j)
     h = 12.0 / (xs - x0) ** 2
-    return x0, Trajectory(xs, np.vstack([h / 2, h / 2]))
+    dh = -24.0 / (xs - x0) ** 3
+    return x0, Trajectory(xs, np.vstack([(h - dh) / 2, (h + dh) / 2]))
 
 
 def test_detects_synthetic_double_pole(p1):
     x0, traj = _synthetic_double_pole(p1)
-    obs = detect_singularity(p1, traj, refine=False)
+    obs = detect_singularity(p1, traj)
     assert abs(obs.location - x0) < 1e-8
     assert obs.kind == "double_pole"
     assert obs.local_fit[1] == pytest.approx(-2.0, abs=1e-3)
@@ -105,7 +107,7 @@ def test_bounded_trajectory_is_no_blowup(p1):
     _, traj = _synthetic_double_pole(p1)
     tame = Trajectory(traj.x, traj.y / 1e9)
     with pytest.raises(NoBlowup):
-        detect_singularity(p1, tame, refine=False)
+        detect_singularity(p1, tame)
 
 
 def test_straight_shot_underflows_at_the_pole(p1, e_p1):
@@ -130,6 +132,30 @@ def test_hunt_lands_on_predicted_pole(p1, e_p1):
     assert obs.kind == "double_pole"
     assert obs.local_fit[1] == pytest.approx(-2.0, abs=0.05)
     assert abs(obs.local_fit[0]) == pytest.approx(12.0, abs=0.5)
+
+
+def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    with pytest.raises(ValueError, match="x_start"):
+        hunt_singularity(p1, x_a, y_a, x_a)
+    with pytest.raises(ValueError, match="via"):
+        hunt_singularity(p1, x_a, y_a, x_a + 1.0, via=(x_a + 1.0,))
+
+
+def test_locates_logistic_poles_against_closed_form():
+    # y' = -y + y^2 solves to xi/(1 + xi), xi = C e^{-x}: simple poles
+    # of amplitude -1 at x = log C + i pi (2k + 1)
+    s = NormalSystem(lam=[1.0], alpha=[0.0], germ=AnalyticGerm(1, {(0, (2,)): 1.0}),
+                     xi_s_hint=-1.0, blowup_model={"exponent": -1.0})
+    run = run_validation(s, build_expansion(s, 2, 32), 1.0, range(1, 7))
+    assert len(run.observations) == 6
+    for obs in run.observations:
+        k = round((obs.location.imag / math.pi - 1.0) / 2.0)
+        assert abs(obs.location - 1j * math.pi * (2 * k + 1)) < 1e-8
+        amplitude, exponent, _ = obs.local_fit
+        assert abs(exponent + 1.0) < 1e-3
+        assert abs(amplitude + 1.0) < 1e-3
 
 
 # -- constant extraction -----------------------------------------------------
@@ -255,8 +281,7 @@ def _starts(monkeypatch, s, e, C, n_range):
 
     def stub(s_, x_start, y_start, target, **kwargs):
         calls.append((complex(x_start), np.asarray(y_start), complex(target)))
-        return PoleObservation(complex(target), "double_pole", (1.0, -2.0, 0.0),
-                               "direct", 0.0)
+        return PoleObservation(complex(target), "double_pole", (1.0, -2.0, 0.0), 0.0)
 
     monkeypatch.setattr(validate, "hunt_singularity", stub)
     return run_validation(s, e, C, n_range), calls
@@ -327,12 +352,13 @@ def test_far_pole_is_cheap(field_calls, p1, e_p1):
     assert field_calls[0] <= 20_000
 
 
-def test_hunt_logs_its_legs(field_calls, caplog, capsys, p1, e_p1):
+def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
     x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    csv_path = tmp_path / "approach.csv"
     with caplog.at_level(logging.DEBUG, logger="transasym"):
-        hunt_singularity(p1, x_a, y_a, en.x_ref, refine=False)
+        hunt_singularity(p1, x_a, y_a, en.x_ref, csv_path=csv_path)
     records = [r for r in caplog.records if hasattr(r, "hunt")]
     assert len(records) == 1
     hunt = records[0].hunt
@@ -340,7 +366,11 @@ def test_hunt_logs_its_legs(field_calls, caplog, capsys, p1, e_p1):
     assert hunt["start"] == x_a
     assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - 0.35)
     # every field call is a leg's rhs evaluation, the diverging leg
-    # included, except one log-derivative per homing leg
-    assert hunt["legs"] >= 2
-    assert hunt["n_rhs"] + hunt["legs"] - 1 == field_calls[0]
+    # included, except one log-derivative per homing leg and one per
+    # sample of the blow-up tail the detector reads
+    rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    big = np.abs(rows[:, 2] + rows[:, 4] + 1j * (rows[:, 3] + rows[:, 5])) >= 1e4
+    n_tail = big.size - np.flatnonzero(~big)[-1] - 1
+    assert hunt["legs"] >= 2 and n_tail >= 8
+    assert hunt["n_rhs"] + hunt["legs"] - 1 + n_tail == field_calls[0]
     assert capsys.readouterr() == ("", "")
