@@ -63,7 +63,7 @@ class OutsideReliableDisk(TransasymError):
 
 
 class ScalePastBranch(TransasymError):
-    """|xi(x)| exceeds the declared continuation radius of the expansion."""
+    """|xi(x)| exceeds the reliability radius of the expansion's leading profile."""
 
 
 class NewtonDiverged(TransasymError):

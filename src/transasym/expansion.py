@@ -1,22 +1,23 @@
 """Two-scale transasymptotic expansions.
 
 Substituting y(x) = sum_m x^{-m} F_m(xi), xi = C e^{-x} x^{alpha_1}, into the
-normalized system and collecting powers of x^{-1} (with xi treated as an
-independent scale) gives
+normalized system and collecting powers of z = 1/x (with xi treated as an
+independent scale) gives, for the coefficients Y_{m,k} = [z^m xi^k] y,
 
-    xi F_0' = L F_0 - g(0, F_0),                          F_0'(0) = e_1,
-    xi F_m' = (L - G(xi)) F_m + S_m               (m >= 1),
+    (L - k) Y_{m,k} = [z^m xi^k] g(z, y) - alpha_1 k Y_{m-1,k} + ((m-1) I + A) Y_{m-1,k},
 
-where G = d_y g(0, F_0) and
+with F_0(0) = 0 and F_0'(0) = e_1.  The right side involves only lower
+orders: Y_{0,0} = 0 and every linear germ term carries a power of z.  So
+one recursion, k outer and m inner, fills the whole hierarchy.  Its
+column k = 0 is the formal power series: F_m(0) = c_m, the coefficient of
+x^{-m} in the unique formal solution.
 
-    S_m = alpha_1 xi F_{m-1}' - ((m-1) I + A) F_{m-1} - gamma_m,
-    gamma_m = [z^m] g(z, sum_{j<m} z^j F_j).
-
-Each linear level is resonant at xi^1 in the first component; the free
-constant c_m there is pinned one level later, by solvability of the
-F_{m+1} recursion.  The pinning defect is exactly affine in c_m with the
-closed-form slope -(m + [g_{1,e_1}]_1), so one trial assembly determines
-it, after which S_{m+1} is rebuilt from the finalized F_m.
+Each level m >= 1 is resonant at xi^1 in the first component; its free
+coefficient c_m = Y_{m,1}[0] is the delayed constant.  It is pinned at
+(m+1, xi^1), where the first component of the right side is exactly
+affine in c_m with slope m + [g_{1,e_1}]_1, so solvability fixes it
+before the rest of that column is solved.  Row M+1 is computed only to
+xi^1, to pin c_M.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -39,8 +40,7 @@ from .errors import (
     ResonantOrder,
     ScalePastBranch,
 )
-from .series import (InvXSeries, TaylorSeries, complex_array, compose_germ_series,
-                     series_field_solve_linear)
+from .series import InvXSeries, TaylorSeries, complex_array
 from .systems import NormalSystem
 
 __all__ = [
@@ -54,64 +54,104 @@ __all__ = [
 ]
 
 
-# -- formal power series -----------------------------------------------------
+# -- the coefficient recursion -----------------------------------------------
+
+
+def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
+                  dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
+    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
+
+    Each germ monomial keeps its running coefficients as a chain of
+    partial products (y_a y_b, then y_a y_b y_c, ...), extended by one
+    sliced sum per (m, k).  A product's (m, k) coefficient never involves
+    Y_{m,k}, since Y_{0,0} = 0, so it is formed before Y_{m,k} is solved.
+    With M >= 1 and K >= 1 the returned array also carries row M+1
+    through xi^1.
+    """
+    bad = s.germ.order_violations()
+    if bad:
+        terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
+        raise ValueError(f"germ breaks the order condition at {terms}")
+    n, lam, alpha = s.n, s.lam, s.alpha
+    alpha1 = alpha[0]
+    rows = M + 2 if M >= 1 and K >= 1 else M + 1
+    Y = np.zeros((n, rows, K + 1), dtype=dtype)
+    consts: dict[int, np.ndarray] = {}
+    monomials: list[tuple[int, np.ndarray, np.ndarray]] = []
+    chains: dict[tuple[int, ...], np.ndarray] = {(j,): Y[j] for j in range(n)}
+    for (i, k), vec in s.germ.terms.items():
+        factors = tuple(j for j, p in enumerate(k) for _ in range(p))
+        if not factors:
+            consts[i] = vec
+            continue
+        for length in range(2, len(factors) + 1):
+            chains.setdefault(factors[:length], np.zeros((rows, K + 1), dtype=dtype))
+        monomials.append((i, chains[factors], vec))
+    steps = [(chains[key], chains[key[:-1]], Y[key[-1]])
+             for key in sorted(chains, key=len) if len(key) >= 2]
+
+    def rhs_terms(m: int, k: int) -> list[np.ndarray]:
+        terms = [vec * Q[m - i, k] for i, Q, vec in monomials if i <= m]
+        if k == 0 and m in consts:
+            terms.append(consts[m])
+        if m >= 1:
+            prev = Y[:, m - 1, k]
+            terms.append(-(alpha1 * prev * k))
+            terms.append(((m - 1) + alpha) * prev)
+        return terms
+
+    g11 = complex(s.germ.coefficient(1, (1,) + (0,) * (n - 1))[0])
+    lam_max = float(np.max(np.abs(lam)))
+    zero = np.zeros(n, dtype=dtype)
+    pinned: list[complex] = []
+    for k in range(K + 1):
+        denom = lam - k
+        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
+        for m in range(rows if k <= 1 else M + 1):
+            for Q, head, tail in steps:
+                Q[m, k] = np.sum(head[: m + 1, : k + 1] * tail[m::-1, k::-1])
+            if m == 0:
+                if k == 1:
+                    Y[0, 0, 1] = 1.0
+                elif k >= 2:
+                    if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
+                        raise ResonantOrder(k)
+                    Y[:, 0, k] = sum(rhs_terms(0, k), zero) / denom
+                continue
+            if k == 1 and m >= 2:
+                # solvability of the first component pins c_{m-1}
+                d = sum(rhs_terms(m, 1), zero)[0]
+                slope = (m - 1) + g11
+                if abs(slope) >= 1e-13 * max(1, m - 1):
+                    Y[0, m - 1, 1] = -d / slope
+                elif abs(d) > tol:
+                    raise ResonantOrder(1)
+                pinned.append(complex(Y[0, m - 1, 1]))
+                if m == M + 1:
+                    break
+            terms = rhs_terms(m, k)
+            r = sum(terms, zero)
+            if np.any(sing):
+                scale = np.max(np.abs(terms), axis=0)
+                if np.any(np.abs(r[sing]) > tol * scale[sing]):
+                    raise ResonantOrder(k)
+                r = np.where(sing, 0, r)
+            Y[:, m, k] = r / np.where(sing, 1, denom)
+    return Y, pinned
 
 
 def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
     """Unique formal solution y ~ sum_{r>=2} c_r x^{-r}, orders 2..R.
 
-    Order-r identification gives L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y),
-    and the germ order condition makes the z^r coefficient depend only on
-    c_2..c_{r-1}.  Computed in complex128.
+    This is column xi^0 of the two-scale recursion, rows 2..R (rows 0 and
+    1 vanish), with nothing pinned.  Order r reads
+    L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y), whose right side
+    depends on c_2..c_{r-1} only.  Computed in complex128.
     """
     if R < 2:
         raise ValueError("R must be at least 2")
-    n = s.n
-    Y = np.zeros((n, R + 1), dtype=complex)
-    lam = s.lam
-    for r in range(2, R + 1):
-        grow = compose_germ_series(s.germ, _z_identity(R), Y, R)[:, r]
-        rhs = (s.alpha + (r - 1)) * Y[:, r - 1] + grow
-        if np.any(np.abs(lam) < 1e-13):
-            raise ResonantOrder(r)
-        Y[:, r] = rhs / lam
-    return tuple(InvXSeries(Y[j, 2:], r_min=2) for j in range(n))
-
-
-def _z_identity(K: int) -> np.ndarray:
-    z = np.zeros(K + 1, dtype=complex)
-    z[1] = 1.0
-    return z
-
-
-# -- leading profile and the linear levels -----------------------------------
-
-
-def _f0_array(s: NormalSystem, K: int, dtype) -> np.ndarray:
-    """Coefficients of F_0 from (k I - L) f_k = -[xi^k] g(0, F_0), f_1 = e_1."""
-    n = s.n
-    lam = s.lam
-    F = np.zeros((n, K + 1), dtype=dtype)
-    if K >= 1:
-        F[0, 1] = 1.0
-    for k in range(2, K + 1):
-        gk = compose_germ_series(s.germ, 0.0 + 0.0j, F, k)[:, k]
-        denom = k - lam
-        if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
-            raise ResonantOrder(k)
-        F[:, k] = -gk / denom
-    return F
-
-
-def _gmatrix_series(s: NormalSystem, F0: np.ndarray, K: int) -> np.ndarray:
-    """G(xi) = d_y g(0, F_0(xi)) as a (K+1, n, n) coefficient stack."""
-    n = s.n
-    G = np.zeros((K + 1, n, n), dtype=F0.dtype)
-    for l in range(n):
-        cols = compose_germ_series(s.germ.partial_y(l), 0.0 + 0.0j, F0, K)
-        for j in range(n):
-            G[:, j, l] = cols[j]
-    return G
+    Y, _ = _coefficients(s, R, 0)
+    return tuple(InvXSeries(Y[j, 2:, 0], r_min=2) for j in range(s.n))
 
 
 def _bi_mul(a: np.ndarray, b: np.ndarray, mz: int, K: int) -> np.ndarray:
@@ -163,31 +203,6 @@ def _compose_germ_bivariate(germ, Y: np.ndarray, mz: int, K: int) -> np.ndarray:
         out += vec[:, None, None] * factor[None, :, :]
     return out
 
-
-def _assemble_rhs(s: NormalSystem, fm: Sequence[np.ndarray], m: int, K: int) -> np.ndarray:
-    """S_m (n, K+1) from the finalized F_0..F_{m-1}."""
-    n = s.n
-    Y = np.zeros((n, m + 1, K + 1), dtype=fm[0].dtype)
-    for j in range(min(m, len(fm))):
-        Y[:, j, :] = fm[j][:, : K + 1]
-    gamma = _compose_germ_bivariate(s.germ, Y, m, K)[:, m, :]
-    prev = fm[m - 1][:, : K + 1]
-    k_weights = np.arange(K + 1, dtype=float)
-    xi_dprev = prev * k_weights[None, :]
-    return s.alpha[0] * xi_dprev - ((m - 1) + s.alpha)[:, None] * prev - gamma
-
-
-def _pin_defect(N: np.ndarray, S: np.ndarray):
-    """First-row xi^1 defect of the level whose right side is S.
-
-    Order 0 gives c_0 = -L^{-1} S_0; the order-1 first row is then
-    S_1[0] + (N_1 c_0)[0], which must vanish for solvability.  Returned
-    as a scalar of the levels' dtype.
-    """
-    lam = np.diagonal(N[0])
-    c0 = -S[:, 0] / lam
-    r1 = S[:, 1] + N[1] @ c0
-    return r1[0]
 
 
 # -- expansion container -----------------------------------------------------
@@ -325,56 +340,21 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
     or ``numpy.clongdouble``.  A germ that breaks the order condition
     g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
 
-    The pin of c_m reads the first-row xi^1 defect d of S_{m+1}, which is
-    affine in c_m: with H = O(xi), H_1 = e_1, F_0 = O(xi) and F_1(0) = 0,
-    only -(m + A) H and the germ's z y_1 term reach that row, so the slope
-    is -(m + [g_{1,e_1}]_1) and one trial assembly gives the intercept.
-    The trial for F_M is done at reduced order K//2 (its xi^0 and xi^1
-    rows are all the pin uses).
+    One recursion fills every level (see the module docstring).  The free
+    constant c_m of level m is pinned at (m+1, xi^1), where the first
+    component of the right side is d + (m + [g_{1,e_1}]_1) c_m; c_M uses
+    row M+1, which is computed through xi^1 only and then dropped.  F_0
+    raises :class:`ResonantOrder` at any singular order; a level's
+    singular component must vanish within ``tol`` of the largest term
+    entering it, and a vanishing pin slope with |d| > ``tol`` raises
+    ``ResonantOrder(1)``.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     if K < 2:
         raise ValueError("K must be at least 2")
-    bad = s.germ.order_violations()
-    if bad:
-        terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
-        raise ValueError(f"germ breaks the order condition at {terms}")
-    dtype = np.result_type(dtype, np.complex128)
-    F0 = _f0_array(s, K, dtype)
-    fm = [F0]
-    consts: list[complex] = []
-    if M >= 1:
-        G = _gmatrix_series(s, F0, K)
-        N = -G
-        idx = np.arange(s.n)
-        N[0, idx, idx] += s.lam
-        e1 = np.zeros(s.n, dtype=dtype)
-        e1[0] = 1.0
-        zero_rhs = [TaylorSeries.zeros(K) for _ in range(s.n)]
-        H = _solution_array(series_field_solve_linear(N, zero_rhs, seed={1: e1}, tol=tol))
-        g11 = complex(s.germ.coefficient(1, (1,) + (0,) * (s.n - 1))[0])
-        for m in range(1, M + 1):
-            S = _assemble_rhs(s, fm, m, K)
-            P = _solution_array(series_field_solve_linear(
-                N, [TaylorSeries(S[j]) for j in range(s.n)],
-                seed={1: np.zeros(s.n)}, tol=tol))
-            K_pin = K if m < M else max(2, K // 2)
-            d0 = _pin_defect(N, _assemble_rhs(s, fm + [P], m + 1, K_pin))
-            slope = -(m + g11)
-            if abs(slope) < 1e-13 * max(1, m):
-                if abs(d0) > tol:
-                    raise ResonantOrder(1)
-                c_m = 0.0 + 0.0j
-            else:
-                c_m = -d0 / slope
-            fm.append(P + c_m * H)
-            consts.append(complex(c_m))
-    return TwoScaleExpansion(s, fm, consts, K=K)
-
-
-def _solution_array(sol) -> np.ndarray:
-    return np.array([t.coeffs for t in sol.series])
+    Y, consts = _coefficients(s, M, K, tol, np.result_type(dtype, np.complex128))
+    return TwoScaleExpansion(s, [Y[:, m].copy() for m in range(M + 1)], consts, K=K)
 
 
 # -- evaluation --------------------------------------------------------------

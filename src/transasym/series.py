@@ -25,7 +25,7 @@ integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -529,7 +529,9 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
     The order-k equation is (k I - N_0) c_k = r_k + sum_{j>=1} N_j c_{k-j},
     with N_0 diagonal (a non-diagonal N_0 raises ``ValueError``), so each
     order is a componentwise division.  At a singular order the equation
-    must be consistent (relative defect below ``tol``); the free components
+    must be consistent: each singular component of r_k must vanish within
+    ``tol`` times the largest term entering it (R_k or one N_j c_{k-j}), so
+    terms that cancel to roundoff pass whatever their size.  The free components
     then come from ``seed[k]`` when given, else zero, and the order is
     recorded.  An inconsistent singular order raises :class:`ResonantOrder`.
     The solve runs in the precision of ``N`` and ``rhs``.
@@ -563,16 +565,17 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
     resonant: list[int] = []
     for k in range(K + 1):
         r = R[k].astype(dt)
+        scale = np.abs(r)
         for j in range(1, min(k, Nc.shape[0] - 1) + 1):
-            r += Nc[j] @ C[k - j]
-        scale = max(1.0, float(np.max(np.abs(r))))
+            term = Nc[j] @ C[k - j]
+            r += term
+            scale = np.maximum(scale, np.abs(term))
         denom = k - lam
         sing = np.abs(denom) < 1e-12 * max(1.0, float(np.max(np.abs(lam))) + k)
         if not np.any(sing):
             C[k] = r / denom
             continue
-        defect = float(np.max(np.abs(r[sing])))
-        if defect > tol * scale:
+        if np.any(np.abs(r[sing]) > tol * scale[sing]):
             raise ResonantOrder(k)
         ck = np.zeros(n, dtype=dt)
         ok = ~sing
@@ -582,7 +585,7 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
             if sv.shape != (n,):
                 raise ValueError(f"seed for order {k} must have {n} components")
             ck[sing] = sv[sing]
-            if float(np.max(np.abs(denom * ck - r))) > tol * scale:
+            if np.any(np.abs(denom * ck - r) > tol * np.maximum(scale, np.abs(denom * ck))):
                 raise ValueError(f"seed for order {k} is inconsistent with the equation")
         resonant.append(k)
         C[k] = ck

@@ -59,6 +59,18 @@ def test_p1_builds_past_level_nineteen(p1):
         assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def test_abel_builds_past_level_eleven(abel):
+    # the pinned first component at (m+1, xi^1) cancels terms of about
+    # 1e7 at level 12 to roundoff; consistency is judged against them
+    e = build_expansion(abel, 16, 32)
+    res = e.residual_coefficients()
+    for m in range(e.M + 1):
+        assert np.max(np.abs(res[:, m, :])) <= 1e-13 * np.max(np.abs(e.fm[m]))
+    e8 = build_expansion(abel, 8, 32)
+    for a, b in zip(e.free_constants, e8.free_constants):
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def test_order_violations_are_rejected():
     germ = AnalyticGerm(1, {(0, (1,)): 0.5, (1, (0,)): 0.1, (0, (2,)): 1.0})
     s = NormalSystem([1.0], [0.0], germ, label="bad")
@@ -85,7 +97,28 @@ def test_expansion_serialization_round_trip(e_p1, tmp_path):
 # -- formal series and evaluation -------------------------------------------
 
 
+@pytest.mark.parametrize("R", [8, 12])
+@pytest.mark.parametrize("label,alpha", [("p1", 0.0), ("abel", 0.0),
+                                         ("p2a", 0.3), ("p2b", 0.3)])
+def test_formal_series_residual_has_its_order(label, alpha, R):
+    # pointwise, through InvXSeries and the field only: the truncated
+    # series leaves a residual ~ x^{-R-1}, so doubling x divides it by 2^{R+1}
+    s, _ = builtin(label, alpha=alpha)
+    tilde = formal_power_series(s, R)
+
+    def residual(x):
+        y = np.array([t.evaluate(x) for t in tilde])
+        dy = np.array([sum(-r * t.coefficient(r) * x ** (-r - 1) for r in range(2, R + 1))
+                       for t in tilde])
+        return np.linalg.norm(dy - s.field(x, y))
+
+    x = 12.0 * cmath.exp(0.3j)
+    assert residual(x) / residual(2 * x) == pytest.approx(2.0 ** (R + 1), rel=0.05)
+
+
 def test_formal_series_agrees_with_two_scale_at_zero_C(p1, e_p1):
+    # column xi^0 of the hierarchy and the formal series come from one
+    # recursion, so this checks evaluation, not the coefficients
     tilde = formal_power_series(p1, 12)
     x = 10.0
     value, bound = eval_two_scale(e_p1, 0.0, x)

@@ -165,6 +165,20 @@ def test_linear_solver_rejects_inconsistent_resonance():
         series_field_solve_linear(N, rhs)
 
 
+def test_linear_solver_accepts_resonance_cancelling_to_roundoff():
+    # at the singular order k = 1, R_1 and N_1 c_0 = -N_1 R_0 are both
+    # about 1e8 and cancel to one ulp (1.5e-8): far above tol in absolute
+    # terms, but consistent against the terms that enter r_1
+    N1, R0 = 1e4 / 3, 3e4
+    R1 = np.nextafter(N1 * R0, 0.0)
+    assert 1e-9 < abs(R1 - N1 * R0) < 1e-7
+    N = TaylorSeries([1.0, N1, 0.0, 0.0])
+    rhs = TaylorSeries([R0, R1, 0.0, 0.0])
+    sol = series_field_solve_linear(N, rhs)
+    assert sol.resonant_orders == (1,)
+    assert np.array_equal(sol.series[0].coeffs, [-R0, 0.0, 0.0, 0.0])
+
+
 def test_linear_solver_rejects_non_diagonal_leading_matrix():
     N = np.zeros((9, 2, 2), dtype=complex)
     N[0] = [[1.0, 0.5], [0.0, -1.0]]
