@@ -1,19 +1,20 @@
 #! /usr/bin/env python3
 
-"""Confirm a predicted pole array by integrating in the complex plane.
+"""Confirm a predicted pole array by continuation in the complex plane.
 
 The two-scale prediction is cheap algebra; the check is numerics.  For
 each index n the validator seeds an accurate solution on the level curve
-|xi| = 1e-3 at the height of the predicted location, integrates about
-nine units toward it, detects the blow-up, and fits the local model.  The
-run report pairs predictions with observations and the distances shrink
-as n grows.
+|xi| = 1e-3 at the height of the predicted location and walks about nine
+units toward it by Taylor steps.  Near the pole it reads location,
+exponent and amplitude from the solution's own Taylor jet, homing in
+until the estimates settle.  The run report pairs predictions with
+observations and the distances shrink as n grows.
 
 usage:
     ./04_validate_pole_array.py [n_lo n_hi]
 
 n defaults to 8..12; each pole costs about the same whatever its index,
-so the full 8..20 sweep takes about ten seconds.
+so the full 8..20 sweep takes well under a second.
 """
 
 import sys

@@ -3,12 +3,12 @@
 Ten numbered end-to-end checks, each pinning its own tolerances and
 returning (passed, detail).  Together they cover the closed-form level
 profiles, the singular-scale correction, the branch radius of the Abel
-profile, a pole-array survey by complex-plane integration, the fitted
-local blow-up models, recovery of the transseries constant from sampled
+profile, a pole-array survey by complex-plane continuation, the local
+blow-up models read there, recovery of the transseries constant from sampled
 solutions, the factorial growth envelope, Newton refinement of the
 predicted array, and the offset law of the second singularity array.
 
-Heavy artifacts (expansions, the integrated survey, the Abel circuits)
+Heavy artifacts (expansions, the hunted survey, the Abel circuits)
 are cached at module level so the full battery shares them; checks 5, 6
 and 10 all read the same survey.  ``run_check(k)`` executes one check,
 ``run_all()`` the battery, and ``format_report`` renders one line per
@@ -46,7 +46,7 @@ def _expansion(label: str, M: int, K: int):
 
 
 def _survey():
-    """Integrated pole survey shared by checks 5, 6 and 10."""
+    """Hunted pole survey shared by checks 5, 6 and 10."""
     if "survey" not in _CACHE:
         e = _expansion("p1", 2, 32)
         t0 = time.perf_counter()

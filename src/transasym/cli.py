@@ -103,8 +103,6 @@ class RunConfig:
     k_max: int | None = None
     C: complex = 1.0 + 0.0j
     n_range: tuple[int, ...] = ()
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     capture: float = 1.0
     extract: bool = False
     out: str = "run.json"
@@ -120,6 +118,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
         d = dict(d)
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         d["C"] = complex(*d["C"])
         d["n_range"] = tuple(int(n) for n in d["n_range"])
         if d.get("k_max") is not None:
@@ -216,8 +217,7 @@ def _cmd_validate(args) -> int:
             raise TransasymError("validate needs a label and --n, or --config")
         cfg = RunConfig(
             label=args.label, M=args.M, K=args.K, k_max=args.k_max,
-            C=args.C, n_range=args.n, rel_tol=args.rel_tol,
-            abs_tol=args.abs_tol, capture=args.capture, extract=args.extract,
+            C=args.C, n_range=args.n, capture=args.capture, extract=args.extract,
             out=args.out or "run.json", csv_dir=args.csv_dir,
             precision=args.precision)
     if cfg.precision not in _DTYPES:
@@ -228,8 +228,7 @@ def _cmd_validate(args) -> int:
     s, _ = builtin(cfg.label)
     e = build_expansion(s, cfg.M, cfg.K, dtype=_DTYPES[cfg.precision])
     kw = {} if cfg.k_max is None else {"deep_M": cfg.k_max}
-    run = run_validation(s, e, cfg.C, cfg.n_range, rel_tol=cfg.rel_tol,
-                         abs_tol=cfg.abs_tol, capture=cfg.capture,
+    run = run_validation(s, e, cfg.C, cfg.n_range, capture=cfg.capture,
                          extract=cfg.extract, csv_dir=cfg.csv_dir, **kw)
     rep = run.report
     for n, x_pred, x_obs, dist in rep.pairs:
@@ -334,15 +333,13 @@ def _build_parser() -> _Parser:
     _add_precision_flag(p)
     p.add_argument("--k-max", dest="k_max", type=int,
                    help="level for the deepened extraction expansion")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-12)
     p.add_argument("--capture", type=float, default=1.0)
     p.add_argument("--extract", action="store_true",
                    help="also recover C from the integrated solution")
     p.add_argument("--out", default=None,
                    help="report destination (default run.json)")
     p.add_argument("--csv-dir", dest="csv_dir",
-                   help="write per-pole approach trajectories here")
+                   help="write one CSV per pole here, a row per Taylor-jet centre of its hunt")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("report", help="run the numbered release checks")

@@ -87,9 +87,7 @@ class StepUnderflow(TransasymError):
 
 
 class NoBlowup(TransasymError):
-    """A trajectory tail shows no blow-up to fit a singularity model to."""
-
-
+    """A Taylor jet resolves no single singularity to read a model from."""
 
 
 class NotConverging(TransasymError):

@@ -19,6 +19,10 @@ affine in c_m with slope m + [g_{1,e_1}]_1, so solvability fixes it
 before the rest of that column is solved.  Row M+1 is computed only to
 xi^1, to pin c_M.
 
+The same running products, over one index, give the Taylor jet of a
+solution in x about any point; the pole hunts of
+:mod:`transasym.validate` walk and read those jets.
+
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
 every later operation on the levels keeps that dtype.
@@ -57,6 +61,40 @@ __all__ = [
 # -- the coefficient recursion -----------------------------------------------
 
 
+def _product_chains(germ, Y: np.ndarray):
+    """Running products of the germ's monomials over the coefficients Y[j].
+
+    Returns (consts, monomials, steps): ``consts`` maps a z power to the
+    coefficient of a y-free term; each monomial is (z power, chain, vec),
+    its chain the array of its product's coefficients, shaped like Y[j];
+    each step (Q, head, tail) makes chain Q the product of the shorter
+    chain ``head`` and the factor ``tail``.  Steps are ordered so that a
+    head is filled before the chains built on it.
+    """
+    consts: dict[int, np.ndarray] = {}
+    monomials: list[tuple[int, np.ndarray, np.ndarray]] = []
+    chains: dict[tuple[int, ...], np.ndarray] = {(j,): Y[j] for j in range(germ.dims)}
+    for (i, k), vec in germ.terms.items():
+        factors = tuple(j for j, p in enumerate(k) for _ in range(p))
+        if not factors:
+            consts[i] = vec
+            continue
+        for length in range(2, len(factors) + 1):
+            chains.setdefault(factors[:length], np.zeros(Y.shape[1:], dtype=Y.dtype))
+        monomials.append((i, chains[factors], vec))
+    steps = [(chains[key], chains[key[:-1]], Y[key[-1]])
+             for key in sorted(chains, key=len) if len(key) >= 2]
+    return consts, monomials, steps
+
+
+def _extend_chains(steps, idx: tuple[int, ...]) -> None:
+    """Fill entry ``idx`` of every chain: one Cauchy-product sum per step."""
+    lo = tuple(slice(i + 1) for i in idx)
+    rev = tuple(slice(i, None, -1) for i in idx)
+    for Q, head, tail in steps:
+        Q[idx] = (head[lo] * tail[rev]).sum()
+
+
 def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
                   dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
     """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
@@ -76,19 +114,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
     alpha1 = alpha[0]
     rows = M + 2 if M >= 1 and K >= 1 else M + 1
     Y = np.zeros((n, rows, K + 1), dtype=dtype)
-    consts: dict[int, np.ndarray] = {}
-    monomials: list[tuple[int, np.ndarray, np.ndarray]] = []
-    chains: dict[tuple[int, ...], np.ndarray] = {(j,): Y[j] for j in range(n)}
-    for (i, k), vec in s.germ.terms.items():
-        factors = tuple(j for j, p in enumerate(k) for _ in range(p))
-        if not factors:
-            consts[i] = vec
-            continue
-        for length in range(2, len(factors) + 1):
-            chains.setdefault(factors[:length], np.zeros((rows, K + 1), dtype=dtype))
-        monomials.append((i, chains[factors], vec))
-    steps = [(chains[key], chains[key[:-1]], Y[key[-1]])
-             for key in sorted(chains, key=len) if len(key) >= 2]
+    consts, monomials, steps = _product_chains(s.germ, Y)
 
     def rhs_terms(m: int, k: int) -> list[np.ndarray]:
         terms = [vec * Q[m - i, k] for i, Q, vec in monomials if i <= m]
@@ -108,8 +134,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
         denom = lam - k
         sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
         for m in range(rows if k <= 1 else M + 1):
-            for Q, head, tail in steps:
-                Q[m, k] = np.sum(head[: m + 1, : k + 1] * tail[m::-1, k::-1])
+            _extend_chains(steps, (m, k))
             if m == 0:
                 if k == 1:
                     Y[0, 0, 1] = 1.0
@@ -138,6 +163,37 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
                 r = np.where(sing, 0, r)
             Y[:, m, k] = r / np.where(sing, 1, denom)
     return Y, pinned
+
+
+def _x_jet(s: NormalSystem, x0: complex, y0, rho: float, order: int) -> np.ndarray:
+    """Taylor coefficients a[:, k] = [t^k] y(x0 + rho t) for k <= order.
+
+    The same running products as :func:`_coefficients`, over one index:
+    with z = 1/(x0 + rho t) = (1/x0) sum_k (-rho/x0)^k t^k expanded in t,
+    order k of y' = -L y + z A y + g(z, y) gives
+    (k+1) a_{k+1} = rho [t^k] f, whose right side uses a_0..a_k only.
+    Computed in complex128.
+    """
+    a = np.zeros((s.n, order + 1), dtype=complex)
+    a[:, 0] = y0
+    consts, monomials, steps = _product_chains(s.germ, a)
+    # Z[i, k] = [t^k] z^i
+    i_max = max([1, *consts, *(i for i, _, _ in monomials)])
+    Z = np.zeros((i_max + 1, order + 1), dtype=complex)
+    Z[0, 0] = 1.0
+    Z[1] = (-rho / x0) ** np.arange(order + 1) / x0
+    for i in range(2, i_max + 1):
+        Z[i] = np.convolve(Z[i - 1], Z[1])[: order + 1]
+    for k in range(order):
+        _extend_chains(steps, (k,))
+        rev = slice(k, None, -1)
+        f = -s.lam * a[:, k] + s.alpha * (a[:, rev] @ Z[1, : k + 1])
+        for i, Q, vec in monomials:
+            f = f + vec * (Q[rev] @ Z[i, : k + 1])
+        for i, vec in consts.items():
+            f = f + vec * Z[i, k]
+        a[:, k + 1] = rho * f / (k + 1)
+    return a
 
 
 def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:

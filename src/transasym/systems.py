@@ -14,8 +14,8 @@ are reduced to 2-systems in the diagonalizing variables u1 = (h - h')/2,
 u2 = (h + h')/2, so h is recovered as the observable u1 + u2.
 
 A system's coefficients and its pointwise field are complex128: the
-integrator, the blow-up detectors and the extraction of C run in double,
-whatever precision the two-scale hierarchy was built in.
+integrator, the Taylor jets of the pole hunts and the extraction of C run
+in double, whatever precision the two-scale hierarchy was built in.
 """
 
 from __future__ import annotations
@@ -62,16 +62,14 @@ class NormalSystem:
     xi_s_hint : complex, optional
         Known first-sheet singular value of the leading two-scale profile,
         used to seed singularity searches.
-    blowup_model : dict, optional
-        Local model h ~ A (x - x*)^p of the observable at a movable
-        singularity.  Only its ``"exponent"`` p is read, by the pole
-        locator of :mod:`transasym.validate`; without one p = -2 (a
-        double pole).  Other keys are kept and serialized, never read.
+
+    Nothing about the solution's movable singularities is declared: the
+    pole hunts of :mod:`transasym.validate` read each one's location,
+    exponent and amplitude from the solution's own Taylor jet.
     """
 
     def __init__(self, lam, alpha, germ: AnalyticGerm, label: str = "custom",
-                 observable=None, xi_s_hint=None, blowup_model: dict | None = None,
-                 params: dict | None = None):
+                 observable=None, xi_s_hint=None, params: dict | None = None):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
         n = len(lam)
@@ -96,7 +94,6 @@ class NormalSystem:
         self.observable = np.asarray(observable, dtype=complex)
         self.observable.setflags(write=False)
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
-        self.blowup_model = dict(blowup_model or {})
         self.params = dict(params or {})
 
     def __repr__(self) -> str:
@@ -129,8 +126,6 @@ class NormalSystem:
         }
         if self.xi_s_hint is not None:
             d["xi_s_hint"] = [self.xi_s_hint.real, self.xi_s_hint.imag]
-        if self.blowup_model:
-            d["blowup_model"] = dict(self.blowup_model)
         if self.params:
             d["params"] = dict(self.params)
         return d
@@ -145,7 +140,6 @@ class NormalSystem:
             label=d.get("label", "custom"),
             observable=[complex(re, im) for re, im in d["observable"]] if "observable" in d else None,
             xi_s_hint=None if hint is None else complex(hint[0], hint[1]),
-            blowup_model=d.get("blowup_model"),
             params=d.get("params"),
         )
 
@@ -343,7 +337,6 @@ def builtin(label: str, alpha: complex = 0.0, b_branch: int = 1):
         system = NormalSystem(
             lam=[1.0], alpha=[0.2], germ=germ, label="abel",
             xi_s_hint=_XI0_ABEL,
-            blowup_model={"exponent": -0.5},
         )
         return system, _abel_map()
     if label == "p1":
@@ -351,7 +344,6 @@ def builtin(label: str, alpha: complex = 0.0, b_branch: int = 1):
         system = NormalSystem(
             lam=[1.0, -1.0], alpha=[-0.5, -0.5], germ=germ, label="p1",
             observable=[1.0, 1.0], xi_s_hint=12.0,
-            blowup_model={"exponent": -2.0},
         )
         return system, _p1_map()
     if label == "p2a":

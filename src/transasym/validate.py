@@ -1,4 +1,4 @@
-"""Ground truth by complex-plane integration.
+"""Ground truth by complex-plane continuation.
 
 Adaptive integration of a normalized system along polyline paths in the
 x plane, location of the singularities the solution blows up at,
@@ -6,27 +6,23 @@ extraction of the transseries constant C from far-field samples, and
 minimal-distance matching of predicted pole arrays against observed ones.
 
 Conventions.  A path is a sequence of waypoints joined by straight legs;
-the integrator is an embedded Runge-Kutta pair (scipy's RK45) driven at
-the requested tolerances per leg.  A validation run seeds each hunt with
-the two-scale expansion on the level curve |xi(x)| = ``anchor_xi`` at the
-height of its predicted pole, so every approach leg has about the same
-length whatever the pole's index.  Blow-up ends a run with
-``StepUnderflow``; the partial trajectory is attached to the exception as
-``err.trajectory`` and is the input the detector works from.  The point
-stored in ``StepUnderflow.where`` marks where integration stopped, not
-the singularity itself; ``detect_singularity`` recovers the latter.
+``integrate_path`` drives an embedded Runge-Kutta pair (scipy's RK45) at
+the requested tolerances per leg, and serves the extraction of C.
+Blow-up ends it with ``StepUnderflow``; the partial trajectory is
+attached to the exception as ``err.trajectory``.
 
-One estimate locates every singularity, whatever its kind.  Where
-h ~ A (x - x*)^p, the log-derivative h'/h of the observable, with h'
-read from the field, gives x* = x - p h/h' up to terms of second order
-in x - x*; p is the exponent of the system's ``blowup_model`` (-2, a
-double pole, when it declares none).  The homing legs of
-``hunt_singularity`` aim at this estimate, and ``detect_singularity``
-extrapolates it over the diverging tail to the singularity, without a
-second integration.
+Singularities are hunted with Taylor jets of the solution in x, computed
+by the running-product recursion of the two-scale hierarchy (Corliss and
+Chang's locator).  A validation run seeds each hunt with the two-scale
+expansion on the level curve |xi(x)| = ``anchor_xi`` at the height of its
+predicted pole, so every walk has about the same length whatever the
+pole's index.  The walk sums each jet inside half its own radius of
+convergence; the homing reads location, exponent and amplitude of the
+nearest singularity from a jet by Domb-Sykes ratio analysis
+(``radius_estimate``).  No system declares its kind of blow-up.
 
-Integration, detection and the extraction of C run in complex128.  An
-extended-precision expansion only seeds them: its values are cast to
+Integration, jets, detection and the extraction of C run in complex128.
+An extended-precision expansion only seeds them: its values are cast to
 double at the start of each path.
 """
 
@@ -36,21 +32,23 @@ import cmath
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, linear_sum_assignment
 
-from .errors import NoBlowup, NotConverging, StepUnderflow
+from .errors import (InsufficientCoefficients, NoBlowup, NotConverging,
+                     OscillatoryCoefficients, StepUnderflow)
 from .expansion import (
     TwoScaleExpansion,
+    _x_jet,
     build_expansion,
     eval_two_scale,
     formal_power_series,
 )
-from .singular import SingularityArray, predict_array
+from .singular import SingularityArray, predict_array, radius_estimate
 from .systems import NormalSystem
 
 __all__ = [
@@ -71,10 +69,14 @@ __all__ = [
     "run_validation",
 ]
 
-# Fitted blow-up exponents are matched against these nominals; anything
-# farther than 0.35 from both is reported as unknown_blowup.
-_NOMINAL_EXPONENTS = {"double_pole": -2.0, "branch_neg_half": -0.5}
+# Read blow-up exponents are matched against these nominals; anything
+# farther than 0.35 from all of them is reported as unknown_blowup.
+_NOMINAL_EXPONENTS = {"simple_pole": -1.0, "double_pole": -2.0, "branch_neg_half": -0.5}
 _CLASSIFY_WINDOW = 0.35
+_ORDER = 40  # of every Taylor jet
+_JET_BUDGET = 100  # jets one hunt may compute
+_STAGING = 0.35  # how far short of its target a walk hands over to homing
+_EPS = 1e-16  # truncation a walk step allows, relative to the state
 
 _log = logging.getLogger("transasym")
 
@@ -131,9 +133,6 @@ class Trajectory:
     def dense(self) -> bool:
         return bool(self._legs)
 
-    def observable(self, s: NormalSystem) -> np.ndarray:
-        return np.asarray(s.observable_value(self.y.T))
-
     def eval(self, x) -> np.ndarray:
         """Dense-output state at a point on the covered path."""
         x = complex(x)
@@ -145,18 +144,13 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write samples as x_re,x_im,y1_re,y1_im,...  (one row per step)."""
-        n = self.y.shape[0]
-        header = ["x_re", "x_im"]
-        for j in range(n):
-            header += [f"y{j + 1}_re", f"y{j + 1}_im"]
+        header = ["x", *(f"y{j + 1}" for j in range(self.y.shape[0]))]
+        cols = [self.x, *self.y]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
-            for k in range(self.x.shape[0]):
-                row = [self.x[k].real, self.x[k].imag]
-                for j in range(n):
-                    row += [self.y[j, k].real, self.y[j, k].imag]
-                w.writerow(row)
+            w.writerow([f"{c}_{part}" for c in header for part in ("re", "im")])
+            w.writerows([v for c in cols for v in (c[k].real, c[k].imag)]
+                         for k in range(self.x.shape[0]))
 
 
 def integrate_path(
@@ -242,14 +236,14 @@ def integrate_path(
 
 @dataclass(frozen=True)
 class PoleObservation:
-    """A located singularity with its fitted local model.
+    """A located singularity with its local model.
 
-    ``local_fit`` is (amplitude, exponent, fit_residual): the strength
-    and power of the fitted blow-up h ~ amplitude * (x - location)^exponent
-    and the rms residual of the log-log regression behind the exponent.
-    ``exponent_deviation`` is the distance from the fitted exponent to
-    the nominal one of the reported kind; it is recorded, never rounded
-    away.
+    ``local_fit`` is (amplitude, exponent, spread): the blow-up
+    h ~ amplitude * (x - location)^exponent read from the solution's
+    Taylor jet, and the distance between the last two location estimates
+    of the hunt that found it (0 for a single read).  ``exponent_deviation``
+    is the distance from the read exponent to the nominal one of the
+    reported kind; it is recorded, never rounded away.
     """
 
     location: complex
@@ -258,110 +252,79 @@ class PoleObservation:
     exponent_deviation: float
 
     def to_dict(self) -> dict:
-        amp, expo, resid = self.local_fit
+        amp, expo, spread = self.local_fit
         return {
             "location": [self.location.real, self.location.imag],
             "kind": self.kind,
             "amplitude": [complex(amp).real, complex(amp).imag],
             "exponent": float(expo),
-            "fit_residual": float(resid),
+            "fit_residual": float(spread),
             "exponent_deviation": float(self.exponent_deviation),
         }
 
 
-def _blowup_tail(s, traj, threshold):
-    """Indices of the contiguous run with |h| >= threshold ending the path."""
-    h = traj.observable(s)
-    mag = np.abs(h)
-    if mag.size == 0 or np.nanmax(mag) < threshold:
-        raise NoBlowup(f"observable stays below threshold {threshold:g}")
-    below = np.flatnonzero(~(mag >= threshold))
-    start = 0 if below.size == 0 else below[-1] + 1
-    tail = np.arange(start, mag.size)
-    if tail.size < 8:
-        raise NoBlowup("fewer than 8 samples past the blow-up threshold")
-    return traj.x[tail], h[tail], tail
+def _jet(s: NormalSystem, x: complex, y, rho: float):
+    """Jet of the solution through (x, y), scaled to its own radius.
 
-
-def _loglog_exponent(xs, hs, x0):
-    """Slope of log|h| against log|x - x0| over the last decade of approach.
-
-    Distances below ~1e4 ulp of the location are skipped: there the
-    sample grid itself is roundoff and would flatten the slope.
+    Returns (a, rho) with a[:, k] = [t^k] y(x + rho t) and rho the radius
+    read from the tail: the slope of log max_j |a_jk| over the upper half
+    of the orders, so that the nearest singularity sits near |t| = 1.  A
+    trial scale far off is replaced before the exact rescaling, keeping
+    the coefficients in range.
     """
-    d = np.abs(xs - x0)
-    floor = 1e4 * np.finfo(float).eps * max(1.0, abs(x0))
-    keep = d > floor
-    if np.count_nonzero(keep) < 4:
-        keep = d > 0
-    d, hv = d[keep], np.abs(hs[keep])
-    sel = d <= 10.0 * d.min() * (1.0 + 1e-12)
-    if np.count_nonzero(sel) < 4:
-        order = np.argsort(d)
-        sel = np.zeros(d.size, bool)
-        sel[order[: min(8, d.size)]] = True
-    u, v = np.log(d[sel]), np.log(hv[sel])
-    slope, intercept = np.polyfit(u, v, 1)
-    resid = float(np.sqrt(np.mean((v - slope * u - intercept) ** 2)))
-    return float(slope), resid, sel, keep
+    k = np.arange(_ORDER + 1)
+    for _ in range(4):
+        a = _x_jet(s, x, y, rho, _ORDER)
+        mag = np.max(np.abs(a), axis=0)
+        keep = (k >= _ORDER // 2) & (mag > 0)
+        if np.count_nonzero(keep) < 2:
+            raise NoBlowup(f"the jet at x = {x:.8g} terminates")
+        r = math.exp(-np.polyfit(k[keep], np.log(mag[keep]), 1)[0])
+        if 0.1 < r < 10.0:
+            break
+        rho *= r
+    return a * r ** k, rho * r
 
 
-def _classify(exponent):
-    kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(exponent - _NOMINAL_EXPONENTS[k]))
-    deviation = abs(exponent - _NOMINAL_EXPONENTS[kind])
+def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float) -> PoleObservation:
+    """The singularity dominating a jet scaled to its radius, with spread 0."""
+    h = s.observable @ a
+    try:
+        est = radius_estimate(h)
+    except (InsufficientCoefficients, OscillatoryCoefficients) as err:
+        raise NoBlowup(f"no single singularity resolved from x = {x:.8g}: {err}") from err
+    t_s = est.xi_s
+    if abs(t_s) > 2.0:
+        raise NoBlowup(f"no singularity within two jet radii of x = {x:.8g}")
+    p = est.exponent
+    kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(p - _NOMINAL_EXPONENTS[k]))
+    deviation = abs(p - _NOMINAL_EXPONENTS[kind])
     if deviation > _CLASSIFY_WINDOW:
-        return "unknown_blowup", deviation
-    return kind, deviation
+        kind = "unknown_blowup"
+    p = _NOMINAL_EXPONENTS.get(kind, p)
+    # top coefficient against h = A (x - x*)^p = A (-rho t_s)^p (1 - t/t_s)^p
+    g = np.prod((np.arange(_ORDER) - p) / np.arange(1, _ORDER + 1))
+    amplitude = complex(h[-1] * t_s ** _ORDER / (g * (-rho * t_s) ** p))
+    return PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0), deviation)
 
 
-def _finish(xs, hs, x0):
-    exponent, resid, sel, keep = _loglog_exponent(xs, hs, x0)
-    kind, deviation = _classify(exponent)
-    p_amp = _NOMINAL_EXPONENTS.get(kind, exponent)
-    dx = (xs[keep][sel] - x0).astype(complex)
-    amps = hs[keep][sel] * dx ** (-p_amp)
-    coef = np.polynomial.polynomial.polyfit(dx, amps, 1)
-    amplitude = complex(coef[0])
-    return PoleObservation(
-        location=complex(x0),
-        kind=kind,
-        local_fit=(amplitude, exponent, resid),
-        exponent_deviation=deviation,
-    )
+def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
+    """Read the nearest singularity of the solution through (x, y).
 
-
-def _log_derivative(s, x, y) -> complex:
-    """h'/h of the observable at the state y at x, with h' from the field.
-
-    Near a blow-up h ~ A (x - x*)^p it equals p / (x - x*), so
-    x - p h/h' estimates x*.
+    One Taylor jet of the solution in x, scaled to its own radius, gives
+    the observable's coefficients; :func:`~transasym.singular.radius_estimate`
+    reads the location and exponent of the singularity dominating them,
+    and the top coefficient the amplitude.  The kind is the nominal
+    exponent nearest the read one.  ``NoBlowup`` is raised when the jet
+    resolves no single singularity: the ratios have no finite limit or
+    it lies beyond two jet radii (an entire solution), or the ratios
+    oscillate (two singularities at about the same distance).  The
+    spread of a single read is 0.
     """
-    return s.observable_value(s.field(x, y)) / s.observable_value(y)
-
-
-def detect_singularity(
-    s: NormalSystem,
-    approach: Trajectory,
-    *,
-    threshold: float = 1e4,
-) -> PoleObservation:
-    """Locate the singularity a diverging trajectory tail runs into.
-
-    Every tail sample gives the estimate x - t with t = p h/h', h' taken
-    from the field and p the exponent of ``s.blowup_model`` (-2 when it
-    declares none); the estimates are extrapolated to t -> 0 by least
-    squares on [1, t^2, t^3].  No second integration is made.  The
-    reported kind comes from the exponent fitted at that location, so a
-    system whose data disagree with its declared exponent is reported as
-    seen, with the deviation on record.
-    """
-    xs, hs, tail = _blowup_tail(s, approach, threshold)
-    p = float(s.blowup_model.get("exponent", -2.0))
-    ys = approach.y[:, tail].T
-    t = np.array([p / _log_derivative(s, x, y) for x, y in zip(xs, ys)])
-    V = np.column_stack([np.ones_like(t), t * t, t * t * t])
-    coef, *_ = np.linalg.lstsq(V, xs - t, rcond=None)
-    return _finish(xs, hs, complex(coef[0]))
+    x, y = complex(x), np.asarray(y, dtype=complex)
+    # |y / y'| is about the distance to a blow-up: a trial scale in range
+    slope = _x_jet(s, x, y, 1.0, 1)[:, 1]
+    return _read(s, x, *_jet(s, x, y, np.max(np.abs(y)) / np.max(np.abs(slope))))
 
 
 def hunt_singularity(
@@ -371,111 +334,80 @@ def hunt_singularity(
     target,
     *,
     via: Sequence = (),
-    staging: float = 0.35,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    escape: float = 1e8,
-    threshold: float = 1e4,
-    max_legs: int = 20,
     csv_path=None,
 ) -> PoleObservation:
-    """Integrate from a trusted state into a suspected pole and locate it.
+    """Walk from a trusted state to a suspected singularity and home in on it.
 
-    The path runs through ``via`` to a staging point ``staging`` away
-    from ``target``.  From there the hunt homes in: the log-derivative
-    h'/h of the observable, with h' from the field, gives the pole
-    estimate x* = x - p h/h' with p the exponent of ``s.blowup_model``
-    (-2 when it declares none), and successive legs aim at it with
-    shrinking stand-off until the blow-up ends integration.  The
-    diverging leg is what ``detect_singularity`` sees; it applies the
-    same estimate to every sample of the tail and integrates no further.
-    Aiming straight at the prediction is not enough: the true pole sits
-    a little off it, and a leg that merely passes by can stay below the
-    escape norm.  A ``target`` equal to ``x_start``, or to the last
-    ``via`` point, raises ``ValueError``.
+    Taylor steps walk the polyline through ``via`` to a staging point
+    0.35 short of ``target``: each jet, scaled to its own radius (see
+    :func:`detect_singularity`), is summed at |t| <= 1/2, less where its
+    last term would pass 1e-16 of the state.  From there each jet is
+    read by ``radius_estimate``; the hunt steps halfway to the estimate,
+    scales the next jet to the remaining distance, and stops when the
+    distance between successive estimates stops shrinking.  It returns
+    the estimate before that, with that distance as its spread.  More
+    than ``_JET_BUDGET`` jets raise ``NotConverging``, a read resolving
+    no single singularity ``NoBlowup``, and a ``target`` equal to
+    ``x_start`` or to the last ``via`` point ``ValueError``.
+    ``csv_path`` receives one row per jet centre (:meth:`Trajectory.to_csv`).
 
-    Each hunt logs one DEBUG record to the ``transasym`` logger, whose
-    ``hunt`` attribute holds the start point, the approach length, the
-    number of integrated legs and their summed right-hand-side calls.
+    Each hunt logs one DEBUG record to the ``transasym`` logger; its
+    ``hunt`` attribute holds ``start``, ``approach_length``, ``jets``,
+    ``stopped`` ("settled" or the error's name) and ``spread``.
     """
     x_start, target = complex(x_start), complex(target)
     prev = complex(via[-1]) if via else x_start
     if prev == target:
         where = "the last via point" if via else "x_start"
         raise ValueError(f"target {target:.6g} coincides with {where}")
-    u = (prev - target) / abs(prev - target)
-    stage = target + staging * u
-    pts = [x_start, *map(complex, via), stage]
-    pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
-    p_nom = float(s.blowup_model.get("exponent", -2.0))
+    pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
+    centres: list[tuple[complex, np.ndarray]] = []
 
-    parts_x, parts_y = [], []
-    tally = {"legs": 0, "n_rhs": 0}
-
-    def _absorb(tr):
-        tally["legs"] += 1
-        tally["n_rhs"] += tr.stats.get("n_rhs", 0)
-        if tr.x.size:
-            skip = 0
-            if parts_x and tr.x[0] == parts_x[-1][-1]:
-                skip = 1
-            parts_x.append(tr.x[skip:])
-            parts_y.append(tr.y[:, skip:])
-
-    def _detect():
-        approach = Trajectory(np.concatenate(parts_x), np.concatenate(parts_y, axis=1))
-        if csv_path is not None:
-            approach.to_csv(csv_path)
-        return detect_singularity(s, approach, threshold=threshold)
+    def jet(x, y, rho):
+        if len(centres) >= _JET_BUDGET:
+            raise NotConverging(f"no settled estimate within {_JET_BUDGET} jets")
+        centres.append((x, y))
+        return _jet(s, x, y, rho)
 
     x, y = x_start, np.asarray(y_start, dtype=complex)
-    stopped = False
+    rho, spread, stopped = abs(target - x_start), math.inf, None
     try:
-        if len(pts) >= 2:
-            traj = integrate_path(
-                s, y, PathSpec(tuple(pts), rel_tol=rel_tol, abs_tol=abs_tol),
-                escape=escape,
-            )
-            _absorb(traj)
-            x, y = pts[-1], traj.y[:, -1]
-        for _ in range(max_legs):
-            try:
-                x_star = x - p_nom / _log_derivative(s, x, y)
-            except ZeroDivisionError:  # h or h' vanishes: nothing to aim at
-                break
-            r = abs(x - x_star)
-            if r == 0:
-                break
-            if r < 0.02:
-                tgt = x_star  # collision course; blow-up ends the leg
-            else:
-                tgt = x_star + 0.3 * (x - x_star)  # contract the stand-off
-            if tgt == x:
-                break
-            traj = integrate_path(
-                s, y, PathSpec((x, tgt), rel_tol=rel_tol, abs_tol=abs_tol),
-                escape=escape,
-            )
-            _absorb(traj)
-            x, y = tgt, traj.y[:, -1]
-    except StepUnderflow as err:
-        _absorb(err.trajectory)
-        stopped = True
-    approach = sum(abs(b - a) for a, b in zip(pts, pts[1:]))
-    _log.debug(
-        "hunt from %s toward %s: approach %.4g, %d legs, %d rhs",
-        x_start, target, approach, tally["legs"], tally["n_rhs"],
-        extra={"hunt": {"start": x_start, "approach_length": approach, **tally}},
-    )
-    if stopped:
-        return _detect()
-    # a weak blow-up (branch point) can pin the homing to the singularity
-    # without ever underflowing a step; the collected legs are the approach
-    if parts_x and np.max(np.abs(Trajectory(
-            np.concatenate(parts_x), np.concatenate(parts_y, axis=1)
-            ).observable(s))) >= threshold:
-        return _detect()
-    raise NoBlowup(f"no blow-up on the way to {target:.6g}")
+        for w in pts[1:]:
+            while x != w:
+                a, rho = jet(x, y, rho)
+                reach = min(0.5, (_EPS * np.max(np.abs(a[:, 0]))
+                                  / np.max(np.abs(a[:, -1]))) ** (1.0 / _ORDER))
+                t = (w - x) / rho
+                short = abs(t) > reach
+                t *= reach / abs(t) if short else 1.0
+                y = a @ t ** np.arange(_ORDER + 1)
+                x = x + rho * t if short else w
+        found = None
+        while True:
+            a, rho = jet(x, y, rho)
+            read = _read(s, x, a, rho)
+            if found is not None:
+                gap = abs(read.location - found.location)
+                if gap >= spread:
+                    break
+                spread = gap
+            found = read
+            t = 0.5 * (found.location - x) / rho
+            y = a @ t ** np.arange(_ORDER + 1)
+            x += rho * t
+            rho = abs(found.location - x)
+        stopped = "settled"
+    except Exception as err:
+        stopped = type(err).__name__
+        raise
+    finally:
+        info = {"start": x_start, "jets": len(centres), "stopped": stopped, "spread": spread,
+                "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
+        _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
+        if csv_path is not None and centres:
+            Trajectory([c for c, _ in centres],
+                       np.array([v for _, v in centres]).T).to_csv(csv_path)
+    return replace(found, local_fit=(*found.local_fit[:2], spread))
 
 
 # -- extraction of C ----------------------------------------------------------
@@ -782,14 +714,12 @@ def run_validation(
     *,
     anchor_arg: float = 1.2,
     anchor_xi: float = 1e-3,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
     capture: float = 1.0,
     extract: bool = False,
     deep_M: int = 12,
     csv_dir=None,
 ) -> ValidationRun:
-    """Predict a pole array, hunt each pole by integration, and compare.
+    """Predict a pole array, hunt each pole with Taylor jets, and compare.
 
     The anchor x_a is the point of the ray arg x = ``anchor_arg`` where
     |xi| = ``anchor_xi``, far from every pole.  The hunt for a pole above
@@ -800,7 +730,9 @@ def run_validation(
     where the seed is less accurate.  With ``extract`` set, a radius
     ladder on the anchor ray re-measures C from the integrated solution,
     seeding from a level-``deep_M`` expansion (deepened on demand, in the
-    precision of ``e``).  The run is labelled with ``s.label``.
+    precision of ``e``).  With ``csv_dir`` set, each hunt writes its jet
+    centres to ``pole_n<n>.csv`` there.  The run is labelled with
+    ``s.label``.
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
@@ -825,8 +757,6 @@ def run_validation(
             x0,
             y0,
             en.x_ref,
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
             csv_path=csv_path,
         )
         observations.append(obs)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -131,3 +132,30 @@ def test_precision_is_a_flag_of_expand_and_validate(tmp_path, monkeypatch, capsy
     assert main(["expand", "p1", "--M", "2", "--K", "32",
                  "--precision", "extended"]) == 0
     assert (tmp_path / "expansion.json").exists()
+
+
+def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
+    cfg["rel_tol"] = 1e-10
+    (tmp_path / "old.json").write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match="rel_tol"):
+        RunConfig.load("old.json")
+    assert main(["validate", "--config", "old.json"]) == 2
+    assert "unknown RunConfig keys: rel_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["p2a", "p2b"])
+def test_validate_reads_simple_poles_of_p2(tmp_path, monkeypatch, capsys, label):
+    # neither system declares its kind of blow-up; the jets read it
+    monkeypatch.chdir(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["validate", label, "--C", "1", "--n", "8..11"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert len(run["observations"]) == 4
+    for obs in run["observations"]:
+        assert obs["kind"] == "simple_pole"
+        assert abs(obs["exponent"] + 1.0) < 1e-3
+    pairs = run["comparison"]["pairs"]
+    assert len(pairs) == 4 and max(p["distance"] for p in pairs) < 0.05

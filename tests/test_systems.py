@@ -37,9 +37,10 @@ def test_observable_projection_shapes(p1):
 
 def test_builtin_metadata(p1, abel):
     assert p1.xi_s_hint == 12.0
-    assert p1.blowup_model["exponent"] == -2.0
     assert abel.alpha[0] == pytest.approx(0.2)
-    assert abel.blowup_model["exponent"] == -0.5
+    # nothing about the movable singularities is declared
+    assert set(p1.to_dict()) == {"n", "lambda", "alpha", "label", "germ",
+                                 "observable", "xi_s_hint"}
 
 
 def test_serialization_round_trip(p1):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from transasym import validate
-from transasym.errors import NoBlowup, NotConverging, StepUnderflow
+from transasym.errors import NoBlowup, NotConverging, StepUnderflow, TransasymError
 from transasym.expansion import build_expansion, eval_two_scale, formal_power_series
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
 from transasym.systems import NormalSystem, builtin
-from transasym.validate import (CEstimate, PathSpec, PoleObservation, Trajectory,
+from transasym.validate import (CEstimate, PathSpec, PoleObservation,
                                 ValidationRun, anchor_point, compare_arrays,
                                 detect_singularity, extract_C, extraction_ladder,
                                 hunt_singularity, integrate_path, ladder_radii,
@@ -84,30 +84,37 @@ def test_trajectory_csv_round_trip(tmp_path, lin):
 # -- blow-up detection -------------------------------------------------------
 
 
-def _synthetic_double_pole(p1):
-    # p1 states are ((h - h')/2, (h + h')/2), so the field returns h'
-    x0 = 1.0 + 10.0j
-    d = np.logspace(math.log10(0.03), -4, 80)
-    xs = x0 + d * cmath.exp(2.4j)
-    h = 12.0 / (xs - x0) ** 2
-    dh = -24.0 / (xs - x0) ** 3
-    return x0, Trajectory(xs, np.vstack([(h - dh) / 2, (h + dh) / 2]))
+def _logistic():
+    # y' = -y + y^2 solves to xi/(1 + xi), xi = C e^{-x}: simple poles
+    # of amplitude -1 at x = log C + i pi (2k + 1)
+    return NormalSystem(lam=[1.0], alpha=[0.0], germ=AnalyticGerm(1, {(0, (2,)): 1.0}),
+                        xi_s_hint=-1.0)
 
 
-def test_detects_synthetic_double_pole(p1):
-    x0, traj = _synthetic_double_pole(p1)
-    obs = detect_singularity(p1, traj)
-    assert abs(obs.location - x0) < 1e-8
-    assert obs.kind == "double_pole"
-    assert obs.local_fit[1] == pytest.approx(-2.0, abs=1e-3)
-    assert abs(obs.local_fit[0]) == pytest.approx(12.0, rel=1e-3)
+def _logistic_state(x):
+    xi = cmath.exp(-x)
+    return np.array([xi / (1.0 + xi)])
 
 
-def test_bounded_trajectory_is_no_blowup(p1):
-    _, traj = _synthetic_double_pole(p1)
-    tame = Trajectory(traj.x, traj.y / 1e9)
+def test_detects_logistic_simple_pole():
+    x = 1j * math.pi + 0.3 * cmath.exp(2.4j)
+    obs = detect_singularity(_logistic(), x, _logistic_state(x))
+    assert abs(obs.location - 1j * math.pi) < 1e-12
+    assert obs.kind == "simple_pole"
+    amplitude, exponent, spread = obs.local_fit
+    assert abs(exponent + 1.0) < 1e-9 and abs(amplitude + 1.0) < 1e-9
+    assert spread == 0.0
+
+
+def test_jet_between_equal_poles_is_no_blowup():
+    # on the real axis the poles at +-i pi are equally near; neither dominates
     with pytest.raises(NoBlowup):
-        detect_singularity(p1, tame)
+        detect_singularity(_logistic(), 2.0, _logistic_state(2.0))
+
+
+def test_entire_solution_is_no_blowup(lin):
+    with pytest.raises(NoBlowup):
+        detect_singularity(lin, 2.0 + 1.0j, [1.0])
 
 
 def test_straight_shot_underflows_at_the_pole(p1, e_p1):
@@ -144,18 +151,50 @@ def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
 
 
 def test_locates_logistic_poles_against_closed_form():
-    # y' = -y + y^2 solves to xi/(1 + xi), xi = C e^{-x}: simple poles
-    # of amplitude -1 at x = log C + i pi (2k + 1)
-    s = NormalSystem(lam=[1.0], alpha=[0.0], germ=AnalyticGerm(1, {(0, (2,)): 1.0}),
-                     xi_s_hint=-1.0, blowup_model={"exponent": -1.0})
+    s = _logistic()
     run = run_validation(s, build_expansion(s, 2, 32), 1.0, range(1, 7))
     assert len(run.observations) == 6
     for obs in run.observations:
         k = round((obs.location.imag / math.pi - 1.0) / 2.0)
-        assert abs(obs.location - 1j * math.pi * (2 * k + 1)) < 1e-8
+        assert abs(obs.location - 1j * math.pi * (2 * k + 1)) < 1e-11
+        assert obs.kind == "simple_pole"
         amplitude, exponent, _ = obs.local_fit
-        assert abs(exponent + 1.0) < 1e-3
+        assert abs(exponent + 1.0) < 1e-8
         assert abs(amplitude + 1.0) < 1e-3
+
+
+def test_hunt_between_two_poles_finds_one_or_refuses(p1, e_p1):
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    for pair in ([8, 9], [12, 13]):
+        a, b = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, pair).entries)
+        try:
+            obs = hunt_singularity(p1, x_a, y_a, 0.5 * (a + b))
+        except TransasymError:
+            continue
+        assert min(abs(obs.location - a), abs(obs.location - b)) < 0.15
+
+
+def _hunt_record(caplog, *args, **kwargs):
+    """Run a hunt; return its observation and the ``hunt`` attribute it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        obs = hunt_singularity(*args, **kwargs)
+    records = [r for r in caplog.records if hasattr(r, "hunt")]
+    assert len(records) == 1
+    assert records[0].name == "transasym" and records[0].levelno == logging.DEBUG
+    return obs, records[0].hunt
+
+
+def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1):
+    en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    _, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref)
+    # one jet short of the read that showed the estimates had settled
+    monkeypatch.setattr(validate, "_JET_BUDGET", hunt["jets"] - 1)
+    with pytest.raises(NotConverging):
+        hunt_singularity(p1, x_a, y_a, en.x_ref)
 
 
 # -- constant extraction -----------------------------------------------------
@@ -345,32 +384,31 @@ def field_calls(monkeypatch):
     return count
 
 
-def test_far_pole_is_cheap(field_calls, p1, e_p1):
-    run = run_validation(p1, e_p1, 12.0, [100])
-    assert run.report.stats["n_pairs"] == 1
-    assert run.report.stats["max_distance"] < 0.15
-    assert field_calls[0] <= 20_000
+def test_far_pole_is_cheap(caplog, p1, e_p1):
+    jets = {}
+    for n in (8, 100):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="transasym"):
+            run = run_validation(p1, e_p1, 12.0, [n])
+        assert run.report.stats["n_pairs"] == 1
+        assert run.report.stats["max_distance"] < 0.15
+        jets[n] = [r.hunt["jets"] for r in caplog.records if hasattr(r, "hunt")][0]
+    assert jets[100] <= 1.5 * jets[8]
 
 
 def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
     x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
-    csv_path = tmp_path / "approach.csv"
-    with caplog.at_level(logging.DEBUG, logger="transasym"):
-        hunt_singularity(p1, x_a, y_a, en.x_ref, csv_path=csv_path)
-    records = [r for r in caplog.records if hasattr(r, "hunt")]
-    assert len(records) == 1
-    hunt = records[0].hunt
-    assert records[0].name == "transasym" and records[0].levelno == logging.DEBUG
+    csv_path = tmp_path / "centres.csv"
+    obs, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref, csv_path=csv_path)
     assert hunt["start"] == x_a
     assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - 0.35)
-    # every field call is a leg's rhs evaluation, the diverging leg
-    # included, except one log-derivative per homing leg and one per
-    # sample of the blow-up tail the detector reads
+    assert hunt["stopped"] == "settled" and hunt["spread"] == obs.local_fit[2]
+    # one CSV row per jet centre, the first at the start
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    big = np.abs(rows[:, 2] + rows[:, 4] + 1j * (rows[:, 3] + rows[:, 5])) >= 1e4
-    n_tail = big.size - np.flatnonzero(~big)[-1] - 1
-    assert hunt["legs"] >= 2 and n_tail >= 8
-    assert hunt["n_rhs"] + hunt["legs"] - 1 + n_tail == field_calls[0]
+    assert rows.shape[0] == hunt["jets"]
+    assert complex(rows[0, 0], rows[0, 1]) == x_a
+    # the hunt never evaluates the field pointwise
+    assert field_calls[0] == 0
     assert capsys.readouterr() == ("", "")
