@@ -14,8 +14,8 @@ are reduced to 2-systems in the diagonalizing variables u1 = (h - h')/2,
 u2 = (h + h')/2, so h is recovered as the observable u1 + u2.
 
 A system's coefficients and its pointwise field are complex128: the
-integrator, the Taylor jets of the pole hunts and the extraction of C run
-in double, whatever precision the two-scale hierarchy was built in.
+integrator and the Taylor-jet walks of the pole hunts and the C ladder
+run in double, whatever precision the two-scale hierarchy was built in.
 """
 
 from __future__ import annotations

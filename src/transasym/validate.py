@@ -7,23 +7,24 @@ minimal-distance matching of predicted pole arrays against observed ones.
 
 Conventions.  A path is a sequence of waypoints joined by straight legs;
 ``integrate_path`` drives an embedded Runge-Kutta pair (scipy's RK45) at
-the requested tolerances per leg, and serves the extraction of C.
-Blow-up ends it with ``StepUnderflow``; the partial trajectory is
-attached to the exception as ``err.trajectory``.
+the requested tolerances per leg.  Blow-up ends it with
+``StepUnderflow``; the partial trajectory is attached to the exception
+as ``err.trajectory``.
 
-Singularities are hunted with Taylor jets of the solution in x, computed
+Hunts and C ladders walk with Taylor jets of the solution in x, computed
 by the running-product recursion of the two-scale hierarchy (Corliss and
-Chang's locator).  A validation run seeds each hunt with the two-scale
-expansion on the level curve |xi(x)| = ``anchor_xi`` at the height of its
-predicted pole, so every walk has about the same length whatever the
-pole's index.  The walk sums each jet inside half its own radius of
-convergence; the homing reads location, exponent and amplitude of the
-nearest singularity from a jet by Domb-Sykes ratio analysis
-(``radius_estimate``).  No system declares its kind of blow-up.
+Chang).  The walk sums each jet inside half its own radius of
+convergence and lands exactly on each waypoint.  A validation run seeds
+each hunt with the two-scale expansion on the level curve |xi(x)| =
+``anchor_xi`` at the height of its predicted pole, so every walk has
+about the same length whatever the pole's index; the homing reads
+location, exponent and amplitude of the nearest singularity from a jet
+by Domb-Sykes ratio analysis (``radius_estimate``).  No system declares
+its kind of blow-up.  A C ladder walks its ray inward through every rung.
 
 Integration, jets, detection and the extraction of C run in complex128.
 An extended-precision expansion only seeds them: its values are cast to
-double at the start of each path.
+double at the start of each path or walk.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ __all__ = [
 _NOMINAL_EXPONENTS = {"simple_pole": -1.0, "double_pole": -2.0, "branch_neg_half": -0.5}
 _CLASSIFY_WINDOW = 0.35
 _ORDER = 40  # of every Taylor jet
-_JET_BUDGET = 100  # jets one hunt may compute
+_JET_BUDGET = 100  # jets one hunt or one ladder may compute
 _STAGING = 0.35  # how far short of its target a walk hands over to homing
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
 
@@ -308,6 +309,39 @@ def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float) -> PoleObserva
     return PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0), deviation)
 
 
+def _budgeted_jet(s: NormalSystem, x: complex, y, rho: float, centres: list):
+    """:func:`_jet`, recording its centre in ``centres``; ``NotConverging``
+    once ``_JET_BUDGET`` centres are recorded."""
+    if len(centres) >= _JET_BUDGET:
+        raise NotConverging(f"jet budget of {_JET_BUDGET} spent at x = {x:.8g}")
+    centres.append((x, y))
+    return _jet(s, x, y, rho)
+
+
+def _walk(s: NormalSystem, x: complex, y, waypoints, rho: float, centres: list):
+    """Taylor steps from (x, y) through each of ``waypoints`` in turn.
+
+    Each jet, scaled to its own radius, is summed at |t| <= 1/2, less where
+    its last term would pass 1e-16 of the state, and the step that reaches
+    a waypoint lands on it exactly.  ``rho`` is the first jet's trial
+    scale.  Returns the state at every waypoint and the radius of the
+    last jet.
+    """
+    states = []
+    for w in waypoints:
+        while x != w:
+            a, rho = _budgeted_jet(s, x, y, rho, centres)
+            reach = min(0.5, (_EPS * np.max(np.abs(a[:, 0]))
+                              / np.max(np.abs(a[:, -1]))) ** (1.0 / _ORDER))
+            t = (w - x) / rho
+            short = abs(t) > reach
+            t *= reach / abs(t) if short else 1.0
+            y = a @ t ** np.arange(_ORDER + 1)
+            x = x + rho * t if short else w
+        states.append(y)
+    return states, rho
+
+
 def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     """Read the nearest singularity of the solution through (x, y).
 
@@ -362,29 +396,14 @@ def hunt_singularity(
         raise ValueError(f"target {target:.6g} coincides with {where}")
     pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
     centres: list[tuple[complex, np.ndarray]] = []
-
-    def jet(x, y, rho):
-        if len(centres) >= _JET_BUDGET:
-            raise NotConverging(f"no settled estimate within {_JET_BUDGET} jets")
-        centres.append((x, y))
-        return _jet(s, x, y, rho)
-
-    x, y = x_start, np.asarray(y_start, dtype=complex)
-    rho, spread, stopped = abs(target - x_start), math.inf, None
+    spread, stopped = math.inf, None
     try:
-        for w in pts[1:]:
-            while x != w:
-                a, rho = jet(x, y, rho)
-                reach = min(0.5, (_EPS * np.max(np.abs(a[:, 0]))
-                                  / np.max(np.abs(a[:, -1]))) ** (1.0 / _ORDER))
-                t = (w - x) / rho
-                short = abs(t) > reach
-                t *= reach / abs(t) if short else 1.0
-                y = a @ t ** np.arange(_ORDER + 1)
-                x = x + rho * t if short else w
+        states, rho = _walk(s, x_start, np.asarray(y_start, dtype=complex), pts[1:],
+                            abs(target - x_start), centres)
+        x, y = pts[-1], states[-1]
         found = None
         while True:
-            a, rho = jet(x, y, rho)
+            a, rho = _budgeted_jet(s, x, y, rho, centres)
             read = _read(s, x, a, rho)
             if found is not None:
                 gap = abs(read.location - found.location)
@@ -523,32 +542,25 @@ def extraction_ladder(
     arg: float,
     radii,
     *,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
     atol: float = 1e-8,
 ) -> CEstimate:
-    """Seed at the outermost radius and integrate inward, sampling each rung.
+    """Seed at the outermost radius and walk inward, sampling each rung.
 
     Inward is the stable direction: eigenmodes that decay as Re x grows
     would turn outward integration error into e^{+x} contamination of
     the exponentially small residue, while inward they die off and the
-    C-carrying mode grows along with the signal.
+    C-carrying mode grows along with the signal.  The walk takes the
+    hunts' Taylor steps (see :func:`hunt_singularity`) in complex128,
+    landing on every rung; more than ``_JET_BUDGET`` jets raise
+    ``NotConverging``, so no estimate comes from an unfinished walk.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 4:
         raise ValueError("need at least 4 ladder radii")
-    direction = cmath.exp(1j * arg)
-    x = radii[0] * direction
-    y, _ = eval_two_scale(e, C, x)
-    collected = [(x, y)]
-    for r_next in radii[1:]:
-        x_next = r_next * direction
-        traj = integrate_path(
-            s, y, PathSpec((x, x_next), rel_tol=rel_tol, abs_tol=abs_tol)
-        )
-        x, y = x_next, traj.y[:, -1]
-        collected.append((x, y))
-    return extract_C(s, e, collected, atol=atol)
+    xs = [r * cmath.exp(1j * arg) for r in radii]
+    y = np.asarray(eval_two_scale(e, C, xs[0])[0], dtype=complex)
+    states, _ = _walk(s, xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])
+    return extract_C(s, e, zip(xs, [y, *states]), atol=atol)
 
 
 # -- array comparison ---------------------------------------------------------

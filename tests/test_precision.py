@@ -1,8 +1,8 @@
 """Working precision: one dtype argument to the hierarchy build.
 
 The hierarchy is built in the dtype passed to ``build_expansion``;
-systems, their field and the integrator always run in complex128, and
-no environment variable takes part.
+systems, their field, the integrator and the Taylor-jet walks always
+run in complex128, and no environment variable takes part.
 """
 
 import json
@@ -52,15 +52,18 @@ def test_extended_build_matches_double(p1):
 
 def test_extended_validate_matches_double(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    argv = ["validate", "p1", "--C", "12", "--n", "8..9"]
+    argv = ["validate", "p1", "--C", "12", "--n", "8..9", "--extract"]
     assert main(argv + ["--precision", "extended", "--out", "ext.json"]) == 0
     assert main(argv + ["--out", "dbl.json"]) == 0
-    ext = json.loads((tmp_path / "ext.json").read_text())["observations"]
-    dbl = json.loads((tmp_path / "dbl.json").read_text())["observations"]
-    assert len(ext) == len(dbl) == 2
-    for a, b in zip(ext, dbl):
+    ext = json.loads((tmp_path / "ext.json").read_text())
+    dbl = json.loads((tmp_path / "dbl.json").read_text())
+    assert len(ext["observations"]) == len(dbl["observations"]) == 2
+    for a, b in zip(ext["observations"], dbl["observations"]):
         xa, xb = complex(*a["location"]), complex(*b["location"])
         assert abs(xa - xb) <= 1e-9 * abs(xb)
+    # the ladder walks both seeds in complex128, so only the seeds differ
+    ca, cb = (complex(*r["C_extracted"]["value"]) for r in (ext, dbl))
+    assert abs(ca - cb) <= 1e-9 * abs(cb)
 
 
 def test_unknown_mode_rejected(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from transasym import validate
 from transasym.errors import NoBlowup, NotConverging, StepUnderflow, TransasymError
@@ -212,6 +213,18 @@ def _truncated_sum_samples(p1, C):
     return out
 
 
+def test_unsteady_rung_constants_raise_not_converging(p1, e_p1):
+    # each rung carries its own unit-modulus C, so the per-rung estimates
+    # jump by O(1) and no extrapolation step can fall below 0.1 |value|
+    rng = np.random.default_rng(0)
+    samples = []
+    for x, y in _truncated_sum_samples(p1, 0.0):
+        C = cmath.exp(2j * math.pi * rng.random())
+        samples.append((x, [y[0] + C * cmath.exp(-x - 0.5 * cmath.log(x)), y[1]]))
+    with pytest.raises(NotConverging):
+        extract_C(p1, e_p1, samples)
+
+
 def test_extracts_manufactured_constant(p1, e_p1):
     est = extract_C(p1, e_p1, _truncated_sum_samples(p1, 1.0))
     assert abs(est.value - 1.0) < 1e-6
@@ -229,15 +242,61 @@ def test_zero_residue_reads_as_zero_or_refuses(p1, e_p1):
         pass
 
 
-def test_ladder_recovers_C_on_two_rays(p1):
+@pytest.fixture(scope="module")
+def e12_p1(p1):
     # seeding needs the formal-series content the deeper levels carry;
     # shallow seeds leave a power-law residue comparable to the signal
-    e = build_expansion(p1, 12, 32)
+    return build_expansion(p1, 12, 32)
+
+
+def test_ladder_recovers_C_on_two_rays(p1, e12_p1):
+    e = e12_p1
     a = extraction_ladder(p1, e, 12.0, 1.2, ladder_radii(e, 1.2))
     b = extraction_ladder(p1, e, 12.0, 1.0, ladder_radii(e, 1.0))
     assert abs(a.value - 12.0) / 12.0 < 1e-3
     assert abs(b.value - 12.0) / 12.0 < 1e-3
     assert a.consistent_with(b)
+
+
+def test_ladder_rungs_match_reference_integration(monkeypatch, p1, e12_p1):
+    # the rung states handed to extract_C, against DOP853 at rtol 1e-13 over
+    # the same rungs, in units of the C-carrying scale |C e^{-x} x^{alpha_1}|
+    C, arg = 12.0, 0.8
+    samples = []
+    extract = validate.extract_C
+
+    def recorded(s, e, pts, **kwargs):
+        samples.extend(pts)
+        return extract(s, e, samples, **kwargs)
+
+    monkeypatch.setattr(validate, "extract_C", recorded)
+    extraction_ladder(p1, e12_p1, C, arg, ladder_radii(e12_p1, arg))
+    assert len(samples) == 8
+    (x, y), alpha1 = samples[0], complex(p1.alpha[0])
+    for x_next, y_rung in samples[1:]:
+        delta = x_next - x
+        sol = solve_ivp(lambda t, v: delta * p1.field(x + t * delta, v), (0.0, 1.0), y,
+                        method="DOP853", rtol=1e-13, atol=1e-16)
+        x, y = x_next, sol.y[:, -1]
+        scale = abs(C * cmath.exp(-x + alpha1 * cmath.log(x)))
+        assert np.max(np.abs(y_rung - y)) <= 1e-8 * scale
+
+
+def test_ladder_past_its_jet_budget_raises_not_converging(monkeypatch, p1, e12_p1):
+    jets = [0]
+    jet = validate._jet
+
+    def counted(*args):
+        jets[0] += 1
+        return jet(*args)
+
+    monkeypatch.setattr(validate, "_jet", counted)
+    radii = ladder_radii(e12_p1, 1.2)
+    extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
+    assert jets[0] >= len(radii) - 1
+    monkeypatch.setattr(validate, "_JET_BUDGET", jets[0] - 1)
+    with pytest.raises(NotConverging):
+        extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
 
 
 def test_estimate_consistency_is_symmetric():
