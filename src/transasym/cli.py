@@ -7,7 +7,8 @@ expand    build F_0..F_M and save the expansion as JSON
 eval      evaluate a saved expansion: a level profile at xi, or the
           two-scale sum at (C, x)
 predict   write the predicted singularity array as JSON
-continue  continue the leading profile along a xi-plane polyline, CSV out
+continue  continue the leading profile along a xi-plane polyline on Taylor
+          jets, CSV out
 validate  integrate, hunt and compare a whole array; JSON report
 report    run the numbered release checks
 
@@ -312,7 +313,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="array.json")
     p.set_defaults(fn=_cmd_predict)
 
-    p = sub.add_parser("continue", help="continue F_0 along a xi-plane polyline")
+    p = sub.add_parser("continue", help="continue F_0 along a xi-plane polyline on Taylor jets")
     p.add_argument("label", choices=BUILTIN_LABELS)
     _add_family_flags(p)
     p.add_argument("--path", type=_complex, nargs="+", required=True,

@@ -20,8 +20,9 @@ before the rest of that column is solved.  Row M+1 is computed only to
 xi^1, to pin c_M.
 
 The same running products, over one index, give the Taylor jet of a
-solution in x about any point; the pole hunts of
-:mod:`transasym.validate` walk and read those jets.
+solution in x about any point, and of F_0 in xi; the pole hunts and C
+ladders of :mod:`transasym.validate` walk and read the first, and
+``continue_f0`` walks the second.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -193,6 +194,26 @@ def _x_jet(s: NormalSystem, x0: complex, y0, rho: float, order: int) -> np.ndarr
         for i, vec in consts.items():
             f = f + vec * Z[i, k]
         a[:, k + 1] = rho * f / (k + 1)
+    return a
+
+
+def _xi_jet(s: NormalSystem, xi0: complex, F0, rho: float, order: int) -> np.ndarray:
+    """Taylor coefficients a[:, k] = [t^k] F_0(xi0 + rho t) for k <= order.
+
+    :func:`_x_jet` for the leading profile's flow xi F' = Lam F - g(0, F):
+    order k of (xi0 + rho t) dF/dt = rho (Lam F - g(0, F)) gives
+    xi0 (k+1) a_{k+1} = rho ([t^k](Lam F - g(0, F)) - k a_k), the same
+    coefficients as expanding 1/(xi0 + rho t) in t, without its
+    alternating sum.  Computed in complex128.
+    """
+    a = np.zeros((s.n, order + 1), dtype=complex)
+    a[:, 0] = F0
+    _, monomials, steps = _product_chains(s.germ, a)
+    flat = [(Q, vec) for i, Q, vec in monomials if i == 0]
+    for k in range(order):
+        _extend_chains(steps, (k,))
+        f = s.lam * a[:, k] - sum((vec * Q[k] for Q, vec in flat), 0)
+        a[:, k + 1] = rho * (f - k * a[:, k]) / (xi0 * (k + 1))
     return a
 
 

@@ -258,14 +258,11 @@ class AnalyticGerm:
         or length-``dims`` vectors.
     degree_cap : int
         Total degree bound D; a term with i + |k| > D raises DegreeCapExceeded.
-    radius : float, optional
-        Validity polydisk radius; when attached, compositions whose arguments
-        start outside it are rejected.
     """
 
-    __slots__ = ("_dims", "_terms", "_degree_cap", "_radius", "_I", "_Km", "_Cm")
+    __slots__ = ("_dims", "_terms", "_degree_cap", "_I", "_Km", "_Cm")
 
-    def __init__(self, dims: int, terms: Mapping, degree_cap: int = 12, radius: float | None = None):
+    def __init__(self, dims: int, terms: Mapping, degree_cap: int = 12):
         if dims < 1:
             raise ValueError("dims must be positive")
         clean: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
@@ -288,7 +285,6 @@ class AnalyticGerm:
         self._dims = dims
         self._terms = clean
         self._degree_cap = int(degree_cap)
-        self._radius = None if radius is None else float(radius)
         # compiled arrays for fast pointwise evaluation
         T = len(clean)
         self._I = np.array([i for (i, _) in clean], dtype=np.int64).reshape(T)
@@ -302,10 +298,6 @@ class AnalyticGerm:
     @property
     def degree_cap(self) -> int:
         return self._degree_cap
-
-    @property
-    def radius(self) -> float | None:
-        return self._radius
 
     @property
     def terms(self) -> dict:
@@ -343,47 +335,6 @@ class AnalyticGerm:
         yk = np.prod(np.where(self._Km == 0, 1.0 + 0.0j, y[None, :] ** self._Km), axis=1)
         return (zp * yk) @ self._Cm
 
-    def partial_y(self, j: int) -> "AnalyticGerm":
-        """Vector germ dg/dy_j."""
-        out: dict = {}
-        for (i, k), vec in self._terms.items():
-            if k[j] == 0:
-                continue
-            k2 = list(k)
-            k2[j] -= 1
-            key = (i, tuple(k2))
-            acc = out.get(key)
-            contrib = vec * k[j]
-            out[key] = contrib if acc is None else acc + contrib
-        return AnalyticGerm(self._dims, out, degree_cap=self._degree_cap, radius=self._radius)
-
-    # -- composition -----------------------------------------------------------
-
-    def compose(self, z_arg, y_args: Sequence[TaylorSeries]) -> tuple[TaylorSeries, ...]:
-        """Substitute Taylor series (shared variable) for z and each y_j.
-
-        ``z_arg`` may be a TaylorSeries, a constant, or None (treated as 0).
-        Returns one TaylorSeries per germ component, truncated at the minimum
-        truncation order among the arguments.
-        """
-        if len(y_args) != self._dims:
-            raise ValueError(f"expected {self._dims} y arguments, got {len(y_args)}")
-        K = min(s.truncation_order for s in y_args)
-        if isinstance(z_arg, TaylorSeries):
-            K = min(K, z_arg.truncation_order)
-        if self._radius is not None:
-            if any(abs(complex(s.coeffs[0])) >= self._radius for s in y_args):
-                raise ValueError("composition argument starts outside the germ's validity polydisk")
-        arrays = complex_array([s.coeffs[: K + 1] for s in y_args])
-        if z_arg is None:
-            z_spec: complex | np.ndarray = 0.0 + 0.0j
-        elif isinstance(z_arg, TaylorSeries):
-            z_spec = np.array(z_arg.coeffs[: K + 1])
-        else:
-            z_spec = complex(z_arg)
-        out = compose_germ_series(self, z_spec, arrays, K)
-        return tuple(TaylorSeries(out[a]) for a in range(self._dims))
-
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -394,10 +345,7 @@ class AnalyticGerm:
             else:
                 c = [[float(v.real), float(v.imag)] for v in vec]
             terms.append({"i": i, "k": list(k), "c": c})
-        d = {"dims": self._dims, "degree_cap": self._degree_cap, "terms": terms}
-        if self._radius is not None:
-            d["radius"] = self._radius
-        return d
+        return {"dims": self._dims, "degree_cap": self._degree_cap, "terms": terms}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "AnalyticGerm":
@@ -410,7 +358,7 @@ class AnalyticGerm:
             else:
                 vec = np.array([complex(re, im) for re, im in c])
             terms[(int(t["i"]), tuple(int(v) for v in t["k"]))] = vec
-        return cls(dims, terms, degree_cap=int(d.get("degree_cap", 12)), radius=d.get("radius"))
+        return cls(dims, terms, degree_cap=int(d.get("degree_cap", 12)))
 
 
 # -- low-level composition over coefficient arrays --------------------------

@@ -2,11 +2,12 @@
 
 Three layers.  Domb-Sykes ratio analysis turns truncated Taylor
 coefficients into an estimate of the dominant singularity (radius,
-location, local algebraic exponent).  Direct integration of the leading
-profile's flow continues F_0 beyond its disk and detects the blow-up
-point.  Finally, solving xi(x) = C e^{-x} x^{alpha_1} = xi_s produces the
-nearly periodic array of x-plane singularity locations, each entry
-Newton-refined from its asymptotic seed.
+location, local algebraic exponent).  Taylor jets of the leading
+profile's flow in xi, walked like the x-plane hunts of
+:mod:`transasym.validate`, continue F_0 beyond its disk and stop at the
+blow-up point.  Finally, solving xi(x) = C e^{-x} x^{alpha_1} = xi_s
+produces the nearly periodic array of x-plane singularity locations,
+each entry Newton-refined from its asymptotic seed.
 """
 
 from __future__ import annotations
@@ -18,15 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import (
-    InsufficientCoefficients,
-    OscillatoryCoefficients,
-    SingularApproach,
-    StepUnderflow,
-    ZeroC,
-)
+from .errors import InsufficientCoefficients, OscillatoryCoefficients, ZeroC
 from .series import TaylorSeries
 from .systems import NormalSystem
 
@@ -60,13 +54,19 @@ def _coeff_array(f) -> np.ndarray:
     return np.asarray(f, dtype=complex)
 
 
-def _neville_at_zero(u: np.ndarray, v: np.ndarray) -> complex:
-    """Polynomial extrapolation of the samples (u_j, v_j) to u = 0."""
-    t = np.array(v, dtype=complex)
+def _neville_diagonal(u, v):
+    """Neville table diagonal for extrapolating v(u) to u = 0.
+
+    Entry k is the depth-k estimate built from the last k+1 nodes (the
+    smallest u when u decreases along the input).
+    """
+    t = [complex(x) for x in v]
+    diag = [t[-1]]
     for lev in range(1, len(t)):
         for j in range(len(t) - 1, lev - 1, -1):
-            t[j] = (u[j - lev] * t[j] - u[j] * t[j - 1]) / (u[j - lev] - u[j])
-    return complex(t[-1])
+            t[j] = t[j] + (t[j] - t[j - 1]) * u[j] / (u[j - lev] - u[j])
+        diag.append(t[-1])
+    return diag
 
 
 def radius_estimate(f) -> RadiusEstimate:
@@ -130,11 +130,11 @@ def radius_estimate(f) -> RadiusEstimate:
     picks = np.array([j_hi - i * kappa for i in range(4, -1, -1)])
     u = 1.0 / picks
     r = r_all[picks - 1]
-    A = _neville_at_zero(u, r)
+    A = _neville_diagonal(u, r)[-1]
     if A == 0:
         raise InsufficientCoefficients(
             "ratio limit vanishes; no finite singularity resolved")
-    B = _neville_at_zero(u, picks * (r - A))
+    B = _neville_diagonal(u, picks * (r - A))[-1]
     eta_s = 1.0 / A
     exponent = float((-B / A - 1.0).real)
     xi_s = eta_s ** (1.0 / stride) if stride > 1 else eta_s
@@ -147,7 +147,8 @@ def radius_estimate(f) -> RadiusEstimate:
 
 @dataclass
 class ContinuationResult:
-    """F_0 samples along a xi-plane polyline; one column per accepted step."""
+    """F_0 samples along a xi-plane polyline: one column per Taylor-jet
+    centre, then the last waypoint."""
 
     xi: np.ndarray
     values: np.ndarray
@@ -163,19 +164,22 @@ def _segment_clears_origin(a: complex, b: complex, tol: float = 1e-12) -> bool:
     return abs(a + t * d) > tol
 
 
-def continue_f0(s: NormalSystem, path: Sequence[complex], *, seed_order: int = 64,
-                rtol: float = 1e-10, atol: float = 1e-12,
-                escape: float = 1e6) -> ContinuationResult:
-    """Continue F_0 along a polyline by integrating xi F_0' = Lam F_0 - g(0, F_0).
+def continue_f0(s: NormalSystem, path: Sequence[complex], *,
+                seed_order: int = 64) -> ContinuationResult:
+    """Continue F_0 along a polyline on Taylor jets of xi F_0' = Lam F_0 - g(0, F_0).
 
     The initial value is summed from the Taylor coefficients at ``path[0]``,
-    which must lie well inside the convergence disk.  Growth of |F_0| past
-    ``escape`` (or a step collapse while |F_0| is already large) raises
-    SingularApproach carrying the xi reached; a step collapse at moderate
-    |F_0| raises StepUnderflow.  The flow is singular at xi = 0, so no leg
-    may pass through the origin.
+    which must lie well inside the convergence disk.  Each leg is walked
+    like a pole hunt's approach (see :func:`transasym.validate.hunt_singularity`):
+    jets in xi scaled to their own radius, summed inside half of it and
+    landing exactly on each waypoint, at most ``_JET_BUDGET`` per leg
+    (``NotConverging``).  A jet whose radius falls below 1e-3 of the
+    distance left to its waypoint raises SingularApproach carrying its
+    centre.  The flow is singular at xi = 0, so no leg may pass through
+    the origin.
     """
-    from .expansion import build_expansion
+    from .expansion import _xi_jet, build_expansion
+    from .validate import _walk
 
     pts = [complex(p) for p in path]
     if len(pts) < 2:
@@ -188,51 +192,20 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *, seed_order: int = 6
             f"path start {xi0} is not inside the Taylor seed disk (radius ~ {r:.3g})")
     y = e.fm[0] @ xi0 ** np.arange(seed_order + 1)
 
-    lam = s.lam
-    germ = s.germ
-    xi_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-
-    def stash(xs: np.ndarray, vals: np.ndarray) -> None:
-        if xi_parts:
-            xs, vals = xs[1:], vals[:, 1:]
-        if xs.size:
-            xi_parts.append(xs)
-            val_parts.append(vals)
-
+    centres: list[tuple[complex, np.ndarray]] = []
+    rho = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
-        delta = b - a
-        if delta == 0:
+        if a == b:
             continue
         if not _segment_clears_origin(a, b):
             raise ValueError("path leg passes through xi = 0, where the flow is singular")
-        if np.max(np.abs(y)) >= escape:
-            raise SingularApproach(a)
-
-        def rhs(t, F, a=a, delta=delta):
-            xi = a + t * delta
-            return (delta / xi) * (lam * F - germ.evaluate(0.0, F))
-
-        def blown(t, F):
-            return float(np.max(np.abs(F))) - escape
-
-        blown.terminal = True
-        sol = solve_ivp(rhs, (0.0, 1.0), y, method="RK45",
-                        rtol=rtol, atol=atol, events=blown)
-        stash(a + sol.t * delta, sol.y)
-        if sol.status == 1:
-            raise SingularApproach(a + float(sol.t_events[0][0]) * delta)
-        if sol.status == -1:
-            where = a + float(sol.t[-1]) * delta
-            if np.max(np.abs(sol.y[:, -1])) > 0.01 * escape:
-                raise SingularApproach(where)
-            raise StepUnderflow(where)
-        y = sol.y[:, -1]
-
-    if not xi_parts:
-        return ContinuationResult(np.array([xi0]), np.asarray(y)[:, None])
-    return ContinuationResult(np.concatenate(xi_parts),
-                              np.concatenate(val_parts, axis=1))
+        rho = rho or abs(b - a)  # the first jet's trial scale: its leg's length
+        leg: list[tuple[complex, np.ndarray]] = []
+        (y,), rho = _walk(s, _xi_jet, a, y, [b], rho, leg)
+        centres += leg
+    centres.append((pts[-1], y))
+    return ContinuationResult(np.array([c for c, _ in centres]),
+                              np.array([v for _, v in centres]).T)
 
 
 # -- x-plane singularity arrays ---------------------------------------------

@@ -1,26 +1,27 @@
 """Ground truth by complex-plane continuation.
 
-Adaptive integration of a normalized system along polyline paths in the
-x plane, location of the singularities the solution blows up at,
-extraction of the transseries constant C from far-field samples, and
-minimal-distance matching of predicted pole arrays against observed ones.
-
-Conventions.  A path is a sequence of waypoints joined by straight legs;
-``integrate_path`` drives an embedded Runge-Kutta pair (scipy's RK45) at
-the requested tolerances per leg.  Blow-up ends it with
-``StepUnderflow``; the partial trajectory is attached to the exception
-as ``err.trajectory``.
+Walks of a normalized system along polyline paths in the x plane,
+location of the singularities the solution blows up at, extraction of
+the transseries constant C from far-field samples, and minimal-distance
+matching of predicted pole arrays against observed ones.
 
 Hunts and C ladders walk with Taylor jets of the solution in x, computed
 by the running-product recursion of the two-scale hierarchy (Corliss and
-Chang).  The walk sums each jet inside half its own radius of
-convergence and lands exactly on each waypoint.  A validation run seeds
-each hunt with the two-scale expansion on the level curve |xi(x)| =
+Chang); ``continue_f0`` walks F_0 in xi the same way.  The walk sums
+each jet inside half its own radius of convergence and lands exactly on
+each waypoint; a jet whose radius falls below 1e-3 of the distance left
+to its waypoint stops it with ``SingularApproach``.  A validation run
+seeds each hunt with the two-scale expansion on the level curve |xi(x)| =
 ``anchor_xi`` at the height of its predicted pole, so every walk has
 about the same length whatever the pole's index; the homing reads
 location, exponent and amplitude of the nearest singularity from a jet
 by Domb-Sykes ratio analysis (``radius_estimate``).  No system declares
 its kind of blow-up.  A C ladder walks its ray inward through every rung.
+
+``integrate_path`` is the reference integrator: an embedded Runge-Kutta
+pair (scipy's RK45) at the requested tolerances per leg.  Blow-up ends
+it with ``StepUnderflow``; the partial trajectory is attached to the
+exception as ``err.trajectory``.
 
 Integration, jets, detection and the extraction of C run in complex128.
 An extended-precision expansion only seeds them: its values are cast to
@@ -41,7 +42,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, linear_sum_assignment
 
 from .errors import (InsufficientCoefficients, NoBlowup, NotConverging,
-                     OscillatoryCoefficients, StepUnderflow)
+                     OscillatoryCoefficients, SingularApproach, StepUnderflow)
 from .expansion import (
     TwoScaleExpansion,
     _x_jet,
@@ -49,7 +50,7 @@ from .expansion import (
     eval_two_scale,
     formal_power_series,
 )
-from .singular import SingularityArray, predict_array, radius_estimate
+from .singular import SingularityArray, _neville_diagonal, predict_array, radius_estimate
 from .systems import NormalSystem
 
 __all__ = [
@@ -78,6 +79,7 @@ _ORDER = 40  # of every Taylor jet
 _JET_BUDGET = 100  # jets one hunt or one ladder may compute
 _STAGING = 0.35  # how far short of its target a walk hands over to homing
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
+_STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
 
 _log = logging.getLogger("transasym")
 
@@ -264,31 +266,36 @@ class PoleObservation:
         }
 
 
-def _jet(s: NormalSystem, x: complex, y, rho: float):
+def _jet(s: NormalSystem, jet, x: complex, y, rho: float):
     """Jet of the solution through (x, y), scaled to its own radius.
 
-    Returns (a, rho) with a[:, k] = [t^k] y(x + rho t) and rho the radius
-    read from the tail: the slope of log max_j |a_jk| over the upper half
-    of the orders, so that the nearest singularity sits near |t| = 1.  A
-    trial scale far off is replaced before the exact rescaling, keeping
-    the coefficients in range.
+    ``jet`` is the kernel, :func:`~transasym.expansion._x_jet` or
+    :func:`~transasym.expansion._xi_jet`.  Returns (a, rho, exact) with
+    a[:, k] = [t^k] y(x + rho t) and rho the radius read from the tail:
+    the slope of log max_j |a_jk| over the upper half of the orders, so
+    that the nearest singularity sits near |t| = 1.  A trial scale far
+    off is replaced before the exact rescaling, keeping the coefficients
+    in range.  A jet with fewer than two nonzero coefficients in that
+    half terminates: it is returned exact, at the trial scale.
     """
     k = np.arange(_ORDER + 1)
     for _ in range(4):
-        a = _x_jet(s, x, y, rho, _ORDER)
+        a = jet(s, x, y, rho, _ORDER)
         mag = np.max(np.abs(a), axis=0)
         keep = (k >= _ORDER // 2) & (mag > 0)
         if np.count_nonzero(keep) < 2:
-            raise NoBlowup(f"the jet at x = {x:.8g} terminates")
+            return a, rho, True
         r = math.exp(-np.polyfit(k[keep], np.log(mag[keep]), 1)[0])
         if 0.1 < r < 10.0:
             break
         rho *= r
-    return a * r ** k, rho * r
+    return a * r ** k, rho * r, False
 
 
-def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float) -> PoleObservation:
+def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float, exact: bool) -> PoleObservation:
     """The singularity dominating a jet scaled to its radius, with spread 0."""
+    if exact:
+        raise NoBlowup(f"the jet at x = {x:.8g} terminates")
     h = s.observable @ a
     try:
         est = radius_estimate(h)
@@ -309,30 +316,38 @@ def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float) -> PoleObserva
     return PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0), deviation)
 
 
-def _budgeted_jet(s: NormalSystem, x: complex, y, rho: float, centres: list):
+def _budgeted_jet(s: NormalSystem, jet, x: complex, y, rho: float, centres: list):
     """:func:`_jet`, recording its centre in ``centres``; ``NotConverging``
     once ``_JET_BUDGET`` centres are recorded."""
     if len(centres) >= _JET_BUDGET:
-        raise NotConverging(f"jet budget of {_JET_BUDGET} spent at x = {x:.8g}")
+        raise NotConverging(f"jet budget of {_JET_BUDGET} spent at {x:.8g}")
     centres.append((x, y))
-    return _jet(s, x, y, rho)
+    return _jet(s, jet, x, y, rho)
 
 
-def _walk(s: NormalSystem, x: complex, y, waypoints, rho: float, centres: list):
+def _walk(s: NormalSystem, jet, x: complex, y, waypoints, rho: float, centres: list):
     """Taylor steps from (x, y) through each of ``waypoints`` in turn.
 
-    Each jet, scaled to its own radius, is summed at |t| <= 1/2, less where
-    its last term would pass 1e-16 of the state, and the step that reaches
-    a waypoint lands on it exactly.  ``rho`` is the first jet's trial
+    Each jet of the kernel ``jet``, scaled to its own radius, is summed at
+    |t| <= 1/2, less where its last term would pass 1e-16 of the state,
+    and the step that reaches a waypoint lands on it exactly; a jet that
+    terminates is exact and steps straight there.  A jet whose radius is
+    below ``_STOP`` of the distance left to its waypoint raises
+    ``SingularApproach`` at its centre.  ``rho`` is the first jet's trial
     scale.  Returns the state at every waypoint and the radius of the
     last jet.
     """
     states = []
     for w in waypoints:
         while x != w:
-            a, rho = _budgeted_jet(s, x, y, rho, centres)
-            reach = min(0.5, (_EPS * np.max(np.abs(a[:, 0]))
-                              / np.max(np.abs(a[:, -1]))) ** (1.0 / _ORDER))
+            a, rho, exact = _budgeted_jet(s, jet, x, y, rho, centres)
+            reach = math.inf
+            if not exact:
+                if rho < _STOP * abs(w - x):
+                    raise SingularApproach(x)
+                top = np.max(np.abs(a[:, -1]))  # exactly 0 sets no truncation limit
+                reach = 0.5 if top == 0 else min(
+                    0.5, (_EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / _ORDER))
             t = (w - x) / rho
             short = abs(t) > reach
             t *= reach / abs(t) if short else 1.0
@@ -358,7 +373,7 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     x, y = complex(x), np.asarray(y, dtype=complex)
     # |y / y'| is about the distance to a blow-up: a trial scale in range
     slope = _x_jet(s, x, y, 1.0, 1)[:, 1]
-    return _read(s, x, *_jet(s, x, y, np.max(np.abs(y)) / np.max(np.abs(slope))))
+    return _read(s, x, *_jet(s, _x_jet, x, y, np.max(np.abs(y)) / np.max(np.abs(slope))))
 
 
 def hunt_singularity(
@@ -380,9 +395,11 @@ def hunt_singularity(
     scales the next jet to the remaining distance, and stops when the
     distance between successive estimates stops shrinking.  It returns
     the estimate before that, with that distance as its spread.  More
-    than ``_JET_BUDGET`` jets raise ``NotConverging``, a read resolving
-    no single singularity ``NoBlowup``, and a ``target`` equal to
-    ``x_start`` or to the last ``via`` point ``ValueError``.
+    than ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped by
+    a singularity short of the staging point ``SingularApproach`` (see
+    :func:`_walk`), a read resolving no single singularity ``NoBlowup``,
+    and a ``target`` equal to ``x_start`` or to the last ``via`` point
+    ``ValueError``.
     ``csv_path`` receives one row per jet centre (:meth:`Trajectory.to_csv`).
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
@@ -398,13 +415,13 @@ def hunt_singularity(
     centres: list[tuple[complex, np.ndarray]] = []
     spread, stopped = math.inf, None
     try:
-        states, rho = _walk(s, x_start, np.asarray(y_start, dtype=complex), pts[1:],
+        states, rho = _walk(s, _x_jet, x_start, np.asarray(y_start, dtype=complex), pts[1:],
                             abs(target - x_start), centres)
         x, y = pts[-1], states[-1]
         found = None
         while True:
-            a, rho = _budgeted_jet(s, x, y, rho, centres)
-            read = _read(s, x, a, rho)
+            a, rho, exact = _budgeted_jet(s, _x_jet, x, y, rho, centres)
+            read = _read(s, x, a, rho, exact)
             if found is not None:
                 gap = abs(read.location - found.location)
                 if gap >= spread:
@@ -456,21 +473,6 @@ class CEstimate:
             "uncertainty": float(self.uncertainty),
             "ladder": [[c.real, c.imag] for c in self.ladder],
         }
-
-
-def _neville_diagonal(u, v):
-    """Neville table diagonal for extrapolating v(u) to u = 0.
-
-    Entry k is the depth-k estimate built from the last k+1 nodes (the
-    smallest u when u decreases along the input).
-    """
-    t = [complex(x) for x in v]
-    diag = [t[-1]]
-    for lev in range(1, len(t)):
-        for j in range(len(t) - 1, lev - 1, -1):
-            t[j] = t[j] + (t[j] - t[j - 1]) * u[j] / (u[j - lev] - u[j])
-        diag.append(t[-1])
-    return diag
 
 
 def extract_C(
@@ -559,7 +561,7 @@ def extraction_ladder(
         raise ValueError("need at least 4 ladder radii")
     xs = [r * cmath.exp(1j * arg) for r in radii]
     y = np.asarray(eval_two_scale(e, C, xs[0])[0], dtype=complex)
-    states, _ = _walk(s, xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])
+    states, _ = _walk(s, _x_jet, xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])
     return extract_C(s, e, zip(xs, [y, *states]), atol=atol)
 
 

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from transasym import validate
 from transasym.errors import (InsufficientCoefficients, OscillatoryCoefficients,
                               SingularApproach, ZeroC)
 from transasym.expansion import build_expansion
 from transasym.oracles import XI0
-from transasym.series import TaylorSeries
+from transasym.series import AnalyticGerm, TaylorSeries
 from transasym.singular import (SingularityArray, continue_f0, predict_array,
                                 radius_estimate)
-from transasym.systems import builtin
+from transasym.systems import NormalSystem, builtin
 
 TWO_PI_I = 2j * math.pi
 
@@ -90,14 +91,14 @@ def test_continuation_matches_taylor(abel):
     e = build_expansion(abel, 0, 64)
     res = continue_f0(abel, [0.02, 0.12])
     direct = e.series(0)[0].evaluate(0.12)
-    assert abs(res.final[0] - direct) < 1e-8
+    assert abs(res.final[0] - direct) < 1e-12
 
 
 def test_continuation_path_independence(abel):
     target = 0.15 + 0.06j
     r1 = continue_f0(abel, [0.02, target])
     r2 = continue_f0(abel, [0.02, 0.02 + 0.1j, target])
-    assert abs(r1.final[0] - r2.final[0]) < 1e-8
+    assert abs(r1.final[0] - r2.final[0]) < 1e-12
 
 
 def test_continuation_rejects_origin_leg(abel):
@@ -111,8 +112,31 @@ def test_continuation_rejects_far_start(abel):
 
 
 def test_continuation_blows_up_past_branch_value(abel):
-    with pytest.raises(SingularApproach):
+    with pytest.raises(SingularApproach) as info:
         continue_f0(abel, [0.05, 1.2 * XI0])
+    assert abs(info.value.where - XI0) < 1e-2 * (1.2 * XI0 - 0.05)
+
+
+def test_continuation_stops_at_the_p1_pole(p1):
+    # h = 144 xi / (12 - xi)^2 has its double pole on the leg
+    with pytest.raises(SingularApproach) as info:
+        continue_f0(p1, [1.0, 20.0])
+    assert abs(info.value.where - 12.0) < 0.19
+
+
+def test_continuation_steps_over_a_terminating_jet():
+    # g(0, y) vanishes, so F_0 = xi and every jet is a line
+    s = NormalSystem([1.0], [0.3], AnalyticGerm(1, {(2, (0,)): 0.1, (1, (2,)): 1.0}))
+    assert abs(continue_f0(s, [0.25, 0.5]).final[0] - 0.5) < 1e-15
+
+
+def test_continuation_budget_is_per_leg(abel):
+    # ten circuits take more jets than one walk may spend
+    theta = np.linspace(math.pi, 21.0 * math.pi, 81)
+    loop = [XI0 + 0.12 * cmath.exp(1j * t) for t in theta]
+    res = continue_f0(abel, [0.1] + loop + [0.1])
+    assert res.xi.size > validate._JET_BUDGET
+    assert np.max(np.abs(res.final - res.values[:, 0])) < 1e-12
 
 
 def test_branch_monodromy(abel):
@@ -126,7 +150,7 @@ def test_branch_monodromy(abel):
     theta2 = np.linspace(math.pi, 5.0 * math.pi, 17)
     loop2 = [XI0 + 0.12 * cmath.exp(1j * t) for t in theta2]
     two = continue_f0(abel, [0.1] + loop2 + [0.1])
-    assert np.max(np.abs(two.final - two.values[:, 0])) < 1e-6
+    assert np.max(np.abs(two.final - two.values[:, 0])) < 1e-12
 
 
 # -- predicted arrays --------------------------------------------------------

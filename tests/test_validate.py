@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from transasym import validate
-from transasym.errors import NoBlowup, NotConverging, StepUnderflow, TransasymError
+from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
+                              TransasymError)
 from transasym.expansion import build_expansion, eval_two_scale, formal_power_series
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
@@ -140,6 +141,17 @@ def test_hunt_lands_on_predicted_pole(p1, e_p1):
     assert obs.kind == "double_pole"
     assert obs.local_fit[1] == pytest.approx(-2.0, abs=0.05)
     assert abs(obs.local_fit[0]) == pytest.approx(12.0, abs=0.5)
+
+
+def test_walk_through_a_pole_raises_singular_approach(p1, e_p1):
+    # the via point lies about 0.02 from the n = 8 pole: the jets shrink
+    # there while the distance left to the via point does not
+    x8, x9 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9]).entries)
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    with pytest.raises(SingularApproach) as info:
+        hunt_singularity(p1, x_a, y_a, x9, via=[x8])
+    assert abs(info.value.where - x8) < 0.05
 
 
 def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
