@@ -27,8 +27,7 @@ from . import oracles
 from .expansion import build_expansion, eval_two_scale, gevrey_fit
 from .singular import continue_f0, predict_array, radius_estimate
 from .systems import builtin
-from .validate import (anchor_point, extraction_ladder, hunt_singularity,
-                       ladder_radii, run_validation)
+from .validate import _hunts, anchor_point, extraction_ladder, ladder_radii, run_validation
 
 __all__ = ["CHECKS", "run_check", "run_all", "format_report"]
 
@@ -63,7 +62,7 @@ def _abel_models():
         x_a = anchor_point(s, 1.0, 1.2, 1e-3)
         y_a, _ = eval_two_scale(e, 1.0, x_a)
         arr = predict_array(oracles.XI0, 1.0, 0.2, [2, 3])
-        obs = tuple(hunt_singularity(s, x_a, y_a, en.x_ref) for en in arr.entries)
+        obs = tuple(_hunts(s, [(x_a, y_a, en.x_ref) for en in arr.entries]))
         # double circuit about the branch point; the square-root pair
         # must close up after two turns
         theta = np.linspace(np.pi, 5.0 * np.pi, 17)
@@ -198,11 +197,9 @@ def _check_second_array() -> tuple[bool, str]:
     y_a, _ = eval_two_scale(_expansion("p1", 2, 32), 12.0, run.anchor)
     by_n = {en.n: en.x_ref for en in predict_array(12.0, 12.0, -0.5, [6, 7]).entries}
     gate = 0.5 * (by_n[6] + by_n[7])            # cross between first-array poles
-    deltas = []
-    for m in (0, 1):
-        target = x_s + oracles.p1_second_array_offset(x_s, m)
-        obs = hunt_singularity(s, run.anchor, y_a, target, via=(gate,))
-        deltas.append(abs(obs.location - target))
+    targets = [x_s + oracles.p1_second_array_offset(x_s, m) for m in (0, 1)]
+    obs = _hunts(s, [(run.anchor, y_a, t) for t in targets], via=(gate,))
+    deltas = [abs(o.location - t) for o, t in zip(obs, targets)]
     ok = max(deltas) <= 0.3
     return ok, (f"second-array targets m = 0, 1 seeded from the refined n = 8 "
                 f"pole: |Delta| = {deltas[0]:.4f}, {deltas[1]:.4f} (tol 0.3 each)")

@@ -22,7 +22,11 @@ xi^1, to pin c_M.
 The same running products, over one index, give the Taylor jet of a
 solution in x about any point, and of F_0 in xi; the pole hunts and C
 ladders of :mod:`transasym.validate` walk and read the first, and
-``continue_f0`` walks the second.
+``continue_f0`` walks the second.  For the jets the right side is
+compiled once per system into a monomial table (state rows, a constant
+row, product chains grouped by length, one coefficient matrix), kept on
+the ``NormalSystem``; one kernel call computes the jets of many walks,
+one lane each, and no lane's arithmetic depends on the others.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -166,55 +170,93 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
     return Y, pinned
 
 
-def _x_jet(s: NormalSystem, x0: complex, y0, rho: float, order: int) -> np.ndarray:
-    """Taylor coefficients a[:, k] = [t^k] y(x0 + rho t) for k <= order.
+def _program(s: NormalSystem) -> tuple:
+    """The right side -L y + z A y + g(z, y) of ``s`` as a monomial table, kept on ``s``.
 
-    The same running products as :func:`_coefficients`, over one index:
-    with z = 1/(x0 + rho t) = (1/x0) sum_k (-rho/x0)^k t^k expanded in t,
-    order k of y' = -L y + z A y + g(z, y) gives
-    (k+1) a_{k+1} = rho [t^k] f, whose right side uses a_0..a_k only.
-    Computed in complex128.
+    Jet-table rows are the state components, a constant 1, then product
+    chains.  Returns (rows in all, per chain length (chain, head, tail)
+    index arrays with row chain = row head times component tail, and per
+    monomial m its row ``rows[m]``, z power ``zpow[m]`` and ``coef[:, m]``).
+    ``coef`` is C-contiguous, so sums over it run along its memory axis.
     """
-    a = np.zeros((s.n, order + 1), dtype=complex)
-    a[:, 0] = y0
-    consts, monomials, steps = _product_chains(s.germ, a)
-    # Z[i, k] = [t^k] z^i
-    i_max = max([1, *consts, *(i for i, _, _ in monomials)])
-    Z = np.zeros((i_max + 1, order + 1), dtype=complex)
-    Z[0, 0] = 1.0
-    Z[1] = (-rho / x0) ** np.arange(order + 1) / x0
-    for i in range(2, i_max + 1):
-        Z[i] = np.convolve(Z[i - 1], Z[1])[: order + 1]
+    if s._program is None:
+        n, eye = s.n, np.eye(s.n)
+        chains: dict[tuple[int, ...], int] = {**{(j,): j for j in range(n)}, (): n}
+        terms = [(i, (j,), c * eye[j])
+                 for j in range(n) for i, c in ((0, -s.lam[j]), (1, s.alpha[j]))]
+        terms += [(i, tuple(j for j, p in enumerate(k) for _ in range(p)), vec)
+                  for (i, k), vec in s.germ.terms.items()]
+        coef: dict[tuple[int, int], np.ndarray] = {}
+        for i, factors, vec in terms:
+            for length in range(2, len(factors) + 1):
+                chains.setdefault(factors[:length], len(chains))
+            coef[chains[factors], i] = coef.get((chains[factors], i), 0) + vec
+        steps = [[(row, chains[key[:-1]], key[-1]) for key, row in chains.items() if len(key) == L]
+                 for L in range(2, max(map(len, chains)) + 1)]
+        s._program = (len(chains), [tuple(map(np.array, zip(*st))) for st in steps],
+                      np.array([r for r, _ in coef]), np.array([i for _, i in coef]),
+                      np.array(list(coef.values())).T.copy())
+    return s._program
+
+
+def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
+    """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``: order
+    k of the chain rows is one gather-and-sum per chain length, then ``step(T, k)``
+    gives order k+1 of the states from the table T[b, row, :k+1]."""
+    size, steps, _, _, _ = _program(s)
+    y0 = np.asarray(y0, dtype=complex)
+    T = np.zeros((y0.shape[1], size, order + 1), dtype=complex)
+    T[:, : s.n, 0] = y0.T
+    T[:, s.n, 0] = 1.0
     for k in range(order):
-        _extend_chains(steps, (k,))
-        rev = slice(k, None, -1)
-        f = -s.lam * a[:, k] + s.alpha * (a[:, rev] @ Z[1, : k + 1])
-        for i, Q, vec in monomials:
-            f = f + vec * (Q[rev] @ Z[i, : k + 1])
-        for i, vec in consts.items():
-            f = f + vec * Z[i, k]
-        a[:, k + 1] = rho * f / (k + 1)
-    return a
+        for chain, head, tail in steps:
+            T[:, chain, k] = (T[:, head, : k + 1] * T[:, tail, k::-1]).sum(-1)
+        T[:, : s.n, k + 1] = step(T, k)
+    return T[:, : s.n]
 
 
-def _xi_jet(s: NormalSystem, xi0: complex, F0, rho: float, order: int) -> np.ndarray:
-    """Taylor coefficients a[:, k] = [t^k] F_0(xi0 + rho t) for k <= order.
+def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
+    """Taylor coefficients a[b, :, k] = [t^k] y_b(x0_b + rho_b t), k <= order.
 
-    :func:`_x_jet` for the leading profile's flow xi F' = Lam F - g(0, F):
-    order k of (xi0 + rho t) dF/dt = rho (Lam F - g(0, F)) gives
-    xi0 (k+1) a_{k+1} = rho ([t^k](Lam F - g(0, F)) - k a_k), the same
-    coefficients as expanding 1/(xi0 + rho t) in t, without its
-    alternating sum.  Computed in complex128.
+    One lane b per entry of ``x0`` and ``rho`` (B,) and column of ``y0``
+    (n, B).  With [t^k] z^i = C(i+k-1, k) (-rho/x0)^k / x0^i for
+    z = 1/(x0 + rho t), order k of y' = -L y + z A y + g(z, y) gives
+    (k+1) a_{k+1} = rho [t^k] f from a_0..a_k.  Lanes share only
+    elementwise products and sums along a fixed axis, so a lane's jet
+    does not depend on the lanes beside it.  Computed in complex128.
     """
-    a = np.zeros((s.n, order + 1), dtype=complex)
-    a[:, 0] = F0
-    _, monomials, steps = _product_chains(s.germ, a)
-    flat = [(Q, vec) for i, Q, vec in monomials if i == 0]
-    for k in range(order):
-        _extend_chains(steps, (k,))
-        f = s.lam * a[:, k] - sum((vec * Q[k] for Q, vec in flat), 0)
-        a[:, k + 1] = rho * (f - k * a[:, k]) / (xi0 * (k + 1))
-    return a
+    _, _, rows, zpow, coef = _program(s)
+    x0, rho = np.asarray(x0, dtype=complex), np.asarray(rho, dtype=float)
+    i, j = np.arange(zpow.max() + 1)[:, None], np.arange(order + 1)
+    binom = np.array([[math.comb(a + b - 1, b) if a else float(b == 0) for b in range(order + 1)]
+                      for a in range(len(i))])
+    # Z[b, m, order - k] = [t^k] z^zpow[m] in lane b, C-contiguous like coef
+    Z = (x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j * binom)[:, zpow, ::-1].copy()
+
+    def step(T, k):
+        f = (T[:, rows, : k + 1] * Z[:, :, order - k:]).sum(-1)
+        return rho[:, None] * (f[:, None, :] * coef).sum(-1) / (k + 1)
+
+    return _jets(s, y0, order, step)
+
+
+def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
+    """Taylor coefficients a[b, :, k] = [t^k] F_0(xi0_b + rho_b t), lanes as in :func:`_x_jet`.
+
+    The flow xi F' = Lam F - g(0, F), on the z^0 monomials of the same
+    program: order k of (xi0 + rho t) dF/dt = rho (Lam F - g(0, F)) gives
+    xi0 (k+1) a_{k+1} = rho ([t^k](Lam F - g(0, F)) - k a_k), without the
+    alternating sum of expanding 1/(xi0 + rho t).  Computed in complex128.
+    """
+    _, _, rows, zpow, coef = _program(s)
+    xi0, rho = np.asarray(xi0, dtype=complex), np.asarray(rho, dtype=float)
+    rows, coef = rows[zpow == 0], coef[:, zpow == 0]
+
+    def step(T, k):
+        f = (T[:, rows, k][:, None, :] * coef).sum(-1)  # [t^k](g(0, F) - Lam F)
+        return -rho[:, None] * (f + k * T[:, : s.n, k]) / (xi0[:, None] * (k + 1))
+
+    return _jets(s, F0, order, step)
 
 
 def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
@@ -305,6 +347,7 @@ class TwoScaleExpansion:
         self.xi_scale = (complex(system.lam[0]), complex(system.alpha[0]))
         self._radius: float | None = None
         self._default_fit: "GevreyFit | None" = None
+        self._formal: InvXSeries | None = None
 
     def series(self, m: int) -> tuple[TaylorSeries, ...]:
         return tuple(TaylorSeries(self.fm[m][j]) for j in range(self.system.n))
@@ -328,6 +371,13 @@ class TwoScaleExpansion:
         if self._default_fit is None:
             self._default_fit = gevrey_fit(self, 0.5 * self.reliability_radius())
         return self._default_fit
+
+    def _formal_series(self, R: int) -> InvXSeries:
+        """``formal_power_series(self.system, R)[0]``, sliced from the deepest one
+        built so far: order r depends on lower orders only, so bitwise the same."""
+        if self._formal is None or self._formal.truncation_order < R:
+            self._formal = formal_power_series(self.system, R)[0]
+        return InvXSeries(self._formal.coeffs[: R - 1], r_min=2)
 
     def residual_coefficients(self, m_max: int | None = None) -> np.ndarray:
         """Residual of the substituted two-scale series, as a bivariate stack.

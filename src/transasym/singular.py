@@ -179,7 +179,7 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *,
     the origin.
     """
     from .expansion import _xi_jet, build_expansion
-    from .validate import _walk
+    from .validate import _lockstep, _walk
 
     pts = [complex(p) for p in path]
     if len(pts) < 2:
@@ -201,7 +201,7 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *,
             raise ValueError("path leg passes through xi = 0, where the flow is singular")
         rho = rho or abs(b - a)  # the first jet's trial scale: its leg's length
         leg: list[tuple[complex, np.ndarray]] = []
-        (y,), rho = _walk(s, _xi_jet, a, y, [b], rho, leg)
+        (y,), rho = _lockstep(s, _xi_jet, [_walk(a, y, [b], rho, leg)])[0]
         centres += leg
     centres.append((pts[-1], y))
     return ContinuationResult(np.array([c for c, _ in centres]),

@@ -95,6 +95,7 @@ class NormalSystem:
         self.observable.setflags(write=False)
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
         self.params = dict(params or {})
+        self._program = None  # the Taylor-jet kernels' monomial table, compiled on first use
 
     def __repr__(self) -> str:
         return f"NormalSystem(label={self.label!r}, n={self.n})"

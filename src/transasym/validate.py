@@ -18,6 +18,13 @@ location, exponent and amplitude of the nearest singularity from a jet
 by Domb-Sykes ratio analysis (``radius_estimate``).  No system declares
 its kind of blow-up.  A C ladder walks its ray inward through every rung.
 
+Walks are generators that yield jet requests; ``_lockstep`` runs any
+number together, one call of the lane-batched kernel per round.  A
+validation run hunts all its poles in lockstep, while a lone hunt, a
+ladder, a detection or a continuation leg is driven alone on the same
+path; lanes do not share arithmetic, so a hunt's result is bitwise the
+same either way.
+
 ``integrate_path`` is the reference integrator: an embedded Runge-Kutta
 pair (scipy's RK45) at the requested tolerances per leg.  Blow-up ends
 it with ``StepUnderflow``; the partial trajectory is attached to the
@@ -48,7 +55,6 @@ from .expansion import (
     _x_jet,
     build_expansion,
     eval_two_scale,
-    formal_power_series,
 )
 from .singular import SingularityArray, _neville_diagonal, predict_array, radius_estimate
 from .systems import NormalSystem
@@ -266,30 +272,64 @@ class PoleObservation:
         }
 
 
-def _jet(s: NormalSystem, jet, x: complex, y, rho: float):
+def _jet(x: complex, y, rho: float, centres: list):
     """Jet of the solution through (x, y), scaled to its own radius.
 
-    ``jet`` is the kernel, :func:`~transasym.expansion._x_jet` or
-    :func:`~transasym.expansion._xi_jet`.  Returns (a, rho, exact) with
-    a[:, k] = [t^k] y(x + rho t) and rho the radius read from the tail:
-    the slope of log max_j |a_jk| over the upper half of the orders, so
-    that the nearest singularity sits near |t| = 1.  A trial scale far
-    off is replaced before the exact rescaling, keeping the coefficients
-    in range.  A jet with fewer than two nonzero coefficients in that
-    half terminates: it is returned exact, at the trial scale.
+    A walk step for :func:`_lockstep`: each ``yield`` of (x, y, rho) is
+    sent the kernel's jet a[:, k] = [t^k] y(x + rho t).  Returns
+    (a, rho, exact) with rho the radius read from the tail: the
+    least-squares slope of log max_j |a_jk| over the upper half of the
+    orders, so that the nearest singularity sits near |t| = 1.  A trial
+    scale far off is replaced before the exact rescaling, keeping the
+    coefficients in range.  A jet with fewer than two nonzero
+    coefficients in that half terminates: it is returned exact, at the
+    trial scale.  The centre is recorded in ``centres``; once
+    ``_JET_BUDGET`` are recorded, ``NotConverging`` is raised instead.
     """
+    if len(centres) >= _JET_BUDGET:
+        raise NotConverging(f"jet budget of {_JET_BUDGET} spent at {x:.8g}")
+    centres.append((x, y))
     k = np.arange(_ORDER + 1)
     for _ in range(4):
-        a = jet(s, x, y, rho, _ORDER)
+        a = yield x, y, rho
         mag = np.max(np.abs(a), axis=0)
         keep = (k >= _ORDER // 2) & (mag > 0)
         if np.count_nonzero(keep) < 2:
             return a, rho, True
-        r = math.exp(-np.polyfit(k[keep], np.log(mag[keep]), 1)[0])
+        u, v = k[keep] - k[keep].mean(), np.log(mag[keep])
+        r = math.exp(-np.sum(u * (v - v.mean())) / np.sum(u * u))
         if 0.1 < r < 10.0:
             break
         rho *= r
     return a * r ** k, rho * r, False
+
+
+def _lockstep(s: NormalSystem, jet, walks) -> list:
+    """Run the generators ``walks`` together on the batched kernel ``jet``.
+
+    Each round sends every live walk its jet and computes the jets of the
+    (x, y, rho) requests they yield in one call of ``jet``.  Once every
+    walk has ended, raises the first failure in order, else returns the
+    walks' return values in order.
+    """
+    outcomes, failures = [None] * len(walks), {}
+    live, jets = range(len(walks)), [None] * len(walks)
+    while live:
+        asked = {}
+        for i, a in zip(live, jets):
+            try:
+                asked[i] = walks[i].send(a)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as err:  # ends this walk only; raised once all have ended
+                failures[i] = err
+        live = list(asked)
+        if live:
+            x, y, rho = zip(*asked.values())
+            jets = jet(s, np.array(x), np.array(y).T, np.array(rho), _ORDER)
+    if failures:
+        raise failures[min(failures)]
+    return outcomes
 
 
 def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float, exact: bool) -> PoleObservation:
@@ -316,23 +356,15 @@ def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float, exact: bool) -
     return PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0), deviation)
 
 
-def _budgeted_jet(s: NormalSystem, jet, x: complex, y, rho: float, centres: list):
-    """:func:`_jet`, recording its centre in ``centres``; ``NotConverging``
-    once ``_JET_BUDGET`` centres are recorded."""
-    if len(centres) >= _JET_BUDGET:
-        raise NotConverging(f"jet budget of {_JET_BUDGET} spent at {x:.8g}")
-    centres.append((x, y))
-    return _jet(s, jet, x, y, rho)
-
-
-def _walk(s: NormalSystem, jet, x: complex, y, waypoints, rho: float, centres: list):
+def _walk(x: complex, y, waypoints, rho: float, centres: list):
     """Taylor steps from (x, y) through each of ``waypoints`` in turn.
 
-    Each jet of the kernel ``jet``, scaled to its own radius, is summed at
-    |t| <= 1/2, less where its last term would pass 1e-16 of the state,
-    and the step that reaches a waypoint lands on it exactly; a jet that
-    terminates is exact and steps straight there.  A jet whose radius is
-    below ``_STOP`` of the distance left to its waypoint raises
+    A walk for :func:`_lockstep`, in x or in xi as its kernel is.  Each
+    jet, scaled to its own radius, is summed at |t| <= 1/2, less where
+    its last term would pass 1e-16 of the state, and the step that
+    reaches a waypoint lands on it exactly; a jet that terminates is
+    exact and steps straight there.  A jet whose radius is below
+    ``_STOP`` of the distance left to its waypoint raises
     ``SingularApproach`` at its centre.  ``rho`` is the first jet's trial
     scale.  Returns the state at every waypoint and the radius of the
     last jet.
@@ -340,7 +372,7 @@ def _walk(s: NormalSystem, jet, x: complex, y, waypoints, rho: float, centres: l
     states = []
     for w in waypoints:
         while x != w:
-            a, rho, exact = _budgeted_jet(s, jet, x, y, rho, centres)
+            a, rho, exact = yield from _jet(x, y, rho, centres)
             reach = math.inf
             if not exact:
                 if rho < _STOP * abs(w - x):
@@ -372,8 +404,9 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     """
     x, y = complex(x), np.asarray(y, dtype=complex)
     # |y / y'| is about the distance to a blow-up: a trial scale in range
-    slope = _x_jet(s, x, y, 1.0, 1)[:, 1]
-    return _read(s, x, *_jet(s, _x_jet, x, y, np.max(np.abs(y)) / np.max(np.abs(slope))))
+    slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
+    rho = np.max(np.abs(y)) / np.max(np.abs(slope))
+    return _read(s, x, *_lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0])
 
 
 def hunt_singularity(
@@ -403,9 +436,21 @@ def hunt_singularity(
     ``csv_path`` receives one row per jet centre (:meth:`Trajectory.to_csv`).
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
-    ``hunt`` attribute holds ``start``, ``approach_length``, ``jets``,
-    ``stopped`` ("settled" or the error's name) and ``spread``.
+    ``hunt`` attribute holds ``start``, ``target``, ``approach_length``,
+    ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``.
     """
+    return _hunts(s, [(x_start, y_start, target)], via=via, csv_paths=[csv_path])[0]
+
+
+def _hunts(s: NormalSystem, starts, *, via: Sequence = (), csv_paths=None) -> list:
+    """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`;
+    each returns bitwise what it returns alone."""
+    paths = csv_paths or [None] * len(starts)
+    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, via, p) for (x, y, t), p in zip(starts, paths)])
+
+
+def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_path=None):
+    """The walk of one :func:`hunt_singularity`, for :func:`_lockstep`."""
     x_start, target = complex(x_start), complex(target)
     prev = complex(via[-1]) if via else x_start
     if prev == target:
@@ -415,12 +460,12 @@ def hunt_singularity(
     centres: list[tuple[complex, np.ndarray]] = []
     spread, stopped = math.inf, None
     try:
-        states, rho = _walk(s, _x_jet, x_start, np.asarray(y_start, dtype=complex), pts[1:],
-                            abs(target - x_start), centres)
+        states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
+                                       abs(target - x_start), centres)
         x, y = pts[-1], states[-1]
         found = None
         while True:
-            a, rho, exact = _budgeted_jet(s, _x_jet, x, y, rho, centres)
+            a, rho, exact = yield from _jet(x, y, rho, centres)
             read = _read(s, x, a, rho, exact)
             if found is not None:
                 gap = abs(read.location - found.location)
@@ -437,8 +482,8 @@ def hunt_singularity(
         stopped = type(err).__name__
         raise
     finally:
-        info = {"start": x_start, "jets": len(centres), "stopped": stopped, "spread": spread,
-                "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
+        info = {"start": x_start, "target": target, "jets": len(centres), "stopped": stopped,
+                "spread": spread, "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
         _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
         if csv_path is not None and centres:
             Trajectory([c for c, _ in centres],
@@ -484,7 +529,8 @@ def extract_C(
 ) -> CEstimate:
     """Recover C from solution samples on a ray in the transseries sector.
 
-    Each sample is a pair (x, y).  The formal series is truncated at
+    Each sample is a pair (x, y).  The formal series of ``e.system``,
+    kept on ``e`` to the deepest order asked so far, is truncated at
     k <= floor(|x|) per sample (the floor rule; the ladder spread shows
     its sensitivity), the residue is divided by e^{-x} x^{alpha_1}, and
     the resulting per-sample estimates are extrapolated to |x| = inf.
@@ -498,7 +544,7 @@ def extract_C(
     if len(pts) < 4:
         raise ValueError("need at least 4 samples to stabilize C")
     r_top = int(math.floor(abs(pts[-1][0])))
-    tilde = formal_power_series(s, max(r_top, 2))[0]
+    tilde = e._formal_series(max(r_top, 2))
     alpha1 = complex(s.alpha[0])
     raw = []
     for x, y in pts:
@@ -561,7 +607,7 @@ def extraction_ladder(
         raise ValueError("need at least 4 ladder radii")
     xs = [r * cmath.exp(1j * arg) for r in radii]
     y = np.asarray(eval_two_scale(e, C, xs[0])[0], dtype=complex)
-    states, _ = _walk(s, _x_jet, xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])
+    states, _ = _lockstep(s, _x_jet, [_walk(xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])])[0]
     return extract_C(s, e, zip(xs, [y, *states]), atol=atol)
 
 
@@ -745,8 +791,9 @@ def run_validation(
     ladder on the anchor ray re-measures C from the integrated solution,
     seeding from a level-``deep_M`` expansion (deepened on demand, in the
     precision of ``e``).  With ``csv_dir`` set, each hunt writes its jet
-    centres to ``pole_n<n>.csv`` there.  The run is labelled with
-    ``s.label``.
+    centres to ``pole_n<n>.csv`` there.  The hunts walk in lockstep (see
+    :func:`_hunts`): once all have ended, the first failure in n order is
+    raised.  The run is labelled with ``s.label``.
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
@@ -754,7 +801,7 @@ def run_validation(
     x_a = anchor_point(s, C, anchor_arg, anchor_xi)
     y_a, _ = eval_two_scale(e, C, x_a)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
-    observations = []
+    starts, csv_paths = [], []
     for en in predicted.entries:
         if en.x_ref is None:
             continue
@@ -763,17 +810,9 @@ def run_validation(
         if height > x_a.imag:
             x0 = _on_level(s, C, anchor_xi, lambda u: complex(u, height), -1e4, 1e4)
             y0, _ = eval_two_scale(e, C, x0)
-        csv_path = None
-        if csv_dir is not None:
-            csv_path = f"{csv_dir}/pole_n{en.n}.csv"
-        obs = hunt_singularity(
-            s,
-            x0,
-            y0,
-            en.x_ref,
-            csv_path=csv_path,
-        )
-        observations.append(obs)
+        starts.append((x0, y0, en.x_ref))
+        csv_paths.append(None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv")
+    observations = _hunts(s, starts, csv_paths=csv_paths)
     report = compare_arrays(predicted, observations, capture=capture)
     extraction = None
     if extract:

@@ -116,6 +116,15 @@ def test_formal_series_residual_has_its_order(label, alpha, R):
     assert residual(x) / residual(2 * x) == pytest.approx(2.0 ** (R + 1), rel=0.05)
 
 
+def test_kept_formal_series_slices_bitwise(p1):
+    # the expansion keeps its deepest formal series; a shallower request
+    # is a slice of it, equal to a fresh build to that order
+    e = build_expansion(p1, 2, 8)
+    for R in (40, 60, 31, 2):
+        assert np.array_equal(e._formal_series(R).coeffs, formal_power_series(p1, R)[0].coeffs)
+    assert e._formal.truncation_order == 60
+
+
 def test_formal_series_agrees_with_two_scale_at_zero_C(p1, e_p1):
     # column xi^0 of the hierarchy and the formal series come from one
     # recursion, so this checks evaluation, not the coefficients

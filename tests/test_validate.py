@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from transasym import validate
 from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
                               TransasymError)
-from transasym.expansion import build_expansion, eval_two_scale, formal_power_series
+from transasym.expansion import _x_jet, build_expansion, eval_two_scale, formal_power_series
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
 from transasym.systems import NormalSystem, builtin
@@ -98,6 +98,21 @@ def _logistic_state(x):
     return np.array([xi / (1.0 + xi)])
 
 
+def test_batched_jets_sum_to_the_logistic_closed_form():
+    # five lanes, each with its own centre and scale; every lane's nearest
+    # pole lies at least 1.4 of its scales away, so |t| = 1/2 is inside
+    s = _logistic()
+    x0 = np.array([0.5, 1.0 + 1.0j, -0.3 + 0.8j, 2.0 - 1.0j, 0.2 + 2.5j])
+    rho = np.array([1.0, 1.5, 0.7, 2.0, 0.4])
+    y0 = np.array([_logistic_state(x) for x in x0]).T
+    a = _x_jet(s, x0, y0, rho, validate._ORDER)
+    assert a.shape == (5, 1, validate._ORDER + 1)
+    for b in range(5):
+        for t in 0.5 * np.exp(2j * math.pi * np.arange(8) / 8):
+            got = sum(complex(c) * t ** k for k, c in enumerate(a[b, 0]))
+            assert abs(got - _logistic_state(x0[b] + rho[b] * t)[0]) < 1e-13
+
+
 def test_detects_logistic_simple_pole():
     x = 1j * math.pi + 0.3 * cmath.exp(2.4j)
     obs = detect_singularity(_logistic(), x, _logistic_state(x))
@@ -152,6 +167,47 @@ def test_walk_through_a_pole_raises_singular_approach(p1, e_p1):
     with pytest.raises(SingularApproach) as info:
         hunt_singularity(p1, x_a, y_a, x9, via=[x8])
     assert abs(info.value.where - x8) < 0.05
+
+
+def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1):
+    x8, x9, x10 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9, 10]).entries)
+    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    alone = hunt_singularity(p1, x_a, y_a, x10)
+    with pytest.raises(SingularApproach) as info:
+        hunt_singularity(p1, x_a, y_a, x9, via=[x8])
+
+    def caught(walk):
+        try:
+            return (yield from walk)
+        except SingularApproach as err:
+            return err
+
+    both = validate._lockstep(p1, _x_jet, [validate._hunt(p1, x_a, y_a, x10),
+                                           caught(validate._hunt(p1, x_a, y_a, x9, via=[x8]))])
+    assert both[0] == alone
+    assert isinstance(both[1], SingularApproach) and both[1].where == info.value.where
+
+
+def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
+    # the n = 11 hunt fails before its first jet, the n = 9 hunt after its
+    # last; the survey lets every hunt end, then raises n = 9's failure
+    x9, x11 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [9, 11]).entries)
+    hunt, ended = validate._hunt, []
+
+    def failing(s, x_start, y_start, target, *args):
+        if abs(target - x11) < 1e-9:
+            raise NotConverging("n = 11 fails first")
+        obs = yield from hunt(s, x_start, y_start, target, *args)
+        ended.append(target)
+        if abs(target - x9) < 1e-9:
+            raise NoBlowup("n = 9 fails last")
+        return obs
+
+    monkeypatch.setattr(validate, "_hunt", failing)
+    with pytest.raises(NoBlowup, match="n = 9"):
+        run_validation(p1, e_p1, 12.0, range(8, 13))
+    assert len(ended) == 4
 
 
 def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
@@ -385,15 +441,16 @@ def test_validation_run_serialization():
 
 
 def _starts(monkeypatch, s, e, C, n_range):
-    """Run ``run_validation`` with a stub hunt; return the run and every
-    (x_start, y_start, target) it was asked to hunt from."""
+    """Run ``run_validation`` with a stub for its batched hunt; return the
+    run and every (x_start, y_start, target) it was asked to hunt from."""
     calls = []
 
-    def stub(s_, x_start, y_start, target, **kwargs):
-        calls.append((complex(x_start), np.asarray(y_start), complex(target)))
-        return PoleObservation(complex(target), "double_pole", (1.0, -2.0, 0.0), 0.0)
+    def stub(s_, starts, **kwargs):
+        calls.extend((complex(x), np.asarray(y), complex(t)) for x, y, t in starts)
+        return [PoleObservation(complex(t), "double_pole", (1.0, -2.0, 0.0), 0.0)
+                for _, _, t in starts]
 
-    monkeypatch.setattr(validate, "hunt_singularity", stub)
+    monkeypatch.setattr(validate, "_hunts", stub)
     return run_validation(s, e, C, n_range), calls
 
 
@@ -441,6 +498,18 @@ def test_integration_between_starts_stays_within_the_gevrey_bounds(
         assert np.max(np.abs(y_end - y_b)) <= bound_a + bound_b
 
 
+@pytest.mark.parametrize("label, C, n_range", [("p1", 12.0, range(8, 21)),
+                                               ("abel", 1.0, range(1, 11))])
+def test_a_lone_hunt_returns_its_survey_observation_bitwise(
+        monkeypatch, request, label, C, n_range):
+    s = request.getfixturevalue(label)
+    e = request.getfixturevalue(f"e_{label}")
+    run = run_validation(s, e, C, n_range)
+    with monkeypatch.context() as stubbed:
+        _, calls = _starts(stubbed, s, e, C, n_range)
+    assert [hunt_singularity(s, x0, y0, t) for x0, y0, t in calls] == list(run.observations)
+
+
 @pytest.fixture
 def field_calls(monkeypatch):
     """Counter of NormalSystem.field calls made while the test runs."""
@@ -473,7 +542,7 @@ def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     csv_path = tmp_path / "centres.csv"
     obs, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref, csv_path=csv_path)
-    assert hunt["start"] == x_a
+    assert hunt["start"] == x_a and hunt["target"] == en.x_ref
     assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - 0.35)
     assert hunt["stopped"] == "settled" and hunt["spread"] == obs.local_fit[2]
     # one CSV row per jet centre, the first at the start
