@@ -7,17 +7,26 @@ independent scale) gives, for the coefficients Y_{m,k} = [z^m xi^k] y,
     (L - k) Y_{m,k} = [z^m xi^k] g(z, y) - alpha_1 k Y_{m-1,k} + ((m-1) I + A) Y_{m-1,k},
 
 with F_0(0) = 0 and F_0'(0) = e_1.  The right side involves only lower
-orders: Y_{0,0} = 0 and every linear germ term carries a power of z.  So
-one recursion, k outer and m inner, fills the whole hierarchy.  Its
-column k = 0 is the formal power series: F_m(0) = c_m, the coefficient of
-x^{-m} in the unique formal solution.
+orders: Y_{0,0} = 0 and every linear germ term carries a power of z.
+Only F_0 solves a nonlinear equation.  Its row and the columns k = 0 and
+k = 1 of every level are the boundary cells, solved one at a time, k
+outer and m inner.  Column k = 0 is the formal power series: F_m(0) =
+c_m, the coefficient of x^{-m} in the unique formal solution.
 
 Each level m >= 1 is resonant at xi^1 in the first component; its free
 coefficient c_m = Y_{m,1}[0] is the delayed constant.  It is pinned at
 (m+1, xi^1), where the first component of the right side is exactly
-affine in c_m with slope m + [g_{1,e_1}]_1, so solvability fixes it
-before the rest of that column is solved.  Row M+1 is computed only to
-xi^1, to pin c_M.
+affine in c_m with slope m, so solvability fixes it before the rest of
+that column is solved.  (A z y_1 term in the first component of g would
+change that slope, but it already makes (1, xi^1) inconsistent.)  Row
+M+1 is computed only to xi^1, to pin c_M.
+
+At xi^2..xi^K every level m >= 1 solves a linear equation whose operator
+Lambda - xi d/dxi - d_y g(0, F_0) is the same for every m and
+lower-triangular in k.  It is assembled once per build and solved for a
+whole level at once, followed by one refinement step whose residual
+comes from the same running products as the boundary cells, formed in
+the build's dtype.
 
 The same running products, over one index, give the Taylor jet of a
 solution in x about any point, and of F_0 in xi; the pole hunts and C
@@ -41,6 +50,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     InsufficientCoefficients,
@@ -100,16 +110,57 @@ def _extend_chains(steps, idx: tuple[int, ...]) -> None:
         Q[idx] = (head[lo] * tail[rev]).sum()
 
 
+def _level_operator(germ, lam, F0: np.ndarray, K: int, sing: np.ndarray) -> np.ndarray:
+    """The operator of every level m >= 1 on its coefficients at xi^2..xi^K.
+
+    Row and column (k-2) n + j stand for component j at xi^k; entry
+    (k, k') is diag(lam - k) - [d_y g(0, F_0)]_{k-k'}, whose xi-series
+    comes from the germ's z^0 monomials and F_0.  It is lower-triangular
+    because F_0(0) = 0 and g(0, y) = O(|y|^2).  Rows where ``sing``
+    (K-1, n) is set are unit rows, so a zero right side there solves
+    that component to 0.  Computed in complex128, which is what LAPACK
+    solves in.
+    """
+    n = len(lam)
+    J = np.zeros((K - 1, n, n), dtype=np.complex128)   # J[d] = [xi^d] d_y g(0, F_0)
+    for (i, p), vec in germ.terms.items():
+        if i > 0:
+            continue
+        for b in np.flatnonzero(p):
+            # d y^p / d y_b = p_b y^(p - e_b), a product of at least one factor
+            factors = [j for j, q in enumerate(p) for _ in range(q - (j == b))]
+            f = F0[factors[0], : K - 1]
+            for j in factors[1:]:
+                f = np.convolve(f, F0[j, : K - 1])[: K - 1]
+            J[:, :, b] += p[b] * f[:, None] * vec
+    A = np.zeros((K - 1, n, K - 1, n), dtype=np.complex128)
+    k = np.arange(K - 1)
+    for d in range(1, K - 1):
+        A[k[d:], :, k[:-d], :] = -J[d]
+    A = A.reshape(n * (K - 1), n * (K - 1))
+    A[np.diag_indices_from(A)] = (lam - np.arange(2, K + 1)[:, None]).ravel()
+    rows = np.flatnonzero(sing)
+    A[rows] = 0
+    A[rows, rows] = 1
+    return A
+
+
 def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
                   dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
     """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
 
     Each germ monomial keeps its running coefficients as a chain of
-    partial products (y_a y_b, then y_a y_b y_c, ...), extended by one
-    sliced sum per (m, k).  A product's (m, k) coefficient never involves
-    Y_{m,k}, since Y_{0,0} = 0, so it is formed before Y_{m,k} is solved.
-    With M >= 1 and K >= 1 the returned array also carries row M+1
-    through xi^1.
+    partial products (y_a y_b, then y_a y_b y_c, ...).  A product's
+    (m, k) coefficient never involves Y_{m,k}, since Y_{0,0} = 0.  The
+    boundary cells (columns xi^0 and xi^1, then row 0) are solved one at
+    a time, each chain extended by one sliced sum per cell.  Then each
+    level m >= 1 is solved at xi^2..xi^K at once: its right side comes
+    from the chain rows with those coefficients still 0, the shared
+    level operator is solved by substitution in complex128, one
+    refinement step solves for the residual formed by the same chain
+    sums in ``dtype``, and the level's chain rows are formed again from
+    the result.  With M >= 1 and K >= 1 the returned array also carries
+    row M+1 through xi^1.
     """
     bad = s.germ.order_violations()
     if bad:
@@ -131,42 +182,70 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
             terms.append(((m - 1) + alpha) * prev)
         return terms
 
-    g11 = complex(s.germ.coefficient(1, (1,) + (0,) * (n - 1))[0])
     lam_max = float(np.max(np.abs(lam)))
     zero = np.zeros(n, dtype=dtype)
     pinned: list[complex] = []
-    for k in range(K + 1):
+
+    # the boundary cells in order: columns xi^0 and xi^1 of every row, then F_0
+    boundary = [(m, k) for k in range(min(K, 1) + 1) for m in range(rows)]
+    for m, k in boundary + [(0, k) for k in range(2, K + 1)]:
+        _extend_chains(steps, (m, k))
         denom = lam - k
-        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
-        for m in range(rows if k <= 1 else M + 1):
-            _extend_chains(steps, (m, k))
-            if m == 0:
-                if k == 1:
-                    Y[0, 0, 1] = 1.0
-                elif k >= 2:
-                    if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
-                        raise ResonantOrder(k)
-                    Y[:, 0, k] = sum(rhs_terms(0, k), zero) / denom
-                continue
-            if k == 1 and m >= 2:
-                # solvability of the first component pins c_{m-1}
-                d = sum(rhs_terms(m, 1), zero)[0]
-                slope = (m - 1) + g11
-                if abs(slope) >= 1e-13 * max(1, m - 1):
-                    Y[0, m - 1, 1] = -d / slope
-                elif abs(d) > tol:
-                    raise ResonantOrder(1)
-                pinned.append(complex(Y[0, m - 1, 1]))
-                if m == M + 1:
-                    break
-            terms = rhs_terms(m, k)
-            r = sum(terms, zero)
-            if np.any(sing):
-                scale = np.max(np.abs(terms), axis=0)
-                if np.any(np.abs(r[sing]) > tol * scale[sing]):
+        if m == 0:
+            if k == 1:
+                Y[0, 0, 1] = 1.0
+            elif k >= 2:
+                if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
                     raise ResonantOrder(k)
-                r = np.where(sing, 0, r)
-            Y[:, m, k] = r / np.where(sing, 1, denom)
+                Y[:, 0, k] = sum(rhs_terms(0, k), zero) / denom
+            continue
+        if k == 1 and m >= 2:
+            # solvability of the first component pins c_{m-1}, slope m - 1
+            Y[0, m - 1, 1] = -sum(rhs_terms(m, 1), zero)[0] / (m - 1)
+            pinned.append(complex(Y[0, m - 1, 1]))
+            if m == M + 1:
+                continue
+        terms = rhs_terms(m, k)
+        r = sum(terms, zero)
+        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
+        if np.any(sing):
+            scale = np.max(np.abs(terms), axis=0)
+            if np.any(np.abs(r[sing]) > tol * scale[sing]):
+                raise ResonantOrder(k)
+            r = np.where(sing, 0, r)
+        Y[:, m, k] = r / np.where(sing, 1, denom)
+    if M == 0 or K < 2:
+        return Y, pinned
+
+    ks = np.arange(2, K + 1)
+    diag = lam[:, None] - ks
+    sing = np.abs(diag) < 1e-12 * np.maximum(1.0, lam_max + ks)
+    A = _level_operator(s.germ, lam, Y[:, 0], K, sing.T)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True).reshape(K - 1, n).T
+
+    for m in range(1, M + 1):
+        # chain sums over rows 1..m-1, fixed while level m is solved
+        base = [sum(np.convolve(head[a], tail[m - a]) for a in range(1, m))
+                for _, head, tail in steps]
+
+        def level_terms() -> list[np.ndarray]:
+            for (Q, head, tail), b in zip(steps, base):
+                Q[m, 2:] = (b + np.convolve(head[0], tail[m]) + np.convolve(head[m], tail[0]))[2 : K + 1]
+            prev = Y[:, m - 1, 2:]
+            return [vec[:, None] * Q[m - i, 2:] for i, Q, vec in monomials if i <= m] \
+                + [-(alpha1 * prev * ks), ((m - 1) + alpha)[:, None] * prev]
+
+        Y[:, m, 2:] = solve(sum(level_terms()))
+        terms = level_terms()
+        r = sum(terms)
+        # a singular component must vanish within tol of the largest term entering it
+        bad = sing & (np.abs(r) > tol * np.max(np.abs(terms), axis=0))
+        if np.any(bad):
+            raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
+        Y[:, m, 2:] += solve(r - diag * Y[:, m, 2:])
+        level_terms()   # the solved level's chain rows, read by the levels above
     return Y, pinned
 
 
@@ -467,14 +546,17 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
     or ``numpy.clongdouble``.  A germ that breaks the order condition
     g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
 
-    One recursion fills every level (see the module docstring).  The free
+    The boundary cells (F_0, and the columns xi^0 and xi^1 of every
+    level) are solved one at a time; each level m >= 1 is then solved at
+    xi^2..xi^K at once with the level operator shared by all m, plus one
+    refinement step in ``dtype`` (see the module docstring).  The free
     constant c_m of level m is pinned at (m+1, xi^1), where the first
-    component of the right side is d + (m + [g_{1,e_1}]_1) c_m; c_M uses
-    row M+1, which is computed through xi^1 only and then dropped.  F_0
-    raises :class:`ResonantOrder` at any singular order; a level's
-    singular component must vanish within ``tol`` of the largest term
-    entering it, and a vanishing pin slope with |d| > ``tol`` raises
-    ``ResonantOrder(1)``.
+    component of the right side is d + m c_m; c_M uses row M+1, which is
+    computed through xi^1 only and then dropped.  F_0 raises
+    :class:`ResonantOrder` at any singular order.  A level's singular
+    component must vanish within ``tol`` of the largest term entering it;
+    otherwise :class:`ResonantOrder` names its order.  A z y_1 term in the
+    first component of g raises ``ResonantOrder(1)`` that way.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
@@ -522,14 +604,14 @@ def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex,
         fit = e.default_fit()
     m_star = m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M)
     m_star = min(m_star, e.M)
+    levels = np.array(e.fm[: m_star + 1])
+    acc = levels[:, :, -1]
+    for k in range(e.K - 1, -1, -1):   # Horner over every level at once
+        acc = acc * xi + levels[:, :, k]
     value = np.zeros(e.system.n, dtype=e.fm[0].dtype)
     xm = 1.0 + 0.0j
-    for m in range(m_star + 1):
-        level = e.fm[m]
-        acc = level[:, -1].copy()
-        for k in range(e.K - 1, -1, -1):
-            acc = acc * xi + level[:, k]
-        value += acc * xm
+    for level in acc:
+        value += level * xm
         xm /= x
     # error of the first omitted term under the Gevrey envelope
     mp = m_star + 1

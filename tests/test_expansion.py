@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from transasym import oracles
-from transasym.errors import OutsideReliableDisk, ScalePastBranch
+from transasym.errors import OutsideReliableDisk, ResonantOrder, ScalePastBranch
 from transasym.expansion import (TwoScaleExpansion, build_expansion,
                                  eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
@@ -79,6 +79,42 @@ def test_order_violations_are_rejected():
         build_expansion(s, 2, 16)
 
 
+@pytest.mark.parametrize("g11", [0.5, -1.0, -2.0])
+def test_z_y1_term_in_the_first_component_is_resonant_at_xi_one(g11):
+    # the term leaves g11 in the first component's right side at (1, xi^1),
+    # which is singular there, so no pin slope other than m is ever reached
+    germ = AnalyticGerm(2, {(0, (2, 0)): [1.0, 0.5], (1, (1, 0)): [g11, 0.0]})
+    s = NormalSystem([1.0, -1.0], [-0.5, -0.5], germ)
+    with pytest.raises(ResonantOrder) as err:
+        build_expansion(s, 3, 8)
+    assert err.value.order == 1
+
+
+def test_resonant_leading_profile_raises_its_order():
+    s = NormalSystem([1, 2], [0, 0], AnalyticGerm(2, {(0, (2, 0)): [1, 1]}))
+    with pytest.raises(ResonantOrder) as err:
+        build_expansion(s, 2, 8)
+    assert err.value.order == 2
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_level_resonance_at_xi_two(c):
+    # lambda_2 - 2 = 5e-12 is singular for the levels but not for F_0; the
+    # z y_1 term puts c F_0[xi^2] = -c into that component at (1, xi^2)
+    germ = AnalyticGerm(3, {(0, (2, 0, 0)): [1.0, 0.0, 0.5], (1, (1, 0, 0)): [0.0, c, 0.2],
+                            (2, (0, 0, 0)): [0.0, 0.0, 0.1]})
+    s = NormalSystem([1.0, 2.0 + 5e-12, 100.0], [0.1, 0.0, 0.0], germ)
+    if c:
+        with pytest.raises(ResonantOrder) as err:
+            build_expansion(s, 3, 8)
+        assert err.value.order == 2
+    else:
+        e = build_expansion(s, 3, 8)
+        res = e.residual_coefficients()
+        for m in range(e.M + 1):
+            assert np.max(np.abs(res[:, m, :])) <= 1e-14 * np.max(np.abs(e.fm[m]))
+
+
 def test_substitution_residual_vanishes(e_p1):
     res = e_p1.residual_coefficients()
     scale = max(np.max(np.abs(level)) for level in e_p1.fm)
@@ -134,6 +170,27 @@ def test_formal_series_agrees_with_two_scale_at_zero_C(p1, e_p1):
     for j in range(p1.n):
         direct = tilde[j].evaluate(x)
         assert abs(value[j] - direct) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("name", ["e_p1", "e_abel"])
+def test_levels_evaluate_as_one_horner_sum_each(name, request):
+    # all levels share one Horner loop; each must come out bitwise as if
+    # evaluated alone and the levels summed in order of m
+    e = request.getfixturevalue(name)
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        x = complex(rng.uniform(8.0, 14.0), rng.uniform(-3.0, 3.0))
+        xi = e.reliability_radius() * rng.uniform(0.05, 0.5) * cmath.exp(2j * math.pi * rng.uniform())
+        C = xi / e.xi(1.0, x)
+        value, _ = eval_two_scale(e, C, x, m_used=e.M)
+        xi, ref, xm = e.xi(C, x), np.zeros(e.system.n, dtype=e.fm[0].dtype), 1.0 + 0.0j
+        for level in e.fm:
+            acc = level[:, -1].copy()
+            for k in range(e.K - 1, -1, -1):
+                acc = acc * xi + level[:, k]
+            ref += acc * xm
+            xm /= x
+        assert np.array_equal(value, ref)
 
 
 def test_two_scale_profile_value(p1):

@@ -50,6 +50,16 @@ def test_extended_build_matches_double(p1):
     assert p1.field(20.0, ext.fm[2][:, 3]).dtype == np.complex128
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="numpy.longdouble is no wider than double on this platform")
+def test_extended_abel_build_keeps_its_precision(abel):
+    # LAPACK solves each level in complex128; the refinement step, whose
+    # residual is formed in clongdouble, must bring every row back below
+    # what double arithmetic can reach
+    e = build_expansion(abel, 8, 48, dtype=np.clongdouble)
+    assert max(_relative_residual_rows(e)) < 2e-17
+
+
 def test_extended_validate_matches_double(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "p1", "--C", "12", "--n", "8..9", "--extract"]
