@@ -36,7 +36,6 @@ from .systems import (
     builtin,
     builtin_map,
     identity_map,
-    map_point,
     stokes_directions,
     validate_system,
 )

@@ -24,18 +24,19 @@ M+1 is computed only to xi^1, to pin c_M.
 At xi^2..xi^K every level m >= 1 solves a linear equation whose operator
 Lambda - xi d/dxi - d_y g(0, F_0) is the same for every m and
 lower-triangular in k.  It is assembled once per build and solved for a
-whole level at once, followed by one refinement step whose residual
-comes from the same running products as the boundary cells, formed in
-the build's dtype.
+whole level at once, followed by one refinement step whose residual is
+formed in the build's dtype.
 
-The same running products, over one index, give the Taylor jet of a
-solution in x about any point, and of F_0 in xi; the pole hunts and C
-ladders of :mod:`transasym.validate` walk and read the first, and
-``continue_f0`` walks the second.  For the jets the right side is
-compiled once per system into a monomial table (state rows, a constant
-row, product chains grouped by length, one coefficient matrix), kept on
-the ``NormalSystem``; one kernel call computes the jets of many walks,
-one lane each, and no lane's arithmetic depends on the others.
+The right side -L y + z A y + g(z, y) is compiled once per system into a
+monomial table (state rows, a constant row, product chains grouped by
+length, one coefficient matrix), kept on the ``NormalSystem``.  The
+build and both jet kernels run on that one table.  The build fills its
+running products over two indices, z^m and xi^k; over one index they
+give the Taylor jet of a solution in x about any point, and of F_0 in
+xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
+read the first, and ``continue_f0`` walks the second; one kernel call
+computes the jets of many walks, one lane each, and no lane's arithmetic
+depends on the others.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -76,187 +77,15 @@ __all__ = [
 # -- the coefficient recursion -----------------------------------------------
 
 
-def _product_chains(germ, Y: np.ndarray):
-    """Running products of the germ's monomials over the coefficients Y[j].
-
-    Returns (consts, monomials, steps): ``consts`` maps a z power to the
-    coefficient of a y-free term; each monomial is (z power, chain, vec),
-    its chain the array of its product's coefficients, shaped like Y[j];
-    each step (Q, head, tail) makes chain Q the product of the shorter
-    chain ``head`` and the factor ``tail``.  Steps are ordered so that a
-    head is filled before the chains built on it.
-    """
-    consts: dict[int, np.ndarray] = {}
-    monomials: list[tuple[int, np.ndarray, np.ndarray]] = []
-    chains: dict[tuple[int, ...], np.ndarray] = {(j,): Y[j] for j in range(germ.dims)}
-    for (i, k), vec in germ.terms.items():
-        factors = tuple(j for j, p in enumerate(k) for _ in range(p))
-        if not factors:
-            consts[i] = vec
-            continue
-        for length in range(2, len(factors) + 1):
-            chains.setdefault(factors[:length], np.zeros(Y.shape[1:], dtype=Y.dtype))
-        monomials.append((i, chains[factors], vec))
-    steps = [(chains[key], chains[key[:-1]], Y[key[-1]])
-             for key in sorted(chains, key=len) if len(key) >= 2]
-    return consts, monomials, steps
-
-
-def _extend_chains(steps, idx: tuple[int, ...]) -> None:
-    """Fill entry ``idx`` of every chain: one Cauchy-product sum per step."""
-    lo = tuple(slice(i + 1) for i in idx)
-    rev = tuple(slice(i, None, -1) for i in idx)
-    for Q, head, tail in steps:
-        Q[idx] = (head[lo] * tail[rev]).sum()
-
-
-def _level_operator(germ, lam, F0: np.ndarray, K: int, sing: np.ndarray) -> np.ndarray:
-    """The operator of every level m >= 1 on its coefficients at xi^2..xi^K.
-
-    Row and column (k-2) n + j stand for component j at xi^k; entry
-    (k, k') is diag(lam - k) - [d_y g(0, F_0)]_{k-k'}, whose xi-series
-    comes from the germ's z^0 monomials and F_0.  It is lower-triangular
-    because F_0(0) = 0 and g(0, y) = O(|y|^2).  Rows where ``sing``
-    (K-1, n) is set are unit rows, so a zero right side there solves
-    that component to 0.  Computed in complex128, which is what LAPACK
-    solves in.
-    """
-    n = len(lam)
-    J = np.zeros((K - 1, n, n), dtype=np.complex128)   # J[d] = [xi^d] d_y g(0, F_0)
-    for (i, p), vec in germ.terms.items():
-        if i > 0:
-            continue
-        for b in np.flatnonzero(p):
-            # d y^p / d y_b = p_b y^(p - e_b), a product of at least one factor
-            factors = [j for j, q in enumerate(p) for _ in range(q - (j == b))]
-            f = F0[factors[0], : K - 1]
-            for j in factors[1:]:
-                f = np.convolve(f, F0[j, : K - 1])[: K - 1]
-            J[:, :, b] += p[b] * f[:, None] * vec
-    A = np.zeros((K - 1, n, K - 1, n), dtype=np.complex128)
-    k = np.arange(K - 1)
-    for d in range(1, K - 1):
-        A[k[d:], :, k[:-d], :] = -J[d]
-    A = A.reshape(n * (K - 1), n * (K - 1))
-    A[np.diag_indices_from(A)] = (lam - np.arange(2, K + 1)[:, None]).ravel()
-    rows = np.flatnonzero(sing)
-    A[rows] = 0
-    A[rows, rows] = 1
-    return A
-
-
-def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
-                  dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
-    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
-
-    Each germ monomial keeps its running coefficients as a chain of
-    partial products (y_a y_b, then y_a y_b y_c, ...).  A product's
-    (m, k) coefficient never involves Y_{m,k}, since Y_{0,0} = 0.  The
-    boundary cells (columns xi^0 and xi^1, then row 0) are solved one at
-    a time, each chain extended by one sliced sum per cell.  Then each
-    level m >= 1 is solved at xi^2..xi^K at once: its right side comes
-    from the chain rows with those coefficients still 0, the shared
-    level operator is solved by substitution in complex128, one
-    refinement step solves for the residual formed by the same chain
-    sums in ``dtype``, and the level's chain rows are formed again from
-    the result.  With M >= 1 and K >= 1 the returned array also carries
-    row M+1 through xi^1.
-    """
-    bad = s.germ.order_violations()
-    if bad:
-        terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
-        raise ValueError(f"germ breaks the order condition at {terms}")
-    n, lam, alpha = s.n, s.lam, s.alpha
-    alpha1 = alpha[0]
-    rows = M + 2 if M >= 1 and K >= 1 else M + 1
-    Y = np.zeros((n, rows, K + 1), dtype=dtype)
-    consts, monomials, steps = _product_chains(s.germ, Y)
-
-    def rhs_terms(m: int, k: int) -> list[np.ndarray]:
-        terms = [vec * Q[m - i, k] for i, Q, vec in monomials if i <= m]
-        if k == 0 and m in consts:
-            terms.append(consts[m])
-        if m >= 1:
-            prev = Y[:, m - 1, k]
-            terms.append(-(alpha1 * prev * k))
-            terms.append(((m - 1) + alpha) * prev)
-        return terms
-
-    lam_max = float(np.max(np.abs(lam)))
-    zero = np.zeros(n, dtype=dtype)
-    pinned: list[complex] = []
-
-    # the boundary cells in order: columns xi^0 and xi^1 of every row, then F_0
-    boundary = [(m, k) for k in range(min(K, 1) + 1) for m in range(rows)]
-    for m, k in boundary + [(0, k) for k in range(2, K + 1)]:
-        _extend_chains(steps, (m, k))
-        denom = lam - k
-        if m == 0:
-            if k == 1:
-                Y[0, 0, 1] = 1.0
-            elif k >= 2:
-                if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
-                    raise ResonantOrder(k)
-                Y[:, 0, k] = sum(rhs_terms(0, k), zero) / denom
-            continue
-        if k == 1 and m >= 2:
-            # solvability of the first component pins c_{m-1}, slope m - 1
-            Y[0, m - 1, 1] = -sum(rhs_terms(m, 1), zero)[0] / (m - 1)
-            pinned.append(complex(Y[0, m - 1, 1]))
-            if m == M + 1:
-                continue
-        terms = rhs_terms(m, k)
-        r = sum(terms, zero)
-        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
-        if np.any(sing):
-            scale = np.max(np.abs(terms), axis=0)
-            if np.any(np.abs(r[sing]) > tol * scale[sing]):
-                raise ResonantOrder(k)
-            r = np.where(sing, 0, r)
-        Y[:, m, k] = r / np.where(sing, 1, denom)
-    if M == 0 or K < 2:
-        return Y, pinned
-
-    ks = np.arange(2, K + 1)
-    diag = lam[:, None] - ks
-    sing = np.abs(diag) < 1e-12 * np.maximum(1.0, lam_max + ks)
-    A = _level_operator(s.germ, lam, Y[:, 0], K, sing.T)
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True).reshape(K - 1, n).T
-
-    for m in range(1, M + 1):
-        # chain sums over rows 1..m-1, fixed while level m is solved
-        base = [sum(np.convolve(head[a], tail[m - a]) for a in range(1, m))
-                for _, head, tail in steps]
-
-        def level_terms() -> list[np.ndarray]:
-            for (Q, head, tail), b in zip(steps, base):
-                Q[m, 2:] = (b + np.convolve(head[0], tail[m]) + np.convolve(head[m], tail[0]))[2 : K + 1]
-            prev = Y[:, m - 1, 2:]
-            return [vec[:, None] * Q[m - i, 2:] for i, Q, vec in monomials if i <= m] \
-                + [-(alpha1 * prev * ks), ((m - 1) + alpha)[:, None] * prev]
-
-        Y[:, m, 2:] = solve(sum(level_terms()))
-        terms = level_terms()
-        r = sum(terms)
-        # a singular component must vanish within tol of the largest term entering it
-        bad = sing & (np.abs(r) > tol * np.max(np.abs(terms), axis=0))
-        if np.any(bad):
-            raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
-        Y[:, m, 2:] += solve(r - diag * Y[:, m, 2:])
-        level_terms()   # the solved level's chain rows, read by the levels above
-    return Y, pinned
-
-
 def _program(s: NormalSystem) -> tuple:
     """The right side -L y + z A y + g(z, y) of ``s`` as a monomial table, kept on ``s``.
 
-    Jet-table rows are the state components, a constant 1, then product
+    Table rows are the state components, a constant 1, then product
     chains.  Returns (rows in all, per chain length (chain, head, tail)
     index arrays with row chain = row head times component tail, and per
     monomial m its row ``rows[m]``, z power ``zpow[m]`` and ``coef[:, m]``).
     ``coef`` is C-contiguous, so sums over it run along its memory axis.
+    The hierarchy build and both jet kernels run on this one table.
     """
     if s._program is None:
         n, eye = s.n, np.eye(s.n)
@@ -276,6 +105,147 @@ def _program(s: NormalSystem) -> tuple:
                       np.array([r for r, _ in coef]), np.array([i for _, i in coef]),
                       np.array(list(coef.values())).T.copy())
     return s._program
+
+
+def _level_operator(s: NormalSystem, T0: np.ndarray, K: int, sing: np.ndarray) -> np.ndarray:
+    """The operator of every level m >= 1 on its coefficients at xi^2..xi^K.
+
+    Row and column (k-2) n + j stand for component j at xi^k; block
+    (k, k') is -[d_y f(0, F_0)]_{k-k'}, less k on the diagonal, where
+    f(0, y) = -L y + g(0, y) is the table's z^0 monomials.  Each table
+    row's derivative is carried forward along the chain steps from T0,
+    the table's rows at z^0 through xi^{K-2}.  It is lower-triangular because
+    F_0(0) = 0 and g(0, y) = O(|y|^2).  Rows where ``sing`` (K-1, n) is
+    set are unit rows, so a zero right side there solves that component
+    to 0.  Computed in complex128, which is what LAPACK solves in.
+    """
+    size, steps, rows, zpow, coef = _program(s)
+    n, T0 = s.n, T0.astype(np.complex128)
+    D = np.zeros((size, n, K - 1), dtype=np.complex128)   # D[r, b, d] = [xi^d] dT_r/dy_b
+    D[range(n), range(n), 0] = 1.0
+    for chain, head, tail in (st for group in steps for st in zip(*group)):
+        D[chain] = [np.convolve(D[head, b], T0[tail])[: K - 1] for b in range(n)]
+        D[chain, tail] += T0[head]
+    on = zpow == 0
+    J = np.einsum("im,mbd->dib", coef[:, on], D[rows[on]])   # J[d] = [xi^d] d_y f(0, F_0)
+    A = np.zeros((K - 1, n, K - 1, n), dtype=np.complex128)
+    k = np.arange(K - 1)
+    for d in range(K - 1):
+        A[k[d:], :, k[: K - 1 - d], :] = -J[d]
+    A = A.reshape(n * (K - 1), n * (K - 1))
+    A[np.diag_indices_from(A)] -= np.repeat(np.arange(2, K + 1), n)
+    unit = np.flatnonzero(sing)
+    A[unit] = 0
+    A[unit, unit] = 1
+    return A
+
+
+def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
+                  dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
+    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
+
+    Runs on the system's monomial table (:func:`_program`): one array
+    T[row, m, k] whose first n rows are Y, row n the constant 1, and the
+    rest the product chains.  A chain's (m, k) coefficient never involves
+    Y_{m,k}, since Y_{0,0} = 0.  The right side at (m, k) is coef @
+    T[rows, m - zpow, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read
+    while Y_{m,k} is still 0, so the -L y monomials drop out.  The
+    boundary cells (columns xi^0 and xi^1, then row 0) are solved one at
+    a time, each chain extended by one sliced sum per cell.  Then each
+    level m >= 1 is solved at xi^2..xi^K at once: its chain rows come
+    from ``np.convolve``, the shared level operator is solved by
+    substitution in complex128, and one refinement step solves for the
+    residual, that same sum plus k Y_{m,k}, formed in ``dtype``.  With
+    M >= 1 and K >= 1 the returned array also carries row M+1 through
+    xi^1.
+    """
+    bad = s.germ.order_violations()
+    if bad:
+        terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
+        raise ValueError(f"germ breaks the order condition at {terms}")
+    n, lam, alpha1 = s.n, s.lam, s.alpha[0]
+    size, steps, rows, zpow, coef = _program(s)
+    depth = M + 2 if M >= 1 and K >= 1 else M + 1
+    T = np.zeros((size, depth, K + 1), dtype=dtype)
+    T[n, 0, 0] = 1.0
+    Y = T[:n]
+    # per row m, the monomials that reach it: their coefficients, table rows and rows of T
+    reach = [(coef[:, zpow <= m], rows[zpow <= m], m - zpow[zpow <= m]) for m in range(depth)]
+    kw = np.arange(K + 1)
+    flat = [tuple(map(int, st)) for group in steps for st in zip(*group)]
+
+    def terms(m: int, k: slice) -> np.ndarray:
+        """The right side's terms at z^m over columns k, one per entry of axis 1."""
+        c, r, i = reach[m]
+        t = c[:, :, None] * T[r, i, k]
+        if m == 0:
+            return t
+        prev = Y[:, m - 1, None, k]
+        return np.concatenate([t, (m - 1) * prev, -(alpha1 * prev) * kw[k]], axis=1)
+
+    lam_max = float(np.max(np.abs(lam)))
+    pinned: list[complex] = []
+
+    # the boundary cells in order: columns xi^0 and xi^1 of every row, then F_0
+    boundary = [(m, k) for k in range(min(K, 1) + 1) for m in range(depth)]
+    for m, k in boundary + [(0, k) for k in range(2, K + 1)]:
+        for chain, head, tail in flat:
+            T[chain, m, k] = (T[head, : m + 1, : k + 1] * T[tail, m::-1, k::-1]).sum()
+        cell = slice(k, k + 1)
+        denom = lam - k
+        if m == 0:
+            if k == 1:
+                Y[0, 0, 1] = 1.0
+            elif k >= 2:
+                if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
+                    raise ResonantOrder(k)
+                Y[:, 0, k] = terms(0, cell)[..., 0].sum(1) / denom
+            continue
+        if k == 1 and m >= 2:
+            # solvability of the first component pins c_{m-1}, slope m - 1
+            Y[0, m - 1, 1] = -terms(m, cell)[0, :, 0].sum() / (m - 1)
+            pinned.append(complex(Y[0, m - 1, 1]))
+            if m == M + 1:
+                continue
+        t = terms(m, cell)[..., 0]
+        r = t.sum(1)
+        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
+        if np.any(sing):
+            if np.any(np.abs(r[sing]) > tol * np.max(np.abs(t), axis=1)[sing]):
+                raise ResonantOrder(k)
+            r = np.where(sing, 0, r)
+        Y[:, m, k] = r / np.where(sing, 1, denom)
+    if M == 0 or K < 2:
+        return Y, pinned
+
+    ks = kw[2:]
+    sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, lam_max + ks)
+    A = _level_operator(s, T[:, 0, : K - 1], K, sing.T)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True).reshape(K - 1, n).T
+
+    for m in range(1, M + 1):
+        # chain sums over rows 1..m-1, fixed while level m is solved
+        base = [sum(np.convolve(T[head, a], T[tail, m - a]) for a in range(1, m))
+                for _, head, tail in flat]
+
+        def level_terms() -> np.ndarray:
+            for (chain, head, tail), b in zip(flat, base):
+                T[chain, m, 2:] = (b + np.convolve(T[head, 0], T[tail, m])
+                                   + np.convolve(T[head, m], T[tail, 0]))[2 : K + 1]
+            return terms(m, slice(2, None))
+
+        Y[:, m, 2:] = solve(level_terms().sum(1))
+        t = level_terms()
+        r = t.sum(1) + ks * Y[:, m, 2:]
+        # a singular component must vanish within tol of the largest term entering it
+        bad = sing & (np.abs(r) > tol * np.max(np.abs(t), axis=1))
+        if np.any(bad):
+            raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
+        Y[:, m, 2:] += solve(r)
+        level_terms()   # the solved level's chain rows, read by the levels above
+    return Y, pinned
 
 
 def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
@@ -481,7 +451,8 @@ class TwoScaleExpansion:
             row = -xi_dFm + self.system.lam[:, None] * Fm - gfull[:, m, :]
             if m >= 1:
                 prev = self.fm[m - 1]
-                row += alpha1 * prev * k_weights[None, :] - ((m - 1) + self.system.alpha)[:, None] * prev
+                row += alpha1 * prev * k_weights[None, :] - (m - 1) * prev \
+                    - self.system.alpha[:, None] * prev
             res[:, m, :] = row
         return res
 

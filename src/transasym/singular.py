@@ -241,9 +241,6 @@ class SingularityArray:
     def diverged(self) -> tuple[int, ...]:
         return tuple(e.n for e in self.entries if not e.converged)
 
-    def refined(self) -> np.ndarray:
-        return np.array([e.x_ref for e in self.entries if e.converged])
-
     def spacings(self) -> np.ndarray:
         """x_{n+1} - x_n over consecutive converged entries (near 2 pi i)."""
         xs = {e.n: e.x_ref for e in self.entries if e.converged}

@@ -39,7 +39,6 @@ __all__ = [
     "builtin",
     "builtin_map",
     "identity_map",
-    "map_point",
     "stokes_directions",
     "validate_system",
 ]
@@ -95,7 +94,7 @@ class NormalSystem:
         self.observable.setflags(write=False)
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
         self.params = dict(params or {})
-        self._program = None  # the Taylor-jet kernels' monomial table, compiled on first use
+        self._program = None  # one monomial table for the build and the jet kernels, made on first use
 
     def __repr__(self) -> str:
         return f"NormalSystem(label={self.label!r}, n={self.n})"
@@ -189,6 +188,7 @@ class CoordinateMap:
                 )
 
     def apply(self, direction: str, value, cut_tol: float = 1e-9) -> complex:
+        """Forward or inverse image of a point under the declared branch."""
         value = complex(value)
         if direction == "forward":
             self._check_cut(value, self.forward_cuts, cut_tol)
@@ -197,11 +197,6 @@ class CoordinateMap:
             self._check_cut(value, self.inverse_cuts, cut_tol)
             return complex(self.inverse(value))
         raise ValueError("direction must be 'forward' or 'inverse'")
-
-
-def map_point(m: CoordinateMap, direction: str, value) -> complex:
-    """Forward or inverse image of a point under the declared branch."""
-    return m.apply(direction, value)
 
 
 def identity_map() -> CoordinateMap:
@@ -411,11 +406,6 @@ class StokesData:
     points: dict
     stokes_directions: tuple
     antistokes_directions: tuple
-
-    @property
-    def p_values(self) -> tuple:
-        vals = sorted(set(self.points.values()), key=lambda p: (round(p.real, 12), round(p.imag, 12)))
-        return tuple(vals)
 
 
 def _dedup_directions(dirs: Sequence[complex], tol: float = 1e-10) -> tuple:

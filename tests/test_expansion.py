@@ -1,6 +1,7 @@
 """Two-scale expansions: level recursion, evaluation, and Gevrey envelope."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -113,6 +114,39 @@ def test_level_resonance_at_xi_two(c):
         res = e.residual_coefficients()
         for m in range(e.M + 1):
             assert np.max(np.abs(res[:, m, :])) <= 1e-14 * np.max(np.abs(e.fm[m]))
+
+
+def _random_system(seed: int) -> NormalSystem:
+    """A germ of up to six terms z^i y^k, i + |k| <= 5, |coefficient| <= 0.5,
+    obeying the order condition, with no z y_1 term in the first component."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    keys = [(i, k) for i in range(6) for k in itertools.product(range(6), repeat=n)
+            if 2 <= i + sum(k) <= 5]
+    chosen = rng.choice(len(keys), size=6, replace=False)
+    terms = {}
+    for idx in chosen:
+        i, k = keys[idx]
+        vec = 0.5 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+        if i == 1 and k[0] == 1 and sum(k) == 1:
+            vec[0] = 0.0
+        terms[i, k] = vec
+    germ = AnalyticGerm(n, terms)
+    assert germ.order_violations() == []
+    return NormalSystem([1.0, -1.0][:n], rng.uniform(-0.5, 0.5, n), germ, label=f"random{seed}")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_germs_satisfy_the_substitution_identity(seed):
+    # longer chains and more z powers than any builtin reaches
+    s = _random_system(seed)
+    e = build_expansion(s, 4, 24)
+    res = e.residual_coefficients()
+    ext = build_expansion(s, 4, 24, dtype=np.clongdouble)
+    for m in range(e.M + 1):
+        scale = np.max(np.abs(e.fm[m]))
+        assert np.max(np.abs(res[:, m, :])) <= 1e-12 * scale
+        assert np.max(np.abs(ext.fm[m] - e.fm[m])) <= 1e-12 * scale
 
 
 def test_substitution_residual_vanishes(e_p1):

@@ -60,6 +60,49 @@ def test_extended_abel_build_keeps_its_precision(abel):
     assert max(_relative_residual_rows(e)) < 2e-17
 
 
+def _mp(v):
+    """A longdouble or clongdouble value as an exact mpmath number."""
+    import mpmath
+
+    def part(x):
+        hi = float(x)
+        return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+    return mpmath.mpc(part(np.real(v)), part(np.imag(v)))
+
+
+def _mp_formal_series(s, R):
+    """c_2..c_R of the formal solution from L c_r = (A + (r-1) I) c_{r-1} + [z^r] g,
+    in mpmath at the working precision, on the system's double coefficients."""
+    import mpmath
+
+    n, mpc = s.n, mpmath.mpc
+    lam, alpha = [mpc(complex(v)) for v in s.lam], [mpc(complex(v)) for v in s.alpha]
+    c = [[mpc(0)] * n for _ in range(R + 1)]
+    for r in range(2, R + 1):
+        g = [mpc(0)] * n
+        for (i, k), vec in s.germ.terms.items():
+            if i > r:
+                continue
+            prod = [mpc(1)] + [mpc(0)] * r          # [z^b] y^k through b = r
+            for j in (j for j, p in enumerate(k) for _ in range(p)):
+                prod = [mpmath.fsum(prod[a] * c[b - a][j] for a in range(b + 1)) for b in range(r + 1)]
+            g = [g[j] + mpc(complex(vec[j])) * prod[r - i] for j in range(n)]
+        c[r] = [((alpha[j] + (r - 1)) * c[r - 1][j] + g[j]) / lam[j] for j in range(n)]
+    return c
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="numpy.longdouble is no wider than double on this platform")
+def test_extended_abel_series_solves_its_own_coefficients(abel):
+    # (m-1) + alpha rounded to double would leave errors of about 2e-16
+    mpmath = pytest.importorskip("mpmath")
+    e = build_expansion(abel, 10, 2, dtype=np.clongdouble)
+    with mpmath.workdps(50):
+        ref = _mp_formal_series(abel, 10)
+        for m in range(2, 11):
+            assert abs(_mp(e.fm[m][0, 0]) - ref[m][0]) <= 1e-18 * abs(ref[m][0]), m
+
+
 def test_extended_validate_matches_double(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "p1", "--C", "12", "--n", "8..9", "--extract"]

@@ -8,8 +8,8 @@ import pytest
 from transasym.errors import OnBranchCut, UnknownLabel
 from transasym.series import AnalyticGerm
 from transasym.systems import (BUILTIN_LABELS, NormalSystem, builtin,
-                               builtin_map, identity_map, map_point,
-                               stokes_directions, validate_system)
+                               builtin_map, identity_map, stokes_directions,
+                               validate_system)
 
 
 def test_builtin_labels_resolve():
@@ -75,16 +75,16 @@ def test_stokes_directions_p1(p1):
 def test_identity_map_round_trip():
     m = identity_map()
     z = 0.7 - 0.3j
-    assert map_point(m, "forward", z) == z
-    assert map_point(m, "inverse", map_point(m, "forward", z)) == z
+    assert m.apply("forward", z) == z
+    assert m.apply("inverse", m.apply("forward", z)) == z
 
 
 def test_builtin_maps_invert():
     for label in BUILTIN_LABELS:
         m = builtin_map(label)
         z = 2.0 + 1.5j           # away from every cut
-        x = map_point(m, "forward", z)
-        back = map_point(m, "inverse", x)
+        x = m.apply("forward", z)
+        back = m.apply("inverse", x)
         assert abs(back - z) < 1e-9 * max(1.0, abs(z)), label
 
 
@@ -97,5 +97,5 @@ def test_branch_cut_is_one_sided():
     just_above = r * complex(math.cos(cut + 1e-12), math.sin(cut + 1e-12))
     just_below = r * complex(math.cos(cut - 1e-6), math.sin(cut - 1e-6))
     with pytest.raises(OnBranchCut):
-        map_point(m, "forward", just_above)
-    map_point(m, "forward", just_below)   # continuous side passes
+        m.apply("forward", just_above)
+    m.apply("forward", just_below)   # continuous side passes
