@@ -45,6 +45,7 @@ every later operation on the levels keeps that dtype.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -264,6 +265,15 @@ def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
     return T[:, : s.n]
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(top: int, order: int) -> np.ndarray:
+    """Read-only table C(i+k-1, k), i <= top, k <= order: [t^k] (1 + t)^{-i} up to sign."""
+    binom = np.array([[math.comb(a + b - 1, b) if a else float(b == 0) for b in range(order + 1)]
+                      for a in range(top + 1)])
+    binom.flags.writeable = False
+    return binom
+
+
 def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
     """Taylor coefficients a[b, :, k] = [t^k] y_b(x0_b + rho_b t), k <= order.
 
@@ -277,10 +287,9 @@ def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
     _, _, rows, zpow, coef = _program(s)
     x0, rho = np.asarray(x0, dtype=complex), np.asarray(rho, dtype=float)
     i, j = np.arange(zpow.max() + 1)[:, None], np.arange(order + 1)
-    binom = np.array([[math.comb(a + b - 1, b) if a else float(b == 0) for b in range(order + 1)]
-                      for a in range(len(i))])
     # Z[b, m, order - k] = [t^k] z^zpow[m] in lane b, C-contiguous like coef
-    Z = (x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j * binom)[:, zpow, ::-1].copy()
+    Z = (x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j
+         * _binomials(int(zpow.max()), order))[:, zpow, ::-1].copy()
 
     def step(T, k):
         f = (T[:, rows, : k + 1] * Z[:, :, order - k:]).sum(-1)

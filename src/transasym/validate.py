@@ -8,15 +8,16 @@ matching of predicted pole arrays against observed ones.
 Hunts and C ladders walk with Taylor jets of the solution in x, computed
 by the running-product recursion of the two-scale hierarchy (Corliss and
 Chang); ``continue_f0`` walks F_0 in xi the same way.  The walk sums
-each jet inside half its own radius of convergence and lands exactly on
-each waypoint; a jet whose radius falls below 1e-3 of the distance left
-to its waypoint stops it with ``SingularApproach``.  A validation run
-seeds each hunt with the two-scale expansion on the level curve |xi(x)| =
-``anchor_xi`` at the height of its predicted pole, so every walk has
-about the same length whatever the pole's index; the homing reads
-location, exponent and amplitude of the nearest singularity from a jet
-by Domb-Sykes ratio analysis (``radius_estimate``).  No system declares
-its kind of blow-up.  A C ladder walks its ray inward through every rung.
+each jet inside half its own radius of convergence, at every waypoint
+inside its reach; a jet whose radius falls below 1e-3 of the distance
+left to its waypoint stops it with ``SingularApproach``.  A validation
+run seeds each hunt with the two-scale expansion on the level curve
+|xi(x)| = ``anchor_xi`` at the height of its predicted pole, so every
+walk has about the same length whatever the pole's index; the homing
+reads location, exponent and amplitude of the nearest singularity from
+a jet by Domb-Sykes ratio analysis (``radius_estimate``).  No system
+declares its kind of blow-up.  A C ladder walks its ray inward through
+every rung.
 
 Walks are generators that yield jet requests; ``_lockstep`` runs any
 number together, one call of the lane-batched kernel per round.  A
@@ -360,32 +361,39 @@ def _walk(x: complex, y, waypoints, rho: float, centres: list):
     """Taylor steps from (x, y) through each of ``waypoints`` in turn.
 
     A walk for :func:`_lockstep`, in x or in xi as its kernel is.  Each
-    jet, scaled to its own radius, is summed at |t| <= 1/2, less where
-    its last term would pass 1e-16 of the state, and the step that
-    reaches a waypoint lands on it exactly; a jet that terminates is
-    exact and steps straight there.  A jet whose radius is below
-    ``_STOP`` of the distance left to its waypoint raises
-    ``SingularApproach`` at its centre.  ``rho`` is the first jet's trial
-    scale.  Returns the state at every waypoint and the radius of the
-    last jet.
+    jet, scaled to its own radius, reaches |t| <= 1/2, less where its
+    last term would pass 1e-16 of the state.  It is summed at every next
+    waypoint inside its reach, landing on each exactly, or else steps its
+    reach toward the next; the next jet is centred where it ended.  No
+    singularity lies within half a radius, so a skipped waypoint leaves
+    the branch unchanged.  A jet that terminates is exact and reaches
+    every waypoint.  A jet whose radius is below ``_STOP`` of the
+    distance left to the next waypoint raises ``SingularApproach`` at its
+    centre.  ``rho`` is the first jet's trial scale.  Returns the state
+    at every waypoint and the radius of the last jet.
     """
-    states = []
-    for w in waypoints:
-        while x != w:
-            a, rho, exact = yield from _jet(x, y, rho, centres)
-            reach = math.inf
-            if not exact:
-                if rho < _STOP * abs(w - x):
-                    raise SingularApproach(x)
-                top = np.max(np.abs(a[:, -1]))  # exactly 0 sets no truncation limit
-                reach = 0.5 if top == 0 else min(
-                    0.5, (_EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / _ORDER))
-            t = (w - x) / rho
-            short = abs(t) > reach
-            t *= reach / abs(t) if short else 1.0
-            y = a @ t ** np.arange(_ORDER + 1)
-            x = x + rho * t if short else w
-        states.append(y)
+    states, todo, powers = [], list(waypoints), np.arange(_ORDER + 1)
+    while todo:
+        if x == todo[0]:
+            states.append(y)
+            todo.pop(0)
+            continue
+        c = x
+        a, rho, exact = yield from _jet(c, y, rho, centres)
+        reach = math.inf
+        if not exact:
+            if rho < _STOP * abs(todo[0] - c):
+                raise SingularApproach(c)
+            top = np.max(np.abs(a[:, -1]))  # exactly 0 sets no truncation limit
+            reach = 0.5 if top == 0 else min(
+                0.5, (_EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / _ORDER))
+        reached = len(states)
+        while todo and abs(t := (todo[0] - c) / rho) <= reach:
+            x, y = todo.pop(0), a @ t ** powers
+            states.append(y)
+        if len(states) == reached:  # no waypoint inside the reach: step it toward the next
+            t *= reach / abs(t)
+            y, x = a @ t ** powers, c + rho * t
     return states, rho
 
 
@@ -423,8 +431,9 @@ def hunt_singularity(
     Taylor steps walk the polyline through ``via`` to a staging point
     0.35 short of ``target``: each jet, scaled to its own radius (see
     :func:`detect_singularity`), is summed at |t| <= 1/2, less where its
-    last term would pass 1e-16 of the state.  From there each jet is
-    read by ``radius_estimate``; the hunt steps halfway to the estimate,
+    last term would pass 1e-16 of the state, and at every ``via`` point
+    inside its reach (see :func:`_walk`).  From there each jet is read
+    by ``radius_estimate``; the hunt steps halfway to the estimate,
     scales the next jet to the remaining distance, and stops when the
     distance between successive estimates stops shrinking.  It returns
     the estimate before that, with that distance as its spread.  More
@@ -598,16 +607,21 @@ def extraction_ladder(
     would turn outward integration error into e^{+x} contamination of
     the exponentially small residue, while inward they die off and the
     C-carrying mode grows along with the signal.  The walk takes the
-    hunts' Taylor steps (see :func:`hunt_singularity`) in complex128,
-    landing on every rung; more than ``_JET_BUDGET`` jets raise
-    ``NotConverging``, so no estimate comes from an unfinished walk.
+    hunts' Taylor steps (see :func:`_walk`) in complex128, landing on
+    every rung inside each jet's reach; more than ``_JET_BUDGET`` jets
+    raise ``NotConverging``, so no estimate comes from an unfinished walk.
+    One DEBUG record to the ``transasym`` logger carries the attribute
+    ``ladder``, which holds ``C``, ``arg``, ``rungs`` and ``jets``.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 4:
         raise ValueError("need at least 4 ladder radii")
     xs = [r * cmath.exp(1j * arg) for r in radii]
     y = np.asarray(eval_two_scale(e, C, xs[0])[0], dtype=complex)
-    states, _ = _lockstep(s, _x_jet, [_walk(xs[0], y, xs[1:], abs(xs[-1] - xs[0]), [])])[0]
+    centres: list[tuple[complex, np.ndarray]] = []
+    states, _ = _lockstep(s, _x_jet, [_walk(xs[0], y, xs[1:], abs(xs[-1] - xs[0]), centres)])[0]
+    info = {"C": complex(C), "arg": arg, "rungs": len(xs), "jets": len(centres)}
+    _log.debug("ladder at arg %s: %s", arg, info, extra={"ladder": info})
     return extract_C(s, e, zip(xs, [y, *states]), atol=atol)
 
 

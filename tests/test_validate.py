@@ -361,10 +361,62 @@ def test_ladder_past_its_jet_budget_raises_not_converging(monkeypatch, p1, e12_p
     monkeypatch.setattr(validate, "_jet", counted)
     radii = ladder_radii(e12_p1, 1.2)
     extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
-    assert jets[0] >= len(radii) - 1
+    # a jet serves every rung inside its reach, so the walk takes fewer jets than legs
+    assert 1 <= jets[0] < len(radii) - 1
     monkeypatch.setattr(validate, "_JET_BUDGET", jets[0] - 1)
     with pytest.raises(NotConverging):
         extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
+
+
+def test_ladder_logs_its_jets(caplog, p1, e12_p1):
+    radii = ladder_radii(e12_p1, 1.2)
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
+    (ladder,) = [r.ladder for r in caplog.records if hasattr(r, "ladder")]
+    assert ladder["C"] == 12.0 and ladder["arg"] == 1.2 and ladder["rungs"] == len(radii)
+    assert 1 <= ladder["jets"] < len(radii) - 1
+
+
+def _inward_walks():
+    """Strategy: (start, waypoints) on a p1 ray, 3..8 rungs inward from |x| in [25, 45]."""
+    st = pytest.importorskip("hypothesis.strategies")
+    return st.tuples(st.floats(0.8, 1.3), st.floats(25.0, 45.0),
+                     st.lists(st.floats(0.3, 3.0), min_size=3, max_size=8)).map(
+        lambda d: (cmath.rect(d[1], d[0]),
+                   [cmath.rect(r, d[0]) for r in d[1] - np.cumsum(d[2])]))
+
+
+def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
+    # each state of one walk against single-waypoint walks chained leg by leg;
+    # two walks in lockstep end bitwise as they do alone
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def seed(x):
+        return np.asarray(eval_two_scale(e12_p1, 12.0, x)[0], dtype=complex)
+
+    def alone(walk):
+        return validate._lockstep(p1, _x_jet, [walk])[0]
+
+    @hypothesis.settings(max_examples=20, deadline=None, database=None)
+    @hypothesis.given(_inward_walks(), _inward_walks())
+    def check(first, second):
+        lone = []
+        for x0, pts in (first, second):
+            centres, legs = [], []
+            states, _ = alone(validate._walk(x0, seed(x0), pts, abs(pts[-1] - x0), centres))
+            x, y, rho = x0, seed(x0), abs(pts[-1] - x0)
+            for w, got in zip(pts, states, strict=True):
+                (y,), rho = alone(validate._walk(x, y, [w], rho, legs))
+                x = w
+                assert np.max(np.abs(got - y)) <= 1e-12 * np.max(np.abs(y))
+            assert len(centres) <= len(legs)
+            lone.append(states)
+        both = validate._lockstep(p1, _x_jet, [
+            validate._walk(x0, seed(x0), pts, abs(pts[-1] - x0), []) for x0, pts in (first, second)])
+        for (got, _), states in zip(both, lone):
+            assert all(np.array_equal(a, b) for a, b in zip(got, states, strict=True))
+
+    check()
 
 
 def test_estimate_consistency_is_symmetric():
