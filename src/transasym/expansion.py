@@ -28,15 +28,18 @@ whole level at once, followed by one refinement step whose residual is
 formed in the build's dtype.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
-monomial table (state rows, a constant row, product chains grouped by
+monomial table (state rows, a constant row, product chains sorted by
 length, one coefficient matrix), kept on the ``NormalSystem``.  The
 build and both jet kernels run on that one table.  The build fills its
 running products over two indices, z^m and xi^k; over one index they
 give the Taylor jet of a solution in x about any point, and of F_0 in
 xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
 read the first, and ``continue_f0`` walks the second; one kernel call
-computes the jets of many walks, one lane each, and no lane's arithmetic
-depends on the others.
+computes the jets of many walks, one lane each.  The kernels hold the
+table order-major: each Taylor order is one batched matmul and one
+constant selection per chain length, and one batched matmul against a
+step matrix folding the monomials' coefficients.  Lanes share only
+batched matmuls, so no lane's arithmetic depends on the others.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -82,29 +85,35 @@ def _program(s: NormalSystem) -> tuple:
     """The right side -L y + z A y + g(z, y) of ``s`` as a monomial table, kept on ``s``.
 
     Table rows are the state components, a constant 1, then product
-    chains.  Returns (rows in all, per chain length (chain, head, tail)
-    index arrays with row chain = row head times component tail, and per
-    monomial m its row ``rows[m]``, z power ``zpow[m]`` and ``coef[:, m]``).
-    ``coef`` is C-contiguous, so sums over it run along its memory axis.
-    The hierarchy build and both jet kernels run on this one table.
+    chains sorted by length.  Returns (rows in all, per chain length
+    (chain, head, tail) index arrays with row chain = row head times
+    component tail, per monomial m its row ``rows[m]``, z power
+    ``zpow[m]`` and ``coef[:, m]``, per chain length the slices of its
+    heads and its rows and each chain's index among the (head, component)
+    products, and W[p, :, row], the z^p coefficients by row).
     """
     if s._program is None:
         n, eye = s.n, np.eye(s.n)
-        chains: dict[tuple[int, ...], int] = {**{(j,): j for j in range(n)}, (): n}
         terms = [(i, (j,), c * eye[j])
                  for j in range(n) for i, c in ((0, -s.lam[j]), (1, s.alpha[j]))]
         terms += [(i, tuple(j for j, p in enumerate(k) for _ in range(p)), vec)
                   for (i, k), vec in s.germ.terms.items()]
+        keys = dict.fromkeys(f[:L] for _, f, _ in terms for L in range(2, len(f) + 1))
+        chains = {**{(j,): j for j in range(n)}, (): n,
+                  **{k: n + 1 + r for r, k in enumerate(sorted(keys, key=len))}}
         coef: dict[tuple[int, int], np.ndarray] = {}
         for i, factors, vec in terms:
-            for length in range(2, len(factors) + 1):
-                chains.setdefault(factors[:length], len(chains))
             coef[chains[factors], i] = coef.get((chains[factors], i), 0) + vec
-        steps = [[(row, chains[key[:-1]], key[-1]) for key, row in chains.items() if len(key) == L]
+        steps = [tuple(map(np.array, zip(*[(row, chains[key[:-1]], key[-1])
+                                            for key, row in chains.items() if len(key) == L])))
                  for L in range(2, max(map(len, chains)) + 1)]
-        s._program = (len(chains), [tuple(map(np.array, zip(*st))) for st in steps],
-                      np.array([r for r, _ in coef]), np.array([i for _, i in coef]),
-                      np.array(list(coef.values())).T.copy())
+        rows, zpow = np.array([r for r, _ in coef]), np.array([i for _, i in coef])
+        W = np.zeros((zpow.max() + 1, len(chains), n), dtype=complex)
+        W[zpow, rows] = list(coef.values())
+        spans = [slice(0, n)] + [slice(c[0], c[-1] + 1) for c, _, _ in steps]
+        groups = [(a, b, (h - a.start) * n + t) for a, b, (_, h, t) in zip(spans, spans[1:], steps)]
+        s._program = (len(chains), steps, rows, zpow, np.array(list(coef.values())).T.copy(),
+                      groups, W.transpose(0, 2, 1).copy())
     return s._program
 
 
@@ -120,7 +129,7 @@ def _level_operator(s: NormalSystem, T0: np.ndarray, K: int, sing: np.ndarray) -
     set are unit rows, so a zero right side there solves that component
     to 0.  Computed in complex128, which is what LAPACK solves in.
     """
-    size, steps, rows, zpow, coef = _program(s)
+    size, steps, rows, zpow, coef, _, _ = _program(s)
     n, T0 = s.n, T0.astype(np.complex128)
     D = np.zeros((size, n, K - 1), dtype=np.complex128)   # D[r, b, d] = [xi^d] dT_r/dy_b
     D[range(n), range(n), 0] = 1.0
@@ -165,7 +174,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
         terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
         raise ValueError(f"germ breaks the order condition at {terms}")
     n, lam, alpha1 = s.n, s.lam, s.alpha[0]
-    size, steps, rows, zpow, coef = _program(s)
+    size, steps, rows, zpow, coef, _, _ = _program(s)
     depth = M + 2 if M >= 1 and K >= 1 else M + 1
     T = np.zeros((size, depth, K + 1), dtype=dtype)
     T[n, 0, 0] = 1.0
@@ -250,19 +259,23 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
 
 
 def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
-    """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``: order
-    k of the chain rows is one gather-and-sum per chain length, then ``step(T, k)``
-    gives order k+1 of the states from the table T[b, row, :k+1]."""
-    size, steps, _, _, _ = _program(s)
+    """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``: on the
+    order-major table T[b, k, row] and the states reversed in R[b, order - k], order k of
+    each chain length is one batched matmul, heads against states, and one selection; then
+    ``step(T, k)`` gives order k+1 of the states.  Lanes share only batched matmuls."""
+    size, _, _, _, _, groups, _ = _program(s)
     y0 = np.asarray(y0, dtype=complex)
-    T = np.zeros((y0.shape[1], size, order + 1), dtype=complex)
-    T[:, : s.n, 0] = y0.T
-    T[:, s.n, 0] = 1.0
+    B, n = y0.shape[1], s.n
+    T = np.zeros((B, order + 1, size), dtype=complex)
+    R = np.zeros((B, order + 1, n), dtype=complex)
+    T[:, 0, :n] = R[:, order] = y0.T
+    T[:, 0, n] = 1.0
     for k in range(order):
-        for chain, head, tail in steps:
-            T[:, chain, k] = (T[:, head, : k + 1] * T[:, tail, k::-1]).sum(-1)
-        T[:, : s.n, k + 1] = step(T, k)
-    return T[:, : s.n]
+        for heads, chain, sel in groups:
+            P = T[:, : k + 1, heads].transpose(0, 2, 1) @ R[:, order - k :]
+            T[:, k, chain] = P.reshape(B, -1)[:, sel]
+        T[:, k + 1, :n] = R[:, order - k - 1] = step(T, k)
+    return T[:, :, :n].transpose(0, 2, 1).copy()
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,20 +293,21 @@ def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
     One lane b per entry of ``x0`` and ``rho`` (B,) and column of ``y0``
     (n, B).  With [t^k] z^i = C(i+k-1, k) (-rho/x0)^k / x0^i for
     z = 1/(x0 + rho t), order k of y' = -L y + z A y + g(z, y) gives
-    (k+1) a_{k+1} = rho [t^k] f from a_0..a_k.  Lanes share only
-    elementwise products and sums along a fixed axis, so a lane's jet
-    does not depend on the lanes beside it.  Computed in complex128.
+    (k+1) a_{k+1} = rho [t^k] f from a_0..a_k.  One matrix G per call
+    folds rho, ``coef`` and the z-power jets: (k+1) a_{k+1} is G's last
+    (k+1) size columns against orders 0..k of the table.  Computed in complex128.
     """
-    _, _, rows, zpow, coef = _program(s)
+    W = _program(s)[-1]
     x0, rho = np.asarray(x0, dtype=complex), np.asarray(rho, dtype=float)
-    i, j = np.arange(zpow.max() + 1)[:, None], np.arange(order + 1)
-    # Z[b, m, order - k] = [t^k] z^zpow[m] in lane b, C-contiguous like coef
-    Z = (x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j
-         * _binomials(int(zpow.max()), order))[:, zpow, ::-1].copy()
+    i, j = np.arange(len(W))[:, None], np.arange(order + 1)
+    # Z[b, i, order - k] = rho_b [t^k] z^i in lane b
+    Z = (rho[:, None, None] * x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j
+         * _binomials(len(W) - 1, order))[:, :, ::-1]
+    G = np.einsum("biq,ijr->bjqr", Z, W).reshape(len(x0), s.n, -1)
 
     def step(T, k):
-        f = (T[:, rows, : k + 1] * Z[:, :, order - k:]).sum(-1)
-        return rho[:, None] * (f[:, None, :] * coef).sum(-1) / (k + 1)
+        cols = T.reshape(len(T), -1, 1)[:, : (k + 1) * T.shape[2]]
+        return (G[:, :, (order - k) * T.shape[2]:] @ cols)[..., 0] / (k + 1)
 
     return _jets(s, y0, order, step)
 
@@ -304,15 +318,16 @@ def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
     The flow xi F' = Lam F - g(0, F), on the z^0 monomials of the same
     program: order k of (xi0 + rho t) dF/dt = rho (Lam F - g(0, F)) gives
     xi0 (k+1) a_{k+1} = rho ([t^k](Lam F - g(0, F)) - k a_k), without the
-    alternating sum of expanding 1/(xi0 + rho t).  Computed in complex128.
+    alternating sum of expanding 1/(xi0 + rho t).  One matrix per order k
+    folds -rho/xi0, the z^0 monomials and the k a_k term.  Computed in complex128.
     """
-    _, _, rows, zpow, coef = _program(s)
+    W0 = _program(s)[-1][0]
     xi0, rho = np.asarray(xi0, dtype=complex), np.asarray(rho, dtype=float)
-    rows, coef = rows[zpow == 0], coef[:, zpow == 0]
+    k = np.arange(order)[:, None, None]
+    Q = (-rho / xi0)[:, None, None, None] * ((W0 + k * np.eye(*W0.shape)) / (k + 1))
 
     def step(T, k):
-        f = (T[:, rows, k][:, None, :] * coef).sum(-1)  # [t^k](g(0, F) - Lam F)
-        return -rho[:, None] * (f + k * T[:, : s.n, k]) / (xi0[:, None] * (k + 1))
+        return (Q[:, k] @ T[:, k, :, None])[..., 0]
 
     return _jets(s, F0, order, step)
 

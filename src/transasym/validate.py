@@ -407,14 +407,22 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     exponent nearest the read one.  ``NoBlowup`` is raised when the jet
     resolves no single singularity: the ratios have no finite limit or
     it lies beyond two jet radii (an entire solution), or the ratios
-    oscillate (two singularities at about the same distance).  The
-    spread of a single read is 0.
+    oscillate (two singularities at about the same distance), and when
+    a second jet, centred halfway to the read location, reads it more
+    than 1e-3 of its distance away.  The spread of a single read is 0.
     """
     x, y = complex(x), np.asarray(y, dtype=complex)
     # |y / y'| is about the distance to a blow-up: a trial scale in range
     slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
     rho = np.max(np.abs(y)) / np.max(np.abs(slope))
-    return _read(s, x, *_lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0])
+    a, rho, exact = _lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0]
+    first = _read(s, x, a, rho, exact)
+    d = first.location - x
+    y = a @ (d / (2 * rho)) ** np.arange(_ORDER + 1)
+    again = _read(s, x + d / 2, *_lockstep(s, _x_jet, [_jet(x + d / 2, y, abs(d) / 2, [])])[0])
+    if abs(again.location - first.location) > 1e-3 * abs(d):
+        raise NoBlowup(f"the reads from x = {x:.8g} and from halfway to it disagree")
+    return first
 
 
 def hunt_singularity(

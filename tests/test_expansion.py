@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from transasym import oracles
 from transasym.errors import OutsideReliableDisk, ResonantOrder, ScalePastBranch
-from transasym.expansion import (TwoScaleExpansion, build_expansion,
+from transasym.expansion import (TwoScaleExpansion, _x_jet, _xi_jet, build_expansion,
                                  eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
 from transasym.series import AnalyticGerm
@@ -280,3 +281,75 @@ def test_gevrey_single_level_trivial(p1):
     e = build_expansion(p1, 0, 32)
     fit = gevrey_fit(e, 4.0)
     assert fit.B_g == 1.0 and fit.r_squared == 1.0
+
+
+# -- Taylor-jet kernels ------------------------------------------------------
+
+_JET_ORDER = 40
+_QUARTER_TURNS = 0.25 * np.exp(0.5j * np.pi * np.arange(4) + 0.3j)
+
+
+def test_lone_lanes_are_bitwise_lanes_of_a_batch():
+    # p1 has one chain length and z powers up to 4; abel, p2a and p2b have two chain lengths
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    systems = {label: builtin(label)[0] for label in ("p1", "abel", "p2a", "p2b")}
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(systems)), st.integers(1, 16),
+                      st.integers(0, 2**32 - 1))
+    def check(label, B, seed):
+        s, rng = systems[label], np.random.default_rng(seed)
+        y0 = 0.5 * (rng.normal(size=(s.n, B)) + 1j * rng.normal(size=(s.n, B)))
+        x0 = rng.uniform(2.0, 10.0, B) + 1j * rng.uniform(-10.0, 10.0, B)
+        xi0 = rng.uniform(0.05, 1.0, B) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, B))
+        rho = rng.uniform(0.05, 2.0, B)
+        for kernel, c, r in ((_x_jet, x0, rho), (_xi_jet, xi0, 0.1 * rho)):
+            batch = kernel(s, c, y0, r, _JET_ORDER)
+            for b in range(B):
+                lone = kernel(s, c[b : b + 1], y0[:, b : b + 1], r[b : b + 1], _JET_ORDER)
+                assert np.array_equal(lone[0], batch[b])
+
+    check()
+
+
+@pytest.mark.parametrize("label", ["p1", "abel", "p2a"])
+def test_x_jets_sum_to_reference_integration(label):
+    # two lanes, each scaled so its coefficients past order 20 stay below 1;
+    # each sum at |t| = 1/4 against DOP853 at rtol 1e-13 along the same segment
+    s = builtin(label)[0]
+    x0 = np.array([5.0 + 1.0j, 3.0 - 2.0j])
+    y0 = np.array([[0.3 + 0.1j, 0.2 - 0.4j], [-0.2 + 0.2j, 0.1]])[: s.n]
+    a = _x_jet(s, x0, y0, np.ones(2), _JET_ORDER)
+    k = np.arange(20, _JET_ORDER + 1)
+    rho = 1.0 / np.max(np.max(np.abs(a[:, :, 20:]), axis=1) ** (1.0 / k), axis=1)
+    a = _x_jet(s, x0, y0, rho, _JET_ORDER)
+    for b in range(2):
+        for t in _QUARTER_TURNS:
+            d = rho[b] * t
+            ref = solve_ivp(lambda u, v: d * s.field(x0[b] + u * d, v), (0.0, 1.0),
+                            y0[:, b].astype(complex), method="DOP853", rtol=1e-13,
+                            atol=1e-16).y[:, -1]
+            got = a[b] @ t ** np.arange(_JET_ORDER + 1)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("label", ["abel", "p1"])
+def test_xi_jets_sum_to_the_leading_profile(label):
+    # jets at 0.4 of F_0's radius, with scale 0.4 of it, summed at |t| = 1/4,
+    # against F_0 summed from a K = 200 build at the same points
+    s = builtin(label)[0]
+    e = build_expansion(s, 0, 200)
+
+    def F0(xi):
+        return e.fm[0] @ xi ** np.arange(201)
+
+    r = e.reliability_radius()
+    xi0 = 0.4 * r * np.exp(1j * np.array([0.3, 2.0, 4.0]))
+    rho = np.full(3, 0.4 * r)
+    a = _xi_jet(s, xi0, np.array([F0(xi) for xi in xi0]).T, rho, _JET_ORDER)
+    for b in range(3):
+        for t in _QUARTER_TURNS:
+            ref = F0(xi0[b] + rho[b] * t)
+            got = a[b] @ t ** np.arange(_JET_ORDER + 1)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -129,6 +129,13 @@ def test_jet_between_equal_poles_is_no_blowup():
         detect_singularity(_logistic(), 2.0, _logistic_state(2.0))
 
 
+def test_read_not_confirmed_halfway_is_no_blowup():
+    # from 2 + 0.5i the poles at +-i pi are 3.30 and 4.15 away: the first jet
+    # reads a location 0.15 from i pi with exponent 4.4, the halfway jet another
+    with pytest.raises(NoBlowup, match="halfway"):
+        detect_singularity(_logistic(), 2.0 + 0.5j, _logistic_state(2.0 + 0.5j))
+
+
 def test_entire_solution_is_no_blowup(lin):
     with pytest.raises(NoBlowup):
         detect_singularity(lin, 2.0 + 1.0j, [1.0])
