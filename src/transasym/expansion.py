@@ -8,10 +8,11 @@ independent scale) gives, for the coefficients Y_{m,k} = [z^m xi^k] y,
 
 with F_0(0) = 0 and F_0'(0) = e_1.  The right side involves only lower
 orders: Y_{0,0} = 0 and every linear germ term carries a power of z.
-Only F_0 solves a nonlinear equation.  Its row and the columns k = 0 and
-k = 1 of every level are the boundary cells, solved one at a time, k
-outer and m inner.  Column k = 0 is the formal power series: F_m(0) =
-c_m, the coefficient of x^{-m} in the unique formal solution.
+Only F_0 solves a nonlinear equation; its row is the xi-jet of F_0 at
+the regular singular point xi = 0.  The columns k = 0 and k = 1 of every
+level are solved one cell at a time, k outer and m inner.  Column k = 0
+is the formal power series: F_m(0) = c_m, the coefficient of x^{-m} in
+the unique formal solution.
 
 Each level m >= 1 is resonant at xi^1 in the first component; its free
 coefficient c_m = Y_{m,1}[0] is the delayed constant.  It is pinned at
@@ -35,11 +36,12 @@ running products over two indices, z^m and xi^k; over one index they
 give the Taylor jet of a solution in x about any point, and of F_0 in
 xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
 read the first, and ``continue_f0`` walks the second; one kernel call
-computes the jets of many walks, one lane each.  The kernels hold the
-table order-major: each Taylor order is one batched matmul and one
-constant selection per chain length, and one batched matmul against a
-step matrix folding the monomials' coefficients.  Lanes share only
-batched matmuls, so no lane's arithmetic depends on the others.
+computes the jets of many walks, one lane each.  The kernels, and the
+build's F_0 row, hold the table order-major: each Taylor order is one
+batched matmul and one constant selection per chain length, and one
+batched matmul against a step matrix folding the monomials'
+coefficients.  Lanes share only batched matmuls, so no lane's
+arithmetic depends on the others.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -157,104 +159,116 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
     Runs on the system's monomial table (:func:`_program`): one array
     T[row, m, k] whose first n rows are Y, row n the constant 1, and the
     rest the product chains.  A chain's (m, k) coefficient never involves
-    Y_{m,k}, since Y_{0,0} = 0.  The right side at (m, k) is coef @
-    T[rows, m - zpow, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read
-    while Y_{m,k} is still 0, so the -L y monomials drop out.  The
-    boundary cells (columns xi^0 and xi^1, then row 0) are solved one at
-    a time, each chain extended by one sliced sum per cell.  Then each
-    level m >= 1 is solved at xi^2..xi^K at once: its chain rows come
-    from ``np.convolve``, the shared level operator is solved by
-    substitution in complex128, and one refinement step solves for the
-    residual, that same sum plus k Y_{m,k}, formed in ``dtype``.  With
-    M >= 1 and K >= 1 the returned array also carries row M+1 through
-    xi^1.
+    Y_{m,k}, since Y_{0,0} = 0.  The right side at (m, k) is sum_p W[p] @
+    T[:, m - p, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read while
+    Y_{m,k} is still 0, so the -L y monomials drop out.  Each cell of the
+    columns xi^0 and xi^1 extends each chain length by one contraction
+    over (level, xi); F_0's row runs order-major, as :func:`_jets` does.
+    Then each level m >= 1 is solved at xi^2..xi^K at once: its chain
+    rows come from ``np.convolve``, the shared level operator is solved
+    by substitution in complex128, and one refinement step solves for
+    the residual, that same right side plus k Y_{m,k}, formed in
+    ``dtype``.  With M >= 1 and K >= 1 the returned array also carries
+    row M+1 through xi^1.
     """
     bad = s.germ.order_violations()
     if bad:
         terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
         raise ValueError(f"germ breaks the order condition at {terms}")
     n, lam, alpha1 = s.n, s.lam, s.alpha[0]
-    size, steps, rows, zpow, coef, _, _ = _program(s)
+    size, steps, rows, zpow, coef, groups, W = _program(s)
     depth = M + 2 if M >= 1 and K >= 1 else M + 1
     T = np.zeros((size, depth, K + 1), dtype=dtype)
     T[n, 0, 0] = 1.0
     Y = T[:n]
-    # per row m, the monomials that reach it: their coefficients, table rows and rows of T
-    reach = [(coef[:, zpow <= m], rows[zpow <= m], m - zpow[zpow <= m]) for m in range(depth)]
     kw = np.arange(K + 1)
+    Wz = W.swapaxes(0, 1).reshape(n, -1)   # Wz[:, p size + row] = W[p, :, row]
     flat = [tuple(map(int, st)) for group in steps for st in zip(*group)]
 
-    def terms(m: int, k: slice) -> np.ndarray:
-        """The right side's terms at z^m over columns k, one per entry of axis 1."""
-        c, r, i = reach[m]
-        t = c[:, :, None] * T[r, i, k]
-        if m == 0:
-            return t
-        prev = Y[:, m - 1, None, k]
-        return np.concatenate([t, (m - 1) * prev, -(alpha1 * prev) * kw[k]], axis=1)
+    def rhs(m: int, k: slice) -> np.ndarray:
+        """The right side at z^m >= 1 over columns k."""
+        p = min(m, len(W) - 1)
+        t = T[:, m - p : m + 1, k][:, ::-1].swapaxes(0, 1).reshape((p + 1) * size, -1)
+        prev = Y[:, m - 1, k]
+        return Wz[:, : len(t)] @ t + (m - 1) * prev - (alpha1 * prev) * kw[k]
+
+    def scale(m: int, k: slice, j) -> np.ndarray:
+        """The largest term entering components j of the right side at z^m >= 1, columns k."""
+        c, r, i = coef[:, zpow <= m], rows[zpow <= m], m - zpow[zpow <= m]
+        prev = np.abs(Y[j, m - 1, k])
+        return np.maximum(np.abs(c[j, :, None] * T[r, i, k]).max(1),
+                          np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * kw[k]))
 
     lam_max = float(np.max(np.abs(lam)))
     pinned: list[complex] = []
 
-    # the boundary cells in order: columns xi^0 and xi^1 of every row, then F_0
-    boundary = [(m, k) for k in range(min(K, 1) + 1) for m in range(depth)]
-    for m, k in boundary + [(0, k) for k in range(2, K + 1)]:
-        for chain, head, tail in flat:
-            T[chain, m, k] = (T[head, : m + 1, : k + 1] * T[tail, m::-1, k::-1]).sum()
+    Y[0, 0, 1:2] = 1.0   # F_0'(0) = e_1, when K >= 1
+    # columns xi^0 and xi^1 of every level, k outer and m inner
+    for m, k in ((m, k) for k in range(min(K, 1) + 1) for m in range(1, depth)):
+        tails = Y[:, m::-1, k::-1].reshape(n, -1).T
+        for heads, chain, sel in groups:
+            P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
+            T[chain, m, k] = P.reshape(-1)[sel]
         cell = slice(k, k + 1)
-        denom = lam - k
-        if m == 0:
-            if k == 1:
-                Y[0, 0, 1] = 1.0
-            elif k >= 2:
-                if np.any(np.abs(denom) < 1e-12 * (1.0 + k)):
-                    raise ResonantOrder(k)
-                Y[:, 0, k] = terms(0, cell)[..., 0].sum(1) / denom
-            continue
         if k == 1 and m >= 2:
             # solvability of the first component pins c_{m-1}, slope m - 1
-            Y[0, m - 1, 1] = -terms(m, cell)[0, :, 0].sum() / (m - 1)
+            Y[0, m - 1, 1] = -rhs(m, cell)[0, 0] / (m - 1)
             pinned.append(complex(Y[0, m - 1, 1]))
             if m == M + 1:
                 continue
-        t = terms(m, cell)[..., 0]
-        r = t.sum(1)
+        r = rhs(m, cell)[:, 0]
+        denom = lam - k
         sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
         if np.any(sing):
-            if np.any(np.abs(r[sing]) > tol * np.max(np.abs(t), axis=1)[sing]):
+            if np.any(np.abs(r[sing]) > tol * scale(m, cell, sing)[:, 0]):
                 raise ResonantOrder(k)
             r = np.where(sing, 0, r)
         Y[:, m, k] = r / np.where(sing, 1, denom)
-    if M == 0 or K < 2:
+    if K < 2:
         return Y, pinned
 
+    # F_0 at xi^2..xi^K, order-major: F[k, row], and its states reversed, R[K - k] = Y_{0,k}
     ks = kw[2:]
+    resonant = np.abs(lam[:, None] - ks) < 1e-12 * (1.0 + ks)
+    if resonant.any():
+        raise ResonantOrder(int(ks[resonant.any(0)][0]))
+    F, R = T[:, 0].T.copy(), Y[:, 0, ::-1].T.copy()
+    for k in ks:
+        for heads, chain, sel in groups:
+            F[k, chain] = (F[1:k, heads].T @ R[K - k + 1 : K]).reshape(-1)[sel]
+        F[k, :n] = R[K - k] = (W[0] @ F[k]) / (lam - k)
+    T[:, 0] = F.T
+    if M == 0:
+        return Y, pinned
+
     sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, lam_max + ks)
-    A = _level_operator(s, T[:, 0, : K - 1], K, sing.T)
+    A = np.asarray_chkfinite(_level_operator(s, T[:, 0, : K - 1], K, sing.T))
+    checked = np.flatnonzero(sing.any(1))   # components with a singular order
 
     def solve(r: np.ndarray) -> np.ndarray:
-        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True).reshape(K - 1, n).T
+        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True,
+                                check_finite=False).reshape(K - 1, n).T
 
     for m in range(1, M + 1):
         # chain sums over rows 1..m-1, fixed while level m is solved
         base = [sum(np.convolve(T[head, a], T[tail, m - a]) for a in range(1, m))
                 for _, head, tail in flat]
 
-        def level_terms() -> np.ndarray:
+        def level_rhs() -> np.ndarray:
             for (chain, head, tail), b in zip(flat, base):
                 T[chain, m, 2:] = (b + np.convolve(T[head, 0], T[tail, m])
                                    + np.convolve(T[head, m], T[tail, 0]))[2 : K + 1]
-            return terms(m, slice(2, None))
+            return rhs(m, slice(2, None))
 
-        Y[:, m, 2:] = solve(level_terms().sum(1))
-        t = level_terms()
-        r = t.sum(1) + ks * Y[:, m, 2:]
+        Y[:, m, 2:] = solve(level_rhs())
+        r = level_rhs() + ks * Y[:, m, 2:]
         # a singular component must vanish within tol of the largest term entering it
-        bad = sing & (np.abs(r) > tol * np.max(np.abs(t), axis=1))
-        if np.any(bad):
-            raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
+        if checked.size:
+            bad = sing[checked] & (np.abs(r[checked]) > tol * scale(m, slice(2, None), checked))
+            if np.any(bad):
+                raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
         Y[:, m, 2:] += solve(r)
-        level_terms()   # the solved level's chain rows, read by the levels above
+        level_rhs()   # the solved level's chain rows, read by the levels above
     return Y, pinned
 
 
@@ -541,14 +555,15 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
     or ``numpy.clongdouble``.  A germ that breaks the order condition
     g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
 
-    The boundary cells (F_0, and the columns xi^0 and xi^1 of every
-    level) are solved one at a time; each level m >= 1 is then solved at
-    xi^2..xi^K at once with the level operator shared by all m, plus one
-    refinement step in ``dtype`` (see the module docstring).  The free
-    constant c_m of level m is pinned at (m+1, xi^1), where the first
-    component of the right side is d + m c_m; c_M uses row M+1, which is
-    computed through xi^1 only and then dropped.  F_0 raises
-    :class:`ResonantOrder` at any singular order.  A level's singular
+    The columns xi^0 and xi^1 of every level are solved one cell at a
+    time and F_0's row one order at a time; each level m >= 1 is then
+    solved at xi^2..xi^K at once with the level operator shared by all
+    m, plus one refinement step in ``dtype`` (see the module docstring).
+    The free constant c_m of level m is pinned at (m+1, xi^1), where the
+    first component of the right side is d + m c_m; c_M uses row M+1,
+    which is computed through xi^1 only and then dropped.  F_0 raises
+    :class:`ResonantOrder` at its first singular order k >= 2, checked
+    after the columns xi^0 and xi^1.  A level's singular
     component must vanish within ``tol`` of the largest term entering it;
     otherwise :class:`ResonantOrder` names its order.  A z y_1 term in the
     first component of g raises ``ResonantOrder(1)`` that way.
@@ -640,9 +655,16 @@ def gevrey_fit(e: TwoScaleExpansion, rho: float, n_points: int = 256) -> GevreyF
     therefore fit past the hump (everything after the argmax, keeping at
     least four points when available) and r_squared grades that tail fit;
     the prefactor K_g is still inflated over every level, so the envelope
-    bounds the whole family.
+    bounds the whole family.  The sup norms are taken at the ``n_points``
+    roots rho e^{2 pi i j / n_points}: each level's observable, scaled by
+    rho^k and folded k mod ``n_points``, goes through one FFT.
     """
-    sups = [e.observable_series(m).sup_on_circle(rho, n_points) for m in range(e.M + 1)]
+    f, p = np.frexp(rho)   # rho^k = f^k 2^(p k) with f in [0.5, 1): no power overflows
+    k = np.arange(e.K + 1)
+    obs = np.tensordot(np.array(e.fm), e.system.observable, axes=(1, 0)) * f ** k
+    folded = np.zeros((e.M + 1, -(-(e.K + 1) // n_points) * n_points), dtype=obs.dtype)
+    folded[:, : e.K + 1] = np.ldexp(obs.real, p * k) + 1j * np.ldexp(obs.imag, p * k)
+    sups = np.abs(np.fft.fft(folded.reshape(e.M + 1, -1, n_points).sum(1))).max(1)
     logs = np.array([math.log(max(sm, 1e-300)) - math.lgamma(m + 1.0)
                      for m, sm in zip(range(e.M + 1), sups)])
     if e.M == 0:

@@ -168,10 +168,6 @@ class TaylorSeries:
             return acc[()]
         return acc
 
-    def sup_on_circle(self, radius: float, n_points: int = 256) -> float:
-        theta = 2.0 * np.pi * np.arange(n_points) / n_points
-        return float(np.max(np.abs(self.evaluate(radius * np.exp(1j * theta)))))
-
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:

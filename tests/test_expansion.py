@@ -99,6 +99,40 @@ def test_resonant_leading_profile_raises_its_order():
     assert err.value.order == 2
 
 
+def test_leading_profile_raises_its_first_resonant_order():
+    # F_0's orders 2..K are checked at once, before its row is built
+    s = NormalSystem([1, 7], [0, 0], AnalyticGerm(2, {(0, (2, 0)): [1, 1]}))
+    with pytest.raises(ResonantOrder) as err:
+        build_expansion(s, 2, 8)
+    assert err.value.order == 7
+
+
+def test_xi_one_column_resonance_comes_before_the_leading_profile():
+    germ = AnalyticGerm(2, {(0, (2, 0)): [1, 1], (1, (1, 0)): [0.5, 0]})
+    s = NormalSystem([1, 7], [0, 0], germ)
+    with pytest.raises(ResonantOrder) as err:
+        build_expansion(s, 2, 8)
+    assert err.value.order == 1
+
+
+@pytest.mark.parametrize("label", ["p2a", "p2b"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_p2_leading_profile_matches_its_closed_form(label, alpha):
+    e = build_expansion(builtin(label, alpha=alpha)[0], 8, 64)
+    ref = oracles.p2_f0_taylor(label[-1], 64)
+    got = e.observable_series(0).coeffs
+    # per coefficient; the zero coefficients are judged against the largest one
+    den = np.where(ref != 0, np.abs(ref), np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref) / den) <= 1e-10
+
+
+def test_abel_deep_leading_profile_matches_the_inverted_profile(abel):
+    e = build_expansion(abel, 0, 400)
+    for xi in (0.1, 0.1j):
+        ref = oracles.abel_F0_of_xi(xi)
+        assert abs(e.observable_series(0).evaluate(xi) - ref) <= 1e-12 * abs(ref)
+
+
 @pytest.mark.parametrize("c", [0.0, 0.3])
 def test_level_resonance_at_xi_two(c):
     # lambda_2 - 2 = 5e-12 is singular for the levels but not for F_0; the
@@ -269,6 +303,23 @@ def test_gevrey_sup_norm_closed_form(p1):
     e = build_expansion(p1, 0, 64)
     fit = gevrey_fit(e, 6.0)
     assert fit.sup_norms[0] == pytest.approx(24.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("label, M, K, rho, n_points", [
+    ("p1", 16, 64, 6.0, 256),
+    ("abel", 0, 400, None, 256),      # half the radius; K + 1 > n_points
+    ("p1", 2, 300, 9.0, 64),          # terms past order 64 reach 1e-5 of the sup
+    ("p1", 0, 400, 6.0, 256),         # 6^400 overflows; the top coefficients underflow
+])
+def test_gevrey_sup_norms_match_the_circle_values(label, M, K, rho, n_points):
+    e = build_expansion(builtin(label)[0], M, K)
+    rho = 0.5 * e.reliability_radius() if rho is None else rho
+    roots = rho * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    fit = gevrey_fit(e, rho, n_points)
+    for m, sup in enumerate(fit.sup_norms):
+        values = np.polynomial.polynomial.polyval(roots, e.observable_series(m).coeffs)
+        ref = np.max(np.abs(values))
+        assert abs(sup - ref) <= 1e-13 * ref
 
 
 def test_gevrey_envelope_is_upper_bound(e_p1):

@@ -60,6 +60,14 @@ def test_extended_abel_build_keeps_its_precision(abel):
     assert max(_relative_residual_rows(e)) < 2e-17
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="numpy.longdouble is no wider than double on this platform")
+def test_extended_deep_leading_profile_keeps_its_precision(abel):
+    # F_0's row is built order-major; each order divides by lambda - k in clongdouble
+    e = build_expansion(abel, 0, 400, dtype=np.clongdouble)
+    assert _relative_residual_rows(e)[0] < 2e-17
+
+
 def _mp(v):
     """A longdouble or clongdouble value as an exact mpmath number."""
     import mpmath
