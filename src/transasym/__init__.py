@@ -12,7 +12,6 @@ from .errors import (
     OutsideReliableDisk,
     PoleOfOracle,
     ResonantOrder,
-    ScalePastBranch,
     SheetUnreachable,
     SingularApproach,
     StepUnderflow,
@@ -20,13 +19,7 @@ from .errors import (
     UnknownLabel,
     ZeroC,
 )
-from .series import (
-    AnalyticGerm,
-    InvXSeries,
-    LinearSeriesSolution,
-    TaylorSeries,
-    series_field_solve_linear,
-)
+from .series import AnalyticGerm, InvXSeries, TaylorSeries
 from .systems import (
     BUILTIN_LABELS,
     CoordinateMap,
@@ -60,9 +53,7 @@ from .singular import (
 from .validate import (
     CEstimate,
     ComparisonReport,
-    PathSpec,
     PoleObservation,
-    Trajectory,
     ValidationRun,
     anchor_point,
     compare_arrays,
@@ -70,7 +61,6 @@ from .validate import (
     extract_C,
     extraction_ladder,
     hunt_singularity,
-    integrate_path,
     ladder_radii,
     run_validation,
 )

@@ -59,7 +59,7 @@ def _abel_models():
     if "abel" not in _CACHE:
         s = _system("abel")
         e = _expansion("abel", 2, 48)
-        x_a = anchor_point(s, 1.0, 1.2, 1e-3)
+        x_a = anchor_point(s, 1.0, 1.2)
         y_a, _ = eval_two_scale(e, 1.0, x_a)
         arr = predict_array(oracles.XI0, 1.0, 0.2, [2, 3])
         obs = tuple(_hunts(s, [(x_a, y_a, en.x_ref) for en in arr.entries]))

@@ -15,8 +15,9 @@ report    run the numbered release checks
 Complex values are written ``re,im`` (a bare real is accepted); integer
 ranges are ``a..b``, inclusive at both ends.  JSON artifacts are emitted
 with sorted keys and fixed indentation, so identical configurations
-produce byte-identical files.  Exit status: 0 success, 1 usage error,
-2 domain error (including failed release checks).
+produce byte-identical files; they never carry NaN or Infinity.  Exit
+status: 0 success, 1 usage error, 2 domain error (including failed
+release checks).
 
 ``expand`` and ``validate`` take ``--precision double|extended``, the
 dtype (complex128 or clongdouble) of the two-scale hierarchy they build.
@@ -90,7 +91,7 @@ def _fmt_c(z: complex) -> str:
 
 def _dump_json(obj, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -59,11 +59,8 @@ class SingularApproach(TransasymError):
 
 
 class OutsideReliableDisk(TransasymError):
-    """|xi(x)| is too close to (or beyond) the Taylor reliability radius."""
-
-
-class ScalePastBranch(TransasymError):
-    """|xi(x)| exceeds the reliability radius of the expansion's leading profile."""
+    """|xi| lies outside the disk where the Taylor rows can be summed:
+    (|xi| / r)^(K+1) > 1e-8 for the leading profile's reliability radius r."""
 
 
 class NewtonDiverged(TransasymError):

@@ -64,7 +64,6 @@ from .errors import (
     OscillatoryCoefficients,
     OutsideReliableDisk,
     ResonantOrder,
-    ScalePastBranch,
 )
 from .series import InvXSeries, TaylorSeries, complex_array
 from .systems import NormalSystem
@@ -79,6 +78,10 @@ __all__ = [
     "least_term_index",
 ]
 
+
+_TOL = 1e-9  # a singular component must vanish within this of the largest term entering it
+_TAIL = 1e-8  # the largest (|xi| / radius)^(K+1) at which the Taylor rows are summed
+_SUP_POINTS = 256  # roots on the circle where gevrey_fit takes its sup norms
 
 # -- the coefficient recursion -----------------------------------------------
 
@@ -152,7 +155,7 @@ def _level_operator(s: NormalSystem, T0: np.ndarray, K: int, sing: np.ndarray) -
     return A
 
 
-def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
+def _coefficients(s: NormalSystem, M: int, K: int,
                   dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
     """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
 
@@ -220,7 +223,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
         denom = lam - k
         sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
         if np.any(sing):
-            if np.any(np.abs(r[sing]) > tol * scale(m, cell, sing)[:, 0]):
+            if np.any(np.abs(r[sing]) > _TOL * scale(m, cell, sing)[:, 0]):
                 raise ResonantOrder(k)
             r = np.where(sing, 0, r)
         Y[:, m, k] = r / np.where(sing, 1, denom)
@@ -262,9 +265,9 @@ def _coefficients(s: NormalSystem, M: int, K: int, tol: float = 1e-9,
 
         Y[:, m, 2:] = solve(level_rhs())
         r = level_rhs() + ks * Y[:, m, 2:]
-        # a singular component must vanish within tol of the largest term entering it
+        # a singular component must vanish within _TOL of the largest term entering it
         if checked.size:
-            bad = sing[checked] & (np.abs(r[checked]) > tol * scale(m, slice(2, None), checked))
+            bad = sing[checked] & (np.abs(r[checked]) > _TOL * scale(m, slice(2, None), checked))
             if np.any(bad):
                 raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
         Y[:, m, 2:] += solve(r)
@@ -417,9 +420,9 @@ def _compose_germ_bivariate(germ, Y: np.ndarray, mz: int, K: int) -> np.ndarray:
 class TwoScaleExpansion:
     """The computed F_0..F_M with the pinned free constants.
 
-    ``fm`` holds one (n, K+1) coefficient array per m; ``series(m)`` wraps a
-    level as TaylorSeries and ``observable_series(m)`` projects it on the
-    system's observable weights.  ``xi_scale`` is (lambda_1, alpha_1).
+    ``fm`` holds one (n, K+1) coefficient array per m;
+    ``observable_series(m)`` projects a level on the system's observable
+    weights.  ``xi_scale`` is (lambda_1, alpha_1).
     """
 
     def __init__(self, system: NormalSystem, fm: Sequence[np.ndarray],
@@ -436,12 +439,11 @@ class TwoScaleExpansion:
         self._default_fit: "GevreyFit | None" = None
         self._formal: InvXSeries | None = None
 
-    def series(self, m: int) -> tuple[TaylorSeries, ...]:
-        return tuple(TaylorSeries(self.fm[m][j]) for j in range(self.system.n))
-
     def observable_series(self, m: int) -> TaylorSeries:
-        w = self.system.observable
-        return TaylorSeries(np.tensordot(w, self.fm[m], axes=(0, 0)))
+        """w . F_m for a level 0 <= m <= M; any other m raises ``ValueError``."""
+        if not 0 <= m <= self.M:
+            raise ValueError(f"level m = {m} is outside 0..{self.M}")
+        return TaylorSeries(np.tensordot(self.system.observable, self.fm[m], axes=(0, 0)))
 
     def xi(self, C: complex, x: complex) -> complex:
         alpha1 = self.xi_scale[1]
@@ -453,6 +455,15 @@ class TwoScaleExpansion:
         if self._radius is None:
             self._radius = _profile_radius(self.observable_series(0))
         return self._radius
+
+    def _require_disk(self, xi: complex) -> None:
+        """Raise :class:`OutsideReliableDisk` unless the Taylor rows sum at ``xi``:
+        (|xi| / r)^(K+1) <= 1e-8 for the reliability radius r, so |xi| > r fails."""
+        r = self.reliability_radius()
+        if abs(xi) > r or (abs(xi) / r) ** (self.K + 1) > _TAIL:
+            raise OutsideReliableDisk(
+                f"|xi| = {abs(xi):.6g} is outside the disk where the order-{self.K} "
+                f"Taylor rows can be summed (reliability radius {r:.6g})")
 
     def default_fit(self) -> "GevreyFit":
         if self._default_fit is None:
@@ -547,7 +558,7 @@ def _profile_radius(f0: TaylorSeries) -> float:
         return float(min(v ** (-1.0 / k) for k, v in nz))
 
 
-def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
+def build_expansion(s: NormalSystem, M: int, K: int, *,
                     dtype=np.complex128) -> TwoScaleExpansion:
     """Compute F_0..F_M to Taylor order K with delayed-constant pinning.
 
@@ -564,7 +575,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
     which is computed through xi^1 only and then dropped.  F_0 raises
     :class:`ResonantOrder` at its first singular order k >= 2, checked
     after the columns xi^0 and xi^1.  A level's singular
-    component must vanish within ``tol`` of the largest term entering it;
+    component must vanish within 1e-9 of the largest term entering it;
     otherwise :class:`ResonantOrder` names its order.  A z y_1 term in the
     first component of g raises ``ResonantOrder(1)`` that way.
     """
@@ -572,7 +583,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *, tol: float = 1e-9,
         raise ValueError("M must be nonnegative")
     if K < 2:
         raise ValueError("K must be at least 2")
-    Y, consts = _coefficients(s, M, K, tol, np.result_type(dtype, np.complex128))
+    Y, consts = _coefficients(s, M, K, np.result_type(dtype, np.complex128))
     return TwoScaleExpansion(s, [Y[:, m].copy() for m in range(M + 1)], consts, K=K)
 
 
@@ -590,28 +601,22 @@ def least_term_index(b_g: float, x_abs: float, m_cap: int | None = None) -> int:
     return m
 
 
-def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex,
-                   m_used: int | None = None, fit: "GevreyFit | None" = None):
+def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex, m_used: int | None = None):
     """Evaluate sum_{m<=m*} x^{-m} F_m(xi(x)) with a Gevrey error bound.
 
-    m* is ``m_used`` when given, else the least-term rule min(M, floor(|x|/B_g)).
-    Returns (value: n-vector, error_bound: float).
+    m* is ``m_used`` (>= 0) capped at M, else the least-term rule
+    min(M, floor(|x|/B_g)) of ``e.default_fit()``, which gives the bound.
+    Raises :class:`OutsideReliableDisk` for xi outside the disk where the
+    Taylor rows can be summed.  Returns (value: n-vector, error_bound: float).
     """
     x = complex(x)
     if abs(x) <= 1.0:
         raise ValueError("evaluation requires |x| > 1")
+    if m_used is not None and m_used < 0:
+        raise ValueError(f"m_used = {m_used} is negative; levels run 0..{e.M}")
     xi = e.xi(C, x)
-    r = e.reliability_radius()
-    if abs(xi) > r:
-        raise ScalePastBranch(
-            f"|xi| = {abs(xi):.6g} exceeds the reliability radius {r:.6g}"
-        )
-    if math.isfinite(r) and abs(xi) > 0 and (abs(xi) / r) ** (e.K + 1) > 1e-8:
-        raise OutsideReliableDisk(
-            f"Taylor tail at |xi| = {abs(xi):.6g} is not negligible at order {e.K}"
-        )
-    if fit is None:
-        fit = e.default_fit()
+    e._require_disk(xi)
+    fit = e.default_fit()
     m_star = m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M)
     m_star = min(m_star, e.M)
     levels = np.array(e.fm[: m_star + 1])
@@ -647,7 +652,7 @@ class GevreyFit:
         return self.K_g * math.factorial(m) * self.B_g ** m
 
 
-def gevrey_fit(e: TwoScaleExpansion, rho: float, n_points: int = 256) -> GevreyFit:
+def gevrey_fit(e: TwoScaleExpansion, rho: float) -> GevreyFit:
     """Fit the factorial envelope to circle sup norms of the observables.
 
     log(s_m / m!) is affine only asymptotically: the first levels carry a
@@ -655,16 +660,18 @@ def gevrey_fit(e: TwoScaleExpansion, rho: float, n_points: int = 256) -> GevreyF
     therefore fit past the hump (everything after the argmax, keeping at
     least four points when available) and r_squared grades that tail fit;
     the prefactor K_g is still inflated over every level, so the envelope
-    bounds the whole family.  The sup norms are taken at the ``n_points``
-    roots rho e^{2 pi i j / n_points}: each level's observable, scaled by
-    rho^k and folded k mod ``n_points``, goes through one FFT.
+    bounds the whole family.  The sup norms are taken at the 256 roots
+    rho e^{2 pi i j / 256}: each level's observable, scaled by rho^k and
+    folded k mod 256, goes through one FFT.  With c = m 2^q and rho = f 2^p,
+    c rho^k = (m f^k) 2^(q + p k) neither overflows nor goes subnormal early.
     """
-    f, p = np.frexp(rho)   # rho^k = f^k 2^(p k) with f in [0.5, 1): no power overflows
-    k = np.arange(e.K + 1)
-    obs = np.tensordot(np.array(e.fm), e.system.observable, axes=(1, 0)) * f ** k
-    folded = np.zeros((e.M + 1, -(-(e.K + 1) // n_points) * n_points), dtype=obs.dtype)
-    folded[:, : e.K + 1] = np.ldexp(obs.real, p * k) + 1j * np.ldexp(obs.imag, p * k)
-    sups = np.abs(np.fft.fft(folded.reshape(e.M + 1, -1, n_points).sum(1))).max(1)
+    f, p = np.frexp(rho)
+    k, n = np.arange(e.K + 1), _SUP_POINTS
+    obs = np.tensordot(np.array(e.fm), e.system.observable, axes=(1, 0))
+    re, im = (np.ldexp(m * f ** k, q + p * k) for m, q in map(np.frexp, (obs.real, obs.imag)))
+    folded = np.zeros((e.M + 1, -(-(e.K + 1) // n) * n), dtype=obs.dtype)
+    folded[:, : e.K + 1] = re + 1j * im
+    sups = np.abs(np.fft.fft(folded.reshape(e.M + 1, -1, n).sum(1))).max(1)
     logs = np.array([math.log(max(sm, 1e-300)) - math.lgamma(m + 1.0)
                      for m, sm in zip(range(e.M + 1), sups)])
     if e.M == 0:

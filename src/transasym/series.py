@@ -1,18 +1,21 @@
-"""Truncated series arithmetic and sparse analytic germs.
+"""Series carriers, sparse analytic germs, and the series-level reference solver.
 
 Three carriers:
 
 * ``TaylorSeries``   dense Taylor polynomial in the fast variable xi,
-  coefficients c_0..c_K with explicit truncation order K,
+  coefficients c_0..c_K with explicit truncation order K; it evaluates
+  and serializes a level profile,
 * ``InvXSeries``     dense series in inverse powers x^{-r}, r = r_min..R,
   used for formal power-series solutions (r_min = 2),
 * ``AnalyticGerm``   sparse polynomial germ g(z, y) = sum g_{i,k} z^i y^k
   with a total-degree cap, vector valued (one coefficient
   vector per monomial).
 
-All values are immutable after construction and every operation returns a new
-object.  Binary operations never extrapolate: the result carries the minimum
-truncation order of the operands.
+All values are immutable after construction.  The hierarchy itself is
+built on coefficient arrays in :mod:`transasym.expansion`; the carriers
+wrap its rows.  ``compose_germ_series`` and ``series_field_solve_linear``
+compose a germ with, and solve a linear field over, truncated coefficient
+arrays; the build no longer calls them.
 
 Precision follows the data.  The Taylor carriers and the series-level
 composition and solve keep the dtype of the arrays they are given, promoted
@@ -25,7 +28,7 @@ integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -60,27 +63,10 @@ class TaylorSeries:
         c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        if truncation_order is not None:
-            if len(c) != truncation_order + 1:
-                raise ValueError(
-                    f"expected {truncation_order + 1} coefficients for truncation "
-                    f"order {truncation_order}, got {len(c)}"
-                )
+        if truncation_order is not None and len(c) != truncation_order + 1:
+            raise ValueError(f"expected {truncation_order + 1} coefficients for truncation "
+                             f"order {truncation_order}, got {len(c)}")
         self._c = _freeze(c.copy())
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, truncation_order: int) -> "TaylorSeries":
-        return cls(np.zeros(truncation_order + 1, dtype=complex))
-
-    @classmethod
-    def monomial(cls, power: int, truncation_order: int, coefficient=1.0) -> "TaylorSeries":
-        if not 0 <= power <= truncation_order:
-            raise ValueError("monomial power outside truncation range")
-        c = np.zeros(truncation_order + 1, dtype=complex)
-        c[power] = coefficient
-        return cls(c)
 
     # -- views ----------------------------------------------------------------
 
@@ -100,61 +86,6 @@ class TaylorSeries:
         lead = ", ".join(f"{c:.6g}" for c in self._c[:4])
         tail = ", ..." if len(self._c) > 4 else ""
         return f"TaylorSeries([{lead}{tail}], K={self.truncation_order})"
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _K_with(self, other: "TaylorSeries") -> int:
-        return min(self.truncation_order, other.truncation_order)
-
-    def __add__(self, other):
-        if isinstance(other, TaylorSeries):
-            K = self._K_with(other)
-            return TaylorSeries(self._c[: K + 1] + other._c[: K + 1])
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, TaylorSeries):
-            K = self._K_with(other)
-            return TaylorSeries(self._c[: K + 1] - other._c[: K + 1])
-        return NotImplemented
-
-    def __neg__(self):
-        return TaylorSeries(-self._c)
-
-    def __mul__(self, other):
-        if isinstance(other, TaylorSeries):
-            K = self._K_with(other)
-            full = np.convolve(self._c[: K + 1], other._c[: K + 1])
-            return TaylorSeries(full[: K + 1])
-        if isinstance(other, (int, float, complex, np.number)):
-            return TaylorSeries(self._c * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, float, complex, np.number)):
-            return TaylorSeries(self._c / scalar)
-        return NotImplemented
-
-    def derivative(self) -> "TaylorSeries":
-        """d/dxi, truncation order K - 1 (constants keep K = 0)."""
-        if self.truncation_order == 0:
-            return TaylorSeries.zeros(0)
-        k = np.arange(1, len(self._c))
-        return TaylorSeries(self._c[1:] * k)
-
-    def shift_up(self, power: int = 1) -> "TaylorSeries":
-        """Multiply by xi^power.  Exact, so truncation grows to K + power."""
-        if power < 0:
-            raise ValueError("shift power must be nonnegative")
-        c = np.concatenate([np.zeros(power, dtype=self._c.dtype), self._c])
-        return TaylorSeries(c)
-
-    def truncated(self, truncation_order: int) -> "TaylorSeries":
-        if truncation_order > self.truncation_order:
-            raise ValueError("cannot extend a truncated series")
-        return TaylorSeries(self._c[: truncation_order + 1])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -187,14 +118,12 @@ class InvXSeries:
 
     __slots__ = ("_c", "_r_min")
 
-    def __init__(self, coeffs, r_min: int = 2, truncation_order: int | None = None):
+    def __init__(self, coeffs, r_min: int = 2):
         c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         if r_min < 0:
             raise ValueError("r_min must be nonnegative")
-        if truncation_order is not None and len(c) != truncation_order - r_min + 1:
-            raise ValueError("coefficient count does not match truncation order")
         self._c = _freeze(c.copy())
         self._r_min = int(r_min)
 
@@ -203,18 +132,9 @@ class InvXSeries:
         return self._c
 
     @property
-    def r_min(self) -> int:
-        return self._r_min
-
-    @property
     def truncation_order(self) -> int:
         """Largest inverse power R carried."""
         return self._r_min + len(self._c) - 1
-
-    def coefficient(self, r: int) -> complex:
-        if r < self._r_min or r > self.truncation_order:
-            return 0.0 + 0.0j
-        return complex(self._c[r - self._r_min])
 
     def evaluate(self, x, r_max: int | None = None):
         """sum_{r <= r_max} c_r x^{-r} (full truncation by default)."""
@@ -227,18 +147,6 @@ class InvXSeries:
 
     def __repr__(self) -> str:
         return f"InvXSeries(r={self._r_min}..{self.truncation_order})"
-
-    def to_dict(self) -> dict:
-        return {
-            "truncation": self.truncation_order,
-            "r_min": self._r_min,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self._c],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "InvXSeries":
-        coeffs = [complex(re, im) for re, im in d["coeffs"]]
-        return cls(coeffs, r_min=int(d.get("r_min", 2)), truncation_order=int(d["truncation"]))
 
 
 class AnalyticGerm:
@@ -304,13 +212,6 @@ class AnalyticGerm:
 
     def __repr__(self) -> str:
         return f"AnalyticGerm(dims={self._dims}, terms={len(self._terms)}, D={self._degree_cap})"
-
-    def coefficient(self, i: int, k: Sequence[int]) -> np.ndarray:
-        key = (int(i), tuple(int(v) for v in k))
-        vec = self._terms.get(key)
-        if vec is None:
-            return np.zeros(self._dims, dtype=complex)
-        return vec
 
     def order_violations(self) -> list[tuple[int, tuple[int, ...]]]:
         """Terms violating g = O(z^2) + O(|y|^2): nonzero g_{i,k} with

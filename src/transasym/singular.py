@@ -34,6 +34,9 @@ __all__ = [
     "predict_array",
 ]
 
+_NEWTON_TOL = 1e-12  # |xi(x_ref) - xi_s| a refined root meets, relative to max(1, |xi_s|)
+_NEWTON_ITER = 50  # Newton steps before an entry is kept unrefined
+
 @dataclass(frozen=True)
 class RadiusEstimate:
     """Dominant-singularity data read off a truncated Taylor series by
@@ -169,7 +172,9 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *,
     """Continue F_0 along a polyline on Taylor jets of xi F_0' = Lam F_0 - g(0, F_0).
 
     The initial value is summed from the Taylor coefficients at ``path[0]``,
-    which must lie well inside the convergence disk.  Each leg is walked
+    which must lie well inside the convergence disk: the disk rule of
+    :func:`~transasym.expansion.eval_two_scale` raises
+    :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each leg is walked
     like a pole hunt's approach (see :func:`transasym.validate.hunt_singularity`):
     jets in xi scaled to their own radius, summed inside half of it and
     landing exactly on each waypoint, at most ``_JET_BUDGET`` per leg
@@ -185,12 +190,8 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *,
     if len(pts) < 2:
         raise ValueError("path needs at least two waypoints")
     e = build_expansion(s, 0, seed_order)
-    r = e.reliability_radius()
-    xi0 = pts[0]
-    if math.isfinite(r) and (abs(xi0) / r) ** (seed_order + 1) > 1e-8:
-        raise ValueError(
-            f"path start {xi0} is not inside the Taylor seed disk (radius ~ {r:.3g})")
-    y = e.fm[0] @ xi0 ** np.arange(seed_order + 1)
+    e._require_disk(pts[0])
+    y = e.fm[0] @ pts[0] ** np.arange(seed_order + 1)
 
     centres: list[tuple[complex, np.ndarray]] = []
     rho = 0.0
@@ -237,10 +238,6 @@ class SingularityArray:
     def __post_init__(self):
         self.entries = tuple(sorted(self.entries, key=lambda en: en.n))
 
-    @property
-    def diverged(self) -> tuple[int, ...]:
-        return tuple(e.n for e in self.entries if not e.converged)
-
     def spacings(self) -> np.ndarray:
         """x_{n+1} - x_n over consecutive converged entries (near 2 pi i)."""
         xs = {e.n: e.x_ref for e in self.entries if e.converged}
@@ -281,8 +278,7 @@ class SingularityArray:
             return cls.from_dict(json.load(fh))
 
 
-def predict_array(xi_s, C, alpha1, n_range: Iterable[int], *,
-                  newton_tol: float = 1e-12, max_iter: int = 50) -> SingularityArray:
+def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:
     """Solve C e^{-x} x^{alpha_1} = xi_s for the array of roots x_n.
 
     The asymptotic seed x_n ~ 2 pi i n + alpha_1 Log(2 pi i n) + Log C
@@ -290,9 +286,9 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int], *,
     branches of Log C or Log xi_s re-indexes the same solution family
     through n, so only n varies here.  Each seed is Newton-refined on
     h(x) = -x + alpha_1 Log x + Log C - Log xi_s + 2 pi i n, whose roots
-    are exactly the preimages.  Entries whose refinement fails to meet
-    tolerance are kept with x_ref = None and listed in ``diverged``;
-    the other entries are unaffected.
+    are exactly the preimages, until |xi(x) - xi_s| <= 1e-12 max(1, |xi_s|).
+    An entry that does not meet that within 50 steps is kept with
+    x_ref = None (``converged`` false); the other entries are unaffected.
     """
     C = complex(C)
     xi_sc = complex(xi_s)
@@ -302,7 +298,7 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int], *,
         raise ValueError("xi_s must be nonzero")
     a1 = complex(alpha1)
     base0 = cmath.log(C) - cmath.log(xi_sc)
-    tol_abs = newton_tol * max(1.0, abs(xi_sc))
+    tol_abs = _NEWTON_TOL * max(1.0, abs(xi_sc))
 
     entries = []
     for n in n_range:
@@ -313,7 +309,7 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int], *,
         base = base0 + tpin
         x = x_asym = tpin + a1 * cmath.log(tpin) + base0
         x_ref = resid = None
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_ITER):
             if x == 0 or not (math.isfinite(x.real) and math.isfinite(x.imag)):
                 break
             xi_val = C * cmath.exp(-x + a1 * cmath.log(x))

@@ -108,13 +108,6 @@ class NormalSystem:
         z = 1.0 / x
         return -self.lam * y + z * (self.alpha * y) + self.germ.evaluate(z, y)
 
-    def observable_value(self, y):
-        """w . y for the declared observable weights."""
-        y = np.asarray(y)
-        if y.ndim == 1:
-            return complex(np.dot(self.observable, y))
-        return y @ self.observable
-
     def to_dict(self) -> dict:
         d = {
             "n": self.n,
@@ -146,6 +139,8 @@ class NormalSystem:
 
 # -- coordinate maps ---------------------------------------------------------
 
+_CUT_TOL = 1e-9  # how far past a cut angle, in radians, a point counts as on the cut
+
 
 def _wrap_angle(a: float) -> float:
     """Reduce to (-pi, pi]."""
@@ -165,7 +160,7 @@ class CoordinateMap:
     reproducible.  Each direction declares the angles of its branch cuts;
     the convention is that a cut ray is approached continuously from
     arguments just below the cut angle and jumps just above it, so only the
-    just-above side raises :class:`OnBranchCut`.
+    just-above side, within 1e-9 rad of the cut, raises :class:`OnBranchCut`.
     """
 
     label: str
@@ -175,26 +170,26 @@ class CoordinateMap:
     forward_cuts: tuple[float, ...] = ()
     inverse_cuts: tuple[float, ...] = ()
 
-    def _check_cut(self, value: complex, cuts: tuple[float, ...], tol: float) -> None:
+    def _check_cut(self, value: complex, cuts: tuple[float, ...]) -> None:
         if not cuts or value == 0:
             return
         a = math.atan2(value.imag, value.real)
         for cut in cuts:
             d = _wrap_angle(a - cut)
-            if 0.0 < d <= tol:
+            if 0.0 < d <= _CUT_TOL:
                 raise OnBranchCut(
                     f"point with argument {a:.12f} lies on the discontinuous side "
                     f"of the {self.label} cut at angle {cut:.12f}"
                 )
 
-    def apply(self, direction: str, value, cut_tol: float = 1e-9) -> complex:
+    def apply(self, direction: str, value) -> complex:
         """Forward or inverse image of a point under the declared branch."""
         value = complex(value)
         if direction == "forward":
-            self._check_cut(value, self.forward_cuts, cut_tol)
+            self._check_cut(value, self.forward_cuts)
             return complex(self.forward(value))
         if direction == "inverse":
-            self._check_cut(value, self.inverse_cuts, cut_tol)
+            self._check_cut(value, self.inverse_cuts)
             return complex(self.inverse(value))
         raise ValueError("direction must be 'forward' or 'inverse'")
 
@@ -277,8 +272,7 @@ def _p2_map(label: str, A: complex, winding: int = 0) -> CoordinateMap:
 # -- built-in systems --------------------------------------------------------
 
 
-def _second_order_germ(a: complex, N: Mapping[tuple[int, int], complex],
-                       degree_cap: int = 12) -> AnalyticGerm:
+def _second_order_germ(a: complex, N: Mapping[tuple[int, int], complex]) -> AnalyticGerm:
     """Germ of the 2-system for h'' + h'/t - h - 2a h/t + N(h, 1/t) = 0.
 
     In u1 = (h - h')/2, u2 = (h + h')/2 the off-diagonal 1/t couplings and
@@ -304,7 +298,7 @@ def _second_order_germ(a: complex, N: Mapping[tuple[int, int], complex],
         for q in range(p + 1):
             b = c * math.comb(p, q)
             add(i, (q, p - q), b / 2.0, -b / 2.0)
-    return AnalyticGerm(2, terms, degree_cap=degree_cap)
+    return AnalyticGerm(2, terms)
 
 
 _XI0_ABEL = 3.0 ** -0.5 * math.exp(-math.pi * math.sqrt(3.0) / 6.0)
@@ -483,10 +477,14 @@ class DiagnosticsReport:
         return "\n".join(self.summary_lines())
 
 
-def validate_system(s: NormalSystem, k_max: int, tol: float = 1e-9) -> DiagnosticsReport:
-    """Report germ order violations, small-|k| near-resonances, duplicate
-    eigenvalue arguments, and zero eigenvalues.  Z-independence cannot be
-    certified at finite k_max, so resonances are warnings only."""
+_RESONANCE_TOL = 1e-9  # |k . lambda - lambda_j| below which validate_system warns
+
+
+def validate_system(s: NormalSystem, k_max: int) -> DiagnosticsReport:
+    """Report germ order violations, small-|k| near-resonances
+    (|k . lambda - lambda_j| < 1e-9), duplicate eigenvalue arguments, and
+    zero eigenvalues.  Z-independence cannot be certified at finite
+    k_max, so resonances are warnings only."""
     report = DiagnosticsReport(label=s.label, k_max=k_max)
     report.order_violations = list(s.germ.order_violations())
     lam = s.lam
@@ -496,7 +494,7 @@ def validate_system(s: NormalSystem, k_max: int, tol: float = 1e-9) -> Diagnosti
             if sum(k) > k_max or k == e_j:
                 continue
             dev = abs(complex(np.dot(np.asarray(k), lam) - lam[j]))
-            if dev < tol:
+            if dev < _RESONANCE_TOL:
                 report.near_resonances.append((j + 1, k, dev))
     args = [math.atan2(complex(v).imag, complex(v).real) for v in lam]
     for i in range(s.n):

@@ -12,7 +12,7 @@ each jet inside half its own radius of convergence, at every waypoint
 inside its reach; a jet whose radius falls below 1e-3 of the distance
 left to its waypoint stops it with ``SingularApproach``.  A validation
 run seeds each hunt with the two-scale expansion on the level curve
-|xi(x)| = ``anchor_xi`` at the height of its predicted pole, so every
+|xi(x)| = 1e-3 at the height of its predicted pole, so every
 walk has about the same length whatever the pole's index; the homing
 reads location, exponent and amplitude of the nearest singularity from
 a jet by Domb-Sykes ratio analysis (``radius_estimate``).  No system
@@ -87,6 +87,9 @@ _JET_BUDGET = 100  # jets one hunt or one ladder may compute
 _STAGING = 0.35  # how far short of its target a walk hands over to homing
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
 _STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
+_ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
+_RUNGS, _SPAN = 8, 7.0  # rungs of a C ladder, and its half-width in |x|
+_ANCHOR_ARG, _ANCHOR_XI = 1.2, 1e-3  # ray of a validation run's anchor, and |xi| there
 
 _log = logging.getLogger("transasym")
 
@@ -537,13 +540,7 @@ class CEstimate:
         }
 
 
-def extract_C(
-    s: NormalSystem,
-    e: TwoScaleExpansion,
-    samples: Iterable,
-    *,
-    atol: float = 1e-8,
-) -> CEstimate:
+def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEstimate:
     """Recover C from solution samples on a ray in the transseries sector.
 
     Each sample is a pair (x, y).  The formal series of ``e.system``,
@@ -552,7 +549,7 @@ def extract_C(
     its sensitivity), the residue is divided by e^{-x} x^{alpha_1}, and
     the resulting per-sample estimates are extrapolated to |x| = inf.
     Raises ``NotConverging`` when the extrapolation steps stay larger
-    than max(0.1 |value|, atol).
+    than max(0.1 |value|, 1e-8).
     """
     pts = sorted(
         ((complex(x), np.atleast_1d(np.asarray(y, dtype=complex))) for x, y in samples),
@@ -580,15 +577,15 @@ def extract_C(
     k = int(np.argmin(steps)) + 1
     value = diag[k]
     uncertainty = steps[k - 1]
-    if uncertainty > max(0.1 * abs(value), atol):
+    if uncertainty > max(0.1 * abs(value), _ATOL):
         raise NotConverging(
             f"C ladder step {uncertainty:.3g} exceeds tolerance at |C| = {abs(value):.3g}"
         )
     return CEstimate(complex(value), float(uncertainty), tuple(raw))
 
 
-def ladder_radii(e: TwoScaleExpansion, arg: float, *, count: int = 8, span: float = 7.0):
-    """Rung radii centered on the least-term radius of the level hierarchy.
+def ladder_radii(e: TwoScaleExpansion, arg: float):
+    """Eight rung radii over a width of 14, centered on the least-term radius of the hierarchy.
 
     The truncated hierarchy's error is of order Gamma(M+2) x^{-(M+1)},
     which relative to the signal scale e^{-x} x^{alpha_1} is smallest
@@ -596,8 +593,8 @@ def ladder_radii(e: TwoScaleExpansion, arg: float, *, count: int = 8, span: floa
     e^{(r - r*) cos(arg)} contamination penalty.
     """
     r_star = (e.M + 1) / math.cos(arg)
-    lo = max(r_star - span, 2.0)
-    return np.linspace(lo, lo + 2.0 * span, count)
+    lo = max(r_star - _SPAN, 2.0)
+    return np.linspace(lo, lo + 2.0 * _SPAN, _RUNGS)
 
 
 def extraction_ladder(
@@ -606,8 +603,6 @@ def extraction_ladder(
     C,
     arg: float,
     radii,
-    *,
-    atol: float = 1e-8,
 ) -> CEstimate:
     """Seed at the outermost radius and walk inward, sampling each rung.
 
@@ -630,7 +625,7 @@ def extraction_ladder(
     states, _ = _lockstep(s, _x_jet, [_walk(xs[0], y, xs[1:], abs(xs[-1] - xs[0]), centres)])[0]
     info = {"C": complex(C), "arg": arg, "rungs": len(xs), "jets": len(centres)}
     _log.debug("ladder at arg %s: %s", arg, info, extra={"ladder": info})
-    return extract_C(s, e, zip(xs, [y, *states]), atol=atol)
+    return extract_C(s, e, zip(xs, [y, *states]))
 
 
 # -- array comparison ---------------------------------------------------------
@@ -643,7 +638,8 @@ class ComparisonReport:
     ``pairs`` holds (n, x_predicted, x_observed, distance) per match;
     predictions and observations left over appear in the unmatched
     tuples.  ``stats`` reports max and median distance and the slope of
-    distance against n.
+    distance against n; ``to_dict`` writes a stat that is not finite (no
+    pair matched) as null.
     """
 
     pairs: tuple
@@ -655,9 +651,9 @@ class ComparisonReport:
     def all_matched(self) -> bool:
         return not self.unmatched_predictions and not self.unmatched_observations
 
-    def distances_nonincreasing(self, slack: float = 0.0) -> bool:
+    def distances_nonincreasing(self) -> bool:
         d = [p[3] for p in sorted(self.pairs, key=lambda p: abs(p[0]))]
-        return all(b <= a + slack for a, b in zip(d, d[1:]))
+        return all(b <= a for a, b in zip(d, d[1:]))
 
     def to_dict(self) -> dict:
         return {
@@ -677,7 +673,7 @@ class ComparisonReport:
             "unmatched_observations": [
                 [xo.real, xo.imag] for xo in self.unmatched_observations
             ],
-            "stats": dict(self.stats),
+            "stats": {k: v if math.isfinite(v) else None for k, v in self.stats.items()},
         }
 
 
@@ -736,14 +732,14 @@ def compare_arrays(
 # -- end-to-end orchestration -------------------------------------------------
 
 
-def _on_level(s: NormalSystem, C, xi_abs: float, line, lo: float, hi: float):
-    """The point ``line(t)``, lo < t < hi, where |xi(x)| equals ``xi_abs``.
+def _on_level(s: NormalSystem, C, line, lo: float, hi: float):
+    """The point ``line(t)``, lo < t < hi, where |xi(x)| = 1e-3, the anchor's level.
 
     log|xi| = log|C| - Re x + Re(alpha_1 log x), so Im alpha_1 enters
     through arg x.
     """
     alpha1 = complex(s.alpha[0])
-    level = math.log(abs(complex(C)) / xi_abs)
+    level = math.log(abs(complex(C)) / _ANCHOR_XI)
 
     def f(t):
         x = line(t)
@@ -752,14 +748,14 @@ def _on_level(s: NormalSystem, C, xi_abs: float, line, lo: float, hi: float):
     return line(brentq(f, lo, hi, xtol=1e-14))
 
 
-def anchor_point(s: NormalSystem, C, arg: float, xi_abs: float = 1e-3):
-    """Point on the ray arg(x) = arg where |xi| equals ``xi_abs``."""
+def anchor_point(s: NormalSystem, C, arg: float):
+    """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor."""
     if complex(C) == 0:
         raise ValueError("C = 0 has no singularity scale to anchor to")
     if math.cos(arg) <= 0:
         raise ValueError("anchor ray must point into the decaying half-plane")
     direction = cmath.exp(1j * arg)
-    return _on_level(s, C, xi_abs, lambda r: r * direction, 1.0, 1e4)
+    return _on_level(s, C, lambda r: r * direction, 1.0, 1e4)
 
 
 @dataclass(frozen=True)
@@ -794,8 +790,6 @@ def run_validation(
     C,
     n_range,
     *,
-    anchor_arg: float = 1.2,
-    anchor_xi: float = 1e-3,
     capture: float = 1.0,
     extract: bool = False,
     deep_M: int = 12,
@@ -803,15 +797,15 @@ def run_validation(
 ) -> ValidationRun:
     """Predict a pole array, hunt each pole with Taylor jets, and compare.
 
-    The anchor x_a is the point of the ray arg x = ``anchor_arg`` where
-    |xi| = ``anchor_xi``, far from every pole.  The hunt for a pole above
-    x_a starts on the same level curve |xi| = ``anchor_xi`` at the height
+    The anchor x_a is the point of the ray arg x = 1.2 where |xi| = 1e-3
+    (:func:`anchor_point`), far from every pole.  The hunt for a pole above
+    x_a starts on the same level curve |xi| = 1e-3 at the height
     of the refined predicted location and aims straight at it, from a
     fresh two-scale seed there; poles no higher than x_a are hunted from
     x_a itself, since the level curve below it comes closer to the origin,
     where the seed is less accurate.  With ``extract`` set, a radius
-    ladder on the anchor ray re-measures C from the integrated solution,
-    seeding from a level-``deep_M`` expansion (deepened on demand, in the
+    ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
+    integrated solution, seeding from a level-``deep_M`` expansion (deepened on demand, in the
     precision of ``e``).  With ``csv_dir`` set, each hunt writes its jet
     centres to ``pole_n<n>.csv`` there.  The hunts walk in lockstep (see
     :func:`_hunts`): once all have ended, the first failure in n order is
@@ -820,7 +814,7 @@ def run_validation(
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
     C = complex(C)
-    x_a = anchor_point(s, C, anchor_arg, anchor_xi)
+    x_a = anchor_point(s, C, _ANCHOR_ARG)
     y_a, _ = eval_two_scale(e, C, x_a)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
     starts, csv_paths = [], []
@@ -830,7 +824,7 @@ def run_validation(
         x0, y0 = x_a, y_a
         height = en.x_ref.imag
         if height > x_a.imag:
-            x0 = _on_level(s, C, anchor_xi, lambda u: complex(u, height), -1e4, 1e4)
+            x0 = _on_level(s, C, lambda u: complex(u, height), -1e4, 1e4)
             y0, _ = eval_two_scale(e, C, x0)
         starts.append((x0, y0, en.x_ref))
         csv_paths.append(None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv")
@@ -841,9 +835,7 @@ def run_validation(
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not
         # enough for a 1e-3 constant measurement, so deepen if needed
         e_x = e if e.M >= deep_M else build_expansion(s, deep_M, e.K, dtype=e.fm[0].dtype)
-        extraction = extraction_ladder(
-            s, e_x, C, anchor_arg, ladder_radii(e_x, anchor_arg)
-        )
+        extraction = extraction_ladder(s, e_x, C, _ANCHOR_ARG, ladder_radii(e_x, _ANCHOR_ARG))
     return ValidationRun(
         system=s.label,
         C=C,

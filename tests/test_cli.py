@@ -57,6 +57,31 @@ def test_eval_needs_a_mode(tmp_path, monkeypatch, capsys):
     assert "--xi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--xi", "0.1", "--m", "9"], ["--xi", "0.1", "--m", "-1"],
+                                  ["--C", "12", "--x", "25,10", "--m-used", "-1"]])
+def test_eval_rejects_a_level_outside_the_expansion(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["expand", "p1", "--M", "2", "--K", "32"]) == 0
+    capsys.readouterr()
+    assert main(["eval", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("transasym: ") and "0..2" in err and "Traceback" not in err
+
+
+def test_unmatched_run_writes_strict_json(tmp_path, monkeypatch, capsys):
+    # nothing is captured, so max and median distance are not finite
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--capture", "0.001"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    run = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+    stats = run["comparison"]["stats"]
+    assert stats["n_pairs"] == 0
+    assert stats["max_distance"] is None and stats["median_distance"] is None
+
+
 def test_predict_artifacts_are_reproducible(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["predict", "p1", "--C", "12", "--n", "8..10"]

@@ -26,15 +26,6 @@ def test_first_eigenvalue_must_be_one():
         NormalSystem([2.0], [0.0], AnalyticGerm(1, {}))
 
 
-def test_observable_projection_shapes(p1):
-    y = np.array([1.0 + 1j, 2.0])
-    assert p1.observable_value(y) == pytest.approx(3.0 + 1j)
-    batch = np.vstack([y, 2 * y])           # samples first
-    vals = p1.observable_value(batch)
-    assert vals.shape == (2,)
-    assert vals[1] == pytest.approx(6.0 + 2j)
-
-
 def test_builtin_metadata(p1, abel):
     assert p1.xi_s_hint == 12.0
     assert abel.alpha[0] == pytest.approx(0.2)

@@ -144,7 +144,7 @@ def test_entire_solution_is_no_blowup(lin):
 def test_straight_shot_underflows_at_the_pole(p1, e_p1):
     arr = predict_array(12.0, 12.0, -0.5, [10])
     x_ref = arr.entries[0].x_ref
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     beyond = x_ref + 0.3 * (x_ref - x_a) / abs(x_ref - x_a)
     with pytest.raises(StepUnderflow) as info:
@@ -156,7 +156,7 @@ def test_straight_shot_underflows_at_the_pole(p1, e_p1):
 def test_hunt_lands_on_predicted_pole(p1, e_p1):
     arr = predict_array(12.0, 12.0, -0.5, [10])
     en = arr.entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     obs = hunt_singularity(p1, x_a, y_a, en.x_ref)
     assert abs(obs.location - en.x_ref) < 0.15
@@ -169,7 +169,7 @@ def test_walk_through_a_pole_raises_singular_approach(p1, e_p1):
     # the via point lies about 0.02 from the n = 8 pole: the jets shrink
     # there while the distance left to the via point does not
     x8, x9 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9]).entries)
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     with pytest.raises(SingularApproach) as info:
         hunt_singularity(p1, x_a, y_a, x9, via=[x8])
@@ -178,7 +178,7 @@ def test_walk_through_a_pole_raises_singular_approach(p1, e_p1):
 
 def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1):
     x8, x9, x10 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9, 10]).entries)
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     alone = hunt_singularity(p1, x_a, y_a, x10)
     with pytest.raises(SingularApproach) as info:
@@ -218,7 +218,7 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
 
 
 def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     with pytest.raises(ValueError, match="x_start"):
         hunt_singularity(p1, x_a, y_a, x_a)
@@ -240,7 +240,7 @@ def test_locates_logistic_poles_against_closed_form():
 
 
 def test_hunt_between_two_poles_finds_one_or_refuses(p1, e_p1):
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     for pair in ([8, 9], [12, 13]):
         a, b = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, pair).entries)
@@ -264,7 +264,7 @@ def _hunt_record(caplog, *args, **kwargs):
 
 def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     _, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref)
     # one jet short of the read that showed the estimates had settled
@@ -472,7 +472,7 @@ def test_anchor_sits_on_the_requested_level(p1, e_p1):
     assert complex(p2b.alpha[0]).imag != 0
     for s, e, C in ((p1, e_p1, 12.0), (p2b, e_p2b, 2.0 - 1.0j)):
         for arg in (1.0, 1.2):
-            x = anchor_point(s, C, arg, 1e-3)
+            x = anchor_point(s, C, arg)
             assert cmath.phase(x) == pytest.approx(arg, abs=1e-12)
             assert abs(e.xi(C, x)) == pytest.approx(1e-3, rel=1e-12)
 
@@ -521,7 +521,7 @@ def test_each_hunt_starts_on_the_level_at_its_pole_height(
     e = request.getfixturevalue(f"e_{label}")
     run, calls = _starts(monkeypatch, s, e, C, n_range)
     x_a = run.anchor
-    assert x_a == anchor_point(s, C, 1.2, 1e-3)
+    assert x_a == anchor_point(s, C, 1.2)
     y_a, bound_a = eval_two_scale(e, C, x_a)
     targets = [en.x_ref for en in run.predicted.entries if en.x_ref is not None]
     assert [t for _, _, t in calls] == targets
@@ -597,7 +597,7 @@ def test_far_pole_is_cheap(caplog, p1, e_p1):
 
 def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2, 1e-3)
+    x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     csv_path = tmp_path / "centres.csv"
     obs, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref, csv_path=csv_path)
