@@ -18,10 +18,9 @@ from transasym import build_expansion, builtin, eval_two_scale, least_term_index
 
 
 def main(label):
-    s, chart = builtin(label)
+    s, _ = builtin(label)
     print(f"system {label}: n = {s.n}, lambda = {s.lam}, alpha = {s.alpha}")
-    print(f"original variables reachable through chart {chart.label!r}; "
-          f"singular level hint xi_s = {s.xi_s_hint}")
+    print(f"singular level hint xi_s = {s.xi_s_hint}")
 
     e = build_expansion(s, M=4, K=24)
     for m in range(e.M + 1):

@@ -7,7 +7,6 @@ from .errors import (
     NewtonDiverged,
     NoBlowup,
     NotConverging,
-    OnBranchCut,
     OscillatoryCoefficients,
     OutsideReliableDisk,
     PoleOfOracle,
@@ -22,15 +21,8 @@ from .errors import (
 from .series import AnalyticGerm, InvXSeries, TaylorSeries
 from .systems import (
     BUILTIN_LABELS,
-    CoordinateMap,
-    DiagnosticsReport,
     NormalSystem,
-    StokesData,
     builtin,
-    builtin_map,
-    identity_map,
-    stokes_directions,
-    validate_system,
 )
 from .expansion import (
     GevreyFit,

@@ -167,6 +167,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError("eval needs --xi, or both --C and --x")
     e = TwoScaleExpansion.load(args.infile)
     if args.xi is not None:
+        e._require_disk(args.xi)
         print(_fmt_c(e.observable_series(args.m).evaluate(args.xi)))
         return 0
     value, bound = eval_two_scale(e, args.C, args.x, m_used=args.m_used)

@@ -30,10 +30,6 @@ class UnknownLabel(TransasymError):
     """No builtin system registered under the requested label."""
 
 
-class OnBranchCut(TransasymError):
-    """A coordinate map was evaluated on (or too close to) its branch cut."""
-
-
 class InsufficientCoefficients(TransasymError):
     """Too few usable Taylor coefficients for a ratio-based estimate."""
 

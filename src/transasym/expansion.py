@@ -236,11 +236,16 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     if resonant.any():
         raise ResonantOrder(int(ks[resonant.any(0)][0]))
     F, R = T[:, 0].T.copy(), Y[:, 0, ::-1].T.copy()
-    for k in ks:
-        for heads, chain, sel in groups:
-            F[k, chain] = (F[1:k, heads].T @ R[K - k + 1 : K]).reshape(-1)[sel]
-        F[k, :n] = R[K - k] = (W[0] @ F[k]) / (lam - k)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
+        for k in ks:
+            for heads, chain, sel in groups:
+                F[k, chain] = (F[1:k, heads].T @ R[K - k + 1 : K]).reshape(-1)[sel]
+            F[k, :n] = R[K - k] = (W[0] @ F[k]) / (lam - k)
     T[:, 0] = F.T
+    overflow = ~np.isfinite(F).all(1)
+    if overflow.any():
+        raise ValueError(f"F_0 is not finite from order {int(np.argmax(overflow))} "
+                         f"of K = {K}: its Taylor coefficients overflow; lower K")
     if M == 0:
         return Y, pinned
 
@@ -527,8 +532,9 @@ class TwoScaleExpansion:
         return cls(system, fm, consts, K=int(d["K"]))
 
     def save(self, path: str) -> None:
+        text = json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str) -> "TwoScaleExpansion":

@@ -1,28 +1,24 @@
 """Closed-form reference data for the worked systems.
 
 Everything here is independent of the recursion machinery: explicit
-rational scale profiles, refined singularity positions, the branch
-geometry of the leading Abel profile, and the pole-cancellation
-reconstruction that reads the first singularity-location correction off
-the computed levels.  The test and validation layers compare computed
+rational scale profiles, the second-array offset of the first worked
+family, the inverse of the leading Abel profile with its lattice of
+singular values, and the pole-cancellation reconstruction that reads the
+first singularity-location correction off the computed levels.  The test and validation layers compare computed
 objects against these curves.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonDiverged, PoleOfOracle, SheetUnreachable, ZeroC
+from .errors import NewtonDiverged, PoleOfOracle, SheetUnreachable
 from .series import TaylorSeries
 
 __all__ = [
-    "AbelGeometry",
-    "abel_geometry",
     "abel_xi_of_F0",
     "abel_F0_of_xi",
     "pole_cancel_polynomial",
@@ -99,36 +95,6 @@ def p1_h_taylor(m: int, K: int) -> np.ndarray:
     return _rational_taylor(num, den, K)
 
 
-def p1_xi_s_refined(x):
-    """Singular xi level including its first 1/x correction, 12 + 109/(10 x)."""
-    if np.min(np.abs(np.asarray(x))) == 0:
-        raise ZeroDivisionError("x must be nonzero")
-    return 12.0 + 10.9 / np.asarray(x) if np.ndim(x) else 12.0 + 10.9 / x
-
-
-def p1_pole_z(C, n: int):
-    """Original-variable pole position z_n to three asymptotic orders."""
-    C = complex(C)
-    if C == 0:
-        raise ZeroC("C = 0 has no pole array")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    L = cmath.log(math.pi * 1j * C * C * n / 72.0) / (5.0 * math.pi)
-    front = -cmath.exp(0.8 * cmath.log(60j * math.pi)) / 24.0
-    return front * (n ** 0.8 + 1j * L * n ** -0.2
-                    + (L * L / 8.0 - L / (4.0 * math.pi)
-                       + 109.0 / (600.0 * math.pi ** 2)) * n ** -1.2)
-
-
-def p1_xi_condition(z):
-    """Value of xi at a z-plane point per 12 + 327 (-24 z)^{-5/4}, principal branch."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroDivisionError("z must be nonzero")
-    return 12.0 + 327.0 * cmath.exp(-1.25 * cmath.log(-24.0 * z))
-
-
 def p1_second_array_offset(x_s, n: int):
     """Logarithmic offset from a first-array point x_s to the second array."""
     x_s = complex(x_s)
@@ -137,7 +103,7 @@ def p1_second_array_offset(x_s, n: int):
     return -cmath.log(x_s) + (2 * int(n) + 1) * math.pi * 1j - math.log(60.0)
 
 
-# -- Abel branch geometry ----------------------------------------------------
+# -- Abel leading profile ---------------------------------------------------
 
 
 def abel_xi_of_F0(F0, winding=(0, 0)):
@@ -179,9 +145,8 @@ def abel_F0_of_xi(xi, winding=(0, 0), seed=None, *, tol: float = 1e-12,
     xi = complex(xi)
     w = (int(winding[0]), int(winding[1]))
     if w == (0, 0) and seed is None:
-        g = abel_geometry()
         if abs(xi.imag) <= 1e-12 * max(1.0, abs(xi.real)) and (
-                xi.real >= g.xi0.real - 1e-12 or xi.real <= g.xi1.real + 1e-12):
+                xi.real >= XI0 - 1e-12 or xi.real <= -XI0 * LATTICE_RATIO + 1e-12):
             raise SheetUnreachable(
                 f"xi = {xi} lies on a principal-sheet cut ray")
         F = 0.0 + 0.0j
@@ -199,44 +164,12 @@ def abel_xi_set(p1: int, p2: int) -> complex:
     return complex((-1) ** int(p1) * XI0 * LATTICE_RATIO ** int(p2))
 
 
-def abel_local_branch_model(z, z0, sign: int = 1) -> complex:
-    """Local square-root model +-(-1/2)^{1/2} (z - z0)^{-1/2}, principal branch."""
-    z, z0 = complex(z), complex(z0)
-    if z == z0:
-        raise ZeroDivisionError("z must differ from z0")
-    return sign * cmath.sqrt(-0.5) * (z - z0) ** -0.5
-
-
 def abel_phase_field(X, Y):
     """Direction field (dX, dY) of the real-section trajectories; the
     stationary points are the branch-point images (-1/2, +-sqrt(3)/6)."""
     dX = X + 3 * X ** 2 - 3 * Y ** 2 + 3 * X ** 3 - 9 * X * Y ** 2
     dY = Y * (1 + 6 * X + 9 * X ** 2 - 3 * Y ** 2)
     return dX, dY
-
-
-@dataclass(frozen=True)
-class AbelGeometry:
-    """First-sheet branch data of the leading Abel profile."""
-
-    xi0: complex
-    lattice_ratio: float
-    xi1: complex
-
-    @property
-    def first_sheet_cuts(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Real cut rays (-inf, xi1] and [xi0, inf) of the principal sheet."""
-        return ((-math.inf, self.xi1.real), (self.xi0.real, math.inf))
-
-
-@functools.lru_cache(maxsize=1)
-def abel_geometry() -> AbelGeometry:
-    # The left endpoint is the limit of xi(F_0) for F_0 -> -inf along the
-    # real axis, where the principal logarithms stay continuous; the
-    # O(1/t^2) error of a finite evaluation Richardson-cancels.
-    v1 = abel_xi_of_F0(-1.0e6)
-    v2 = abel_xi_of_F0(-2.0e6)
-    return AbelGeometry(complex(XI0), LATTICE_RATIO, (4.0 * v2 - v1) / 3.0)
 
 
 # -- second worked family ----------------------------------------------------

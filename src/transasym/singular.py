@@ -269,8 +269,9 @@ class SingularityArray:
                    complex(*d["alpha1"]), tuple(entries))
 
     def save(self, path: str) -> None:
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str) -> "SingularityArray":

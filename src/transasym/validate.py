@@ -688,7 +688,10 @@ def compare_arrays(
     ``observed`` may hold PoleObservations or bare complex locations.
     Matching minimizes total distance (rectangular assignment); any pair
     farther apart than ``capture`` is dissolved into unmatched entries.
+    ``capture`` must be positive; ``inf`` matches every assigned pair.
     """
+    if not capture > 0:   # also rejects NaN
+        raise ValueError(f"capture must be positive, got {capture}")
     preds = [(en.n, en.x_ref if en.x_ref is not None else en.x_asym) for en in predicted.entries]
     locs = [
         complex(o.location) if isinstance(o, PoleObservation) else complex(o)

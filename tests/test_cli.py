@@ -50,6 +50,24 @@ def test_expand_then_eval(tmp_path, monkeypatch, capsys):
     assert "bound" in capsys.readouterr().out
 
 
+def test_eval_refuses_a_point_outside_the_profile_disk(tmp_path, monkeypatch, capsys):
+    # p1's F_0 has radius 12, so its Taylor row cannot be summed at 100
+    monkeypatch.chdir(tmp_path)
+    assert main(["expand", "p1", "--M", "2", "--K", "32"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--xi", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside the disk" in captured.err
+
+
+def test_expand_refuses_an_overflowing_profile(tmp_path, monkeypatch, capsys):
+    # Abel's F_0 coefficients grow like 0.233^-k and leave double range at order 487
+    monkeypatch.chdir(tmp_path)
+    assert main(["expand", "abel", "--M", "0", "--K", "700"]) == 2
+    assert "487" in capsys.readouterr().err
+    assert not (tmp_path / "expansion.json").exists()
+
+
 def test_eval_needs_a_mode(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     main(["expand", "p1", "--M", "0", "--K", "8"])
@@ -80,6 +98,14 @@ def test_unmatched_run_writes_strict_json(tmp_path, monkeypatch, capsys):
     stats = run["comparison"]["stats"]
     assert stats["n_pairs"] == 0
     assert stats["max_distance"] is None and stats["median_distance"] is None
+
+
+@pytest.mark.parametrize("capture", ["-1", "0", "nan"])
+def test_validate_rejects_a_capture_that_is_not_positive(tmp_path, monkeypatch, capsys, capture):
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--capture", capture]) == 2
+    assert "capture must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
 
 
 def test_predict_artifacts_are_reproducible(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,7 @@ from transasym.expansion import (TwoScaleExpansion, _x_jet, _xi_jet, build_expan
                                  eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
 from transasym.series import AnalyticGerm
-from transasym.systems import NormalSystem, builtin, validate_system
+from transasym.systems import NormalSystem, builtin
 
 
 # -- level recursion ---------------------------------------------------------
@@ -73,10 +73,17 @@ def test_abel_builds_past_level_eleven(abel):
         assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def test_an_overflowing_profile_is_rejected(abel):
+    # F_0's coefficients grow like 0.233^-k and leave double range at order 487
+    for M in (0, 1):
+        with pytest.raises(ValueError, match=r"order 487 of K = 700"):
+            build_expansion(abel, M, 700)
+
+
 def test_order_violations_are_rejected():
     germ = AnalyticGerm(1, {(0, (1,)): 0.5, (1, (0,)): 0.1, (0, (2,)): 1.0})
     s = NormalSystem([1.0], [0.0], germ, label="bad")
-    assert validate_system(s, 2).order_violations == [(0, (1,)), (1, (0,))]
+    assert s.germ.order_violations() == [(0, (1,)), (1, (0,))]
     with pytest.raises(ValueError, match=r"\(i=0, k=\[1\]\), \(i=1, k=\[0\]\)"):
         build_expansion(s, 2, 16)
 

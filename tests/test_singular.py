@@ -1,6 +1,7 @@
 """Singularity location from series, continuation, and array prediction."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -192,3 +193,13 @@ def test_singularity_array_round_trip(tmp_path):
     assert clone.C == arr.C and len(clone.entries) == 2
     for a, b in zip(clone.entries, arr.entries):
         assert a.x_ref == pytest.approx(b.x_ref, abs=1e-12)
+
+
+def test_a_value_that_is_not_finite_is_not_saved(tmp_path):
+    arr = predict_array(12.0, 12.0, -0.5, [5])
+    bad = SingularityArray(arr.xi_s, arr.C, arr.alpha1,
+                           (dataclasses.replace(arr.entries[0], residual=math.nan),))
+    path = tmp_path / "arr.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        bad.save(str(path))
+    assert not path.exists()
