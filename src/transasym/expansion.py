@@ -22,11 +22,11 @@ that column is solved.  (A z y_1 term in the first component of g would
 change that slope, but it already makes (1, xi^1) inconsistent.)  Row
 M+1 is computed only to xi^1, to pin c_M.
 
-At xi^2..xi^K every level m >= 1 solves a linear equation whose operator
-Lambda - xi d/dxi - d_y g(0, F_0) is the same for every m and
-lower-triangular in k.  It is assembled once per build and solved for a
-whole level at once, followed by one refinement step whose residual is
-formed in the build's dtype.
+At xi^k, k >= 2, the states of every level enter linearly, through the
+xi^0 column only: one system, block lower-triangular in the level with
+diagonal k - L, whose inverse is formed once per build by forward
+substitution over levels.  So every level is solved at once, one order
+at a time, in the build's dtype.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
 monomial table (state rows, a constant row, product chains sorted by
@@ -37,8 +37,8 @@ give the Taylor jet of a solution in x about any point, and of F_0 in
 xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
 read the first, and ``continue_f0`` walks the second; one kernel call
 computes the jets of many walks, one lane each.  The kernels, and the
-build's F_0 row, hold the table order-major: each Taylor order is one
-batched matmul and one constant selection per chain length, and one
+build at xi^2..xi^K, hold the table order-major: each Taylor order is
+one batched matmul and one constant selection per chain length, and one
 batched matmul against a step matrix folding the monomials'
 coefficients.  Lanes share only batched matmuls, so no lane's
 arithmetic depends on the others.
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     InsufficientCoefficients,
@@ -122,37 +121,13 @@ def _program(s: NormalSystem) -> tuple:
     return s._program
 
 
-def _level_operator(s: NormalSystem, T0: np.ndarray, K: int, sing: np.ndarray) -> np.ndarray:
-    """The operator of every level m >= 1 on its coefficients at xi^2..xi^K.
-
-    Row and column (k-2) n + j stand for component j at xi^k; block
-    (k, k') is -[d_y f(0, F_0)]_{k-k'}, less k on the diagonal, where
-    f(0, y) = -L y + g(0, y) is the table's z^0 monomials.  Each table
-    row's derivative is carried forward along the chain steps from T0,
-    the table's rows at z^0 through xi^{K-2}.  It is lower-triangular because
-    F_0(0) = 0 and g(0, y) = O(|y|^2).  Rows where ``sing`` (K-1, n) is
-    set are unit rows, so a zero right side there solves that component
-    to 0.  Computed in complex128, which is what LAPACK solves in.
-    """
-    size, steps, rows, zpow, coef, _, _ = _program(s)
-    n, T0 = s.n, T0.astype(np.complex128)
-    D = np.zeros((size, n, K - 1), dtype=np.complex128)   # D[r, b, d] = [xi^d] dT_r/dy_b
-    D[range(n), range(n), 0] = 1.0
-    for chain, head, tail in (st for group in steps for st in zip(*group)):
-        D[chain] = [np.convolve(D[head, b], T0[tail])[: K - 1] for b in range(n)]
-        D[chain, tail] += T0[head]
-    on = zpow == 0
-    J = np.einsum("im,mbd->dib", coef[:, on], D[rows[on]])   # J[d] = [xi^d] d_y f(0, F_0)
-    A = np.zeros((K - 1, n, K - 1, n), dtype=np.complex128)
-    k = np.arange(K - 1)
-    for d in range(K - 1):
-        A[k[d:], :, k[: K - 1 - d], :] = -J[d]
-    A = A.reshape(n * (K - 1), n * (K - 1))
-    A[np.diag_indices_from(A)] -= np.repeat(np.arange(2, K + 1), n)
-    unit = np.flatnonzero(sing)
-    A[unit] = 0
-    A[unit, unit] = 1
-    return A
+def _block_toeplitz(blocks: np.ndarray, L: int) -> np.ndarray:
+    """The (L r, L c) matrix with blocks[d] (r, c) at block (m, m - d), 0 <= d < len(blocks)."""
+    d, r, c = blocks.shape
+    out = np.zeros((L, r, L, c), dtype=blocks.dtype)
+    for p in range(min(d, L)):
+        out[range(p, L), :, range(L - p)] = blocks[p]
+    return out.reshape(L * r, L * c)
 
 
 def _coefficients(s: NormalSystem, M: int, K: int,
@@ -166,13 +141,18 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     T[:, m - p, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read while
     Y_{m,k} is still 0, so the -L y monomials drop out.  Each cell of the
     columns xi^0 and xi^1 extends each chain length by one contraction
-    over (level, xi); F_0's row runs order-major, as :func:`_jets` does.
-    Then each level m >= 1 is solved at xi^2..xi^K at once: its chain
-    rows come from ``np.convolve``, the shared level operator is solved
-    by substitution in complex128, and one refinement step solves for
-    the residual, that same right side plus k Y_{m,k}, formed in
-    ``dtype``.  With M >= 1 and K >= 1 the returned array also carries
-    row M+1 through xi^1.
+    over (level, xi).
+
+    Then the orders k = 2..K are solved one at a time, every level at
+    once, on the table held order-major, F[k, m, row].  The states u =
+    Y_{:,k} enter it only through the xi^0 column, T[:, :, k] = F[k] + D u,
+    so order k takes one matmul per chain length and level for F[k] at
+    u = 0, then u = B_k (W~ F[k] / (lambda - k)), W~ the z-power
+    coefficients, then F[k] += D u.  B_k inverts A_k = W~ D + (m-1) S +
+    k (I - alpha_1 S) (S shifts the level) scaled to unit diagonal; every
+    B_k comes from one forward substitution over levels in ``dtype``.  A
+    component singular at order k is 0 in levels m >= 1 and must satisfy
+    its equation within _TOL of the largest term entering it.
     """
     bad = s.germ.order_violations()
     if bad:
@@ -184,23 +164,21 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     T = np.zeros((size, depth, K + 1), dtype=dtype)
     T[n, 0, 0] = 1.0
     Y = T[:n]
-    kw = np.arange(K + 1)
     Wz = W.swapaxes(0, 1).reshape(n, -1)   # Wz[:, p size + row] = W[p, :, row]
-    flat = [tuple(map(int, st)) for group in steps for st in zip(*group)]
 
-    def rhs(m: int, k: slice) -> np.ndarray:
-        """The right side at z^m >= 1 over columns k."""
+    def rhs(X: np.ndarray, m: int, k: int) -> np.ndarray:
+        """The right side at z^m >= 1 from X[row, level], the table's column xi^k."""
         p = min(m, len(W) - 1)
-        t = T[:, m - p : m + 1, k][:, ::-1].swapaxes(0, 1).reshape((p + 1) * size, -1)
-        prev = Y[:, m - 1, k]
-        return Wz[:, : len(t)] @ t + (m - 1) * prev - (alpha1 * prev) * kw[k]
+        t = X[:, m - p : m + 1][:, ::-1].T.reshape(-1, 1)
+        prev = X[:n, m - 1, None]
+        return (Wz[:, : len(t)] @ t + (m - 1) * prev - (alpha1 * prev) * k)[:, 0]
 
-    def scale(m: int, k: slice, j) -> np.ndarray:
-        """The largest term entering components j of the right side at z^m >= 1, columns k."""
+    def scale(X: np.ndarray, m: int, k: int, j) -> np.ndarray:
+        """The largest term entering components j of :func:`rhs`."""
         c, r, i = coef[:, zpow <= m], rows[zpow <= m], m - zpow[zpow <= m]
-        prev = np.abs(Y[j, m - 1, k])
-        return np.maximum(np.abs(c[j, :, None] * T[r, i, k]).max(1),
-                          np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * kw[k]))
+        prev = np.abs(X[:n][j, m - 1])
+        return np.maximum(np.abs(c[j] * X[r, i]).max(1),
+                          np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * k))
 
     lam_max = float(np.max(np.abs(lam)))
     pinned: list[complex] = []
@@ -212,72 +190,89 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         for heads, chain, sel in groups:
             P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
             T[chain, m, k] = P.reshape(-1)[sel]
-        cell = slice(k, k + 1)
         if k == 1 and m >= 2:
             # solvability of the first component pins c_{m-1}, slope m - 1
-            Y[0, m - 1, 1] = -rhs(m, cell)[0, 0] / (m - 1)
+            Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
             pinned.append(complex(Y[0, m - 1, 1]))
             if m == M + 1:
                 continue
-        r = rhs(m, cell)[:, 0]
+        r = rhs(T[:, :, k], m, k)
         denom = lam - k
         sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
         if np.any(sing):
-            if np.any(np.abs(r[sing]) > _TOL * scale(m, cell, sing)[:, 0]):
+            if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
                 raise ResonantOrder(k)
             r = np.where(sing, 0, r)
         Y[:, m, k] = r / np.where(sing, 1, denom)
     if K < 2:
         return Y, pinned
 
-    # F_0 at xi^2..xi^K, order-major: F[k, row], and its states reversed, R[K - k] = Y_{0,k}
-    ks = kw[2:]
+    ks = np.arange(2, K + 1)
     resonant = np.abs(lam[:, None] - ks) < 1e-12 * (1.0 + ks)
     if resonant.any():
         raise ResonantOrder(int(ks[resonant.any(0)][0]))
-    F, R = T[:, 0].T.copy(), Y[:, 0, ::-1].T.copy()
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
-        for k in ks:
-            for heads, chain, sel in groups:
-                F[k, chain] = (F[1:k, heads].T @ R[K - k + 1 : K]).reshape(-1)[sel]
-            F[k, :n] = R[K - k] = (W[0] @ F[k]) / (lam - k)
-    T[:, 0] = F.T
-    overflow = ~np.isfinite(F).all(1)
-    if overflow.any():
-        raise ValueError(f"F_0 is not finite from order {int(np.argmax(overflow))} "
-                         f"of K = {K}: its Taylor coefficients overflow; lower K")
-    if M == 0:
-        return Y, pinned
-
     sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, lam_max + ks)
-    A = np.asarray_chkfinite(_level_operator(s, T[:, 0, : K - 1], K, sing.T))
-    checked = np.flatnonzero(sing.any(1))   # components with a singular order
+    checked = set(ks[sing.any(0)].tolist())
+    # xi^2..xi^K, every level at once: the table order-major, F[k, m, row], and its
+    # states Toeplitz in the level, R[K - k, a, j, m] = Y_{m-a,k}[j] (0 for a > m)
+    L, eye = M + 1, np.eye(n)[:, None]
+    F = np.zeros((K + 1, L, size), dtype=dtype)
+    F[:2] = T[:, :L, :2].transpose(2, 1, 0)
+    R = np.zeros((K + 1, L, n, L), dtype=dtype)
+    mm, aa = np.tril_indices(L)   # R[K - k] takes Y_{m-a,k}[j] at dst from F[k] at src
+    dst = (((aa * n)[:, None] + range(n)) * L + mm[:, None]).ravel()
+    src = (((mm - aa) * size)[:, None] + range(n)).ravel()
+    for k in (0, 1):
+        R[K - k].put(dst, F[k].take(src))
 
-    def solve(r: np.ndarray) -> np.ndarray:
-        return solve_triangular(A, np.where(sing, 0, r).T.ravel(), lower=True,
-                                check_finite=False).reshape(K - 1, n).T
+    # D[row, j, d] = d T[row, m, k] / d Y_{m-d,k}[j], carried along the chain steps
+    D = np.zeros((size, n, L), dtype=dtype)
+    D[range(n), range(n), 0] = 1.0
+    for chain, head, tail in steps:
+        D[chain] = D[head] @ R[K].transpose(1, 0, 2)[tail]
+        D[chain, tail] += F[0][:, head].T
+    Wl, Dl = _block_toeplitz(W, L), _block_toeplitz(D.transpose(2, 0, 1), L)
+    A = Wl @ Dl   # W~ D, read below its diagonal blocks only
+    # B[k - 2] solves A_k u = -r as u = B[k - 2] (r / (lambda - k)): forward substitution
+    # over levels, held as B[row, k - 2, column] so each level is one matmul for every k
+    denom = lam[:, None] - ks
+    shift = -alpha1 * ks.astype(dtype)   # the S part of k (I - alpha_1 S), in dtype
+    B = np.zeros((L * n, K - 1, L * n), dtype=dtype)
+    B[:n, :, :n] = eye
+    for m in range(1, L):
+        lv, lo = slice(m * n, (m + 1) * n), slice((m - 1) * n, m * n)
+        B[lv] = (A[lv, : m * n] @ B[: m * n].reshape(m * n, -1)).reshape(n, K - 1, -1)
+        B[lv] = (B[lv] + ((m - 1) + shift)[:, None] * B[lo]) / denom[:, :, None]
+        B[lv, :, lv] += eye
+        B[lv] *= ~sing[:, :, None]   # a component singular at order k solves to 0
+    B, denom, RT = B.transpose(1, 0, 2).copy(), np.tile(denom.T, L), R.transpose(1, 0, 2, 3)
 
-    for m in range(1, M + 1):
-        # chain sums over rows 1..m-1, fixed while level m is solved
-        base = [sum(np.convolve(T[head, a], T[tail, m - a]) for a in range(1, m))
-                for _, head, tail in flat]
-
-        def level_rhs() -> np.ndarray:
-            for (chain, head, tail), b in zip(flat, base):
-                T[chain, m, 2:] = (b + np.convolve(T[head, 0], T[tail, m])
-                                   + np.convolve(T[head, m], T[tail, 0]))[2 : K + 1]
-            return rhs(m, slice(2, None))
-
-        Y[:, m, 2:] = solve(level_rhs())
-        r = level_rhs() + ks * Y[:, m, 2:]
-        # a singular component must vanish within _TOL of the largest term entering it
-        if checked.size:
-            bad = sing[checked] & (np.abs(r[checked]) > _TOL * scale(m, slice(2, None), checked))
-            if np.any(bad):
-                raise ResonantOrder(int(ks[bad.any(axis=0)][0]))
-        Y[:, m, 2:] += solve(r)
-        level_rhs()   # the solved level's chain rows, read by the levels above
-    return Y, pinned
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
+        for k in range(2, K + 1):
+            Fk, tails = F[k], RT[:, K - k + 1 :].reshape(L, k, n * L)
+            for heads, chain, sel in groups:
+                P = (F[1 : k + 1, :, heads].transpose(1, 2, 0) @ tails).sum(0)
+                Fk[:, chain] = P.reshape(-1, L)[sel].T
+            u = B[k - 2] @ ((Wl @ Fk.reshape(-1)) / denom[k - 2])
+            Fk += (Dl @ u).reshape(L, size)
+            R[K - k].put(dst, Fk.take(src))
+            if k in checked:
+                j = sing[:, k - 2]
+                for m in range(1, L):
+                    if np.any(np.abs(rhs(Fk.T, m, k)[j]) > _TOL * scale(Fk.T, m, k, j)):
+                        raise ResonantOrder(k)
+    bad = ~np.isfinite(F).all(2)
+    if bad.any():
+        k, m = map(int, np.unravel_index(np.argmax(bad), bad.shape))
+        if k >= 2:
+            # the level matmuls spread an overflow to the levels below it as 0 inf, but
+            # levels 0..sub read no level above sub: built alone, they raise if they overflow
+            for sub in range(m, M):
+                _coefficients(s, sub, k, dtype)
+            m = M
+        raise ValueError(f"F_{m} is not finite from order {k} of K = {K}: "
+                         "its Taylor coefficients overflow; lower K")
+    return F[:, :, :n].transpose(2, 1, 0), pinned
 
 
 def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
@@ -573,9 +568,8 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
 
     The columns xi^0 and xi^1 of every level are solved one cell at a
-    time and F_0's row one order at a time; each level m >= 1 is then
-    solved at xi^2..xi^K at once with the level operator shared by all
-    m, plus one refinement step in ``dtype`` (see the module docstring).
+    time, then xi^2..xi^K one order at a time for every level at once,
+    all in ``dtype`` (see the module docstring).
     The free constant c_m of level m is pinned at (m+1, xi^1), where the
     first component of the right side is d + m c_m; c_M uses row M+1,
     which is computed through xi^1 only and then dropped.  F_0 raises
@@ -583,7 +577,9 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     after the columns xi^0 and xi^1.  A level's singular
     component must vanish within 1e-9 of the largest term entering it;
     otherwise :class:`ResonantOrder` names its order.  A z y_1 term in the
-    first component of g raises ``ResonantOrder(1)`` that way.
+    first component of g raises ``ResonantOrder(1)`` that way.  A
+    coefficient that overflows raises ``ValueError`` naming the first
+    level and order that are not finite.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")

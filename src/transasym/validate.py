@@ -814,6 +814,8 @@ def run_validation(
     :func:`_hunts`): once all have ended, the first failure in n order is
     raised.  The run is labelled with ``s.label``.
     """
+    if not capture > 0:   # before any hunt runs; also rejects NaN
+        raise ValueError(f"capture must be positive, got {capture}")
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
     C = complex(C)

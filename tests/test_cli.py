@@ -61,11 +61,14 @@ def test_eval_refuses_a_point_outside_the_profile_disk(tmp_path, monkeypatch, ca
 
 
 def test_expand_refuses_an_overflowing_profile(tmp_path, monkeypatch, capsys):
-    # Abel's F_0 coefficients grow like 0.233^-k and leave double range at order 487
+    # Abel's F_0 coefficients grow like 0.233^-k and leave double range at order 487;
+    # F_2 leaves it at order 480, while F_0 and F_1 are still finite
     monkeypatch.chdir(tmp_path)
-    assert main(["expand", "abel", "--M", "0", "--K", "700"]) == 2
-    assert "487" in capsys.readouterr().err
-    assert not (tmp_path / "expansion.json").exists()
+    for M, K, message in (("0", "700", "F_0 is not finite from order 487"),
+                          ("2", "486", "F_2 is not finite from order 480")):
+        assert main(["expand", "abel", "--M", M, "--K", K]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "expansion.json").exists()
 
 
 def test_eval_needs_a_mode(tmp_path, monkeypatch, capsys):

@@ -74,10 +74,12 @@ def test_abel_builds_past_level_eleven(abel):
 
 
 def test_an_overflowing_profile_is_rejected(abel):
-    # F_0's coefficients grow like 0.233^-k and leave double range at order 487
-    for M in (0, 1):
-        with pytest.raises(ValueError, match=r"order 487 of K = 700"):
-            build_expansion(abel, M, 700)
+    # F_0's coefficients grow like 0.233^-k and leave double range at order 487;
+    # each level above grows faster and leaves it earlier.  Level 2's overflow
+    # spreads to levels 0 and 1 at the same order as 0 inf, yet level 2 is named
+    for M, K, level, order in ((0, 700, 0, 487), (1, 700, 1, 483), (2, 486, 2, 480)):
+        with pytest.raises(ValueError, match=rf"F_{level} is not finite from order {order} of K = {K}:"):
+            build_expansion(abel, M, K)
 
 
 def test_order_violations_are_rejected():
@@ -178,17 +180,34 @@ def _random_system(seed: int) -> NormalSystem:
     return NormalSystem([1.0, -1.0][:n], rng.uniform(-0.5, 0.5, n), germ, label=f"random{seed}")
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_germs_satisfy_the_substitution_identity(seed):
-    # longer chains and more z powers than any builtin reaches
-    s = _random_system(seed)
-    e = build_expansion(s, 4, 24)
+def _check_substitution_identity(s: NormalSystem, M: int, K: int) -> None:
+    """Residual rows vanish within 1e-12 of max|F_m|, and extended agrees with double."""
+    e = build_expansion(s, M, K)
     res = e.residual_coefficients()
-    ext = build_expansion(s, 4, 24, dtype=np.clongdouble)
+    ext = build_expansion(s, M, K, dtype=np.clongdouble)
     for m in range(e.M + 1):
         scale = np.max(np.abs(e.fm[m]))
         assert np.max(np.abs(res[:, m, :])) <= 1e-12 * scale
         assert np.max(np.abs(ext.fm[m] - e.fm[m])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_germs_satisfy_the_substitution_identity(seed):
+    # longer chains and more z powers than any builtin reaches
+    _check_substitution_identity(_random_system(seed), 4, 24)
+
+
+def test_drawn_germs_satisfy_the_substitution_identity():
+    # the germ of any seed, at every depth 1..6 and order 2..24
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 24))
+    def check(seed, M, K):
+        _check_substitution_identity(_random_system(seed), M, K)
+
+    check()
 
 
 def test_substitution_residual_vanishes(e_p1):

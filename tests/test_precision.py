@@ -53,9 +53,8 @@ def test_extended_build_matches_double(p1):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="numpy.longdouble is no wider than double on this platform")
 def test_extended_abel_build_keeps_its_precision(abel):
-    # LAPACK solves each level in complex128; the refinement step, whose
-    # residual is formed in clongdouble, must bring every row back below
-    # what double arithmetic can reach
+    # every level is solved in clongdouble, the per-order inverses included,
+    # so every row stays below what double arithmetic can reach
     e = build_expansion(abel, 8, 48, dtype=np.clongdouble)
     assert max(_relative_residual_rows(e)) < 2e-17
 
@@ -63,7 +62,7 @@ def test_extended_abel_build_keeps_its_precision(abel):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="numpy.longdouble is no wider than double on this platform")
 def test_extended_deep_leading_profile_keeps_its_precision(abel):
-    # F_0's row is built order-major; each order divides by lambda - k in clongdouble
+    # the recursion over orders divides by lambda - k in clongdouble at every order
     e = build_expansion(abel, 0, 400, dtype=np.clongdouble)
     assert _relative_residual_rows(e)[0] < 2e-17
 

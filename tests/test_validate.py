@@ -217,6 +217,17 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
     assert len(ended) == 4
 
 
+@pytest.mark.parametrize("capture", [-1.0, 0.0, math.nan])
+def test_survey_rejects_a_capture_that_is_not_positive_before_hunting(monkeypatch, p1, e_p1,
+                                                                      capture):
+    def hunts(*args, **kwargs):
+        raise AssertionError("a hunt ran")
+
+    monkeypatch.setattr(validate, "_hunts", hunts)
+    with pytest.raises(ValueError, match="capture must be positive"):
+        run_validation(p1, e_p1, 12.0, range(8, 10), capture=capture)
+
+
 def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
     x_a = anchor_point(p1, 12.0, 1.2)
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
