@@ -13,11 +13,13 @@ validate  integrate, hunt and compare a whole array; JSON report
 report    run the numbered release checks
 
 Complex values are written ``re,im`` (a bare real is accepted); integer
-ranges are ``a..b``, inclusive at both ends.  JSON artifacts are emitted
-with sorted keys and fixed indentation, so identical configurations
-produce byte-identical files; they never carry NaN or Infinity.  Exit
-status: 0 success, 1 usage error, 2 domain error (including failed
-release checks).
+ranges are ``a..b``, inclusive at both ends.  JSON artifacts have sorted
+keys and never carry NaN or Infinity: ``system``, ``predict`` and
+``validate`` (the report and ``--emit-config``) indent them by one space,
+and ``expand`` writes one unindented line.  ``continue`` writes CSV with
+17 significant digits.  So identical configurations produce
+byte-identical files.  Exit status: 0 success, 1 usage error, 2 domain
+error (including failed release checks).
 
 ``expand`` and ``validate`` take ``--precision double|extended``, the
 dtype (complex128 or clongdouble) of the two-scale hierarchy they build.
@@ -102,7 +104,6 @@ class RunConfig:
     label: str
     M: int = 2
     K: int = 32
-    k_max: int | None = None
     C: complex = 1.0 + 0.0j
     n_range: tuple[int, ...] = ()
     capture: float = 1.0
@@ -125,8 +126,6 @@ class RunConfig:
             raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         d["C"] = complex(*d["C"])
         d["n_range"] = tuple(int(n) for n in d["n_range"])
-        if d.get("k_max") is not None:
-            d["k_max"] = int(d["k_max"])
         return cls(**d)
 
     def save(self, path: str) -> None:
@@ -190,7 +189,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_continue(args) -> int:
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
-    res = continue_f0(s, args.path, seed_order=args.seed_order)
+    res = continue_f0(s, args.path)
     n = s.n
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -219,7 +218,7 @@ def _cmd_validate(args) -> int:
         if args.label is None or not args.n:
             raise TransasymError("validate needs a label and --n, or --config")
         cfg = RunConfig(
-            label=args.label, M=args.M, K=args.K, k_max=args.k_max,
+            label=args.label, M=args.M, K=args.K,
             C=args.C, n_range=args.n, capture=args.capture, extract=args.extract,
             out=args.out or "run.json", csv_dir=args.csv_dir,
             precision=args.precision)
@@ -230,9 +229,8 @@ def _cmd_validate(args) -> int:
 
     s, _ = builtin(cfg.label)
     e = build_expansion(s, cfg.M, cfg.K, dtype=_DTYPES[cfg.precision])
-    kw = {} if cfg.k_max is None else {"deep_M": cfg.k_max}
     run = run_validation(s, e, cfg.C, cfg.n_range, capture=cfg.capture,
-                         extract=cfg.extract, csv_dir=cfg.csv_dir, **kw)
+                         extract=cfg.extract, csv_dir=cfg.csv_dir)
     rep = run.report
     for n, x_pred, x_obs, dist in rep.pairs:
         print(f"n = {n}: predicted {_fmt_c(x_pred)}  observed {_fmt_c(x_obs)}"
@@ -320,7 +318,6 @@ def _build_parser() -> _Parser:
     _add_family_flags(p)
     p.add_argument("--path", type=_complex, nargs="+", required=True,
                    help="waypoints re,im ...")
-    p.add_argument("--seed-order", dest="seed_order", type=int, default=64)
     p.add_argument("--out", default="continuation.csv")
     p.set_defaults(fn=_cmd_continue)
 
@@ -334,8 +331,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--K", type=int, default=32)
     _add_precision_flag(p)
-    p.add_argument("--k-max", dest="k_max", type=int,
-                   help="level for the deepened extraction expansion")
     p.add_argument("--capture", type=float, default=1.0)
     p.add_argument("--extract", action="store_true",
                    help="also recover C from the integrated solution")

@@ -64,7 +64,7 @@ from .errors import (
     OutsideReliableDisk,
     ResonantOrder,
 )
-from .series import InvXSeries, TaylorSeries, complex_array
+from .series import InvXSeries, TaylorSeries, complex_array, compose_germ_series
 from .systems import NormalSystem
 
 __all__ = [
@@ -360,58 +360,7 @@ def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
     if R < 2:
         raise ValueError("R must be at least 2")
     Y, _ = _coefficients(s, R, 0)
-    return tuple(InvXSeries(Y[j, 2:, 0], r_min=2) for j in range(s.n))
-
-
-def _bi_mul(a: np.ndarray, b: np.ndarray, mz: int, K: int) -> np.ndarray:
-    """Product of bivariate coefficient arrays (z rows, xi columns), truncated."""
-    out = np.zeros((mz + 1, K + 1), dtype=a.dtype)
-    for r1 in range(min(a.shape[0], mz + 1)):
-        row_a = a[r1]
-        for r2 in range(min(b.shape[0], mz + 1 - r1)):
-            out[r1 + r2, :] += np.convolve(row_a, b[r2])[: K + 1]
-    return out
-
-
-def _compose_germ_bivariate(germ, Y: np.ndarray, mz: int, K: int) -> np.ndarray:
-    """g(z, y(z, xi)) for bivariate arguments Y: (dims, mz+1, K+1).
-
-    Returns (dims, mz+1, K+1).  The z-power of a term shifts rows.
-    """
-    dt = Y.dtype
-    dims = germ.dims
-    out = np.zeros((dims, mz + 1, K + 1), dtype=dt)
-    one = np.zeros((mz + 1, K + 1), dtype=dt)
-    one[0, 0] = 1.0
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def ypow(j: int, p: int) -> np.ndarray:
-        key = (j, p)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        val = Y[j] if p == 1 else _bi_mul(ypow(j, p - 1), Y[j], mz, K)
-        cache[key] = val
-        return val
-
-    for (i, k), vec in germ.terms.items():
-        if i > mz:
-            continue
-        factor = None
-        for j, p in enumerate(k):
-            if p == 0:
-                continue
-            yp = ypow(j, p)
-            factor = yp if factor is None else _bi_mul(factor, yp, mz, K)
-        if factor is None:
-            factor = one
-        if i > 0:
-            shifted = np.zeros_like(factor)
-            shifted[i:, :] = factor[: mz + 1 - i, :]
-            factor = shifted
-        out += vec[:, None, None] * factor[None, :, :]
-    return out
-
+    return tuple(InvXSeries(Y[j, 2:, 0]) for j in range(s.n))
 
 
 # -- expansion container -----------------------------------------------------
@@ -475,35 +424,27 @@ class TwoScaleExpansion:
         built so far: order r depends on lower orders only, so bitwise the same."""
         if self._formal is None or self._formal.truncation_order < R:
             self._formal = formal_power_series(self.system, R)[0]
-        return InvXSeries(self._formal.coeffs[: R - 1], r_min=2)
+        return InvXSeries(self._formal.coeffs[: R - 1])
 
-    def residual_coefficients(self, m_max: int | None = None) -> np.ndarray:
+    def residual_coefficients(self) -> np.ndarray:
         """Residual of the substituted two-scale series, as a bivariate stack.
 
-        Returns (n, m_max+1, K+1); rows 0..M vanish to roundoff by
-        construction, which is the substitution-identity check.
+        Returns (n, M+1, K+1) in the build's dtype: [z^m xi^k] of the
+        recursion's two sides, moved to one side, for every level m.  These
+        rows vanish to roundoff by construction, which is the
+        substitution-identity check.  The reference is formed in
+        ``numpy.clongdouble`` from the stored levels, with
+        :func:`~transasym.series.compose_germ_series`, so its own rounding
+        stays below a double build's wherever longdouble is wider than double.
         """
-        mm = self.M if m_max is None else min(m_max, self.M)
-        dt = self.fm[0].dtype
-        n, K = self.system.n, self.K
-        Y = np.zeros((n, mm + 2, K + 1), dtype=dt)
-        for j in range(mm + 1):
-            Y[:, j, :] = self.fm[j]
-        gfull = _compose_germ_bivariate(self.system.germ, Y, mm + 1, K)
-        res = np.zeros((n, mm + 1, K + 1), dtype=dt)
-        k_weights = np.arange(K + 1, dtype=float)
-        alpha1 = self.system.alpha[0]
-        for m in range(mm + 1):
-            Fm = self.fm[m]
-            xi_dFm = Fm * k_weights[None, :]
-            # y' - rhs collected at z^m
-            row = -xi_dFm + self.system.lam[:, None] * Fm - gfull[:, m, :]
-            if m >= 1:
-                prev = self.fm[m - 1]
-                row += alpha1 * prev * k_weights[None, :] - (m - 1) * prev \
-                    - self.system.alpha[:, None] * prev
-            res[:, m, :] = row
-        return res
+        s, M, K = self.system, self.M, self.K
+        F = np.moveaxis(np.array(self.fm, dtype=np.clongdouble), 0, 1)
+        lam, alpha = (np.asarray(v, dtype=np.clongdouble)[:, None, None] for v in (s.lam, s.alpha))
+        k = np.arange(K + 1)
+        res = (lam - k) * F - compose_germ_series(s.germ, F)
+        m = np.arange(1, M + 1)[:, None]
+        res[:, 1:] += (alpha[0] * k - (m - 1) - alpha) * F[:, :-1]
+        return res.astype(self.fm[0].dtype)
 
     def to_dict(self) -> dict:
         return {

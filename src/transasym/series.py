@@ -1,21 +1,24 @@
-"""Series carriers, sparse analytic germs, and the series-level reference solver.
+"""Series carriers, sparse analytic germs, germ composition and the
+series-level reference solver.
 
 Three carriers:
 
 * ``TaylorSeries``   dense Taylor polynomial in the fast variable xi,
   coefficients c_0..c_K with explicit truncation order K; it evaluates
   and serializes a level profile,
-* ``InvXSeries``     dense series in inverse powers x^{-r}, r = r_min..R,
-  used for formal power-series solutions (r_min = 2),
+* ``InvXSeries``     dense series in inverse powers x^{-r}, r = 2..R,
+  the formal power-series solution,
 * ``AnalyticGerm``   sparse polynomial germ g(z, y) = sum g_{i,k} z^i y^k
   with a total-degree cap, vector valued (one coefficient
   vector per monomial).
 
 All values are immutable after construction.  The hierarchy itself is
 built on coefficient arrays in :mod:`transasym.expansion`; the carriers
-wrap its rows.  ``compose_germ_series`` and ``series_field_solve_linear``
-compose a germ with, and solve a linear field over, truncated coefficient
-arrays; the build no longer calls them.
+wrap its rows.  ``compose_germ_series`` composes a germ with bivariate
+coefficient arrays in z and xi; it is the reference of the substitution
+check, ``TwoScaleExpansion.residual_coefficients``, and the build does not
+call it.  ``series_field_solve_linear`` solves a linear field over
+truncated coefficient arrays; nothing in the package calls it.
 
 Precision follows the data.  The Taylor carriers and the series-level
 composition and solve keep the dtype of the arrays they are given, promoted
@@ -114,18 +117,15 @@ class TaylorSeries:
 
 
 class InvXSeries:
-    """Series sum_{r=r_min}^{R} c_r x^{-r} (dense in r)."""
+    """Series sum_{r=2}^{R} c_r x^{-r} (dense in r)."""
 
-    __slots__ = ("_c", "_r_min")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs, r_min: int = 2):
+    def __init__(self, coeffs):
         c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        if r_min < 0:
-            raise ValueError("r_min must be nonnegative")
         self._c = _freeze(c.copy())
-        self._r_min = int(r_min)
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -134,19 +134,19 @@ class InvXSeries:
     @property
     def truncation_order(self) -> int:
         """Largest inverse power R carried."""
-        return self._r_min + len(self._c) - 1
+        return len(self._c) + 1
 
     def evaluate(self, x, r_max: int | None = None):
         """sum_{r <= r_max} c_r x^{-r} (full truncation by default)."""
         R = self.truncation_order if r_max is None else min(r_max, self.truncation_order)
         acc = 0.0 + 0.0j
         z = 1.0 / complex(x)
-        for r in range(R, self._r_min - 1, -1):
-            acc = acc * z + complex(self._c[r - self._r_min])
-        return acc * z ** self._r_min
+        for r in range(R, 1, -1):
+            acc = acc * z + complex(self._c[r - 2])
+        return acc * z ** 2
 
     def __repr__(self) -> str:
-        return f"InvXSeries(r={self._r_min}..{self.truncation_order})"
+        return f"InvXSeries(r=2..{self.truncation_order})"
 
 
 class AnalyticGerm:
@@ -258,80 +258,55 @@ class AnalyticGerm:
         return cls(dims, terms, degree_cap=int(d.get("degree_cap", 12)))
 
 
-# -- low-level composition over coefficient arrays --------------------------
+# -- composition over coefficient arrays --------------------------------------
 
 
-def _trunc_mul(a: np.ndarray, b: np.ndarray, K: int) -> np.ndarray:
-    return np.convolve(a, b)[: K + 1]
+def _bi_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of bivariate coefficient arrays (z rows, xi columns), truncated
+    to the shape of ``a``."""
+    rows, cols = a.shape
+    out = np.zeros_like(a)
+    for r1 in range(rows):
+        for r2 in range(min(b.shape[0], rows - r1)):
+            out[r1 + r2, :] += np.convolve(a[r1], b[r2])[:cols]
+    return out
 
 
-def compose_germ_series(g: AnalyticGerm, z_spec, Y: np.ndarray, K: int) -> np.ndarray:
-    """g composed with coefficient arrays.
+def compose_germ_series(g: AnalyticGerm, Y: np.ndarray) -> np.ndarray:
+    """g(z, y) for y given by bivariate coefficient arrays.
 
-    Parameters
-    ----------
-    z_spec : complex scalar or length-(K+1) array
-        What to substitute for z (scalar constants allowed, typically 0).
-    Y : (dims, K+1) array
-        Taylor coefficients substituted for y.
-
-    Returns
-    -------
-    (dims, K+1) array, in the precision of ``Y`` and ``z_spec``.
+    ``Y[j, i, k]`` is [z^i xi^k] y_j.  Returns [z^i xi^k] g_j(z, y) in the
+    same layout, truncated to the shape of ``Y`` and computed in its
+    precision, at least complex128.  The z power of a term shifts rows.
     """
-    z_is_series = isinstance(z_spec, np.ndarray)
-    dt = np.result_type(Y, z_spec if z_is_series else np.complex128, np.complex128)
-    out = np.zeros((g.dims, K + 1), dtype=dt)
-    if len(g) == 0:
-        return out
-    pow_cache: dict[tuple[int, int], np.ndarray] = {}
+    Y = complex_array(Y)
+    rows = Y.shape[1]
+    out = np.zeros_like(Y)
+    one = np.zeros_like(Y[0])
+    one[0, 0] = 1.0
+    powers: dict[tuple[int, int], np.ndarray] = {}
 
     def ypow(j: int, p: int) -> np.ndarray:
-        key = (j, p)
-        got = pow_cache.get(key)
-        if got is not None:
-            return got
-        if p == 1:
-            val = np.asarray(Y[j, : K + 1], dtype=dt)
-        else:
-            val = _trunc_mul(ypow(j, p - 1), Y[j, : K + 1], K)
-        pow_cache[key] = val
-        return val
+        if (j, p) not in powers:
+            powers[j, p] = Y[j] if p == 1 else _bi_mul(ypow(j, p - 1), Y[j])
+        return powers[j, p]
 
-    zpow_cache: dict[int, np.ndarray] = {}
-
-    def zpow(i: int) -> np.ndarray:
-        got = zpow_cache.get(i)
-        if got is not None:
-            return got
-        val = np.asarray(z_spec[: K + 1], dtype=dt) if i == 1 else _trunc_mul(zpow(i - 1), z_spec[: K + 1], K)
-        zpow_cache[i] = val
-        return val
-
-    one = np.zeros(K + 1, dtype=dt)
-    one[0] = 1.0
     for (i, k), vec in g.terms.items():
-        factor = one
-        started = False
+        if i >= rows:
+            continue
+        factor = None
         for j, p in enumerate(k):
             if p == 0:
                 continue
             yp = ypow(j, p)
-            factor = yp if not started else _trunc_mul(factor, yp, K)
-            started = True
-        if i > 0:
-            if z_is_series:
-                zi = zpow(i)
-                factor = zi if not started else _trunc_mul(factor, zi, K)
-                started = True
-            else:
-                zc = complex(z_spec) ** i
-                if zc == 0:
-                    continue
-                factor = factor * zc
-        if not started and i == 0:
+            factor = yp if factor is None else _bi_mul(factor, yp)
+        if factor is None:
             factor = one
-        out += vec[:, None] * factor[None, :]
+        if i > 0:
+            shifted = np.zeros_like(factor)
+            shifted[i:, :] = factor[: rows - i, :]
+            factor = shifted
+        out += vec[:, None, None] * factor[None, :, :]
     return out
 
 

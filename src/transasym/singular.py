@@ -36,6 +36,7 @@ __all__ = [
 
 _NEWTON_TOL = 1e-12  # |xi(x_ref) - xi_s| a refined root meets, relative to max(1, |xi_s|)
 _NEWTON_ITER = 50  # Newton steps before an entry is kept unrefined
+_SEED_ORDER = 64  # Taylor order of the F_0 row that seeds a continuation
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -167,12 +168,12 @@ def _segment_clears_origin(a: complex, b: complex, tol: float = 1e-12) -> bool:
     return abs(a + t * d) > tol
 
 
-def continue_f0(s: NormalSystem, path: Sequence[complex], *,
-                seed_order: int = 64) -> ContinuationResult:
+def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     """Continue F_0 along a polyline on Taylor jets of xi F_0' = Lam F_0 - g(0, F_0).
 
-    The initial value is summed from the Taylor coefficients at ``path[0]``,
-    which must lie well inside the convergence disk: the disk rule of
+    The initial value is summed at ``path[0]`` from the Taylor row of F_0 to
+    order ``_SEED_ORDER`` = 64.  ``path[0]`` must lie well inside the
+    convergence disk: the disk rule of
     :func:`~transasym.expansion.eval_two_scale` raises
     :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each leg is walked
     like a pole hunt's approach (see :func:`transasym.validate.hunt_singularity`):
@@ -189,9 +190,9 @@ def continue_f0(s: NormalSystem, path: Sequence[complex], *,
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ValueError("path needs at least two waypoints")
-    e = build_expansion(s, 0, seed_order)
+    e = build_expansion(s, 0, _SEED_ORDER)
     e._require_disk(pts[0])
-    y = e.fm[0] @ pts[0] ** np.arange(seed_order + 1)
+    y = e.fm[0] @ pts[0] ** np.arange(_SEED_ORDER + 1)
 
     centres: list[tuple[complex, np.ndarray]] = []
     rho = 0.0

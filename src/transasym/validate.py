@@ -90,6 +90,7 @@ _STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
 _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
 _RUNGS, _SPAN = 8, 7.0  # rungs of a C ladder, and its half-width in |x|
 _ANCHOR_ARG, _ANCHOR_XI = 1.2, 1e-3  # ray of a validation run's anchor, and |xi| there
+_DEEP_M = 12  # least level of the expansion a validation run's C ladder seeds from
 
 _log = logging.getLogger("transasym")
 
@@ -795,7 +796,6 @@ def run_validation(
     *,
     capture: float = 1.0,
     extract: bool = False,
-    deep_M: int = 12,
     csv_dir=None,
 ) -> ValidationRun:
     """Predict a pole array, hunt each pole with Taylor jets, and compare.
@@ -808,11 +808,12 @@ def run_validation(
     x_a itself, since the level curve below it comes closer to the origin,
     where the seed is less accurate.  With ``extract`` set, a radius
     ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
-    integrated solution, seeding from a level-``deep_M`` expansion (deepened on demand, in the
-    precision of ``e``).  With ``csv_dir`` set, each hunt writes its jet
-    centres to ``pole_n<n>.csv`` there.  The hunts walk in lockstep (see
-    :func:`_hunts`): once all have ended, the first failure in n order is
-    raised.  The run is labelled with ``s.label``.
+    integrated solution, seeding from ``e`` deepened to level ``_DEEP_M`` =
+    12 when it is shallower, in the precision of ``e``.  With ``csv_dir``
+    set, each hunt writes its jet centres to ``pole_n<n>.csv`` there.  The
+    hunts walk in lockstep (see :func:`_hunts`): once all have ended, the
+    first failure in n order is raised.  The run is labelled with
+    ``s.label``.
     """
     if not capture > 0:   # before any hunt runs; also rejects NaN
         raise ValueError(f"capture must be positive, got {capture}")
@@ -839,7 +840,7 @@ def run_validation(
     if extract:
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not
         # enough for a 1e-3 constant measurement, so deepen if needed
-        e_x = e if e.M >= deep_M else build_expansion(s, deep_M, e.K, dtype=e.fm[0].dtype)
+        e_x = e if e.M >= _DEEP_M else build_expansion(s, _DEEP_M, e.K, dtype=e.fm[0].dtype)
         extraction = extraction_ladder(s, e_x, C, _ANCHOR_ARG, ladder_radii(e_x, _ANCHOR_ARG))
     return ValidationRun(
         system=s.label,

@@ -164,9 +164,13 @@ def test_missing_input_file_is_domain_error(tmp_path, monkeypatch, capsys):
 
 
 def test_unknown_flag_exits_one(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["predict", "p1", "--C", "1", "--n", "3", "--frobnicate"])
-    assert info.value.code == 1
+    for argv in (["predict", "p1", "--C", "1", "--n", "3", "--frobnicate"],
+                 # retired: the C ladder's level and the continuation's seed order are fixed
+                 ["validate", "p1", "--n", "8", "--k-max", "14"],
+                 ["continue", "abel", "--path", "0.02", "0.12", "--seed-order", "40"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
 
 
 def test_report_single_criterion(capsys):
@@ -188,15 +192,17 @@ def test_precision_is_a_flag_of_expand_and_validate(tmp_path, monkeypatch, capsy
     assert (tmp_path / "expansion.json").exists()
 
 
-def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("key, value", [("rel_tol", 1e-10), ("k_max", 14)],
+                         ids=["rel_tol", "k_max"])
+def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
-    cfg["rel_tol"] = 1e-10
+    cfg[key] = value
     (tmp_path / "old.json").write_text(json.dumps(cfg))
-    with pytest.raises(ValueError, match="rel_tol"):
+    with pytest.raises(ValueError, match=key):
         RunConfig.load("old.json")
     assert main(["validate", "--config", "old.json"]) == 2
-    assert "unknown RunConfig keys: rel_tol" in capsys.readouterr().err
+    assert f"unknown RunConfig keys: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label", ["p2a", "p2b"])

@@ -124,11 +124,12 @@ def test_xi_one_column_resonance_comes_before_the_leading_profile():
     assert err.value.order == 1
 
 
-@pytest.mark.parametrize("label", ["p2a", "p2b"])
+@pytest.mark.parametrize("label, b_branch", [("p2a", 1), ("p2b", 1), ("p2b", -1)],
+                         ids=["p2a", "p2b", "p2b-minus"])
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
-def test_p2_leading_profile_matches_its_closed_form(label, alpha):
-    e = build_expansion(builtin(label, alpha=alpha)[0], 8, 64)
-    ref = oracles.p2_f0_taylor(label[-1], 64)
+def test_p2_leading_profile_matches_its_closed_form(label, b_branch, alpha):
+    e = build_expansion(builtin(label, alpha=alpha, b_branch=b_branch)[0], 8, 64)
+    ref = oracles.p2_f0_taylor(label[-1], 64, b_branch)
     got = e.observable_series(0).coeffs
     # per coefficient; the zero coefficients are judged against the largest one
     den = np.where(ref != 0, np.abs(ref), np.max(np.abs(ref)))

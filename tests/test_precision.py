@@ -110,6 +110,57 @@ def test_extended_abel_series_solves_its_own_coefficients(abel):
             assert abs(_mp(e.fm[m][0, 0]) - ref[m][0]) <= 1e-18 * abs(ref[m][0]), m
 
 
+def _mp_residual_rows(e):
+    """max_k |residual| of each level's row relative to max|F_m|, as
+    ``_relative_residual_rows`` reads it, with the germ composed and the
+    rows formed in mpmath at the working precision on the stored levels."""
+    import mpmath
+
+    s, M, K = e.system, e.M, e.K
+    mpc = mpmath.mpc
+    F = [[[mpc(complex(v)) for v in e.fm[m][j]] for m in range(M + 1)] for j in range(s.n)]
+
+    def mul(a, b):   # [z^m xi^k] of a b, truncated at z^M and xi^K
+        return [[mpmath.fdot((a[i][l], b[m - i][k - l]) for i in range(m + 1) for l in range(k + 1))
+                 for k in range(K + 1)] for m in range(M + 1)]
+
+    monomials = {(0,) * s.n: [[mpc(m == q == 0) for q in range(K + 1)] for m in range(M + 1)]}
+
+    def monomial(k):   # y^k as bivariate coefficients
+        if k not in monomials:
+            j = next(j for j, p in enumerate(k) if p)
+            rest = k[:j] + (k[j] - 1,) + k[j + 1:]
+            monomials[k] = F[j] if not any(rest) else mul(monomial(rest), F[j])
+        return monomials[k]
+
+    rows = [0.0] * (M + 1)
+    alpha1 = mpc(complex(s.alpha[0]))
+    for j in range(s.n):
+        lam, alpha = mpc(complex(s.lam[j])), mpc(complex(s.alpha[j]))
+        for m in range(M + 1):
+            for k in range(K + 1):
+                g = mpmath.fsum(mpc(complex(vec[j])) * monomial(kk)[m - i][k]
+                                for (i, kk), vec in s.germ.terms.items() if i <= m)
+                r = (lam - k) * F[j][m][k] - g
+                if m >= 1:
+                    r += (alpha1 * k - (m - 1) - alpha) * F[j][m - 1][k]
+                rows[m] = max(rows[m], float(abs(r)))
+    return [r / float(np.max(np.abs(e.fm[m]))) for m, r in enumerate(rows)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="numpy.longdouble is no wider than double on this platform")
+def test_residual_reference_reads_the_true_residual_of_a_double_build(abel):
+    # the reference is formed in clongdouble from the stored double levels, so
+    # its worst row is the levels' own error, not the reference's rounding
+    mpmath = pytest.importorskip("mpmath")
+    e = build_expansion(abel, 16, 34)
+    got = max(_relative_residual_rows(e))
+    with mpmath.workdps(40):
+        ref = max(_mp_residual_rows(e))
+    assert abs(got - ref) <= 0.05 * ref
+
+
 def test_extended_validate_matches_double(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = ["validate", "p1", "--C", "12", "--n", "8..9", "--extract"]

@@ -39,7 +39,7 @@ def test_taylor_serialization_round_trip():
 
 
 def test_invx_evaluate_and_r_max():
-    s = InvXSeries([1.0, 2.0, 3.0], r_min=2)   # x^-2 + 2 x^-3 + 3 x^-4
+    s = InvXSeries([1.0, 2.0, 3.0])   # x^-2 + 2 x^-3 + 3 x^-4
     x = 2.0
     assert abs(s.evaluate(x) - (0.25 + 0.25 + 3 / 16)) < 1e-15
     assert abs(s.evaluate(x, r_max=3) - 0.5) < 1e-15
@@ -49,19 +49,22 @@ def test_invx_evaluate_and_r_max():
 
 
 def test_germ_compose_matches_pointwise():
-    # g(z, y) = (y1^2 + z y2, y1 y2) composed with series in one variable
+    # g(z, y) = (y1^2 + z y2, y1 y2) composed with series in z and xi
     g = AnalyticGerm(2, {(0, (2, 0)): [1.0, 0.0],
                          (1, (0, 1)): [1.0, 0.0],
                          (0, (1, 1)): [0.0, 1.0]})
-    y1, y2 = _rand_series(10), _rand_series(10)
-    z = _rand_series(10)
-    comp = compose_germ_series(g, z.coeffs, np.array([y1.coeffs, y2.coeffs]), 10)
-    t = 0.04 - 0.02j
-    vals = np.array([y1.evaluate(t), y2.evaluate(t)])
-    direct = g.evaluate(z.evaluate(t), vals)
-    # composition truncates at K = 10; the pointwise check needs |t| small
+    Y = RNG.normal(size=(2, 4, 11)) + 1j * RNG.normal(size=(2, 4, 11))
+    comp = compose_germ_series(g, Y)
+    assert comp.shape == Y.shape
+
+    def value(c, z, xi):   # sum_{i,k} c[i, k] z^i xi^k
+        return np.polynomial.polynomial.polyval2d(z, xi, c)
+
+    # composition truncates at z^3 and xi^10; the pointwise check needs both small
+    z, xi = 3e-4 + 1e-4j, 0.04 - 0.02j
+    direct = g.evaluate(z, [value(Y[j], z, xi) for j in range(2)])
     for j in range(2):
-        assert abs(TaylorSeries(comp[j]).evaluate(t) - direct[j]) < 1e-11
+        assert abs(value(comp[j], z, xi) - direct[j]) < 1e-11
 
 
 def test_germ_degree_cap():
@@ -137,7 +140,7 @@ def test_series_keep_their_precision():
     assert TaylorSeries([1, 2, 3]).coeffs.dtype == np.complex128
     assert InvXSeries(np.ones(3, dtype=np.float32)).coeffs.dtype == np.complex128
     g = AnalyticGerm(1, {(0, (2,)): 1.0})
-    assert compose_germ_series(g, 0.0, ext.coeffs[None, :], 4).dtype == np.clongdouble
+    assert compose_germ_series(g, ext.coeffs.reshape(1, 1, 5)).dtype == np.clongdouble
     assert g.evaluate(0.1, np.ones(1, dtype=np.clongdouble)).dtype == np.complex128
     sol = series_field_solve_linear(TaylorSeries(np.full(5, 0.5, dtype=np.clongdouble)),
                                     TaylorSeries(np.eye(5)[1]))
