@@ -172,10 +172,10 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     """Continue F_0 along a polyline on Taylor jets of xi F_0' = Lam F_0 - g(0, F_0).
 
     The initial value is summed at ``path[0]`` from the Taylor row of F_0 to
-    order ``_SEED_ORDER`` = 64.  ``path[0]`` must lie well inside the
-    convergence disk: the disk rule of
-    :func:`~transasym.expansion.eval_two_scale` raises
-    :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each leg is walked
+    order ``_SEED_ORDER`` = 64, built once per system and kept on it with
+    its disk radius.  ``path[0]`` must lie well inside the convergence
+    disk: the disk rule of :func:`~transasym.expansion.eval_two_scale`
+    raises :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each leg is walked
     like a pole hunt's approach (see :func:`transasym.validate.hunt_singularity`):
     jets in xi scaled to their own radius, summed inside half of it and
     landing exactly on each waypoint, at most ``_JET_BUDGET`` per leg
@@ -190,7 +190,9 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ValueError("path needs at least two waypoints")
-    e = build_expansion(s, 0, _SEED_ORDER)
+    if s._seed is None:
+        s._seed = build_expansion(s, 0, _SEED_ORDER)
+    e = s._seed
     e._require_disk(pts[0])
     y = e.fm[0] @ pts[0] ** np.arange(_SEED_ORDER + 1)
 

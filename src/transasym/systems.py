@@ -81,6 +81,7 @@ class NormalSystem:
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
         self.params = dict(params or {})
         self._program = None  # one monomial table for the build and the jet kernels, made on first use
+        self._seed = None  # the order-64 F_0 expansion that seeds continue_f0, made on first use
 
     def __repr__(self) -> str:
         return f"NormalSystem(label={self.label!r}, n={self.n})"

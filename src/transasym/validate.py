@@ -20,11 +20,11 @@ declares its kind of blow-up.  A C ladder walks its ray inward through
 every rung.
 
 Walks are generators that yield jet requests; ``_lockstep`` runs any
-number together, one call of the lane-batched kernel per round.  A
-validation run hunts all its poles in lockstep, while a lone hunt, a
-ladder, a detection or a continuation leg is driven alone on the same
-path; lanes do not share arithmetic, so a hunt's result is bitwise the
-same either way.
+number together, one call of the lane-batched kernel per round and one
+read of every lane's radius, rescaled jet and reach.  A validation run
+hunts all its poles in lockstep, while a lone hunt, a ladder, a
+detection or a continuation leg is driven alone on the same path; lanes
+do not share arithmetic, so a hunt's result is bitwise the same either way.
 
 ``integrate_path`` is the reference integrator: an embedded Runge-Kutta
 pair (scipy's RK45) at the requested tolerances per leg.  Blow-up ends
@@ -83,6 +83,8 @@ __all__ = [
 _NOMINAL_EXPONENTS = {"simple_pole": -1.0, "double_pole": -2.0, "branch_neg_half": -0.5}
 _CLASSIFY_WINDOW = 0.35
 _ORDER = 40  # of every Taylor jet
+_POWERS = np.arange(_ORDER + 1)  # of t in a jet
+_U = _POWERS[_ORDER // 2:] - _POWERS[_ORDER // 2:].mean()  # upper-half orders, centred
 _JET_BUDGET = 100  # jets one hunt or one ladder may compute
 _STAGING = 0.35  # how far short of its target a walk hands over to homing
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
@@ -281,49 +283,71 @@ def _jet(x: complex, y, rho: float, centres: list):
     """Jet of the solution through (x, y), scaled to its own radius.
 
     A walk step for :func:`_lockstep`: each ``yield`` of (x, y, rho) is
-    sent the kernel's jet a[:, k] = [t^k] y(x + rho t).  Returns
-    (a, rho, exact) with rho the radius read from the tail: the
-    least-squares slope of log max_j |a_jk| over the upper half of the
-    orders, so that the nearest singularity sits near |t| = 1.  A trial
-    scale far off is replaced before the exact rescaling, keeping the
-    coefficients in range.  A jet with fewer than two nonzero
-    coefficients in that half terminates: it is returned exact, at the
-    trial scale.  The centre is recorded in ``centres``; once
+    sent the lane's read (:func:`_scale_jets`) of a[:, k] =
+    [t^k] y(x + rho t).  Returns (a r^k, rho r, exact, reach), so that
+    the nearest singularity sits near |t| = 1; a trial scale far off, r
+    outside (0.1, 10), is first replaced by rho r, keeping the
+    coefficients in range.  A jet that terminates is returned exact, at
+    the trial scale.  The centre is recorded in ``centres``; once
     ``_JET_BUDGET`` are recorded, ``NotConverging`` is raised instead.
     """
     if len(centres) >= _JET_BUDGET:
         raise NotConverging(f"jet budget of {_JET_BUDGET} spent at {x:.8g}")
     centres.append((x, y))
-    k = np.arange(_ORDER + 1)
     for _ in range(4):
-        a = yield x, y, rho
-        mag = np.max(np.abs(a), axis=0)
-        keep = (k >= _ORDER // 2) & (mag > 0)
-        if np.count_nonzero(keep) < 2:
-            return a, rho, True
-        u, v = k[keep] - k[keep].mean(), np.log(mag[keep])
-        r = math.exp(-np.sum(u * (v - v.mean())) / np.sum(u * u))
-        if 0.1 < r < 10.0:
+        a, r, exact, reach = yield x, y, rho
+        if exact or 0.1 < r < 10.0:
             break
         rho *= r
-    return a * r ** k, rho * r, False
+    return a, rho * r, exact, reach
+
+
+def _scale_jets(a: np.ndarray) -> list:
+    """Each lane's read of a[b, :, k] = [t^k] y_b(x_b + rho_b t): (a_b r^k, r, False, reach).
+
+    r, the radius over rho_b, is exp of minus the least-squares slope of
+    log max_j |a_bjk| over the upper half of the orders.  The reach is
+    |t| <= 1/2, less where the last term of a_b r^k would pass 1e-16 of
+    the state.  A lane with fewer than two nonzero coefficients in that
+    half terminates: (a_b, 1.0, True, inf).  Each lane's numbers come from
+    its own row, so a lane reads bitwise the same in any batch.
+    """
+    mag = np.abs(a).max(axis=1)
+    keep = mag[:, _ORDER // 2:] > 0
+    live = keep.sum(axis=1)
+    with np.errstate(all="ignore"):  # zeros in a tail, and trial scales about to be replaced
+        v = np.log(mag[:, _ORDER // 2:])
+        slope = (_U * (v - v.sum(axis=1, keepdims=True) / _U.size)).sum(axis=1) / (_U @ _U)
+        for b in range(len(a)):
+            if 2 <= live[b] < _U.size:  # zeros in the tail: fit the nonzero orders alone
+                k, w = _POWERS[_ORDER // 2:][keep[b]], v[b, keep[b]]
+                slope[b] = np.sum((u := k - k.mean()) * (w - w.mean())) / np.sum(u * u)
+        r = [math.exp(-q) for q in slope]  # NaN where the jet terminates
+        a_r = a * (np.array(r)[:, None] ** _POWERS)[:, None]
+        ends = np.abs(a_r[:, :, ::_ORDER]).max(axis=1)
+        base = _EPS * ends[:, 0] / ends[:, 1]
+    # a scalar power per lane: np.power over all lanes rounds some differently
+    return [(a[b], 1.0, True, math.inf) if live[b] < 2 else
+            (a_r[b], r[b], False, 0.5 if ends[b, 1] == 0 else min(0.5, base[b] ** (1.0 / _ORDER)))
+            for b in range(len(a))]
 
 
 def _lockstep(s: NormalSystem, jet, walks) -> list:
     """Run the generators ``walks`` together on the batched kernel ``jet``.
 
-    Each round sends every live walk its jet and computes the jets of the
-    (x, y, rho) requests they yield in one call of ``jet``.  Once every
+    Each round computes the jets of the (x, y, rho) requests the live
+    walks yield in one call of ``jet``, reads them in one call of
+    :func:`_scale_jets` and sends each walk its lane's read.  Once every
     walk has ended, raises the first failure in order, else returns the
     walks' return values in order.
     """
     outcomes, failures = [None] * len(walks), {}
-    live, jets = range(len(walks)), [None] * len(walks)
+    live, reads = range(len(walks)), [None] * len(walks)
     while live:
         asked = {}
-        for i, a in zip(live, jets):
+        for i, read in zip(live, reads):
             try:
-                asked[i] = walks[i].send(a)
+                asked[i] = walks[i].send(read)
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except Exception as err:  # ends this walk only; raised once all have ended
@@ -331,7 +355,7 @@ def _lockstep(s: NormalSystem, jet, walks) -> list:
         live = list(asked)
         if live:
             x, y, rho = zip(*asked.values())
-            jets = jet(s, np.array(x), np.array(y).T, np.array(rho), _ORDER)
+            reads = _scale_jets(jet(s, np.array(x), np.array(y).T, np.array(rho), _ORDER))
     if failures:
         raise failures[min(failures)]
     return outcomes
@@ -365,39 +389,35 @@ def _walk(x: complex, y, waypoints, rho: float, centres: list):
     """Taylor steps from (x, y) through each of ``waypoints`` in turn.
 
     A walk for :func:`_lockstep`, in x or in xi as its kernel is.  Each
-    jet, scaled to its own radius, reaches |t| <= 1/2, less where its
-    last term would pass 1e-16 of the state.  It is summed at every next
-    waypoint inside its reach, landing on each exactly, or else steps its
-    reach toward the next; the next jet is centred where it ended.  No
-    singularity lies within half a radius, so a skipped waypoint leaves
-    the branch unchanged.  A jet that terminates is exact and reaches
-    every waypoint.  A jet whose radius is below ``_STOP`` of the
-    distance left to the next waypoint raises ``SingularApproach`` at its
-    centre.  ``rho`` is the first jet's trial scale.  Returns the state
-    at every waypoint and the radius of the last jet.
+    jet, scaled to its own radius, comes with its reach
+    (:func:`_scale_jets`): |t| <= 1/2, less where its last term would
+    pass 1e-16 of the state.  It is summed at every next waypoint inside
+    its reach, landing on each exactly, or else steps its reach toward
+    the next; the next jet is centred where it ended.  No singularity
+    lies within half a radius, so a skipped waypoint leaves the branch
+    unchanged.  A jet that terminates is exact and reaches every
+    waypoint.  A jet whose radius is below ``_STOP`` of the distance left
+    to the next waypoint raises ``SingularApproach`` at its centre.
+    ``rho`` is the first jet's trial scale.  Returns the state at every
+    waypoint and the radius of the last jet.
     """
-    states, todo, powers = [], list(waypoints), np.arange(_ORDER + 1)
+    states, todo = [], list(waypoints)
     while todo:
         if x == todo[0]:
             states.append(y)
             todo.pop(0)
             continue
         c = x
-        a, rho, exact = yield from _jet(c, y, rho, centres)
-        reach = math.inf
-        if not exact:
-            if rho < _STOP * abs(todo[0] - c):
-                raise SingularApproach(c)
-            top = np.max(np.abs(a[:, -1]))  # exactly 0 sets no truncation limit
-            reach = 0.5 if top == 0 else min(
-                0.5, (_EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / _ORDER))
+        a, rho, exact, reach = yield from _jet(c, y, rho, centres)
+        if not exact and rho < _STOP * abs(todo[0] - c):
+            raise SingularApproach(c)
         reached = len(states)
         while todo and abs(t := (todo[0] - c) / rho) <= reach:
-            x, y = todo.pop(0), a @ t ** powers
+            x, y = todo.pop(0), a @ t ** _POWERS
             states.append(y)
         if len(states) == reached:  # no waypoint inside the reach: step it toward the next
             t *= reach / abs(t)
-            y, x = a @ t ** powers, c + rho * t
+            y, x = a @ t ** _POWERS, c + rho * t
     return states, rho
 
 
@@ -419,11 +439,11 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     # |y / y'| is about the distance to a blow-up: a trial scale in range
     slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
     rho = np.max(np.abs(y)) / np.max(np.abs(slope))
-    a, rho, exact = _lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0]
+    a, rho, exact, _ = _lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0]
     first = _read(s, x, a, rho, exact)
     d = first.location - x
-    y = a @ (d / (2 * rho)) ** np.arange(_ORDER + 1)
-    again = _read(s, x + d / 2, *_lockstep(s, _x_jet, [_jet(x + d / 2, y, abs(d) / 2, [])])[0])
+    y = a @ (d / (2 * rho)) ** _POWERS
+    again = _read(s, x + d / 2, *_lockstep(s, _x_jet, [_jet(x + d / 2, y, abs(d) / 2, [])])[0][:3])
     if abs(again.location - first.location) > 1e-3 * abs(d):
         raise NoBlowup(f"the reads from x = {x:.8g} and from halfway to it disagree")
     return first
@@ -486,7 +506,7 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
         x, y = pts[-1], states[-1]
         found = None
         while True:
-            a, rho, exact = yield from _jet(x, y, rho, centres)
+            a, rho, exact, _ = yield from _jet(x, y, rho, centres)
             read = _read(s, x, a, rho, exact)
             if found is not None:
                 gap = abs(read.location - found.location)
@@ -495,7 +515,7 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
                 spread = gap
             found = read
             t = 0.5 * (found.location - x) / rho
-            y = a @ t ** np.arange(_ORDER + 1)
+            y = a @ t ** _POWERS
             x += rho * t
             rho = abs(found.location - x)
         stopped = "settled"

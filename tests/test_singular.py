@@ -69,6 +69,25 @@ def test_radius_abel_branch():
     assert est.exponent == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_radius_reads_binomial_singularities():
+    # (1 - xi/xi_s)^p for p off the non-negative integers, where the series terminates
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.one_of(st.sampled_from([-1.0, -2.0, -3.0]), st.floats(-3.0, 2.0).filter(
+        lambda p: min(abs(p - n) for n in range(3)) >= 0.02))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.floats(0.3, 8.0), st.floats(-math.pi, math.pi), exponents,
+                      st.integers(40, 120))
+    def check(modulus, arg, p, K):
+        xi_s = cmath.rect(modulus, arg)
+        est = radius_estimate(_binomial_series(p, xi_s, K))
+        assert abs(est.xi_s - xi_s) <= 1e-11 * modulus
+        assert abs(est.exponent - p) <= 1e-9
+
+    check()
+
+
 def test_radius_needs_coefficients():
     with pytest.raises(InsufficientCoefficients):
         radius_estimate(TaylorSeries(np.ones(10)))
@@ -129,6 +148,18 @@ def test_continuation_steps_over_a_terminating_jet():
     # g(0, y) vanishes, so F_0 = xi and every jet is a line
     s = NormalSystem([1.0], [0.3], AnalyticGerm(1, {(2, (0,)): 0.1, (1, (2,)): 1.0}))
     assert abs(continue_f0(s, [0.25, 0.5]).final[0] - 0.5) < 1e-15
+
+
+def test_continuation_seed_is_kept_on_the_system():
+    s = builtin("abel")[0]
+    path = [0.1, 0.2 + 0.1j, 0.3]
+    first = continue_f0(s, path)
+    seed = s._seed
+    again = continue_f0(s, path)
+    fresh = continue_f0(builtin("abel")[0], path)
+    assert seed is not None and s._seed is seed
+    for res in (again, fresh):
+        assert np.array_equal(res.xi, first.xi) and np.array_equal(res.values, first.values)
 
 
 def test_continuation_budget_is_per_leg(abel):

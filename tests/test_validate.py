@@ -12,7 +12,8 @@ from scipy.integrate import solve_ivp
 from transasym import validate
 from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
                               TransasymError)
-from transasym.expansion import _x_jet, build_expansion, eval_two_scale, formal_power_series
+from transasym.expansion import (_x_jet, _xi_jet, build_expansion, eval_two_scale,
+                                 formal_power_series)
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
 from transasym.systems import NormalSystem, builtin
@@ -435,6 +436,81 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
             assert all(np.array_equal(a, b) for a, b in zip(got, states, strict=True))
 
     check()
+
+
+def _lane_read(a):
+    """Reference read of one lane's jet a (n, K+1), one lane at a time."""
+    k = np.arange(validate._ORDER + 1)
+    mag = np.max(np.abs(a), axis=0)
+    keep = (k >= validate._ORDER // 2) & (mag > 0)
+    if np.count_nonzero(keep) < 2:
+        return a, 1.0, True, math.inf
+    u, v = k[keep] - k[keep].mean(), np.log(mag[keep])
+    r = math.exp(-np.sum(u * (v - v.mean())) / np.sum(u * u))
+    a = a * r ** k
+    top = np.max(np.abs(a[:, -1]))
+    return a, r, False, 0.5 if top == 0 else min(
+        0.5, (validate._EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / validate._ORDER))
+
+
+def test_batched_reads_are_bitwise_the_lane_reads(p1, e_p1):
+    # thirteen p1 lanes at scales 0.05..2 of their distance to the anchor, one
+    # with zeros in its tail and one zero jet
+    x = anchor_point(p1, 12.0, 1.2) + 1j * np.linspace(0.0, 70.0, 13)
+    y = np.array([eval_two_scale(e_p1, 12.0, v)[0] for v in x]).T
+    a = _x_jet(p1, x, y, np.abs(x) * np.geomspace(0.05, 2.0, 13), validate._ORDER)
+    a[3, :, 25::3] = 0.0
+    a[7] = 0.0
+    for got, want in zip(validate._scale_jets(a), map(_lane_read, a), strict=True):
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _asking(walk, asked):
+    """``walk``, recording each jet it asks for in ``asked``."""
+    read = None
+    while True:
+        try:
+            request = walk.send(read)
+        except StopIteration as stop:
+            return stop.value
+        asked.append(request)
+        read = yield request
+
+
+# y1 under the germ of a terminating F_0 (z y1^2: F_0 = c xi in xi), y2 logistic;
+# y = 0 is a solution in x, and F = (c xi, 0) a line in xi
+_MIXED = NormalSystem([1.0, 2.0], [0.3, 0.0],
+                      AnalyticGerm(2, {(1, (2, 0)): [1.0, 0.0], (0, (0, 2)): [0.0, 1.0]}))
+
+
+@pytest.mark.parametrize("kernel, lanes", [
+    (_x_jet, [(3 + 1j, (0.1, 0.2), [4 + 1j, 6 + 1j], 1.0),  # ordinary
+              (3 + 2j, (0.05, 0.3), [5 + 2j], 1.0),
+              (3 + 1j, (0.1, 0.2), [4 + 1j, 6 + 1j], 0.01),  # trial scale 100x short
+              (3 + 1j, (0.0, 0.0), [4 + 1j, 9 + 1j], 1.0)]),  # zero jet
+    (_xi_jet, [(0.25, (0.25, 0.1), [0.4, 0.6], 0.5),
+               (0.25 + 0.1j, (0.25 + 0.1j, 0.05), [0.5 + 0.1j], 0.5),
+               (0.25, (0.25, 0.1), [0.4, 0.6], 0.005),
+               (0.25, (0.25, 0.0), [0.5, 2.0], 0.25)]),  # F = (xi, 0): a line
+], ids=["x", "xi"])
+def test_mixed_lanes_end_as_they_do_alone(kernel, lanes):
+    # a retrying lane, a terminating lane and ordinary lanes in one lockstep
+    def walk(lane, centres):
+        x0, y0, pts, rho = lane
+        return validate._walk(x0, np.array(y0, dtype=complex), pts, rho, centres)
+
+    alone, asked, centres = [], [[] for _ in lanes], [[] for _ in lanes]
+    for lane, a, c in zip(lanes, asked, centres):
+        alone += validate._lockstep(_MIXED, kernel, [_asking(walk(lane, c), a)])
+    together = validate._lockstep(_MIXED, kernel, [walk(lane, []) for lane in lanes])
+    for (states, rho), (lone, lone_rho) in zip(together, alone, strict=True):
+        assert rho == lone_rho
+        assert all(np.array_equal(a, b) for a, b in zip(states, lone, strict=True))
+    assert [len(a) - len(c) for a, c in zip(asked, centres)][:2] == [0, 0]
+    assert len(asked[2]) > len(centres[2])  # replaced its first trial scale
+    assert len(centres[3]) == 1 and alone[3][1] == lanes[3][3]  # one exact jet, at its trial scale
+    x0, y0, pts, _ = lanes[3]  # y = 0 and F = (xi, 0) both scale with x
+    assert np.allclose(alone[3][0][-1], np.array(y0) * pts[-1] / x0, rtol=1e-15, atol=0)
 
 
 def test_estimate_consistency_is_symmetric():
