@@ -12,6 +12,7 @@ usage:
     ./02_pole_array_prediction.py [out.json]
 """
 
+import json
 import math
 import sys
 
@@ -30,7 +31,8 @@ def main(out):
         dev = abs(gap - 2j * math.pi)
         print(f"  x_{n + 1} - x_{n}: |gap - 2 pi i| = {dev:.4f}")
 
-    arr.save(out)
+    with open(out, "w") as fh:
+        json.dump(arr.to_dict(), fh, sort_keys=True, indent=1)
     print(f"\narray -> {out}")
 
 

@@ -12,14 +12,15 @@ continue  continue the leading profile along a xi-plane polyline on Taylor
 validate  integrate, hunt and compare a whole array; JSON report
 report    run the numbered release checks
 
-Complex values are written ``re,im`` (a bare real is accepted); integer
-ranges are ``a..b``, inclusive at both ends.  JSON artifacts have sorted
-keys and never carry NaN or Infinity: ``system``, ``predict`` and
-``validate`` (the report and ``--emit-config``) indent them by one space,
-and ``expand`` writes one unindented line.  ``continue`` writes CSV with
-17 significant digits.  So identical configurations produce
-byte-identical files.  Exit status: 0 success, 1 usage error, 2 domain
-error (including failed release checks).
+Complex values are written ``re,im`` (a bare real is accepted) and must
+be finite; integer ranges are ``a..b``, inclusive at both ends.  Every
+JSON artifact (``system``, ``expand``, ``predict``, and ``validate``'s
+report and ``--emit-config``) has sorted keys, is indented by one space,
+ends with a newline and never carries NaN or Infinity; a value that is
+not finite leaves no file.  ``continue`` and ``validate --csv-dir``
+write CSV with 17 significant digits.  So identical configurations
+produce byte-identical files.  Exit status: 0 success, 1 usage error,
+2 domain error (including failed release checks).
 
 ``expand`` and ``validate`` take ``--precision double|extended``, the
 dtype (complex128 or clongdouble) of the two-scale hierarchy they build.
@@ -29,7 +30,7 @@ Integration always runs in double, and a saved expansion stores doubles.
 from __future__ import annotations
 
 import argparse
-import csv
+import cmath
 import dataclasses
 import json
 import sys
@@ -41,7 +42,7 @@ from .errors import TransasymError
 from .expansion import TwoScaleExpansion, build_expansion, eval_two_scale
 from .singular import continue_f0, predict_array
 from .systems import BUILTIN_LABELS, builtin
-from .validate import run_validation
+from .validate import _write_csv, run_validation
 
 __all__ = ["RunConfig", "main"]
 
@@ -62,15 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected re,im or a bare real, got {text!r}")
+        z = complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):  # TypeError: more than two parts
+        raise argparse.ArgumentTypeError(
+            f"expected re,im or a bare real, got {text!r}") from None
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite value, got {text!r}")
+    return z
 
 
 def _int_range(text: str) -> tuple[int, ...]:
@@ -91,10 +91,19 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.12g},{z.imag:.12g}"
 
 
-def _dump_json(obj, path: str) -> None:
+def _dump_json(obj, path: str | None) -> None:
+    """Write ``obj`` as JSON to ``path``, or to stdout when ``path`` is None.
+
+    The one JSON layout: sorted keys, one space of indent, a final newline.
+    A value that is not finite raises ``ValueError`` before ``path`` is
+    opened, so it leaves no file.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -128,14 +137,6 @@ class RunConfig:
         d["n_range"] = tuple(int(n) for n in d["n_range"])
         return cls(**d)
 
-    def save(self, path: str) -> None:
-        _dump_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def _cmd_system(args) -> int:
     if args.label is None:
@@ -143,19 +144,16 @@ def _cmd_system(args) -> int:
             print(label)
         return 0
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
-    payload = s.to_dict()
-    if args.out:
-        _dump_json(payload, args.out)
+    _dump_json(s.to_dict(), args.out)
+    if args.out is not None:
         print(f"{args.label} -> {args.out}")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=1))
     return 0
 
 
 def _cmd_expand(args) -> int:
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
     e = build_expansion(s, args.M, args.K, dtype=_DTYPES[args.precision])
-    e.save(args.out)
+    _dump_json(e.to_dict(), args.out)
     consts = " ".join(_fmt_c(c) for c in e.free_constants) or "-"
     print(f"{args.label}: M = {e.M}, K = {e.K}, free constants {consts} -> {args.out}")
     return 0
@@ -164,7 +162,8 @@ def _cmd_expand(args) -> int:
 def _cmd_eval(args) -> int:
     if args.xi is None and (args.C is None or args.x is None):
         raise _UsageError("eval needs --xi, or both --C and --x")
-    e = TwoScaleExpansion.load(args.infile)
+    with open(args.infile) as fh:
+        e = TwoScaleExpansion.from_dict(json.load(fh))
     if args.xi is not None:
         e._require_disk(args.xi)
         print(_fmt_c(e.observable_series(args.m).evaluate(args.xi)))
@@ -182,7 +181,7 @@ def _cmd_predict(args) -> int:
             f"{args.label} declares no singular scale value; pass --xi-s")
     alpha1 = args.alpha1 if args.alpha1 is not None else s.alpha[0]
     arr = predict_array(xi_s, args.C, alpha1, args.n)
-    arr.save(args.out)
+    _dump_json(arr.to_dict(), args.out)
     print(f"{len(arr.entries)} entries -> {args.out}")
     return 0
 
@@ -190,17 +189,7 @@ def _cmd_predict(args) -> int:
 def _cmd_continue(args) -> int:
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
     res = continue_f0(s, args.path)
-    n = s.n
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["xi_re", "xi_im"]
-                   + [f"F{j + 1}_{p}" for j in range(n) for p in ("re", "im")])
-        for k in range(res.xi.size):
-            row = [f"{res.xi[k].real:.17g}", f"{res.xi[k].imag:.17g}"]
-            for j in range(n):
-                v = res.values[j, k]
-                row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-            w.writerow(row)
+    _write_csv(args.out, res.xi, res.values, "xi", "F")
     final = " ".join(_fmt_c(v) for v in res.final)
     print(f"{res.xi.size} samples -> {args.out}; final {final}")
     return 0
@@ -208,7 +197,8 @@ def _cmd_continue(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.config:
-        cfg = RunConfig.load(args.config)
+        with open(args.config) as fh:
+            cfg = RunConfig.from_dict(json.load(fh))
         # explicit destinations beat the ones recorded in the config
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out=args.out)
@@ -225,7 +215,7 @@ def _cmd_validate(args) -> int:
     if cfg.precision not in _DTYPES:
         raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
     if args.emit_config:
-        cfg.save(args.emit_config)
+        _dump_json(cfg.to_dict(), args.emit_config)
 
     s, _ = builtin(cfg.label)
     e = build_expansion(s, cfg.M, cfg.K, dtype=_DTYPES[cfg.precision])

@@ -72,7 +72,10 @@ class ZeroC(TransasymError):
 
 
 class StepUnderflow(TransasymError):
-    """The integrator's step collapsed below the floor; location in ``where``."""
+    """The reference integrator stopped: its step collapsed, or the state escaped.
+
+    The stop location is in ``where``.
+    """
 
     def __init__(self, where: complex, message: str | None = None):
         self.where = complex(where)

@@ -51,7 +51,6 @@ every later operation on the levels keeps that dtype.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -466,16 +465,6 @@ class TwoScaleExpansion:
             fm.append(np.array(arrays))
         consts = [complex(re, im) for re, im in d["free_constants"]]
         return cls(system, fm, consts, K=int(d["K"]))
-
-    def save(self, path: str) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path: str) -> "TwoScaleExpansion":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _profile_radius(f0: TaylorSeries) -> float:

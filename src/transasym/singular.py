@@ -13,7 +13,6 @@ each entry Newton-refined from its asymptotic seed.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -270,16 +269,6 @@ class SingularityArray:
                 None if ref is None else complex(*ref), e.get("residual")))
         return cls(complex(*d["xi_s"]), complex(*d["C"]),
                    complex(*d["alpha1"]), tuple(entries))
-
-    def save(self, path: str) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, indent=1, allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path: str) -> "SingularityArray":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:

@@ -26,10 +26,11 @@ hunts all its poles in lockstep, while a lone hunt, a ladder, a
 detection or a continuation leg is driven alone on the same path; lanes
 do not share arithmetic, so a hunt's result is bitwise the same either way.
 
-``integrate_path`` is the reference integrator: an embedded Runge-Kutta
-pair (scipy's RK45) at the requested tolerances per leg.  Blow-up ends
-it with ``StepUnderflow``; the partial trajectory is attached to the
-exception as ``err.trajectory``.
+``integrate_path`` is the tests' independent reference: scipy's RK45,
+leg by leg at fixed tolerances.  Blow-up ends it with ``StepUnderflow``;
+the partial trajectory is attached to the exception as
+``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by a
+hunt's jet centres and ``transasym continue``.
 
 Integration, jets, detection and the extraction of C run in complex128.
 An extended-precision expansion only seeds them: its values are cast to
@@ -61,7 +62,6 @@ from .singular import SingularityArray, _neville_diagonal, predict_array, radius
 from .systems import NormalSystem
 
 __all__ = [
-    "PathSpec",
     "Trajectory",
     "PoleObservation",
     "CEstimate",
@@ -93,148 +93,88 @@ _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
 _RUNGS, _SPAN = 8, 7.0  # rungs of a C ladder, and its half-width in |x|
 _ANCHOR_ARG, _ANCHOR_XI = 1.2, 1e-3  # ray of a validation run's anchor, and |xi| there
 _DEEP_M = 12  # least level of the expansion a validation run's C ladder seeds from
+_RK_RTOL, _RK_ATOL, _ESCAPE = 1e-10, 1e-12, 1e8  # of integrate_path: RK45 tolerances, stop norm
 
 _log = logging.getLogger("transasym")
 
 
 @dataclass(frozen=True)
-class PathSpec:
-    """Polyline integration request: waypoints plus step control.
-
-    Consecutive waypoints must be distinct; revisiting an earlier point
-    later in the path is allowed (loops).  ``max_step`` bounds the step
-    in x-plane distance, not in the internal leg parameter.
-    """
-
-    waypoints: tuple
-    max_step: float = math.inf
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        pts = tuple(complex(w) for w in self.waypoints)
-        if len(pts) < 2:
-            raise ValueError("a path needs at least two waypoints")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError("consecutive waypoints must be distinct")
-        if not (self.max_step > 0 and self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("step bound and tolerances must be positive")
-        object.__setattr__(self, "waypoints", pts)
-
-    @property
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in zip(self.waypoints, self.waypoints[1:]))
-
-
 class Trajectory:
-    """Accepted integration samples along a path.
+    """Accepted RK45 steps along a path: ``x`` of shape (N,), ``y`` of shape (n, N).
 
-    ``x`` has shape (N,), ``y`` shape (n, N).  Consecutive samples are
-    accepted steps of the embedded pair, so each carries a local error
-    estimate within the requested tolerances.  When built with dense
-    output the trajectory interpolates: ``eval(x)`` works for any x on
-    one of the legs actually covered.
+    ``stats`` holds ``n_steps``, ``n_rhs`` and ``stopped`` ("completed"
+    or the reason the integration stopped).
     """
 
-    def __init__(self, x, y, *, legs=None, stats=None):
-        self.x = np.asarray(x)
-        self.y = np.asarray(y)
-        if self.y.shape[1] != self.x.shape[0]:
-            raise ValueError("sample count mismatch between x and y")
-        self._legs = list(legs or [])
-        self.stats = dict(stats or {})
-
-    @property
-    def dense(self) -> bool:
-        return bool(self._legs)
-
-    def eval(self, x) -> np.ndarray:
-        """Dense-output state at a point on the covered path."""
-        x = complex(x)
-        for a, delta, sol in self._legs:
-            t = (x - a) / delta
-            if abs(t.imag) <= 1e-9 * (1.0 + abs(t)) and -1e-12 <= t.real <= 1.0 + 1e-12:
-                return sol(min(max(t.real, 0.0), 1.0))
-        raise ValueError(f"x = {x:.6g} is not on the integrated path")
-
-    def to_csv(self, path) -> None:
-        """Write samples as x_re,x_im,y1_re,y1_im,...  (one row per step)."""
-        header = ["x", *(f"y{j + 1}" for j in range(self.y.shape[0]))]
-        cols = [self.x, *self.y]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"{c}_{part}" for c in header for part in ("re", "im")])
-            w.writerows([v for c in cols for v in (c[k].real, c[k].imag)]
-                         for k in range(self.x.shape[0]))
+    x: np.ndarray
+    y: np.ndarray
+    stats: dict
 
 
-def integrate_path(
-    s: NormalSystem,
-    y_init,
-    path: PathSpec,
-    *,
-    escape: float = 1e8,
-    dense: bool = False,
-) -> Trajectory:
-    """Integrate y' = f(x, y) along the polyline of ``path``.
+def _write_csv(path, x, y, x_name: str, y_name: str) -> None:
+    """Write samples ``x`` (N,) and ``y`` (n, N) as CSV, a row per sample.
 
-    Returns the full trajectory if every leg completes.  If the state
-    norm crosses ``escape``, or the step size collapses (both signal a
-    nearby singularity), raises ``StepUnderflow`` with the stop location
-    in ``.where`` and the partial trajectory attached as ``.trajectory``.
+    The header is ``<x>_re,<x>_im,<y>1_re,<y>1_im,...``; every value has
+    17 significant digits, so it parses back exactly.
     """
+    names = [x_name, *(f"{y_name}{j + 1}" for j in range(len(y)))]
+    cols = [x, *y]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"{c}_{part}" for c in names for part in ("re", "im")])
+        w.writerows([f"{v:.17g}" for c in cols for v in (c[k].real, c[k].imag)]
+                    for k in range(len(x)))
+
+
+def integrate_path(s: NormalSystem, y_init, waypoints) -> Trajectory:
+    """Integrate y' = f(x, y) from ``y_init`` along the polyline through ``waypoints``.
+
+    Each leg is one run of scipy's RK45 at rtol 1e-10 and atol 1e-12.  A
+    path needs at least two waypoints and no two consecutive ones equal
+    (``ValueError``); revisiting an earlier point is allowed.  Returns the
+    trajectory if every leg completes.  If the state norm reaches 1e8, or
+    the step size collapses (both signal a nearby singularity), raises
+    ``StepUnderflow`` with the stop location in ``.where`` and the partial
+    trajectory attached as ``.trajectory``.
+    """
+    pts = [complex(w) for w in waypoints]
+    if len(pts) < 2:
+        raise ValueError("a path needs at least two waypoints")
+    if any(a == b for a, b in zip(pts, pts[1:])):
+        raise ValueError("consecutive waypoints must be distinct")
     y = np.asarray(y_init, dtype=complex)
     if y.shape != (s.n,):
         raise ValueError(f"initial state must have shape ({s.n},)")
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
-    legs = []
     nfev = 0
 
-    def _partial(stats_extra):
-        stats = {"n_steps": sum(len(a) for a in xs), "n_rhs": nfev, **stats_extra}
+    def _partial(stopped):
         return Trajectory(
             np.concatenate(xs) if xs else np.empty(0, complex),
             np.concatenate(ys, axis=1) if ys else np.empty((s.n, 0), complex),
-            legs=legs if dense else None,
-            stats=stats,
+            {"n_steps": sum(len(a) for a in xs), "n_rhs": nfev, "stopped": stopped},
         )
 
     def _stop(where, reason):
         err = StepUnderflow(where, f"{reason} near x = {complex(where):.8g}")
-        err.trajectory = _partial({"stopped": reason})
+        err.trajectory = _partial(reason)
         raise err
 
-    for i, (a, b) in enumerate(zip(path.waypoints, path.waypoints[1:])):
+    def hit_escape(t, v):
+        return float(np.max(np.abs(v))) - _ESCAPE
+
+    hit_escape.terminal = True
+    for i, (a, b) in enumerate(zip(pts, pts[1:])):
         delta = b - a
-        if np.max(np.abs(y)) >= escape:
+        if np.max(np.abs(y)) >= _ESCAPE:
             _stop(a, "state escaped")
-
-        def rhs(t, v, a=a, delta=delta):
-            return delta * s.field(a + t * delta, v)
-
-        def hit_escape(t, v):
-            return float(np.max(np.abs(v))) - escape
-
-        hit_escape.terminal = True
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            y,
-            method="RK45",
-            rtol=path.rel_tol,
-            atol=path.abs_tol,
-            max_step=path.max_step / abs(delta),
-            dense_output=dense,
-            events=hit_escape,
-        )
+        sol = solve_ivp(lambda t, v: delta * s.field(a + t * delta, v), (0.0, 1.0), y,
+                        method="RK45", rtol=_RK_RTOL, atol=_RK_ATOL, events=hit_escape)
         nfev += sol.nfev
         skip = 1 if i > 0 else 0  # leg start duplicates previous leg end
         xs.append(a + sol.t[skip:] * delta)
         ys.append(sol.y[:, skip:])
-        if dense:
-            legs.append((a, delta, sol.sol))
         if sol.status == 1:
             t_e = sol.t_events[0][0]
             xs.append(np.array([a + t_e * delta]))
@@ -244,7 +184,7 @@ def integrate_path(
             _stop(a + sol.t[-1] * delta, "step size underflow")
         y = sol.y[:, -1]
 
-    return _partial({"stopped": "completed"})
+    return _partial("completed")
 
 
 # -- blow-up detection --------------------------------------------------------
@@ -296,10 +236,10 @@ def _jet(x: complex, y, rho: float, centres: list):
     centres.append((x, y))
     for _ in range(4):
         a, r, exact, reach = yield x, y, rho
+        rho *= r
         if exact or 0.1 < r < 10.0:
             break
-        rho *= r
-    return a, rho * r, exact, reach
+    return a, rho, exact, reach
 
 
 def _scale_jets(a: np.ndarray) -> list:
@@ -474,7 +414,8 @@ def hunt_singularity(
     :func:`_walk`), a read resolving no single singularity ``NoBlowup``,
     and a ``target`` equal to ``x_start`` or to the last ``via`` point
     ``ValueError``.
-    ``csv_path`` receives one row per jet centre (:meth:`Trajectory.to_csv`).
+    ``csv_path`` receives one row per jet centre, the first at ``x_start``
+    (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``).
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
     ``hunt`` attribute holds ``start``, ``target``, ``approach_length``,
@@ -527,8 +468,8 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
                 "spread": spread, "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
         _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
         if csv_path is not None and centres:
-            Trajectory([c for c, _ in centres],
-                       np.array([v for _, v in centres]).T).to_csv(csv_path)
+            _write_csv(csv_path, [c for c, _ in centres], np.array([v for _, v in centres]).T,
+                       "x", "y")
     return replace(found, local_fit=(*found.local_fit[:2], spread))
 
 

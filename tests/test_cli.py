@@ -1,12 +1,18 @@
 """Front-end behavior: flows, artifacts, exit codes, value parsing."""
 
 import argparse
+import csv
 import json
+import logging
 import time
 
+import numpy as np
 import pytest
 
-from transasym.cli import RunConfig, _complex, _int_range, main
+from transasym import validate
+from transasym.cli import RunConfig, _complex, _dump_json, _int_range, main
+from transasym.singular import continue_f0
+from transasym.systems import builtin
 
 
 def test_complex_parsing():
@@ -16,6 +22,21 @@ def test_complex_parsing():
         _complex("a,b")
     with pytest.raises(argparse.ArgumentTypeError):
         _complex("1,2,3")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["predict", "p1", "--C", "nan", "--n", "8"], "nan"),
+    (["expand", "p2a", "--alpha", "inf", "--M", "1", "--K", "8"], "inf"),
+    (["continue", "abel", "--path", "nan", "0.1"], "nan"),
+], ids=["predict", "expand", "continue"])
+def test_a_complex_flag_that_is_not_finite_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                             argv, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert f"expected a finite value, got '{value}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_range_parsing():
@@ -143,9 +164,9 @@ def test_validate_flow_and_config_round_trip(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "n = 8: predicted" in out and "1/1 matched" in out
     assert json.loads((tmp_path / "run.json").read_text())["system"] == "p1"
-    cfg = RunConfig.load("cfg.json")
+    cfg = RunConfig.from_dict(json.loads((tmp_path / "cfg.json").read_text()))
     assert cfg.label == "p1" and cfg.C == 12.0 + 0j and cfg.n_range == (8,)
-    cfg.save("cfg2.json")
+    _dump_json(cfg.to_dict(), "cfg2.json")
     assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "cfg2.json").read_bytes()
     # replaying the config reproduces the artifact; --out overrides the
     # destination recorded inside it
@@ -200,7 +221,7 @@ def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys,
     cfg[key] = value
     (tmp_path / "old.json").write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=key):
-        RunConfig.load("old.json")
+        RunConfig.from_dict(cfg)
     assert main(["validate", "--config", "old.json"]) == 2
     assert f"unknown RunConfig keys: {key}" in capsys.readouterr().err
 
@@ -219,3 +240,60 @@ def test_validate_reads_simple_poles_of_p2(tmp_path, monkeypatch, capsys, label)
         assert abs(obs["exponent"] + 1.0) < 1e-3
     pairs = run["comparison"]["pairs"]
     assert len(pairs) == 4 and max(p["distance"] for p in pairs) < 0.05
+
+
+@pytest.mark.parametrize("argv, outs", [
+    (["system", "p1"], ["-"]),
+    (["system", "p1", "--out", "a.json"], ["a.json"]),
+    (["expand", "p1", "--M", "2", "--K", "16", "--out", "a.json"], ["a.json"]),
+    (["predict", "p1", "--C", "12", "--n", "8..10", "--out", "a.json"], ["a.json"]),
+    (["validate", "p1", "--C", "12", "--n", "8", "--out", "a.json", "--emit-config", "c.json"],
+     ["a.json", "c.json"]),
+], ids=["system", "system-out", "expand", "predict", "validate"])
+def test_every_json_artifact_has_the_one_layout(tmp_path, monkeypatch, capsys, argv, outs):
+    # sorted keys, one space of indent, a final newline
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    for out in outs:
+        raw = stdout if out == "-" else (tmp_path / out).read_text()
+        assert raw == json.dumps(json.loads(raw), sort_keys=True, indent=1) + "\n"
+
+
+def _csv_rows(path):
+    """The rows of a CSV artifact, after checking each value has 17 significant digits."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        assert row == [f"{float(v):.17g}" for v in row]
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+def test_hunt_and_continue_csvs_share_one_layout(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.chdir(tmp_path)
+    written, write = {}, validate._write_csv
+
+    def recording(path, x, y, *names):
+        written[path] = (np.asarray(x), np.asarray(y))
+        write(path, x, y, *names)
+
+    monkeypatch.setattr(validate, "_write_csv", recording)
+    (tmp_path / "hunts").mkdir()
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--csv-dir", "hunts"]) == 0
+    hunts = {r.hunt["target"]: r.hunt for r in caplog.records if hasattr(r, "hunt")}
+    for en in json.loads((tmp_path / "run.json").read_text())["predicted"]["entries"]:
+        path = f"hunts/pole_n{en['n']}.csv"
+        header, back = _csv_rows(path)
+        assert header == ["x_re", "x_im", "y1_re", "y1_im", "y2_re", "y2_im"]
+        x, y = written[path]
+        assert np.array_equal(back[:, 0] + 1j * back[:, 1], x)
+        assert np.array_equal(back[:, 2::2] + 1j * back[:, 3::2], y.T)
+        hunt = hunts[complex(*en["x_ref"])]
+        assert len(back) == hunt["jets"] and x[0] == hunt["start"]
+    assert main(["continue", "abel", "--path", "0.1", "0.2,0.1", "0.3,0", "--out", "c.csv"]) == 0
+    header, back = _csv_rows("c.csv")
+    assert header == ["xi_re", "xi_im", "F1_re", "F1_im"]
+    res = continue_f0(builtin("abel")[0], [0.1, 0.2 + 0.1j, 0.3])
+    assert np.array_equal(back[:, 0] + 1j * back[:, 1], res.xi)
+    assert np.array_equal(back[:, 2] + 1j * back[:, 3], res.values[0])

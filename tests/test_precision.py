@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from transasym.cli import RunConfig, main
+from transasym.cli import RunConfig, _dump_json, main
 from transasym.expansion import build_expansion
 
 
@@ -182,6 +182,6 @@ def test_unknown_mode_rejected(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         main(["validate", "p1", "--C", "12", "--n", "8", "--precision", "quad"])
     assert info.value.code == 1
-    RunConfig("p1", C=12.0, n_range=(8,), precision="quad").save("cfg.json")
+    _dump_json(RunConfig("p1", C=12.0, n_range=(8,), precision="quad").to_dict(), "cfg.json")
     assert main(["validate", "--config", "cfg.json"]) == 2
     assert "precision must be one of" in capsys.readouterr().err

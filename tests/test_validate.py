@@ -17,7 +17,7 @@ from transasym.expansion import (_x_jet, _xi_jet, build_expansion, eval_two_scal
 from transasym.series import AnalyticGerm
 from transasym.singular import predict_array
 from transasym.systems import NormalSystem, builtin
-from transasym.validate import (CEstimate, PathSpec, PoleObservation,
+from transasym.validate import (CEstimate, PoleObservation,
                                 ValidationRun, anchor_point, compare_arrays,
                                 detect_singularity, extract_C, extraction_ladder,
                                 hunt_singularity, integrate_path, ladder_radii,
@@ -34,54 +34,35 @@ def lin():
 
 
 def test_endpoint_against_exponential(lin):
-    spec = PathSpec((1.0, 6.0 + 5.0j), rel_tol=1e-10, abs_tol=1e-14)
-    tr = integrate_path(lin, np.array([1.0 + 0j]), spec)
+    tr = integrate_path(lin, np.array([1.0 + 0j]), (1.0, 6.0 + 5.0j))
     exact = cmath.exp(-(5.0 + 5.0j))
     assert abs(tr.y[0, -1] - exact) < 1e-9 * abs(exact)
+    assert tr.stats["stopped"] == "completed" and tr.stats["n_rhs"] > tr.stats["n_steps"] > 0
 
 
 def test_endpoint_is_path_independent(lin):
-    a = PathSpec((1.0, 6.0 + 5.0j), rel_tol=1e-10, abs_tol=1e-14)
-    b = PathSpec((1.0, 1.0 + 5.0j, 6.0 + 5.0j), rel_tol=1e-10, abs_tol=1e-14)
     y0 = np.array([1.0 + 0j])
-    va = integrate_path(lin, y0, a).y[0, -1]
-    vb = integrate_path(lin, y0, b).y[0, -1]
+    va = integrate_path(lin, y0, (1.0, 6.0 + 5.0j)).y[0, -1]
+    vb = integrate_path(lin, y0, (1.0, 1.0 + 5.0j, 6.0 + 5.0j)).y[0, -1]
     assert abs(va - vb) < 1e-9 * abs(va)
 
 
-def test_error_tracks_tolerance(lin):
-    exact = cmath.exp(-(5.0 + 5.0j))
-    errs = []
-    for rt in (1e-6, 1e-8):
-        tr = integrate_path(lin, np.array([1.0 + 0j]),
-                            PathSpec((1.0, 6.0 + 5.0j), rel_tol=rt, abs_tol=1e-16))
-        errs.append(abs(tr.y[0, -1] - exact) / abs(exact))
-    assert errs[1] < errs[0]
-
-
-def test_dense_output_interpolates(lin):
-    tr = integrate_path(lin, np.array([1.0 + 0j]),
-                        PathSpec((1.0, 6.0 + 5.0j)), dense=True)
-    assert tr.dense
-    mid = 3.5 + 2.5j
-    assert abs(tr.eval(mid)[0] - cmath.exp(-(mid - 1.0))) < 1e-6
-
-
-def test_path_spec_rejects_stationary_leg():
+@pytest.mark.parametrize("waypoints", [(1.0, 1.0, 2.0), (1.0,)], ids=["stationary-leg", "one-point"])
+def test_integrate_path_rejects_a_stationary_leg(lin, waypoints):
     with pytest.raises(ValueError):
-        PathSpec((1.0, 1.0, 2.0))
-    assert PathSpec((0.0, 3.0 + 4.0j)).length == pytest.approx(5.0)
+        integrate_path(lin, np.array([1.0 + 0j]), waypoints)
 
 
 def test_trajectory_csv_round_trip(tmp_path, lin):
-    tr = integrate_path(lin, np.array([1.0 + 0j]), PathSpec((1.0, 2.0)))
+    tr = integrate_path(lin, np.array([1.0 + 0j]), (1.0, 2.0 + 1.0j))
     out = tmp_path / "traj.csv"
-    tr.to_csv(out)
+    validate._write_csv(out, tr.x, tr.y, "x", "y")
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x_re", "x_im", "y1_re", "y1_im"]
-    assert len(rows) - 1 == tr.x.shape[0]
-    assert float(rows[-1][2]) == pytest.approx(tr.y[0, -1].real)
+    back = np.array(rows[1:], dtype=float)
+    assert np.array_equal(back[:, 0] + 1j * back[:, 1], tr.x)
+    assert np.array_equal(back[:, 2] + 1j * back[:, 3], tr.y[0])
 
 
 # -- blow-up detection -------------------------------------------------------
@@ -149,9 +130,10 @@ def test_straight_shot_underflows_at_the_pole(p1, e_p1):
     y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
     beyond = x_ref + 0.3 * (x_ref - x_a) / abs(x_ref - x_a)
     with pytest.raises(StepUnderflow) as info:
-        integrate_path(p1, y_a, PathSpec((x_a, beyond)), escape=1e8)
+        integrate_path(p1, y_a, (x_a, beyond))
     assert abs(info.value.where - x_ref) < 0.05
     assert info.value.trajectory.x.shape[0] > 100
+    assert info.value.trajectory.stats["stopped"] == "state escaped"
 
 
 def test_hunt_lands_on_predicted_pole(p1, e_p1):
@@ -513,6 +495,21 @@ def test_mixed_lanes_end_as_they_do_alone(kernel, lanes):
     assert np.allclose(alone[3][0][-1], np.array(y0) * pts[-1] / x0, rtol=1e-15, atol=0)
 
 
+def test_a_jet_whose_scale_misses_four_times_returns_its_own_scale():
+    # a stand-in kernel whose tail always reads r = 20: every trial scale misses
+    # (0.1, 10), and the jet returned is the fourth trial's, rescaled by r once
+    trials = []
+
+    def kernel(s, x, y, rho, order):
+        trials.extend(rho)
+        return np.tile(20.0 ** -np.arange(order + 1.0), (len(x), 1, 1)).astype(complex)
+
+    a, rho, exact, _ = validate._lockstep(None, kernel, [validate._jet(0j, np.ones(1), 1.0, [])])[0]
+    assert trials == pytest.approx([1.0, 20.0, 400.0, 8000.0], rel=1e-12)
+    assert not exact and rho == pytest.approx(1.6e5, rel=1e-12)
+    assert np.allclose(a, 1.0, rtol=1e-12, atol=0)  # 20^-k rescaled by r^k once
+
+
 def test_estimate_consistency_is_symmetric():
     a = CEstimate(1.0 + 0j, 0.2, (1.0 + 0j,))
     b = CEstimate(1.3 + 0j, 0.2, (1.3 + 0j,))
@@ -640,7 +637,7 @@ def test_integration_between_starts_stays_within_the_gevrey_bounds(
     for a, b in zip(starts, starts[1:]):
         y_a, bound_a = eval_two_scale(e, C, a)
         y_b, bound_b = eval_two_scale(e, C, b)
-        y_end = integrate_path(s, y_a, PathSpec((a, b))).y[:, -1]
+        y_end = integrate_path(s, y_a, (a, b)).y[:, -1]
         assert np.max(np.abs(y_end - y_b)) <= bound_a + bound_b
 
 
