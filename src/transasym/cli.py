@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TransasymError
+from .errors import TransasymError, require_keys
 from .expansion import TwoScaleExpansion, build_expansion, eval_two_scale
 from .singular import continue_f0, predict_array
 from .systems import BUILTIN_LABELS, builtin
@@ -133,6 +133,7 @@ class RunConfig:
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
+        require_keys(d, ("label", "C", "n_range"), "RunConfig")
         d["C"] = complex(*d["C"])
         d["n_range"] = tuple(int(n) for n in d["n_range"])
         return cls(**d)

@@ -1,10 +1,19 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check for missing keys.
 
 Every domain failure raises a subclass of TransasymError so callers (and the
 CLI) can distinguish "the mathematics said no" from programming errors.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
+
+
+def require_keys(d: Mapping, keys: Iterable[str], what: str) -> None:
+    """Raise ``ValueError`` naming each of ``keys`` that the ``what`` dict ``d`` lacks."""
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {', '.join(missing)}")
 
 
 class TransasymError(Exception):

@@ -62,6 +62,7 @@ from .errors import (
     OscillatoryCoefficients,
     OutsideReliableDisk,
     ResonantOrder,
+    require_keys,
 )
 from .series import InvXSeries, TaylorSeries, complex_array, compose_germ_series
 from .systems import NormalSystem
@@ -458,6 +459,7 @@ class TwoScaleExpansion:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TwoScaleExpansion":
+        require_keys(d, ("system", "fm", "free_constants", "K"), "expansion")
         system = NormalSystem.from_dict(d["system"])
         fm = []
         for level in d["fm"]:

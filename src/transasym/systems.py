@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UnknownLabel
+from .errors import UnknownLabel, require_keys
 from .series import AnalyticGerm
 
 __all__ = ["BUILTIN_LABELS", "NormalSystem", "builtin"]
@@ -112,6 +112,7 @@ class NormalSystem:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormalSystem":
+        require_keys(d, ("lambda", "alpha", "germ"), "system")
         hint = d.get("xi_s_hint")
         return cls(
             lam=[complex(re, im) for re, im in d["lambda"]],

@@ -13,9 +13,13 @@ inside its reach; a jet whose radius falls below 1e-3 of the distance
 left to its waypoint stops it with ``SingularApproach``.  A validation
 run seeds each hunt with the two-scale expansion on the level curve
 |xi(x)| = 1e-3 at the height of its predicted pole, so every
-walk has about the same length whatever the pole's index; the homing
-reads location, exponent and amplitude of the nearest singularity from
-a jet by Domb-Sykes ratio analysis (``radius_estimate``).  No system
+walk has about the same length whatever the pole's index.  The walk
+hands over to homing 2.0 short of its target, under a third of an
+array's spacing of about 2 pi, where a read has not yet lost digits to
+cancellation near the pole.  Homing reads location, exponent and
+amplitude of the nearest singularity from a jet by Domb-Sykes ratio
+analysis (``radius_estimate``) and stops once successive reads agree
+within 1e-10 of the hunt's distance, or stop drawing closer.  No system
 declares its kind of blow-up.  A C ladder walks its ray inward through
 every rung.
 
@@ -86,7 +90,8 @@ _ORDER = 40  # of every Taylor jet
 _POWERS = np.arange(_ORDER + 1)  # of t in a jet
 _U = _POWERS[_ORDER // 2:] - _POWERS[_ORDER // 2:].mean()  # upper-half orders, centred
 _JET_BUDGET = 100  # jets one hunt or one ladder may compute
-_STAGING = 0.35  # how far short of its target a walk hands over to homing
+_STAGING = 2.0  # how far short of its target a walk hands over to homing
+_SETTLE = 1e-10  # gap between successive reads, relative to the hunt's distance, that settles it
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
 _STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
 _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
@@ -401,14 +406,16 @@ def hunt_singularity(
     """Walk from a trusted state to a suspected singularity and home in on it.
 
     Taylor steps walk the polyline through ``via`` to a staging point
-    0.35 short of ``target``: each jet, scaled to its own radius (see
-    :func:`detect_singularity`), is summed at |t| <= 1/2, less where its
-    last term would pass 1e-16 of the state, and at every ``via`` point
-    inside its reach (see :func:`_walk`).  From there each jet is read
-    by ``radius_estimate``; the hunt steps halfway to the estimate,
-    scales the next jet to the remaining distance, and stops when the
-    distance between successive estimates stops shrinking.  It returns
-    the estimate before that, with that distance as its spread.  More
+    ``_STAGING`` = 2.0 short of ``target``: each jet, scaled to its own
+    radius (see :func:`detect_singularity`), is summed at |t| <= 1/2,
+    less where its last term would pass 1e-16 of the state, and at every
+    ``via`` point inside its reach (see :func:`_walk`).  From there each
+    jet is read by ``radius_estimate``; the hunt steps halfway to the
+    estimate and scales the next jet to the remaining distance.  It
+    stops once two successive estimates agree within ``_SETTLE`` = 1e-10
+    of |target - x_start|, returning the latest, or once the distance
+    between them stops shrinking, returning the one before; either way
+    the last distance that shrank is its spread.  More
     than ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped by
     a singularity short of the staging point ``SingularApproach`` (see
     :func:`_walk`), a read resolving no single singularity ``NoBlowup``,
@@ -455,6 +462,8 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
                     break
                 spread = gap
             found = read
+            if spread <= _SETTLE * abs(target - x_start):
+                break
             t = 0.5 * (found.location - x) / rho
             y = a @ t ** _POWERS
             x += rho * t

@@ -226,6 +226,20 @@ def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys,
     assert f"unknown RunConfig keys: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, artifact, named", [
+    (["validate", "--config", "a.json"], {"label": "p1"}, "missing RunConfig keys: C, n_range"),
+    (["eval", "--xi", "1", "--in", "a.json"], {"label": "p1"}, "missing expansion keys: system"),
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"label": "p1"}, "fm": [], "free_constants": [], "K": 1},
+     "missing system keys: lambda, alpha, germ"),
+], ids=["validate-config", "eval-expansion", "eval-system"])
+def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, artifact, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text(json.dumps(artifact))
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("label", ["p2a", "p2b"])
 def test_validate_reads_simple_poles_of_p2(tmp_path, monkeypatch, capsys, label):
     # neither system declares its kind of blow-up; the jets read it

@@ -679,6 +679,23 @@ def test_far_pole_is_cheap(caplog, p1, e_p1):
     assert jets[100] <= 1.5 * jets[8]
 
 
+@pytest.mark.parametrize("label, C, n_range, most, nominal", [
+    ("p1", 12.0, range(8, 21), 8, -2.0),
+    ("abel", 1.0, range(1, 11), 15, -0.5),
+], ids=["p1", "abel"])
+def test_surveys_settle_in_few_jets(request, caplog, label, C, n_range, most, nominal):
+    # homing from _STAGING short stops once successive reads agree within _SETTLE
+    s, e = request.getfixturevalue(label), request.getfixturevalue(f"e_{label}")
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        run = run_validation(s, e, C, n_range)
+    hunts = [r.hunt for r in caplog.records if hasattr(r, "hunt")]
+    assert len(hunts) == len(n_range)
+    assert all(h["stopped"] == "settled" for h in hunts)
+    jets = [h["jets"] for h in hunts]
+    assert max(jets) <= most and sum(jets) <= 100
+    assert max(abs(obs.local_fit[1] - nominal) for obs in run.observations) <= 1e-6
+
+
 def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
     x_a = anchor_point(p1, 12.0, 1.2)
@@ -686,7 +703,7 @@ def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
     csv_path = tmp_path / "centres.csv"
     obs, hunt = _hunt_record(caplog, p1, x_a, y_a, en.x_ref, csv_path=csv_path)
     assert hunt["start"] == x_a and hunt["target"] == en.x_ref
-    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - 0.35)
+    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - validate._STAGING)
     assert hunt["stopped"] == "settled" and hunt["spread"] == obs.local_fit[2]
     # one CSV row per jet centre, the first at the start
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
