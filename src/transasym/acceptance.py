@@ -27,11 +27,9 @@ from . import oracles
 from .expansion import build_expansion, eval_two_scale, gevrey_fit
 from .singular import continue_f0, predict_array, radius_estimate
 from .systems import builtin
-from .validate import _hunts, anchor_point, extraction_ladder, ladder_radii, run_validation
+from .validate import extraction_ladder, hunt_singularity, ladder_radii, run_validation
 
 __all__ = ["CHECKS", "run_check", "run_all", "format_report"]
-
-_CACHE: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -44,33 +42,26 @@ def _expansion(label: str, M: int, K: int):
     return build_expansion(_system(label), M, K)
 
 
+@lru_cache(maxsize=None)
 def _survey():
-    """Hunted pole survey shared by checks 5, 6 and 10."""
-    if "survey" not in _CACHE:
-        e = _expansion("p1", 2, 32)
-        t0 = time.perf_counter()
-        run = run_validation(_system("p1"), e, 12.0, range(8, 21))
-        _CACHE["survey"] = (run, time.perf_counter() - t0)
-    return _CACHE["survey"]
+    """Hunted pole survey shared by checks 5, 6 and 10, with its wall time."""
+    e = _expansion("p1", 2, 32)
+    t0 = time.perf_counter()
+    run = run_validation(_system("p1"), e, 12.0, range(8, 21))
+    return run, time.perf_counter() - t0
 
 
+@lru_cache(maxsize=None)
 def _abel_models():
-    """Two hunted branch points plus the closed two-circuit defect."""
-    if "abel" not in _CACHE:
-        s = _system("abel")
-        e = _expansion("abel", 2, 48)
-        x_a = anchor_point(s, 1.0, 1.2)
-        y_a, _ = eval_two_scale(e, 1.0, x_a)
-        arr = predict_array(oracles.XI0, 1.0, 0.2, [2, 3])
-        obs = tuple(_hunts(s, [(x_a, y_a, en.x_ref) for en in arr.entries]))
-        # double circuit about the branch point; the square-root pair
-        # must close up after two turns
-        theta = np.linspace(np.pi, 5.0 * np.pi, 17)
-        circle = [oracles.XI0 + 0.12 * np.exp(1j * t) for t in theta]
-        res = continue_f0(s, [0.1] + circle + [0.1])
-        mono = float(np.max(np.abs(res.final - res.values[:, 0])))
-        _CACHE["abel"] = (obs, mono)
-    return _CACHE["abel"]
+    """Two branch points hunted from the anchor plus the closed two-circuit defect."""
+    s = _system("abel")
+    obs = run_validation(s, _expansion("abel", 2, 48), 1.0, [2, 3]).observations
+    # double circuit about the branch point; the square-root pair
+    # must close up after two turns
+    theta = np.linspace(np.pi, 5.0 * np.pi, 17)
+    circle = [oracles.XI0 + 0.12 * np.exp(1j * t) for t in theta]
+    res = continue_f0(s, [0.1] + circle + [0.1])
+    return obs, float(np.max(np.abs(res.final - res.values[:, 0])))
 
 
 def _rel_coeff_dev(got, ref) -> float:
@@ -198,7 +189,7 @@ def _check_second_array() -> tuple[bool, str]:
     by_n = {en.n: en.x_ref for en in predict_array(12.0, 12.0, -0.5, [6, 7]).entries}
     gate = 0.5 * (by_n[6] + by_n[7])            # cross between first-array poles
     targets = [x_s + oracles.p1_second_array_offset(x_s, m) for m in (0, 1)]
-    obs = _hunts(s, [(run.anchor, y_a, t) for t in targets], via=(gate,))
+    obs = [hunt_singularity(s, run.anchor, y_a, t, via=(gate,)) for t in targets]
     deltas = [abs(o.location - t) for o, t in zip(obs, targets)]
     ok = max(deltas) <= 0.3
     return ok, (f"second-array targets m = 0, 1 seeded from the refined n = 8 "
@@ -236,7 +227,7 @@ def run_all(numbers=None) -> list[tuple[int, str, bool, str]]:
 def format_report(results) -> str:
     lines = [f"[{'PASS' if p else 'FAIL'}] {k:2d} {name}: {detail}"
              for k, name, p, detail in results]
-    n_pass = sum(1 for _, _, p, _ in results)
+    n_run = len(lines)
     n_ok = sum(1 for _, _, p, _ in results if p)
-    lines.append(f"{n_ok}/{n_pass} checks passed")
+    lines.append(f"{n_ok}/{n_run} checks passed")
     return "\n".join(lines)

@@ -371,7 +371,7 @@ class TwoScaleExpansion:
 
     ``fm`` holds one (n, K+1) coefficient array per m;
     ``observable_series(m)`` projects a level on the system's observable
-    weights.  ``xi_scale`` is (lambda_1, alpha_1).
+    weights.
     """
 
     def __init__(self, system: NormalSystem, fm: Sequence[np.ndarray],
@@ -383,7 +383,6 @@ class TwoScaleExpansion:
         self.free_constants = tuple(complex(c) for c in free_constants)
         self.K = int(K)
         self.M = len(self.fm) - 1
-        self.xi_scale = (complex(system.lam[0]), complex(system.alpha[0]))
         self._radius: float | None = None
         self._default_fit: "GevreyFit | None" = None
         self._formal: InvXSeries | None = None
@@ -395,9 +394,8 @@ class TwoScaleExpansion:
         return TaylorSeries(np.tensordot(self.system.observable, self.fm[m], axes=(0, 0)))
 
     def xi(self, C: complex, x: complex) -> complex:
-        alpha1 = self.xi_scale[1]
         x = complex(x)
-        return complex(C) * np.exp(-x + alpha1 * np.log(x))
+        return complex(C) * np.exp(-x + complex(self.system.alpha[0]) * np.log(x))
 
     def reliability_radius(self) -> float:
         """Estimated convergence radius of the leading observable profile."""
@@ -447,11 +445,12 @@ class TwoScaleExpansion:
         return res.astype(self.fm[0].dtype)
 
     def to_dict(self) -> dict:
+        alpha1 = complex(self.system.alpha[0])
         return {
             "system": self.system.to_dict(),
             "M": self.M,
             "K": self.K,
-            "alpha1": [self.xi_scale[1].real, self.xi_scale[1].imag],
+            "alpha1": [alpha1.real, alpha1.imag],
             "free_constants": [[c.real, c.imag] for c in self.free_constants],
             "fm": [[TaylorSeries(level[j]).to_dict() for j in range(self.system.n)]
                    for level in self.fm],

@@ -35,7 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, ResonantOrder
+from .errors import DegreeCapExceeded, ResonantOrder, require_keys
 
 __all__ = [
     "TaylorSeries",
@@ -112,6 +112,7 @@ class TaylorSeries:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TaylorSeries":
+        require_keys(d, ("coeffs", "truncation"), "Taylor row")
         coeffs = [complex(re, im) for re, im in d["coeffs"]]
         return cls(coeffs, truncation_order=int(d["truncation"]))
 
@@ -246,9 +247,11 @@ class AnalyticGerm:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "AnalyticGerm":
+        require_keys(d, ("dims", "terms"), "germ")
         dims = int(d["dims"])
         terms = {}
         for t in d["terms"]:
+            require_keys(t, ("i", "k", "c"), "germ term")
             c = t["c"]
             if dims == 1:
                 vec = np.array([complex(c[0], c[1])])

@@ -16,19 +16,20 @@ run seeds each hunt with the two-scale expansion on the level curve
 walk has about the same length whatever the pole's index.  The walk
 hands over to homing 2.0 short of its target, under a third of an
 array's spacing of about 2 pi, where a read has not yet lost digits to
-cancellation near the pole.  Homing reads location, exponent and
-amplitude of the nearest singularity from a jet by Domb-Sykes ratio
-analysis (``radius_estimate``) and stops once successive reads agree
-within 1e-10 of the hunt's distance, or stop drawing closer.  No system
-declares its kind of blow-up.  A C ladder walks its ray inward through
-every rung.
+cancellation near the pole.  Homing, the one locator (``_home``, also
+all of ``detect_singularity``), reads the nearest singularity from each
+jet by Domb-Sykes ratio analysis (``radius_estimate``), refuses a read
+the one from halfway to it does not confirm, and stops once successive
+reads agree within 1e-10 of the hunt's distance, or stop drawing closer.
+No system declares its kind of blow-up.  A C ladder walks its ray inward
+through every rung.
 
 Walks are generators that yield jet requests; ``_lockstep`` runs any
 number together, one call of the lane-batched kernel per round and one
 read of every lane's radius, rescaled jet and reach.  A validation run
-hunts all its poles in lockstep, while a lone hunt, a ladder, a
-detection or a continuation leg is driven alone on the same path; lanes
-do not share arithmetic, so a hunt's result is bitwise the same either way.
+hunts all its poles in lockstep, while a lone hunt or detection, a
+ladder or a continuation leg is driven alone on the same path; lanes do
+not share arithmetic, so a hunt's result is bitwise the same either way.
 
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
 leg by leg at fixed tolerances.  Blow-up ends it with ``StepUnderflow``;
@@ -201,8 +202,8 @@ class PoleObservation:
 
     ``local_fit`` is (amplitude, exponent, spread): the blow-up
     h ~ amplitude * (x - location)^exponent read from the solution's
-    Taylor jet, and the distance between the last two location estimates
-    of the hunt that found it (0 for a single read).  ``exponent_deviation``
+    Taylor jet, and the last shrinking gap between successive reads of
+    the homing that found it (:func:`_home`).  ``exponent_deviation``
     is the distance from the read exponent to the nominal one of the
     reported kind; it is recorded, never rounded away.
     """
@@ -366,32 +367,53 @@ def _walk(x: complex, y, waypoints, rho: float, centres: list):
     return states, rho
 
 
-def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
-    """Read the nearest singularity of the solution through (x, y).
+def _home(s: NormalSystem, x: complex, y, rho: float, settle: float, centres: list):
+    """Read the singularity nearest (x, y) from Taylor jets and home in on it.
 
-    One Taylor jet of the solution in x, scaled to its own radius, gives
-    the observable's coefficients; :func:`~transasym.singular.radius_estimate`
-    reads the location and exponent of the singularity dominating them,
-    and the top coefficient the amplitude.  The kind is the nominal
-    exponent nearest the read one.  ``NoBlowup`` is raised when the jet
-    resolves no single singularity: the ratios have no finite limit or
-    it lies beyond two jet radii (an entire solution), or the ratios
-    oscillate (two singularities at about the same distance), and when
-    a second jet, centred halfway to the read location, reads it more
-    than 1e-3 of its distance away.  The spread of a single read is 0.
+    A walk for :func:`_lockstep`, and the package's one locator.  Each jet,
+    scaled to its own radius from the trial scale ``rho`` (:func:`_jet`,
+    which records its centre in ``centres``), is read by ``radius_estimate``:
+    the location and exponent of the singularity dominating the observable's
+    coefficients, the amplitude from the top one, the kind the nominal
+    exponent nearest the read one.  The next jet is centred halfway to the
+    read location and scaled to the distance left.  ``NoBlowup`` is raised
+    when the second read is more than 1e-3 of the first read's distance from
+    it, or when a jet resolves no single singularity: it terminates, its
+    ratios have no finite limit or one beyond two jet radii (an entire
+    solution), or they oscillate (two singularities about equally near).
+    Homing stops once two successive reads agree within ``settle``,
+    returning the latest, or once their gap stops shrinking, returning the
+    one before; the last gap that shrank is the returned spread.
     """
+    x0, reads, spread = x, [], math.inf
+    while True:
+        a, rho, exact, _ = yield from _jet(x, y, rho, centres)
+        reads.append(_read(s, x, a, rho, exact))
+        if len(reads) > 1:
+            gap = abs(reads[-1].location - reads[-2].location)
+            if len(reads) == 2 and gap > 1e-3 * abs(reads[0].location - x0):
+                raise NoBlowup(f"the reads from x = {x0:.8g} and from halfway to it disagree")
+            if gap >= spread:
+                break
+            spread = gap
+        found = reads[-1]
+        if spread <= settle:
+            break
+        t = 0.5 * (found.location - x) / rho
+        y = a @ t ** _POWERS
+        x += rho * t
+        rho = abs(found.location - x)
+    return replace(found, local_fit=(*found.local_fit[:2], spread))
+
+
+def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
+    """Locate the nearest singularity of the solution through (x, y) by a lone
+    :func:`_home`: its first jet is scaled to rho = |y|/|y'|, about the distance
+    to a blow-up, and it settles within ``_SETTLE`` = 1e-10 of rho."""
     x, y = complex(x), np.asarray(y, dtype=complex)
-    # |y / y'| is about the distance to a blow-up: a trial scale in range
     slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
     rho = np.max(np.abs(y)) / np.max(np.abs(slope))
-    a, rho, exact, _ = _lockstep(s, _x_jet, [_jet(x, y, rho, [])])[0]
-    first = _read(s, x, a, rho, exact)
-    d = first.location - x
-    y = a @ (d / (2 * rho)) ** _POWERS
-    again = _read(s, x + d / 2, *_lockstep(s, _x_jet, [_jet(x + d / 2, y, abs(d) / 2, [])])[0][:3])
-    if abs(again.location - first.location) > 1e-3 * abs(d):
-        raise NoBlowup(f"the reads from x = {x:.8g} and from halfway to it disagree")
-    return first
+    return _lockstep(s, _x_jet, [_home(s, x, y, rho, _SETTLE * rho, [])])[0]
 
 
 def hunt_singularity(
@@ -406,34 +428,26 @@ def hunt_singularity(
     """Walk from a trusted state to a suspected singularity and home in on it.
 
     Taylor steps walk the polyline through ``via`` to a staging point
-    ``_STAGING`` = 2.0 short of ``target``: each jet, scaled to its own
-    radius (see :func:`detect_singularity`), is summed at |t| <= 1/2,
-    less where its last term would pass 1e-16 of the state, and at every
-    ``via`` point inside its reach (see :func:`_walk`).  From there each
-    jet is read by ``radius_estimate``; the hunt steps halfway to the
-    estimate and scales the next jet to the remaining distance.  It
-    stops once two successive estimates agree within ``_SETTLE`` = 1e-10
-    of |target - x_start|, returning the latest, or once the distance
-    between them stops shrinking, returning the one before; either way
-    the last distance that shrank is its spread.  More
-    than ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped by
-    a singularity short of the staging point ``SingularApproach`` (see
-    :func:`_walk`), a read resolving no single singularity ``NoBlowup``,
-    and a ``target`` equal to ``x_start`` or to the last ``via`` point
-    ``ValueError``.
+    ``_STAGING`` = 2.0 short of ``target`` (:func:`_walk`), where
+    :func:`_home` takes over, settling within ``_SETTLE`` = 1e-10 of
+    |target - x_start|.  More than ``_JET_BUDGET`` jets raise
+    ``NotConverging``, a walk stopped short of the staging point
+    ``SingularApproach``, reads that resolve or confirm no single
+    singularity ``NoBlowup``, and a ``target`` equal to ``x_start`` or to
+    the last ``via`` point ``ValueError``.
     ``csv_path`` receives one row per jet centre, the first at ``x_start``
     (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``).
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
     ``hunt`` attribute holds ``start``, ``target``, ``approach_length``,
-    ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``.
+    ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``
+    (inf when it fails).
     """
     return _hunts(s, [(x_start, y_start, target)], via=via, csv_paths=[csv_path])[0]
 
 
 def _hunts(s: NormalSystem, starts, *, via: Sequence = (), csv_paths=None) -> list:
-    """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`;
-    each returns bitwise what it returns alone."""
+    """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`."""
     paths = csv_paths or [None] * len(starts)
     return _lockstep(s, _x_jet, [_hunt(s, x, y, t, via, p) for (x, y, t), p in zip(starts, paths)])
 
@@ -447,39 +461,25 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
         raise ValueError(f"target {target:.6g} coincides with {where}")
     pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
     centres: list[tuple[complex, np.ndarray]] = []
-    spread, stopped = math.inf, None
+    found, stopped = None, None
     try:
         states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
                                        abs(target - x_start), centres)
-        x, y = pts[-1], states[-1]
-        found = None
-        while True:
-            a, rho, exact, _ = yield from _jet(x, y, rho, centres)
-            read = _read(s, x, a, rho, exact)
-            if found is not None:
-                gap = abs(read.location - found.location)
-                if gap >= spread:
-                    break
-                spread = gap
-            found = read
-            if spread <= _SETTLE * abs(target - x_start):
-                break
-            t = 0.5 * (found.location - x) / rho
-            y = a @ t ** _POWERS
-            x += rho * t
-            rho = abs(found.location - x)
+        found = yield from _home(s, pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
+                                 centres)
         stopped = "settled"
     except Exception as err:
         stopped = type(err).__name__
         raise
     finally:
         info = {"start": x_start, "target": target, "jets": len(centres), "stopped": stopped,
-                "spread": spread, "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
+                "spread": found.local_fit[2] if found else math.inf,
+                "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
         _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
         if csv_path is not None and centres:
             _write_csv(csv_path, [c for c, _ in centres], np.array([v for _, v in centres]).T,
                        "x", "y")
-    return replace(found, local_fit=(*found.local_fit[:2], spread))
+    return found
 
 
 # -- extraction of C ----------------------------------------------------------

@@ -232,7 +232,21 @@ def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys,
     (["eval", "--xi", "1", "--in", "a.json"],
      {"system": {"label": "p1"}, "fm": [], "free_constants": [], "K": 1},
      "missing system keys: lambda, alpha, germ"),
-], ids=["validate-config", "eval-expansion", "eval-system"])
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]], "germ": {}},
+      "fm": [], "free_constants": [], "K": 1},
+     "missing germ keys: dims, terms"),
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]],
+                 "germ": {"dims": 1, "terms": [{"i": 0, "k": [2]}]}},
+      "fm": [], "free_constants": [], "K": 1},
+     "missing germ term keys: c"),
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]], "germ": {"dims": 1, "terms": []}},
+      "fm": [[{"coeffs": [[1, 0]]}]], "free_constants": [], "K": 1},
+     "missing Taylor row keys: truncation"),
+], ids=["validate-config", "eval-expansion", "eval-system", "eval-germ", "eval-germ-term",
+        "eval-taylor-row"])
 def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, artifact, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.json").write_text(json.dumps(artifact))

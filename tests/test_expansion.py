@@ -225,6 +225,18 @@ def test_expansion_serialization_round_trip(e_p1):
         assert np.allclose(clone.fm[m], e_p1.fm[m])
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_random_systems_round_trip_exactly(seed):
+    # through JSON text: Python writes each float so that it parses back bitwise
+    s = _random_system(seed)
+    assert NormalSystem.from_dict(s.to_dict()).to_dict() == s.to_dict()
+    e = build_expansion(s, 4, 24)
+    clone = TwoScaleExpansion.from_dict(json.loads(json.dumps(e.to_dict())))
+    assert clone.free_constants == e.free_constants
+    for got, want in zip(clone.fm, e.fm, strict=True):
+        assert np.array_equal(got, want)
+
+
 # -- formal series and evaluation -------------------------------------------
 
 

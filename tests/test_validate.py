@@ -102,7 +102,15 @@ def test_detects_logistic_simple_pole():
     assert obs.kind == "simple_pole"
     amplitude, exponent, spread = obs.local_fit
     assert abs(exponent + 1.0) < 1e-9 and abs(amplitude + 1.0) < 1e-9
-    assert spread == 0.0
+    assert spread <= 1e-12
+
+
+def test_detection_homes_in_on_a_pole_read_from_afar():
+    # i pi is 1.6 away; a single read from here is good to about 6e-7 only
+    x = 0.5 + 1.5j
+    obs = detect_singularity(_logistic(), x, _logistic_state(x))
+    assert abs(obs.location - 1j * math.pi) < 1e-11
+    assert abs(obs.local_fit[1] + 1.0) < 1e-10
 
 
 def test_jet_between_equal_poles_is_no_blowup():
@@ -209,6 +217,19 @@ def test_survey_rejects_a_capture_that_is_not_positive_before_hunting(monkeypatc
     monkeypatch.setattr(validate, "_hunts", hunts)
     with pytest.raises(ValueError, match="capture must be positive"):
         run_validation(p1, e_p1, 12.0, range(8, 10), capture=capture)
+
+
+def test_hunt_that_reads_the_other_array_is_no_blowup():
+    # p2a's two pole arrays interleave pi apart: from the anchor toward n = 5
+    # the first read lands near the other array's pole, 3.1 from the target,
+    # and the read from halfway to it disagrees
+    s = builtin("p2a")[0]
+    e = build_expansion(s, 2, 32)
+    x_a = anchor_point(s, 1.0, 1.2)
+    y_a, _ = eval_two_scale(e, 1.0, x_a)
+    target = predict_array(s.xi_s_hint, 1.0, s.alpha[0], [5]).entries[0].x_ref
+    with pytest.raises(NoBlowup, match="halfway"):
+        hunt_singularity(s, x_a, y_a, target)
 
 
 def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
