@@ -18,7 +18,7 @@ from .errors import (
     UnknownLabel,
     ZeroC,
 )
-from .series import AnalyticGerm, InvXSeries, TaylorSeries
+from .series import AnalyticGerm, TaylorSeries
 from .systems import (
     BUILTIN_LABELS,
     NormalSystem,

@@ -33,6 +33,8 @@ import argparse
 import cmath
 import dataclasses
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -48,6 +50,13 @@ __all__ = ["RunConfig", "main"]
 
 # --precision value -> dtype of the hierarchy build
 _DTYPES = {"double": np.complex128, "extended": np.clongdouble}
+# RunConfig field -> the validate flag that sets it; --config takes none of them
+_RUN_FLAGS = {"label": "the label", "C": "--C", "n_range": "--n", "M": "--M", "K": "--K",
+              "capture": "--capture", "extract": "--extract", "precision": "--precision"}
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class _UsageError(Exception):
@@ -121,6 +130,19 @@ class RunConfig:
     csv_dir: str | None = None
     precision: str = "double"
 
+    def __post_init__(self):
+        """Give values read from JSON the flags' checks; a bool counts as no number."""
+        c = self.capture
+        for key, ok, what in (
+                ("M", _integer(self.M), "an integer"), ("K", _integer(self.K), "an integer"),
+                ("n_range", all(map(_integer, self.n_range)), "a list of integers"),
+                ("C", isinstance(self.C, numbers.Complex) and cmath.isfinite(self.C), "finite"),
+                ("capture", isinstance(c, numbers.Real) and not isinstance(c, bool)
+                 and 0 < c < math.inf, "positive and finite"),
+                ("extract", isinstance(self.extract, bool), "true or false")):
+            if not ok:
+                raise ValueError(f"RunConfig {key} must be {what}, got {getattr(self, key)!r}")
+
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["C"] = [self.C.real, self.C.imag]
@@ -134,8 +156,12 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         require_keys(d, ("label", "C", "n_range"), "RunConfig")
-        d["C"] = complex(*d["C"])
-        d["n_range"] = tuple(int(n) for n in d["n_range"])
+        for key, read, what in (("C", lambda v: complex(*v), "[re, im]"),
+                                ("n_range", tuple, "a list of integers")):
+            try:
+                d[key] = read(d[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"RunConfig {key} must be {what}, got {d[key]!r}") from None
         return cls(**d)
 
 
@@ -197,7 +223,11 @@ def _cmd_continue(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    flags = {k: getattr(args, k) for k in _RUN_FLAGS if getattr(args, k) is not None}
     if args.config:
+        if flags:
+            raise _UsageError("--config takes no run flags, got "
+                              + ", ".join(_RUN_FLAGS[k] for k in flags))
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
         # explicit destinations beat the ones recorded in the config
@@ -206,13 +236,9 @@ def _cmd_validate(args) -> int:
         if args.csv_dir is not None:
             cfg = dataclasses.replace(cfg, csv_dir=args.csv_dir)
     else:
-        if args.label is None or not args.n:
+        if args.label is None or not args.n_range:
             raise TransasymError("validate needs a label and --n, or --config")
-        cfg = RunConfig(
-            label=args.label, M=args.M, K=args.K,
-            C=args.C, n_range=args.n, capture=args.capture, extract=args.extract,
-            out=args.out or "run.json", csv_dir=args.csv_dir,
-            precision=args.precision)
+        cfg = RunConfig(**flags, out=args.out or "run.json", csv_dir=args.csv_dir)
     if cfg.precision not in _DTYPES:
         raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
     if args.emit_config:
@@ -256,8 +282,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
                    dest="b_branch", help="sign branch of B in p2b")
 
 
-def _add_precision_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", choices=sorted(_DTYPES), default="double",
+def _add_precision_flag(p: argparse.ArgumentParser, default: str | None) -> None:
+    p.add_argument("--precision", choices=sorted(_DTYPES), default=default,
                    help="dtype of the hierarchy build (default double); "
                         "integration runs in double")
 
@@ -278,7 +304,7 @@ def _build_parser() -> _Parser:
     _add_family_flags(p)
     p.add_argument("--M", type=int, default=8, help="deepest level (default 8)")
     p.add_argument("--K", type=int, default=64, help="Taylor order (default 64)")
-    _add_precision_flag(p)
+    _add_precision_flag(p, "double")
     p.add_argument("--out", default="expansion.json")
     p.set_defaults(fn=_cmd_expand)
 
@@ -317,13 +343,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="load a RunConfig JSON instead of flags")
     p.add_argument("--emit-config", dest="emit_config",
                    help="write the effective RunConfig here")
-    p.add_argument("--C", type=_complex, default=1.0 + 0.0j)
-    p.add_argument("--n", type=_int_range, default=(), help="indices a..b")
-    p.add_argument("--M", type=int, default=2)
-    p.add_argument("--K", type=int, default=32)
-    _add_precision_flag(p)
-    p.add_argument("--capture", type=float, default=1.0)
-    p.add_argument("--extract", action="store_true",
+    # the run flags default to None, so RunConfig holds their defaults
+    p.add_argument("--C", type=_complex, help="transseries constant (default 1)")
+    p.add_argument("--n", dest="n_range", type=_int_range, help="indices a..b")
+    p.add_argument("--M", type=int, help="deepest level (default 2)")
+    p.add_argument("--K", type=int, help="Taylor order (default 32)")
+    _add_precision_flag(p, None)
+    p.add_argument("--capture", type=float, help="capture radius (default 1)")
+    p.add_argument("--extract", action="store_true", default=None,
                    help="also recover C from the integrated solution")
     p.add_argument("--out", default=None,
                    help="report destination (default run.json)")

@@ -64,7 +64,7 @@ from .errors import (
     ResonantOrder,
     require_keys,
 )
-from .series import InvXSeries, TaylorSeries, complex_array, compose_germ_series
+from .series import TaylorSeries, complex_array, compose_germ_series
 from .systems import NormalSystem
 
 __all__ = [
@@ -349,18 +349,20 @@ def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
     return _jets(s, F0, order, step)
 
 
-def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
-    """Unique formal solution y ~ sum_{r>=2} c_r x^{-r}, orders 2..R.
+def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
+    """Unique formal solution y ~ sum_{r>=2} c_r x^{-r}, orders to R.
 
-    This is column xi^0 of the two-scale recursion, rows 2..R (rows 0 and
-    1 vanish), with nothing pinned.  Order r reads
+    Returns the read-only (n, R+1) array c[j, r], the coefficient of
+    x^{-r} in y_j: column xi^0 of the two-scale recursion, with nothing
+    pinned, so c[:, 0] and c[:, 1] vanish.  Order r reads
     L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y), whose right side
     depends on c_2..c_{r-1} only.  Computed in complex128.
     """
     if R < 2:
         raise ValueError("R must be at least 2")
-    Y, _ = _coefficients(s, R, 0)
-    return tuple(InvXSeries(Y[j, 2:, 0]) for j in range(s.n))
+    c = _coefficients(s, R, 0)[0][:, :, 0]
+    c.setflags(write=False)
+    return c
 
 
 # -- expansion container -----------------------------------------------------
@@ -369,23 +371,24 @@ def formal_power_series(s: NormalSystem, R: int) -> tuple[InvXSeries, ...]:
 class TwoScaleExpansion:
     """The computed F_0..F_M with the pinned free constants.
 
-    ``fm`` holds one (n, K+1) coefficient array per m;
+    ``fm`` is the read-only (M+1, n, K+1) array of Taylor coefficients,
+    level m in ``fm[m]``, given as one array or as a sequence of levels;
     ``observable_series(m)`` projects a level on the system's observable
     weights.
     """
 
-    def __init__(self, system: NormalSystem, fm: Sequence[np.ndarray],
+    def __init__(self, system: NormalSystem, fm: np.ndarray | Sequence[np.ndarray],
                  free_constants: Sequence[complex], K: int):
         self.system = system
-        self.fm = [complex_array(a) for a in fm]
-        for a in self.fm:
-            a.setflags(write=False)
+        # contiguous: matmul sums a strided level in another order (continue_f0's seed)
+        self.fm = np.ascontiguousarray(complex_array(fm))
+        self.fm.setflags(write=False)
         self.free_constants = tuple(complex(c) for c in free_constants)
         self.K = int(K)
         self.M = len(self.fm) - 1
         self._radius: float | None = None
         self._default_fit: "GevreyFit | None" = None
-        self._formal: InvXSeries | None = None
+        self._formal: np.ndarray | None = None
 
     def observable_series(self, m: int) -> TaylorSeries:
         """w . F_m for a level 0 <= m <= M; any other m raises ``ValueError``."""
@@ -417,12 +420,12 @@ class TwoScaleExpansion:
             self._default_fit = gevrey_fit(self, 0.5 * self.reliability_radius())
         return self._default_fit
 
-    def _formal_series(self, R: int) -> InvXSeries:
-        """``formal_power_series(self.system, R)[0]``, sliced from the deepest one
+    def _formal_series(self, R: int) -> np.ndarray:
+        """``formal_power_series(self.system, R)``, sliced from the deepest one
         built so far: order r depends on lower orders only, so bitwise the same."""
-        if self._formal is None or self._formal.truncation_order < R:
-            self._formal = formal_power_series(self.system, R)[0]
-        return InvXSeries(self._formal.coeffs[: R - 1])
+        if self._formal is None or self._formal.shape[1] <= R:
+            self._formal = formal_power_series(self.system, R)
+        return self._formal[:, : R + 1]
 
     def residual_coefficients(self) -> np.ndarray:
         """Residual of the substituted two-scale series, as a bivariate stack.
@@ -436,13 +439,13 @@ class TwoScaleExpansion:
         stays below a double build's wherever longdouble is wider than double.
         """
         s, M, K = self.system, self.M, self.K
-        F = np.moveaxis(np.array(self.fm, dtype=np.clongdouble), 0, 1)
+        F = np.moveaxis(self.fm, 0, 1).astype(np.clongdouble)
         lam, alpha = (np.asarray(v, dtype=np.clongdouble)[:, None, None] for v in (s.lam, s.alpha))
         k = np.arange(K + 1)
         res = (lam - k) * F - compose_germ_series(s.germ, F)
         m = np.arange(1, M + 1)[:, None]
         res[:, 1:] += (alpha[0] * k - (m - 1) - alpha) * F[:, :-1]
-        return res.astype(self.fm[0].dtype)
+        return res.astype(self.fm.dtype)
 
     def to_dict(self) -> dict:
         alpha1 = complex(self.system.alpha[0])
@@ -460,10 +463,7 @@ class TwoScaleExpansion:
     def from_dict(cls, d: Mapping) -> "TwoScaleExpansion":
         require_keys(d, ("system", "fm", "free_constants", "K"), "expansion")
         system = NormalSystem.from_dict(d["system"])
-        fm = []
-        for level in d["fm"]:
-            arrays = [TaylorSeries.from_dict(c).coeffs for c in level]
-            fm.append(np.array(arrays))
+        fm = [[TaylorSeries.from_dict(c).coeffs for c in level] for level in d["fm"]]
         consts = [complex(re, im) for re, im in d["free_constants"]]
         return cls(system, fm, consts, K=int(d["K"]))
 
@@ -517,7 +517,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     if K < 2:
         raise ValueError("K must be at least 2")
     Y, consts = _coefficients(s, M, K, np.result_type(dtype, np.complex128))
-    return TwoScaleExpansion(s, [Y[:, m].copy() for m in range(M + 1)], consts, K=K)
+    return TwoScaleExpansion(s, Y.transpose(1, 0, 2), consts, K=K)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -552,11 +552,11 @@ def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex, m_used: int | N
     fit = e.default_fit()
     m_star = m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M)
     m_star = min(m_star, e.M)
-    levels = np.array(e.fm[: m_star + 1])
+    levels = e.fm[: m_star + 1]
     acc = levels[:, :, -1]
     for k in range(e.K - 1, -1, -1):   # Horner over every level at once
         acc = acc * xi + levels[:, :, k]
-    value = np.zeros(e.system.n, dtype=e.fm[0].dtype)
+    value = np.zeros(e.system.n, dtype=e.fm.dtype)
     xm = 1.0 + 0.0j
     for level in acc:
         value += level * xm
@@ -600,7 +600,7 @@ def gevrey_fit(e: TwoScaleExpansion, rho: float) -> GevreyFit:
     """
     f, p = np.frexp(rho)
     k, n = np.arange(e.K + 1), _SUP_POINTS
-    obs = np.tensordot(np.array(e.fm), e.system.observable, axes=(1, 0))
+    obs = np.tensordot(e.fm, e.system.observable, axes=(1, 0))
     re, im = (np.ldexp(m * f ** k, q + p * k) for m, q in map(np.frexp, (obs.real, obs.imag)))
     folded = np.zeros((e.M + 1, -(-(e.K + 1) // n) * n), dtype=obs.dtype)
     folded[:, : e.K + 1] = re + 1j * im

@@ -1,24 +1,23 @@
 """Series carriers, sparse analytic germs, germ composition and the
 series-level reference solver.
 
-Three carriers:
+Two carriers:
 
 * ``TaylorSeries``   dense Taylor polynomial in the fast variable xi,
   coefficients c_0..c_K with explicit truncation order K; it evaluates
   and serializes a level profile,
-* ``InvXSeries``     dense series in inverse powers x^{-r}, r = 2..R,
-  the formal power-series solution,
 * ``AnalyticGerm``   sparse polynomial germ g(z, y) = sum g_{i,k} z^i y^k
   with a total-degree cap, vector valued (one coefficient
   vector per monomial).
 
 All values are immutable after construction.  The hierarchy itself is
-built on coefficient arrays in :mod:`transasym.expansion`; the carriers
-wrap its rows.  ``compose_germ_series`` composes a germ with bivariate
-coefficient arrays in z and xi; it is the reference of the substitution
-check, ``TwoScaleExpansion.residual_coefficients``, and the build does not
-call it.  ``series_field_solve_linear`` solves a linear field over
-truncated coefficient arrays; nothing in the package calls it.
+built on coefficient arrays in :mod:`transasym.expansion`, and the formal
+power series is one of them; ``TaylorSeries`` wraps a level's rows.
+``compose_germ_series`` composes a germ with bivariate coefficient arrays
+in z and xi; it is the reference of the substitution check,
+``TwoScaleExpansion.residual_coefficients``, and the build does not call
+it.  ``series_field_solve_linear`` solves a linear field over truncated
+coefficient arrays; nothing in the package calls it.
 
 Precision follows the data.  The Taylor carriers and the series-level
 composition and solve keep the dtype of the arrays they are given, promoted
@@ -39,7 +38,6 @@ from .errors import DegreeCapExceeded, ResonantOrder, require_keys
 
 __all__ = [
     "TaylorSeries",
-    "InvXSeries",
     "AnalyticGerm",
     "LinearSeriesSolution",
     "series_field_solve_linear",
@@ -115,39 +113,6 @@ class TaylorSeries:
         require_keys(d, ("coeffs", "truncation"), "Taylor row")
         coeffs = [complex(re, im) for re, im in d["coeffs"]]
         return cls(coeffs, truncation_order=int(d["truncation"]))
-
-
-class InvXSeries:
-    """Series sum_{r=2}^{R} c_r x^{-r} (dense in r)."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(complex_array(coeffs))
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        self._c = _freeze(c.copy())
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._c
-
-    @property
-    def truncation_order(self) -> int:
-        """Largest inverse power R carried."""
-        return len(self._c) + 1
-
-    def evaluate(self, x, r_max: int | None = None):
-        """sum_{r <= r_max} c_r x^{-r} (full truncation by default)."""
-        R = self.truncation_order if r_max is None else min(r_max, self.truncation_order)
-        acc = 0.0 + 0.0j
-        z = 1.0 / complex(x)
-        for r in range(R, 1, -1):
-            acc = acc * z + complex(self._c[r - 2])
-        return acc * z ** 2
-
-    def __repr__(self) -> str:
-        return f"InvXSeries(r=2..{self.truncation_order})"
 
 
 class AnalyticGerm:

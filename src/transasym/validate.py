@@ -2,8 +2,8 @@
 
 Walks of a normalized system along polyline paths in the x plane,
 location of the singularities the solution blows up at, extraction of
-the transseries constant C from far-field samples, and minimal-distance
-matching of predicted pole arrays against observed ones.
+the transseries constant C from far-field samples, and the comparison
+of each hunt's pole with the predicted one it was aimed at.
 
 Hunts and C ladders walk with Taylor jets of the solution in x, computed
 by the running-product recursion of the two-scale hierarchy (Corliss and
@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, linear_sum_assignment
+from scipy.optimize import brentq
 
 from .errors import (InsufficientCoefficients, NoBlowup, NotConverging,
                      OscillatoryCoefficients, SingularApproach, StepUnderflow)
@@ -511,6 +511,14 @@ class CEstimate:
         }
 
 
+def _formal_sum(c, x: complex) -> complex:
+    """sum_{r>=2} c[r] x^{-r} over the row ``c``: Horner in z = 1/x from the top, then z^2."""
+    acc, z = 0.0 + 0.0j, 1.0 / complex(x)
+    for r in range(len(c) - 1, 1, -1):
+        acc = acc * z + complex(c[r])
+    return acc * z ** 2
+
+
 def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEstimate:
     """Recover C from solution samples on a ray in the transseries sector.
 
@@ -529,11 +537,11 @@ def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEsti
     if len(pts) < 4:
         raise ValueError("need at least 4 samples to stabilize C")
     r_top = int(math.floor(abs(pts[-1][0])))
-    tilde = e._formal_series(max(r_top, 2))
+    tilde = e._formal_series(max(r_top, 2))[0]
     alpha1 = complex(s.alpha[0])
     raw = []
     for x, y in pts:
-        part = tilde.evaluate(x, r_max=int(math.floor(abs(x))))
+        part = _formal_sum(tilde[: int(math.floor(abs(x))) + 1], x)
         scale = cmath.exp(-x + alpha1 * cmath.log(x))
         raw.append((complex(y[0]) - part) / scale)
     # extrapolate over at most 5 rungs spread across the ladder; the
@@ -604,13 +612,13 @@ def extraction_ladder(
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Predicted-vs-observed pole arrays after minimal-distance matching.
+    """Predicted-vs-observed pole arrays, each hunt judged against its own target.
 
-    ``pairs`` holds (n, x_predicted, x_observed, distance) per match;
-    predictions and observations left over appear in the unmatched
-    tuples.  ``stats`` reports max and median distance and the slope of
-    distance against n; ``to_dict`` writes a stat that is not finite (no
-    pair matched) as null.
+    ``pairs`` holds (n, x_predicted, x_observed, distance) per match, in
+    order of |n|; predictions and observations left over appear in the
+    unmatched tuples, in entry and observation order.  ``stats`` reports
+    max and median distance and the slope of distance against n;
+    ``to_dict`` writes a stat that is not finite (no pair matched) as null.
     """
 
     pairs: tuple
@@ -628,57 +636,44 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         return {
-            "pairs": [
-                {
-                    "n": n,
-                    "predicted": [xp.real, xp.imag],
-                    "observed": [xo.real, xo.imag],
-                    "distance": d,
-                }
-                for n, xp, xo, d in self.pairs
-            ],
-            "unmatched_predictions": [
-                {"n": n, "predicted": [xp.real, xp.imag]}
-                for n, xp in self.unmatched_predictions
-            ],
-            "unmatched_observations": [
-                [xo.real, xo.imag] for xo in self.unmatched_observations
-            ],
+            "pairs": [{"n": n, "predicted": [xp.real, xp.imag], "observed": [xo.real, xo.imag],
+                       "distance": d} for n, xp, xo, d in self.pairs],
+            "unmatched_predictions": [{"n": n, "predicted": [xp.real, xp.imag]}
+                                      for n, xp in self.unmatched_predictions],
+            "unmatched_observations": [[xo.real, xo.imag] for xo in self.unmatched_observations],
             "stats": {k: v if math.isfinite(v) else None for k, v in self.stats.items()},
         }
 
 
-def compare_arrays(
-    predicted: SingularityArray,
-    observed: Sequence,
-    *,
-    capture: float = 1.0,
-) -> ComparisonReport:
-    """Match predicted positions to observed ones within a capture radius.
+def compare_arrays(predicted: SingularityArray, observed: Sequence, *,
+                   capture: float = 1.0) -> ComparisonReport:
+    """Pair each hunt's pole with the predicted one it was aimed at.
 
-    ``observed`` may hold PoleObservations or bare complex locations.
-    Matching minimizes total distance (rectangular assignment); any pair
-    farther apart than ``capture`` is dissolved into unmatched entries.
-    ``capture`` must be positive; ``inf`` matches every assigned pair.
+    ``observed`` holds one observation, a PoleObservation or a bare
+    complex location, per entry of ``predicted`` that has a refined root
+    ``x_ref``, in entry order (``ValueError`` if the counts differ).  A
+    pair farther apart than ``capture`` goes to the unmatched tuples; an
+    entry without ``x_ref`` was never hunted and is an unmatched
+    prediction at ``x_asym``.  ``capture`` must be positive; ``inf``
+    matches every hunted entry.
     """
     if not capture > 0:   # also rejects NaN
         raise ValueError(f"capture must be positive, got {capture}")
-    preds = [(en.n, en.x_ref if en.x_ref is not None else en.x_asym) for en in predicted.entries]
-    locs = [
-        complex(o.location) if isinstance(o, PoleObservation) else complex(o)
-        for o in observed
-    ]
-    pairs = []
-    used_p, used_o = set(), set()
-    if preds and locs:
-        cost = np.array([[abs(xp - xo) for xo in locs] for _, xp in preds])
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if cost[i, j] <= capture:
-                n, xp = preds[i]
-                pairs.append((n, complex(xp), locs[j], float(cost[i, j])))
-                used_p.add(i)
-                used_o.add(j)
+    hunted = sum(en.x_ref is not None for en in predicted.entries)
+    if len(observed) != hunted:
+        raise ValueError(f"{len(observed)} observations for {hunted} hunted entries")
+    pairs, missed, strays, obs = [], [], [], iter(observed)
+    for en in predicted.entries:
+        if en.x_ref is None:
+            missed.append((en.n, complex(en.x_asym)))
+            continue
+        o = next(obs)
+        x = complex(o.location) if isinstance(o, PoleObservation) else complex(o)
+        if (d := abs(en.x_ref - x)) <= capture:
+            pairs.append((en.n, complex(en.x_ref), x, d))
+        else:
+            missed.append((en.n, complex(en.x_ref)))
+            strays.append(x)
     pairs.sort(key=lambda p: abs(p[0]))
     dists = [p[3] for p in pairs]
     if len(pairs) >= 3:
@@ -691,16 +686,8 @@ def compare_arrays(
         "median_distance": float(np.median(dists)) if dists else math.nan,
         "distance_slope": slope,
     }
-    return ComparisonReport(
-        pairs=tuple(pairs),
-        unmatched_predictions=tuple(
-            (n, complex(xp)) for i, (n, xp) in enumerate(preds) if i not in used_p
-        ),
-        unmatched_observations=tuple(
-            loc for j, loc in enumerate(locs) if j not in used_o
-        ),
-        stats=stats,
-    )
+    return ComparisonReport(pairs=tuple(pairs), unmatched_predictions=tuple(missed),
+                            unmatched_observations=tuple(strays), stats=stats)
 
 
 # -- end-to-end orchestration -------------------------------------------------
@@ -810,7 +797,7 @@ def run_validation(
     if extract:
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not
         # enough for a 1e-3 constant measurement, so deepen if needed
-        e_x = e if e.M >= _DEEP_M else build_expansion(s, _DEEP_M, e.K, dtype=e.fm[0].dtype)
+        e_x = e if e.M >= _DEEP_M else build_expansion(s, _DEEP_M, e.K, dtype=e.fm.dtype)
         extraction = extraction_ladder(s, e_x, C, _ANCHOR_ARG, ladder_radii(e_x, _ANCHOR_ARG))
     return ValidationRun(
         system=s.label,

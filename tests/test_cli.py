@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import time
 
 import numpy as np
@@ -170,8 +171,10 @@ def test_validate_flow_and_config_round_trip(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "cfg2.json").read_bytes()
     # replaying the config reproduces the artifact; --out overrides the
     # destination recorded inside it
-    assert main(["validate", "--config", "cfg.json", "--out", "run2.json"]) == 0
+    assert main(["validate", "--config", "cfg.json", "--out", "run2.json",
+                 "--emit-config", "cfg3.json"]) == 0
     assert (tmp_path / "run.json").read_bytes() == (tmp_path / "run2.json").read_bytes()
+    assert json.loads((tmp_path / "cfg3.json").read_text())["out"] == "run2.json"
 
 
 def test_validate_without_plan_is_domain_error(capsys):
@@ -224,6 +227,39 @@ def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys,
         RunConfig.from_dict(cfg)
     assert main(["validate", "--config", "old.json"]) == 2
     assert f"unknown RunConfig keys: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["p1"], "the label"), (["--C", "5"], "--C"), (["--n", "3..4"], "--n"),
+    (["--M", "3"], "--M"), (["--K", "16"], "--K"), (["--capture", "2"], "--capture"),
+    (["--extract"], "--extract"), (["--precision", "double"], "--precision"),
+], ids=["label", "C", "n", "M", "K", "capture", "extract", "precision"])
+def test_config_refuses_run_flags(tmp_path, monkeypatch, capsys, flags, named):
+    # the file holds the whole run; a flag beside it would otherwise be dropped
+    monkeypatch.chdir(tmp_path)
+    _dump_json(RunConfig("p1", C=12.0, n_range=(8,)).to_dict(), "cfg.json")
+    assert main(["validate", "--config", "cfg.json", *flags]) == 1
+    assert f"--config takes no run flags, got {named}" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("M", 2.5), ("K", True), ("n_range", [8.7, 9]), ("n_range", [8, False]), ("n_range", 8),
+    ("C", [math.nan, 0.0]), ("C", [math.inf, 0.0]), ("C", 5), ("C", [12, 0, 1]), ("C", ["x"]),
+    ("capture", "1"), ("capture", math.inf), ("capture", True), ("extract", "no"),
+    ("extract", 1),
+], ids=["M-float", "K-bool", "n-float", "n-bool", "n-int", "C-nan", "C-inf", "C-int",
+        "C-three", "C-str", "capture-str", "capture-inf", "capture-bool", "extract-str",
+        "extract-int"])
+def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
+    cfg[key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["validate", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"RunConfig {key} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "run.json").exists()
 
 
 @pytest.mark.parametrize("argv, artifact, named", [

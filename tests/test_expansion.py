@@ -14,7 +14,7 @@ from transasym.errors import OutsideReliableDisk, ResonantOrder
 from transasym.expansion import (TwoScaleExpansion, _x_jet, _xi_jet, build_expansion,
                                  eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
-from transasym.series import AnalyticGerm
+from transasym.series import AnalyticGerm, compose_germ_series
 from transasym.systems import NormalSystem, builtin
 
 
@@ -237,6 +237,55 @@ def test_random_systems_round_trip_exactly(seed):
         assert np.array_equal(got, want)
 
 
+def test_drawn_systems_round_trip_and_satisfy_the_substitution_identity():
+    # n = 1 or 2, up to four germ terms z^i y^k with 2 <= i + |k| <= 4, every germ
+    # and alpha modulus 0 or at least 1e-3 (raw floats drew terms near 1e-86)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def floored(top):
+        return st.builds(lambda r, t: r * cmath.exp(1j * t),
+                         st.one_of(st.just(0.0), st.floats(1e-3, top)), st.floats(0.0, 2 * math.pi))
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.integers(1, 2))
+        keys = [(i, k) for i in range(5) for k in itertools.product(range(5), repeat=n)
+                if 2 <= i + sum(k) <= 4]
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+        terms = {key: [draw(floored(1.0)) for _ in range(n)] for key in chosen}
+        if (1, (1,) + (0,) * (n - 1)) in terms:   # z y_1 in the first component: ResonantOrder(1)
+            terms[1, (1,) + (0,) * (n - 1)][0] = 0.0
+        lam = [1.0, complex(draw(st.floats(-3.0, -0.25)), draw(st.floats(-0.5, 0.5)))][:n]
+        return NormalSystem(lam, [draw(floored(0.5)) for _ in range(n)], AnalyticGerm(n, terms))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(systems(), st.integers(1, 4), st.integers(2, 16))
+    def check(s, M, K):
+        assert NormalSystem.from_dict(s.to_dict()).to_dict() == s.to_dict()
+        try:
+            e = build_expansion(s, M, K)
+        except ResonantOrder:
+            hypothesis.assume(False)
+        except ValueError as err:
+            hypothesis.assume("not finite" not in str(err))
+            raise
+        # each residual row within 1e-12 of the terms entering it, bounded by the
+        # majorant with every coefficient and level taken by modulus; max|F_m| is no
+        # yardstick where a level cancels (alpha_1 = 1/2 under g = y^3 leaves F_2 at
+        # roundoff) or shrinks fast (g = 1e-3 z^2 y_1 shrinks each level by 1e-3)
+        F, k = np.abs(np.moveaxis(e.fm, 0, 1)), np.arange(K + 1)
+        g = AnalyticGerm(s.n, {key: np.abs(v) for key, v in s.germ.terms.items()})
+        terms = np.abs(s.lam[:, None, None] - k) * F + compose_germ_series(g, F).real
+        a = np.abs(s.alpha)
+        terms[:, 1:] += (a[0] * k + np.arange(M)[:, None] + a[:, None, None]) * F[:, :-1]
+        res = e.residual_coefficients()
+        for m in range(M + 1):
+            assert np.max(np.abs(res[:, m, :])) <= 1e-12 * np.max(terms[:, m])
+
+    check()
+
+
 # -- formal series and evaluation -------------------------------------------
 
 
@@ -244,16 +293,15 @@ def test_random_systems_round_trip_exactly(seed):
 @pytest.mark.parametrize("label,alpha", [("p1", 0.0), ("abel", 0.0),
                                          ("p2a", 0.3), ("p2b", 0.3)])
 def test_formal_series_residual_has_its_order(label, alpha, R):
-    # pointwise, through InvXSeries and the field only: the truncated
+    # pointwise, through the coefficient array and the field only: the truncated
     # series leaves a residual ~ x^{-R-1}, so doubling x divides it by 2^{R+1}
     s, _ = builtin(label, alpha=alpha)
-    tilde = formal_power_series(s, R)
+    c = formal_power_series(s, R)
+    assert c.shape == (s.n, R + 1) and not c[:, :2].any() and not c.flags.writeable
+    r = np.arange(R + 1)
 
     def residual(x):
-        y = np.array([t.evaluate(x) for t in tilde])
-        dy = np.array([sum(-r * t.coeffs[r - 2] * x ** (-r - 1) for r in range(2, R + 1))
-                       for t in tilde])
-        return np.linalg.norm(dy - s.field(x, y))
+        return np.linalg.norm(c @ (-r * x ** (-r - 1.0)) - s.field(x, c @ x ** -r))
 
     x = 12.0 * cmath.exp(0.3j)
     assert residual(x) / residual(2 * x) == pytest.approx(2.0 ** (R + 1), rel=0.05)
@@ -264,19 +312,18 @@ def test_kept_formal_series_slices_bitwise(p1):
     # is a slice of it, equal to a fresh build to that order
     e = build_expansion(p1, 2, 8)
     for R in (40, 60, 31, 2):
-        assert np.array_equal(e._formal_series(R).coeffs, formal_power_series(p1, R)[0].coeffs)
-    assert e._formal.truncation_order == 60
+        assert np.array_equal(e._formal_series(R), formal_power_series(p1, R))
+    assert e._formal.shape == (p1.n, 61)
 
 
 def test_formal_series_agrees_with_two_scale_at_zero_C(p1, e_p1):
     # column xi^0 of the hierarchy and the formal series come from one
     # recursion, so this checks evaluation, not the coefficients
-    tilde = formal_power_series(p1, 12)
+    c = formal_power_series(p1, 12)
     x = 10.0
     value, bound = eval_two_scale(e_p1, 0.0, x)
-    for j in range(p1.n):
-        direct = tilde[j].evaluate(x)
-        assert abs(value[j] - direct) <= bound + 1e-12
+    direct = c @ x ** -np.arange(13.0)
+    assert np.all(np.abs(value - direct) <= bound + 1e-12)
 
 
 @pytest.mark.parametrize("name", ["e_p1", "e_abel"])

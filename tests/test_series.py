@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from transasym.errors import DegreeCapExceeded, ResonantOrder
-from transasym.series import (AnalyticGerm, InvXSeries, TaylorSeries,
-                              compose_germ_series, series_field_solve_linear)
+from transasym.expansion import formal_power_series
+from transasym.series import (AnalyticGerm, TaylorSeries, compose_germ_series,
+                              series_field_solve_linear)
+from transasym.systems import builtin
 
 RNG = np.random.default_rng(7)
 
@@ -33,16 +35,6 @@ def test_taylor_serialization_round_trip():
     a = _rand_series(5)
     b = TaylorSeries.from_dict(a.to_dict())
     assert np.array_equal(a.coeffs, b.coeffs)
-
-
-# -- InvXSeries --------------------------------------------------------------
-
-
-def test_invx_evaluate_and_r_max():
-    s = InvXSeries([1.0, 2.0, 3.0])   # x^-2 + 2 x^-3 + 3 x^-4
-    x = 2.0
-    assert abs(s.evaluate(x) - (0.25 + 0.25 + 3 / 16)) < 1e-15
-    assert abs(s.evaluate(x, r_max=3) - 0.5) < 1e-15
 
 
 # -- AnalyticGerm ------------------------------------------------------------
@@ -138,7 +130,7 @@ def test_series_keep_their_precision():
     ext = TaylorSeries(np.arange(5, dtype=np.longdouble))
     assert ext.coeffs.dtype == np.clongdouble
     assert TaylorSeries([1, 2, 3]).coeffs.dtype == np.complex128
-    assert InvXSeries(np.ones(3, dtype=np.float32)).coeffs.dtype == np.complex128
+    assert formal_power_series(builtin("p1")[0], 4).dtype == np.complex128
     g = AnalyticGerm(1, {(0, (2,)): 1.0})
     assert compose_germ_series(g, ext.coeffs.reshape(1, 1, 5)).dtype == np.clongdouble
     assert g.evaluate(0.1, np.ones(1, dtype=np.clongdouble)).dtype == np.complex128

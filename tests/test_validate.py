@@ -291,13 +291,19 @@ def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1)
 # -- constant extraction -----------------------------------------------------
 
 
+def test_formal_sum_runs_over_its_row():
+    c = [0.0, 0.0, 1.0, 2.0, 3.0]   # x^-2 + 2 x^-3 + 3 x^-4
+    assert abs(validate._formal_sum(c, 2.0) - (0.25 + 0.25 + 3 / 16)) < 1e-15
+    assert abs(validate._formal_sum(c[:4], 2.0) - 0.5) < 1e-15
+
+
 def _truncated_sum_samples(p1, C):
     # partial sums cut at the least-term rule, plus C times the pure scale
-    tilde = formal_power_series(p1, 40)[0]
+    c = formal_power_series(p1, 40)[0]
     xs = [r * cmath.exp(1j * math.pi / 4) for r in np.linspace(24, 38, 8)]
     out = []
     for x in xs:
-        part = tilde.evaluate(x, r_max=int(math.floor(abs(x))))
+        part = np.polynomial.polynomial.polyval(1 / x, c[: int(math.floor(abs(x))) + 1])
         E = cmath.exp(-x - 0.5 * cmath.log(x))
         out.append((x, [part + C * E, 0.0]))
     return out
@@ -567,6 +573,24 @@ def test_compare_dissolves_outliers():
     assert len(rep.unmatched_observations) == 1
     rep_tight = compare_arrays(pred, [x + 0.1 for x in locs], capture=0.05)
     assert rep_tight.stats["n_pairs"] == 0
+
+
+def test_a_hunt_is_judged_against_its_own_target():
+    # n = 9's pole reported by n = 8's hunt and the reverse: each lies a
+    # spacing of about 2 pi from its own target, so neither matches
+    pred = predict_array(12.0, 12.0, -0.5, [8, 9])
+    x8, x9 = (en.x_ref for en in pred.entries)
+    rep = compare_arrays(pred, [x9, x8])
+    assert rep.stats["n_pairs"] == 0
+    assert rep.unmatched_predictions == ((8, x8), (9, x9))
+    assert rep.unmatched_observations == (x9, x8)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_compare_needs_one_observation_per_hunted_entry(count):
+    pred = predict_array(12.0, 12.0, -0.5, [8, 9])
+    with pytest.raises(ValueError, match="observations for 2 hunted entries"):
+        compare_arrays(pred, [pred.entries[0].x_ref] * count)
 
 
 def test_anchor_sits_on_the_requested_level(p1, e_p1):
