@@ -6,7 +6,7 @@ system    list the built-in normalizations, or dump one as JSON
 expand    build F_0..F_M and save the expansion as JSON
 eval      evaluate a saved expansion: a level profile at xi, or the
           two-scale sum at (C, x)
-predict   write the predicted singularity array as JSON
+predict   write the singularity array at the system's own xi_s as JSON
 continue  continue the leading profile along a xi-plane polyline on Taylor
           jets, CSV out
 validate  integrate, hunt and compare a whole array; JSON report
@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -202,12 +203,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     s, _ = builtin(args.label, alpha=args.alpha, b_branch=args.b_branch)
-    xi_s = args.xi_s if args.xi_s is not None else s.xi_s_hint
-    if xi_s is None:
-        raise TransasymError(
-            f"{args.label} declares no singular scale value; pass --xi-s")
-    alpha1 = args.alpha1 if args.alpha1 is not None else s.alpha[0]
-    arr = predict_array(xi_s, args.C, alpha1, args.n)
+    arr = predict_array(s.xi_s_hint, args.C, s.alpha[0], args.n)
     _dump_json(arr.to_dict(), args.out)
     print(f"{len(arr.entries)} entries -> {args.out}")
     return 0
@@ -230,15 +226,13 @@ def _cmd_validate(args) -> int:
                               + ", ".join(_RUN_FLAGS[k] for k in flags))
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
-        # explicit destinations beat the ones recorded in the config
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out=args.out)
-        if args.csv_dir is not None:
-            cfg = dataclasses.replace(cfg, csv_dir=args.csv_dir)
     else:
         if args.label is None or not args.n_range:
             raise TransasymError("validate needs a label and --n, or --config")
-        cfg = RunConfig(**flags, out=args.out or "run.json", csv_dir=args.csv_dir)
+        cfg = RunConfig(**flags)
+    # explicit destinations beat RunConfig's defaults and those a config records
+    dests = {k: getattr(args, k) for k in ("out", "csv_dir") if getattr(args, k) is not None}
+    cfg = dataclasses.replace(cfg, **dests)
     if cfg.precision not in _DTYPES:
         raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
     if args.emit_config:
@@ -288,7 +282,9 @@ def _add_precision_flag(p: argparse.ArgumentParser, default: str | None) -> None
                         "integration runs in double")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on first use and kept for later calls."""
     top = _Parser(prog="transasym",
                   description="two-scale expansions and their singularity arrays")
     sub = top.add_subparsers(dest="command", required=True)
@@ -318,15 +314,11 @@ def _build_parser() -> _Parser:
                    help="truncation level override for the two-scale sum")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("predict", help="predicted singularity array as JSON")
+    p = sub.add_parser("predict", help="singularity array at the system's own xi_s, as JSON")
     p.add_argument("label", choices=BUILTIN_LABELS)
     _add_family_flags(p)
     p.add_argument("--C", type=_complex, required=True)
     p.add_argument("--n", type=_int_range, required=True, help="indices a..b")
-    p.add_argument("--xi-s", dest="xi_s", type=_complex,
-                   help="singular scale value (default: the system hint)")
-    p.add_argument("--alpha1", type=_complex,
-                   help="scale exponent (default: the system's alpha_1)")
     p.add_argument("--out", default="array.json")
     p.set_defaults(fn=_cmd_predict)
 
@@ -352,8 +344,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--capture", type=float, help="capture radius (default 1)")
     p.add_argument("--extract", action="store_true", default=None,
                    help="also recover C from the integrated solution")
-    p.add_argument("--out", default=None,
-                   help="report destination (default run.json)")
+    p.add_argument("--out", help="report destination (default run.json)")
     p.add_argument("--csv-dir", dest="csv_dir",
                    help="write one CSV per pole here, a row per Taylor-jet centre of its hunt")
     p.set_defaults(fn=_cmd_validate)
@@ -373,7 +364,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"transasym: error: {err}", file=sys.stderr)
         return 1
-    except (TransasymError, OSError, ValueError, ZeroDivisionError) as err:
+    except (TransasymError, OSError, ValueError, ArithmeticError) as err:
         print(f"transasym: {err}", file=sys.stderr)
         return 2
 

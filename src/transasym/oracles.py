@@ -32,9 +32,9 @@ XI0 = 3.0 ** -0.5 * math.exp(-math.pi * _SQ3 / 6.0)
 LATTICE_RATIO = math.exp(math.pi * _SQ3)
 
 
-def _guard_pole(xi, where: complex, tol: float = 1e-9) -> None:
-    if np.min(np.abs(np.asarray(xi) - where)) < tol * max(1.0, abs(where)):
-        raise PoleOfOracle(f"oracle evaluated within {tol:g} of its pole at {where:g}")
+def _guard_pole(xi, where: complex) -> None:
+    if np.min(np.abs(np.asarray(xi) - where)) < 1e-9 * max(1.0, abs(where)):
+        raise PoleOfOracle(f"oracle evaluated within 1e-09 of its pole at {where:g}")
 
 
 def _rational_taylor(num, den, K: int) -> np.ndarray:
@@ -121,11 +121,11 @@ def abel_xi_of_F0(F0, winding=(0, 0)):
     return out.item() if np.ndim(F0) == 0 else out
 
 
-def _newton_F0(target: complex, F: complex, winding, tol: float, max_iter: int) -> complex:
-    for _ in range(max_iter):
+def _newton_F0(target: complex, F: complex, winding) -> complex:
+    for _ in range(60):
         val = abel_xi_of_F0(F, winding)
         err = val - target
-        if abs(err) <= tol * max(1.0, abs(target)):
+        if abs(err) <= 1e-12 * max(1.0, abs(target)):
             return F
         # d xi/dF = xi/(F (1 + 3F + 3F^2)), the reciprocal of the flow factor
         dxi = 1.0 if F == 0 else val / (F * (1.0 + 3.0 * F + 3.0 * F * F))
@@ -133,14 +133,15 @@ def _newton_F0(target: complex, F: complex, winding, tol: float, max_iter: int) 
     raise NewtonDiverged(target, f"profile inversion stalled at xi = {target}")
 
 
-def abel_F0_of_xi(xi, winding=(0, 0), seed=None, *, tol: float = 1e-12,
-                  max_iter: int = 60) -> complex:
+def abel_F0_of_xi(xi, winding=(0, 0), seed=None) -> complex:
     """Invert xi = xi(F_0) on a chosen branch.
 
     On the principal sheet (winding (0, 0)) the seed is walked up from the
     Taylor regime F_0 ~ xi, so no starting guess is needed; the two real
     cut rays of that sheet are rejected.  Off the principal sheet an
-    explicit ``seed`` on the target sheet must be supplied.
+    explicit ``seed`` on the target sheet must be supplied.  Each Newton
+    solve stops once |xi(F) - target| <= 1e-12 max(1, |target|) and
+    raises :class:`~transasym.errors.NewtonDiverged` after 60 steps.
     """
     xi = complex(xi)
     w = (int(winding[0]), int(winding[1]))
@@ -151,12 +152,12 @@ def abel_F0_of_xi(xi, winding=(0, 0), seed=None, *, tol: float = 1e-12,
                 f"xi = {xi} lies on a principal-sheet cut ray")
         F = 0.0 + 0.0j
         for t in np.linspace(0.05, 1.0, 24):
-            F = _newton_F0(t * xi, F if F != 0 else t * xi, w, tol, max_iter)
+            F = _newton_F0(t * xi, F if F != 0 else t * xi, w)
         return F
     if seed is None:
         raise SheetUnreachable(
             "no Taylor seed off the principal sheet; pass an explicit seed")
-    return _newton_F0(xi, complex(seed), w, tol, max_iter)
+    return _newton_F0(xi, complex(seed), w)
 
 
 def abel_xi_set(p1: int, p2: int) -> complex:
@@ -209,13 +210,14 @@ def p2_f0_taylor(which: str, K: int, b_branch: int = 1) -> np.ndarray:
 # -- pole cancellation -------------------------------------------------------
 
 
-def pole_cancel_polynomial(series, xi_s, order: int, *, rel_tol: float = 1e-9) -> np.ndarray:
+def pole_cancel_polynomial(series, xi_s, order: int) -> np.ndarray:
     """Multiply a truncated series by (xi - xi_s)^order and trim to a polynomial.
 
     If the series is a polynomial over (xi - xi_s)^order, the product's
     coefficients die off after the numerator degree; the trimmed ascending
-    coefficient array is returned.  Survivors in the top half of the
-    product mean the pole order or location is off, which is an error.
+    coefficient array is returned, cut after its last coefficient above
+    1e-9 of the largest.  Survivors in the top half of the product mean
+    the pole order or location is off, which is an error.
     """
     if isinstance(series, TaylorSeries):
         c = np.asarray(series.coeffs)
@@ -231,7 +233,7 @@ def pole_cancel_polynomial(series, xi_s, order: int, *, rel_tol: float = 1e-9) -
     scale = np.max(np.abs(full))
     if scale == 0:
         return np.zeros(1, dtype=complex)
-    keep = np.flatnonzero(np.abs(full) > rel_tol * scale)
+    keep = np.flatnonzero(np.abs(full) > 1e-9 * scale)
     deg = int(keep[-1])
     if deg > (len(full) - 1) // 2:
         raise ValueError(
@@ -240,24 +242,23 @@ def pole_cancel_polynomial(series, xi_s, order: int, *, rel_tol: float = 1e-9) -
     return full[: deg + 1]
 
 
-def pole_scale_correction(e, xi_s=None, *, base_order: int = 2):
+def pole_scale_correction(e):
     """First singularity-location correction A in xi_s(x) = xi_s + A/x.
 
-    Near the pole the level-m profile carries (xi - xi_s)^{-(base_order+m)};
-    writing F_m = P_m(xi)/(xi - xi_s)^{base_order+m}, the shifted-pole
-    structure forces P_m(xi_s) = (m+1) A^m P_0(xi_s), a derivative of the
-    geometric sum, and the m = 1 member gives A.  Needs an expansion with
-    M >= 1 whose observable blows up at xi_s like a double pole.
+    xi_s is the system's ``xi_s_hint``.  Near the pole the level-m profile
+    carries (xi - xi_s)^{-(2+m)}; writing F_m = P_m(xi)/(xi - xi_s)^{2+m},
+    the shifted-pole structure forces P_m(xi_s) = (m+1) A^m P_0(xi_s), a
+    derivative of the geometric sum, and the m = 1 member gives A.  Needs
+    an expansion with M >= 1 whose observable blows up at xi_s like a
+    double pole.
     """
+    xi_s = e.system.xi_s_hint
     if xi_s is None:
-        xi_s = e.system.xi_s_hint
-        if xi_s is None:
-            raise ValueError("system declares no singular xi level; pass xi_s")
-    xi_s = complex(xi_s)
+        raise ValueError("system declares no singular xi level")
     if e.M < 1:
         raise ValueError("need at least levels 0 and 1 to read off A")
-    p0 = pole_cancel_polynomial(e.observable_series(0), xi_s, base_order)
-    p1 = pole_cancel_polynomial(e.observable_series(1), xi_s, base_order + 1)
+    p0 = pole_cancel_polynomial(e.observable_series(0), xi_s, 2)
+    p1 = pole_cancel_polynomial(e.observable_series(1), xi_s, 3)
     a0 = complex(np.polyval(p0[::-1], xi_s))
     a1 = complex(np.polyval(p1[::-1], xi_s))
     if a0 == 0:

@@ -161,10 +161,10 @@ class ContinuationResult:
         return self.values[:, -1]
 
 
-def _segment_clears_origin(a: complex, b: complex, tol: float = 1e-12) -> bool:
+def _segment_clears_origin(a: complex, b: complex) -> bool:
     d = b - a
     t = min(1.0, max(0.0, (-(a.conjugate() * d).real) / abs(d) ** 2))
-    return abs(a + t * d) > tol
+    return abs(a + t * d) > 1e-12
 
 
 def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:

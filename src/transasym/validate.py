@@ -711,10 +711,14 @@ def _on_level(s: NormalSystem, C, line, lo: float, hi: float):
 
 def anchor_point(s: NormalSystem, C, arg: float):
     """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor."""
-    if complex(C) == 0:
-        raise ValueError("C = 0 has no singularity scale to anchor to")
     if math.cos(arg) <= 0:
         raise ValueError("anchor ray must point into the decaying half-plane")
+    # the level is sought from |x| = 1 outwards, where |xi| = |C| e^{-cos(arg) - Im(alpha_1) arg}
+    least = _ANCHOR_XI * math.exp(math.cos(arg) + complex(s.alpha[0]).imag * arg)
+    if abs(complex(C)) < least:   # C = 0 included
+        raise ValueError(f"|C| = {abs(complex(C)):.6g} puts |xi| below {_ANCHOR_XI:g} already at "
+                         f"|x| = 1 on the ray arg x = {arg:g}, so no anchor lies on it; "
+                         f"|C| must be at least {least:.6g}")
     direction = cmath.exp(1j * arg)
     return _on_level(s, C, lambda r: r * direction, 1.0, 1e4)
 

@@ -5,6 +5,10 @@ import csv
 import json
 import logging
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -149,6 +153,21 @@ def test_predict_rejects_zero_constant(tmp_path, monkeypatch, capsys):
     assert "transasym:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # on arg x = 1.2, |xi| < 1e-3 already at |x| = 1 once |C| < 1e-3 e^{cos 1.2}
+    (["validate", "p1", "--C", "1.4e-3", "--n", "8..9"],
+     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2"),
+    # e^{-x} x^{alpha_1} overflows before Newton can refine the seed
+    (["predict", "p1", "--C", "1e-320", "--n", "1"], "math range error"),
+], ids=["no-anchor", "overflow"])
+def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("transasym: ") and message in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_continue_writes_samples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["continue", "abel", "--path", "0.02", "0.12"]) == 0
@@ -191,10 +210,40 @@ def test_unknown_flag_exits_one(capsys):
     for argv in (["predict", "p1", "--C", "1", "--n", "3", "--frobnicate"],
                  # retired: the C ladder's level and the continuation's seed order are fixed
                  ["validate", "p1", "--n", "8", "--k-max", "14"],
-                 ["continue", "abel", "--path", "0.02", "0.12", "--seed-order", "40"]):
+                 ["continue", "abel", "--path", "0.02", "0.12", "--seed-order", "40"],
+                 # retired: predict solves at the system's own xi_s hint and alpha_1
+                 ["predict", "p1", "--C", "12", "--n", "8", "--xi-s", "3"],
+                 ["predict", "p1", "--C", "12", "--n", "8", "--alpha1", "0"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+
+
+def test_one_parser_per_process():
+    # importing the front end builds no parser, and a second main() reuses the first's
+    script = """
+import argparse, contextlib, io
+built, init = [], argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+from transasym import cli
+assert built == [], built
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["system"]) == 0
+    first = list(built)
+    assert cli.main(["system", "p1"]) == 0
+assert built == first and first.count("transasym") == 1, built
+"""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_report_single_criterion(capsys):

@@ -144,6 +144,75 @@ def test_abel_deep_leading_profile_matches_the_inverted_profile(abel):
         assert abs(e.observable_series(0).evaluate(xi) - ref) <= 1e-12 * abs(ref)
 
 
+def _mp_levels(s, M, K):
+    """Y[m][k][j] = [z^m xi^k] y_j for m <= M, k <= K, in mpmath at the working
+    precision on the system's double coefficients, one cell at a time, k outer
+    and m inner, from
+
+        (lambda_j - k) Y_{m,k} = [z^m xi^k] g + ((m-1) + alpha_j - alpha_1 k) Y_{m-1,k},
+
+    Y_{0,0} = 0 and Y_{0,1} = e_1.  A component with lambda_j = k is left 0,
+    except c_{m-1} = Y_{m-1,1}[0], which the first component fixes at (m, xi^1)
+    with slope m - 1; row M + 1 is solved at xi^0 and xi^1 to fix c_M."""
+    import mpmath
+
+    mpc, n = mpmath.mpc, s.n
+    lam, alpha = [mpc(complex(v)) for v in s.lam], [mpc(complex(v)) for v in s.alpha]
+    terms = [(i, tuple(j for j, p in enumerate(kk) for _ in range(p)),
+              [mpc(complex(v)) for v in vec]) for (i, kk), vec in s.germ.terms.items()]
+    Y = [[[mpc(0)] * n for _ in range(K + 1)] for _ in range(M + 2)]
+    # P[f][a][b] = [z^a xi^b] of the product of the components f, for |f| >= 2
+    P = {f[:L]: [[mpc(0)] * (K + 1) for _ in range(M + 2)]
+         for _, f, _ in terms for L in range(2, len(f) + 1)}
+
+    def product(f, a, b):
+        if len(f) < 2:
+            return Y[a][b][f[0]] if f else mpc(a == b == 0)
+        return P[f][a][b]
+
+    def cell(m, k):   # products at (m, k), then the right side there
+        for f in sorted(P, key=len):
+            P[f][m][k] = mpmath.fdot((product(f[:-1], a, b), Y[m - a][k - b][f[-1]])
+                                     for a in range(m + 1) for b in range(k + 1))
+        r = [mpc(0)] * n
+        for i, f, vec in terms:
+            if i <= m:
+                r = [r[j] + vec[j] * product(f, m - i, k) for j in range(n)]
+        if m >= 1:
+            r = [r[j] + ((m - 1) + alpha[j] - alpha[0] * k) * Y[m - 1][k][j] for j in range(n)]
+        return r
+
+    Y[0][1][0] = mpc(1)
+    for k in range(K + 1):
+        for m in range(M + 2 if k <= 1 else M + 1):
+            r = cell(m, k)
+            if m == 0 and k <= 1:
+                continue
+            if k == 1 and m >= 2:
+                Y[m - 1][1][0] = -r[0] / (m - 1)
+                r = cell(m, k)
+                if m == M + 1:
+                    continue
+            Y[m][k] = [r[j] / (lam[j] - k) if abs(lam[j] - k) > 1e-12 else Y[m][k][j]
+                       for j in range(n)]
+    return Y
+
+
+@pytest.mark.parametrize("name", ["e_p1", "e_abel"])
+def test_levels_match_a_fifty_digit_recursion(name, request):
+    # p1 (M = 2, K = 32) and Abel (M = 2, K = 48), every coefficient of every
+    # level; a zero coefficient is judged against the level's largest one
+    mpmath = pytest.importorskip("mpmath")
+    e = request.getfixturevalue(name)
+    with mpmath.workdps(50):
+        Y = _mp_levels(e.system, e.M, e.K)
+        ref = np.array([[[complex(Y[m][k][j]) for k in range(e.K + 1)]
+                         for j in range(e.system.n)] for m in range(e.M + 1)])
+    for got, r in zip(e.fm, ref):
+        den = np.where(r != 0, np.abs(r), np.max(np.abs(r)))
+        assert np.max(np.abs(got - r) / den) <= 1e-12
+
+
 @pytest.mark.parametrize("c", [0.0, 0.3])
 def test_level_resonance_at_xi_two(c):
     # lambda_2 - 2 = 5e-12 is singular for the levels but not for F_0; the

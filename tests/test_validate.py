@@ -613,6 +613,15 @@ def test_anchor_rejects_bad_rays(p1):
         anchor_point(p1, 12.0, 2.0)    # growing half-plane
 
 
+def test_anchor_names_a_constant_too_small_for_its_ray(p1):
+    # p1 has real alpha_1, so |xi| at |x| = 1 on arg x = 1.2 is |C| e^{-cos 1.2}
+    least = 1e-3 * math.exp(math.cos(1.2))
+    with pytest.raises(ValueError, match=r"\|C\| = 0\.0014 .* ray arg x = 1\.2.* at least "
+                                         + f"{least:.6g}"):
+        anchor_point(p1, 1.4e-3, 1.2)
+    assert abs(anchor_point(p1, 1.5e-3, 1.2)) > 1.0
+
+
 def test_validation_run_serialization():
     pred = predict_array(12.0, 12.0, -0.5, [8, 9])
     rep = compare_arrays(pred, [en.x_ref for en in pred.entries])
