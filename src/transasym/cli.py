@@ -36,6 +36,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 
@@ -235,6 +236,10 @@ def _cmd_validate(args) -> int:
     cfg = dataclasses.replace(cfg, **dests)
     if cfg.precision not in _DTYPES:
         raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
+    # refuse a destination the run could not write before the survey, not after it
+    for d in (os.path.dirname(cfg.out) or os.curdir, cfg.csv_dir):
+        if d is not None and not (os.path.isdir(d) and os.access(d, os.W_OK)):
+            raise TransasymError(f"{d} is not a writable directory")
     if args.emit_config:
         _dump_json(cfg.to_dict(), args.emit_config)
 

@@ -290,7 +290,8 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:
     if xi_sc == 0:
         raise ValueError("xi_s must be nonzero")
     a1 = complex(alpha1)
-    base0 = cmath.log(C) - cmath.log(xi_sc)
+    log_c = cmath.log(C)
+    base0 = log_c - cmath.log(xi_sc)
     tol_abs = _NEWTON_TOL * max(1.0, abs(xi_sc))
 
     entries = []
@@ -305,12 +306,16 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:
         for _ in range(_NEWTON_ITER):
             if x == 0 or not (math.isfinite(x.real) and math.isfinite(x.imag)):
                 break
-            xi_val = C * cmath.exp(-x + a1 * cmath.log(x))
+            w = -x + a1 * cmath.log(x)
+            try:
+                xi_val = C * cmath.exp(w)
+            except OverflowError:  # e^w alone overflows where |C| is tiny
+                xi_val = cmath.exp(log_c + w)
             err = abs(xi_val - xi_sc)
             if err <= tol_abs:
                 x_ref, resid = x, err
                 break
-            h = -x + a1 * cmath.log(x) + base
+            h = w + base
             x = x - h / (-1.0 + a1 / x)
         entries.append(ArrayEntry(n, x_asym, x_ref, resid))
     return SingularityArray(xi_sc, C, a1, tuple(entries))

@@ -32,10 +32,13 @@ ladder or a continuation leg is driven alone on the same path; lanes do
 not share arithmetic, so a hunt's result is bitwise the same either way.
 
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
-leg by leg at fixed tolerances.  Blow-up ends it with ``StepUnderflow``;
-the partial trajectory is attached to the exception as
-``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by a
-hunt's jet centres and ``transasym continue``.
+leg by leg at fixed tolerances.  It alone uses scipy, imported on its
+first call; the level-curve points come from ``_brent``, a transcription
+of scipy's ``brentq`` that finds them bitwise as scipy does, so
+importing the package loads no scipy.  Blow-up ends it with
+``StepUnderflow``; the partial trajectory is attached to the exception
+as ``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by
+a hunt's jet centres and ``transasym continue``.
 
 Integration, jets, detection and the extraction of C run in complex128.
 An extended-precision expansion only seeds them: its values are cast to
@@ -52,8 +55,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (InsufficientCoefficients, NoBlowup, NotConverging,
                      OscillatoryCoefficients, SingularApproach, StepUnderflow)
@@ -143,6 +144,8 @@ def integrate_path(s: NormalSystem, y_init, waypoints) -> Trajectory:
     ``StepUnderflow`` with the stop location in ``.where`` and the partial
     trajectory attached as ``.trajectory``.
     """
+    from scipy.integrate import solve_ivp  # the reference alone loads scipy
+
     pts = [complex(w) for w in waypoints]
     if len(pts) < 2:
         raise ValueError("a path needs at least two waypoints")
@@ -693,6 +696,55 @@ def compare_arrays(predicted: SingularityArray, observed: Sequence, *,
 # -- end-to-end orchestration -------------------------------------------------
 
 
+def _brent(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in [lo, hi] by Brent's method, bitwise scipy's ``brentq(f, lo, hi, xtol=1e-14)``.
+
+    A line-for-line transcription of scipy's ``brentq.c`` (Brent 1973,
+    ch. 4): inverse quadratic or secant steps, bisection whenever a step
+    is not short enough, at most 100 iterations.  Raises ``ValueError``
+    if f(lo) and f(hi) have the same sign, ``RuntimeError`` if it does
+    not converge.
+    """
+    xtol, rtol = 1e-14, 4 * math.ulp(1.0)
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _on_level(s: NormalSystem, C, line, lo: float, hi: float):
     """The point ``line(t)``, lo < t < hi, where |xi(x)| = 1e-3, the anchor's level.
 
@@ -706,7 +758,7 @@ def _on_level(s: NormalSystem, C, line, lo: float, hi: float):
         x = line(t)
         return level - x.real + (alpha1 * cmath.log(x)).real
 
-    return line(brentq(f, lo, hi, xtol=1e-14))
+    return line(_brent(f, lo, hi))
 
 
 def anchor_point(s: NormalSystem, C, arg: float):

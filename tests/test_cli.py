@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from transasym import validate
+from transasym import cli, validate
 from transasym.cli import RunConfig, _complex, _dump_json, _int_range, main
 from transasym.singular import continue_f0
 from transasym.systems import builtin
@@ -129,6 +129,29 @@ def test_unmatched_run_writes_strict_json(tmp_path, monkeypatch, capsys):
     assert stats["max_distance"] is None and stats["median_distance"] is None
 
 
+@pytest.mark.parametrize("flag, dest, named", [
+    ("--out", "absent/run.json", "absent"),
+    ("--csv-dir", "absent", "absent"),
+    ("--csv-dir", "run.json", "run.json"),   # a file, not a directory
+], ids=["out", "csv-dir", "csv-dir-file"])
+def test_validate_refuses_an_unwritable_destination_before_hunting(
+        tmp_path, monkeypatch, capsys, flag, dest, named):
+    monkeypatch.chdir(tmp_path)
+
+    def hunts(*args, **kwargs):
+        raise AssertionError("hunted before the destination was checked")
+
+    monkeypatch.setattr(validate, "_hunts", hunts)
+    if dest == "run.json":
+        (tmp_path / "run.json").write_text("")
+    before = sorted(tmp_path.iterdir())
+    assert main(["validate", "p1", "--C", "12", "--n", "8..9", flag, dest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"transasym: {named} is not a writable directory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("capture", ["-1", "0", "nan"])
 def test_validate_rejects_a_capture_that_is_not_positive(tmp_path, monkeypatch, capsys, capture):
     monkeypatch.chdir(tmp_path)
@@ -153,19 +176,42 @@ def test_predict_rejects_zero_constant(tmp_path, monkeypatch, capsys):
     assert "transasym:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
+def _overflow(*args, **kwargs):
+    raise OverflowError("math range error")
+
+
+@pytest.mark.parametrize("argv, message, broken", [
     # on arg x = 1.2, |xi| < 1e-3 already at |x| = 1 once |C| < 1e-3 e^{cos 1.2}
     (["validate", "p1", "--C", "1.4e-3", "--n", "8..9"],
-     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2"),
-    # e^{-x} x^{alpha_1} overflows before Newton can refine the seed
-    (["predict", "p1", "--C", "1e-320", "--n", "1"], "math range error"),
+     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2", None),
+    # an ArithmeticError from any callee is a domain error too
+    (["predict", "p1", "--C", "12", "--n", "1"], "math range error", "predict_array"),
 ], ids=["no-anchor", "overflow"])
-def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message,
+                                                broken):
     monkeypatch.chdir(tmp_path)
+    if broken is not None:
+        monkeypatch.setattr(cli, broken, _overflow)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("transasym: ") and message in err and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+def test_predict_solves_where_e_to_the_minus_x_overflows(tmp_path, monkeypatch, capsys):
+    # |C| = 1e-320 puts the root near Re x = log|C| - log xi_s = -740, where
+    # e^{-x} x^{alpha_1} overflows on its own though C e^{-x} x^{alpha_1} does not
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.chdir(tmp_path)
+    assert main(["predict", "p1", "--C", "1e-320", "--n", "1", "--out", "a.json"]) == 0
+    arr = json.loads((tmp_path / "a.json").read_text())
+    (entry,) = arr["entries"]
+    assert entry["x_ref"] is not None and entry["x_ref"][0] < -709
+    xi_s, alpha1 = complex(*arr["xi_s"]), complex(*arr["alpha1"])
+    with mpmath.workdps(40):
+        x = mpmath.mpc(*entry["x_ref"])
+        xi = mpmath.mpf(1e-320) * mpmath.exp(-x + alpha1 * mpmath.log(x))
+        assert abs(xi - xi_s) <= 1e-12 * max(1.0, abs(xi_s))
 
 
 def test_continue_writes_samples(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,16 @@ import cmath
 import csv
 import logging
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from transasym import validate
 from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
@@ -620,6 +626,58 @@ def test_anchor_names_a_constant_too_small_for_its_ray(p1):
                                          + f"{least:.6g}"):
         anchor_point(p1, 1.4e-3, 1.2)
     assert abs(anchor_point(p1, 1.5e-3, 1.2)) > 1.0
+
+
+def test_level_curve_roots_are_bitwise_scipys_brentq():
+    # the level-curve problems _on_level poses: |xi| = 1e-3 on a ray from
+    # |x| = 1 outward (anchor_point), or along a horizontal line through a
+    # pole's height (run_validation); a constant too small for the ray puts
+    # the level below |x| = 1, where both finders refuse with one message
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rays = st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True).map(
+        lambda arg: (lambda r, d=cmath.exp(1j * arg): r * d, 1.0, 1e4))
+    heights = st.floats(0.5, 200.0, exclude_min=True, exclude_max=True).map(
+        lambda h: (lambda u: complex(u, h), -1e4, 1e4))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.floats(-5.0, 8.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+                      st.one_of(rays, heights))
+    @hypothesis.example(-4.0, -0.5, 0.0, (complex, 1.0, 1e4))  # no root on the real ray
+    def check(log10_c, re_a1, im_a1, problem):
+        # only |C| enters the level
+        line, lo, hi = problem
+        level = math.log(10.0 ** log10_c / 1e-3)
+        alpha1 = complex(re_a1, im_a1)
+
+        def f(t):
+            x = line(t)
+            return level - x.real + (alpha1 * cmath.log(x)).real
+
+        try:
+            want = brentq(f, lo, hi, xtol=1e-14)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                validate._brent(f, lo, hi)
+            assert f(lo) * f(hi) > 0
+        else:
+            assert validate._brent(f, lo, hi).hex() == want.hex()
+
+    check()
+
+
+def test_the_package_imports_without_scipy():
+    # scipy serves integrate_path, the tests' RK45 reference, alone; it is
+    # imported there, on first call
+    script = ("import sys, transasym, transasym.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_validation_run_serialization():
