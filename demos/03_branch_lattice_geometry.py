@@ -27,7 +27,17 @@ import sys
 import numpy as np
 
 from transasym import build_expansion, builtin, continue_f0, radius_estimate
-from transasym.oracles import XI0, abel_phase_field, abel_xi_set
+from transasym.oracles import XI0
+
+LATTICE_RATIO = math.exp(math.pi * math.sqrt(3.0))   # of successive lattice levels
+
+
+def abel_phase_field(X, Y):
+    """Direction field (dX, dY) of the real-section trajectories; the
+    stationary points are the branch-point images (-1/2, +-sqrt(3)/6)."""
+    dX = X + 3 * X ** 2 - 3 * Y ** 2 + 3 * X ** 3 - 9 * X * Y ** 2
+    dY = Y * (1 + 6 * X + 9 * X ** 2 - 3 * Y ** 2)
+    return dX, dY
 
 
 def coefficient_view():
@@ -37,7 +47,7 @@ def coefficient_view():
     print(f"coefficients: radius {est.radius:.9f} (xi_0 = {XI0:.9f}), "
           f"exponent {est.exponent:+.4f}")
     print("lattice levels p' = 0..2:",
-          "  ".join(f"{abel_xi_set(0, p).real:.6g}" for p in range(3)))
+          "  ".join(f"{XI0 * LATTICE_RATIO ** p:.6g}" for p in range(3)))
 
 
 def monodromy_view():

@@ -4,14 +4,11 @@ ODE systems near a rank-one irregular singular point."""
 from .errors import (
     DegreeCapExceeded,
     InsufficientCoefficients,
-    NewtonDiverged,
     NoBlowup,
     NotConverging,
     OscillatoryCoefficients,
     OutsideReliableDisk,
-    PoleOfOracle,
     ResonantOrder,
-    SheetUnreachable,
     SingularApproach,
     StepUnderflow,
     TransasymError,

@@ -34,7 +34,6 @@ import cmath
 import dataclasses
 import functools
 import json
-import math
 import numbers
 import os
 import sys
@@ -54,7 +53,7 @@ __all__ = ["RunConfig", "main"]
 _DTYPES = {"double": np.complex128, "extended": np.clongdouble}
 # RunConfig field -> the validate flag that sets it; --config takes none of them
 _RUN_FLAGS = {"label": "the label", "C": "--C", "n_range": "--n", "M": "--M", "K": "--K",
-              "capture": "--capture", "extract": "--extract", "precision": "--precision"}
+              "extract": "--extract", "precision": "--precision"}
 
 
 def _integer(v) -> bool:
@@ -122,11 +121,10 @@ class RunConfig:
     """Everything one validation run depends on; JSON round-trip stable."""
 
     label: str
+    n_range: tuple[int, ...]
     M: int = 2
     K: int = 32
     C: complex = 1.0 + 0.0j
-    n_range: tuple[int, ...] = ()
-    capture: float = 1.0
     extract: bool = False
     out: str = "run.json"
     csv_dir: str | None = None
@@ -134,13 +132,11 @@ class RunConfig:
 
     def __post_init__(self):
         """Give values read from JSON the flags' checks; a bool counts as no number."""
-        c = self.capture
         for key, ok, what in (
                 ("M", _integer(self.M), "an integer"), ("K", _integer(self.K), "an integer"),
-                ("n_range", all(map(_integer, self.n_range)), "a list of integers"),
+                ("n_range", bool(self.n_range) and all(map(_integer, self.n_range)),
+                 "a non-empty list of integers"),
                 ("C", isinstance(self.C, numbers.Complex) and cmath.isfinite(self.C), "finite"),
-                ("capture", isinstance(c, numbers.Real) and not isinstance(c, bool)
-                 and 0 < c < math.inf, "positive and finite"),
                 ("extract", isinstance(self.extract, bool), "true or false")):
             if not ok:
                 raise ValueError(f"RunConfig {key} must be {what}, got {getattr(self, key)!r}")
@@ -245,8 +241,7 @@ def _cmd_validate(args) -> int:
 
     s, _ = builtin(cfg.label)
     e = build_expansion(s, cfg.M, cfg.K, dtype=_DTYPES[cfg.precision])
-    run = run_validation(s, e, cfg.C, cfg.n_range, capture=cfg.capture,
-                         extract=cfg.extract, csv_dir=cfg.csv_dir)
+    run = run_validation(s, e, cfg.C, cfg.n_range, extract=cfg.extract, csv_dir=cfg.csv_dir)
     rep = run.report
     for n, x_pred, x_obs, dist in rep.pairs:
         print(f"n = {n}: predicted {_fmt_c(x_pred)}  observed {_fmt_c(x_obs)}"
@@ -346,7 +341,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--M", type=int, help="deepest level (default 2)")
     p.add_argument("--K", type=int, help="Taylor order (default 32)")
     _add_precision_flag(p, None)
-    p.add_argument("--capture", type=float, help="capture radius (default 1)")
     p.add_argument("--extract", action="store_true", default=None,
                    help="also recover C from the integrated solution")
     p.add_argument("--out", help="report destination (default run.json)")

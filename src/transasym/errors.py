@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the check for missing keys.
+"""Exception types the package raises, and the check for missing keys.
 
 Every domain failure raises a subclass of TransasymError so callers (and the
-CLI) can distinguish "the mathematics said no" from programming errors.
+CLI) can distinguish "the mathematics said no" from programming errors.  Each
+class here is raised by some code path of the package; a usage error, such as
+a missing key or an argument out of range, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -68,14 +70,6 @@ class OutsideReliableDisk(TransasymError):
     (|xi| / r)^(K+1) > 1e-8 for the leading profile's reliability radius r."""
 
 
-class NewtonDiverged(TransasymError):
-    """Newton refinement failed to meet tolerance; index in ``index``."""
-
-    def __init__(self, index, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"Newton refinement diverged at entry {index}")
-
-
 class ZeroC(TransasymError):
     """Array prediction requested with C = 0 (no singularity array exists)."""
 
@@ -98,10 +92,3 @@ class NoBlowup(TransasymError):
 class NotConverging(TransasymError):
     """A stabilized limit (Richardson ladder) failed its convergence check."""
 
-
-class PoleOfOracle(TransasymError):
-    """A closed-form oracle was evaluated at one of its poles."""
-
-
-class SheetUnreachable(TransasymError):
-    """Requested Riemann-sheet data could not be reached from available seeds."""

@@ -184,27 +184,32 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     pinned: list[complex] = []
 
     Y[0, 0, 1:2] = 1.0   # F_0'(0) = e_1, when K >= 1
-    # columns xi^0 and xi^1 of every level, k outer and m inner
-    for m, k in ((m, k) for k in range(min(K, 1) + 1) for m in range(1, depth)):
-        tails = Y[:, m::-1, k::-1].reshape(n, -1).T
-        for heads, chain, sel in groups:
-            P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
-            T[chain, m, k] = P.reshape(-1)[sel]
-        if k == 1 and m >= 2:
-            # solvability of the first component pins c_{m-1}, slope m - 1
-            Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
-            pinned.append(complex(Y[0, m - 1, 1]))
-            if m == M + 1:
-                continue
-        r = rhs(T[:, :, k], m, k)
-        denom = lam - k
-        sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
-        if np.any(sing):
-            if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
-                raise ResonantOrder(k)
-            r = np.where(sing, 0, r)
-        Y[:, m, k] = r / np.where(sing, 1, denom)
-    if K < 2:
+    # columns xi^0 and xi^1 of every level, k outer and m inner; an overflow is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, k in ((m, k) for k in range(min(K, 1) + 1) for m in range(1, depth)):
+            tails = Y[:, m::-1, k::-1].reshape(n, -1).T
+            for heads, chain, sel in groups:
+                P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
+                T[chain, m, k] = P.reshape(-1)[sel]
+            if k == 1 and m >= 2:
+                # solvability of the first component pins c_{m-1}, slope m - 1
+                Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
+                pinned.append(complex(Y[0, m - 1, 1]))
+                if m == M + 1:
+                    continue
+            r = rhs(T[:, :, k], m, k)
+            denom = lam - k
+            sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
+            if np.any(sing):
+                if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
+                    raise ResonantOrder(k)
+                r = np.where(sing, 0, r)
+            Y[:, m, k] = r / np.where(sing, 1, denom)
+    if K < 2:   # the formal series alone (K = 0): level m is its order m
+        bad = ~np.isfinite(Y[:, : M + 1]).all((0, 2))
+        if bad.any():
+            raise ValueError(f"the formal series is not finite from order {int(np.argmax(bad))} "
+                             f"of R = {M}: its coefficients overflow; lower R")
         return Y, pinned
 
     ks = np.arange(2, K + 1)
@@ -356,7 +361,9 @@ def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
     x^{-r} in y_j: column xi^0 of the two-scale recursion, with nothing
     pinned, so c[:, 0] and c[:, 1] vanish.  Order r reads
     L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y), whose right side
-    depends on c_2..c_{r-1} only.  Computed in complex128.
+    depends on c_2..c_{r-1} only.  Computed in complex128.  A coefficient
+    that overflows raises ``ValueError`` naming the first order that is
+    not finite.
     """
     if R < 2:
         raise ValueError("R must be at least 2")

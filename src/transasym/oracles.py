@@ -1,11 +1,12 @@
-"""Closed-form reference data for the worked systems.
+"""Closed-form reference data that the release checks read.
 
-Everything here is independent of the recursion machinery: explicit
-rational scale profiles, the second-array offset of the first worked
-family, the inverse of the leading Abel profile with its lattice of
-singular values, and the pole-cancellation reconstruction that reads the
-first singularity-location correction off the computed levels.  The test and validation layers compare computed
-objects against these curves.
+Everything here is independent of the recursion machinery: the Taylor
+coefficients of the first worked family's level profiles and of the
+second family's leading profiles, expanded by long division of their
+rational closed forms; the branch radius XI0 of the Abel leading profile;
+the second-array offset of the first worked family; and the
+pole-cancellation reconstruction that reads the first
+singularity-location correction off the computed levels.
 """
 
 from __future__ import annotations
@@ -15,26 +16,18 @@ import math
 
 import numpy as np
 
-from .errors import NewtonDiverged, PoleOfOracle, SheetUnreachable
 from .series import TaylorSeries
 
 __all__ = [
-    "abel_xi_of_F0",
-    "abel_F0_of_xi",
+    "XI0",
+    "p1_h_taylor",
+    "p2_f0_taylor",
+    "p1_second_array_offset",
     "pole_cancel_polynomial",
     "pole_scale_correction",
 ]
 
-_SQ3 = math.sqrt(3.0)
-_THETA = 0.5 + 0.5j * _SQ3      # exponent pair of the F_0 inverse map
-_OMEGA = 0.5 + 1j * _SQ3 / 6.0  # the inverse map's finite branch points sit at -Omega, -conj(Omega)
-XI0 = 3.0 ** -0.5 * math.exp(-math.pi * _SQ3 / 6.0)
-LATTICE_RATIO = math.exp(math.pi * _SQ3)
-
-
-def _guard_pole(xi, where: complex) -> None:
-    if np.min(np.abs(np.asarray(xi) - where)) < 1e-9 * max(1.0, abs(where)):
-        raise PoleOfOracle(f"oracle evaluated within 1e-09 of its pole at {where:g}")
+XI0 = 3.0 ** -0.5 * math.exp(-math.pi * math.sqrt(3.0) / 6.0)
 
 
 def _rational_taylor(num, den, K: int) -> np.ndarray:
@@ -56,28 +49,10 @@ def _rational_taylor(num, den, K: int) -> np.ndarray:
 # -- first worked family: double-pole profiles ------------------------------
 
 
-def p1_h0(xi):
-    """Leading profile 144 xi/(xi-12)^2."""
-    _guard_pole(xi, 12.0)
-    return 144.0 * xi / (xi - 12.0) ** 2
-
-
-def p1_h1(xi):
-    _guard_pole(xi, 12.0)
-    num = 216.0 * xi + 210.0 * xi ** 2 + 3.0 * xi ** 3 - xi ** 4 / 60.0
-    return num / (xi - 12.0) ** 3
-
-
-def p1_h2(xi):
-    _guard_pole(xi, 12.0)
-    num = (1458.0 * xi + 5238.0 * xi ** 2 - 99.0 / 8.0 * xi ** 3
-           - 211.0 / 30.0 * xi ** 4 + 13.0 / 288.0 * xi ** 5 + xi ** 6 / 21600.0)
-    return num / (xi - 12.0) ** 4
-
-
 def p1_h_taylor(m: int, K: int) -> np.ndarray:
     """Taylor coefficients 0..K of the level-m profile H_m at xi = 0.
 
+    H_m is a polynomial over (xi - 12)^(m+2), H_0 = 144 xi/(xi - 12)^2.
     Expanded by long division of the rational closed forms, so the
     values are independent of any recursive construction of the levels.
     """
@@ -103,97 +78,7 @@ def p1_second_array_offset(x_s, n: int):
     return -cmath.log(x_s) + (2 * int(n) + 1) * math.pi * 1j - math.log(60.0)
 
 
-# -- Abel leading profile ---------------------------------------------------
-
-
-def abel_xi_of_F0(F0, winding=(0, 0)):
-    """Inverse of the leading Abel profile:
-    xi = xi_0 F (F+Omega)^{-theta} (F+conj Omega)^{-conj theta}.
-
-    Principal logarithms plus 2 pi i times the ``winding`` pair fix the
-    branch; winding counts turns around -Omega and -conj(Omega).
-    """
-    w1, w2 = winding
-    F = np.asarray(F0, dtype=complex)
-    l1 = np.log(F + _OMEGA) + 2j * math.pi * w1
-    l2 = np.log(F + np.conj(_OMEGA)) + 2j * math.pi * w2
-    out = XI0 * F * np.exp(-_THETA * l1 - np.conj(_THETA) * l2)
-    return out.item() if np.ndim(F0) == 0 else out
-
-
-def _newton_F0(target: complex, F: complex, winding) -> complex:
-    for _ in range(60):
-        val = abel_xi_of_F0(F, winding)
-        err = val - target
-        if abs(err) <= 1e-12 * max(1.0, abs(target)):
-            return F
-        # d xi/dF = xi/(F (1 + 3F + 3F^2)), the reciprocal of the flow factor
-        dxi = 1.0 if F == 0 else val / (F * (1.0 + 3.0 * F + 3.0 * F * F))
-        F = F - err / dxi
-    raise NewtonDiverged(target, f"profile inversion stalled at xi = {target}")
-
-
-def abel_F0_of_xi(xi, winding=(0, 0), seed=None) -> complex:
-    """Invert xi = xi(F_0) on a chosen branch.
-
-    On the principal sheet (winding (0, 0)) the seed is walked up from the
-    Taylor regime F_0 ~ xi, so no starting guess is needed; the two real
-    cut rays of that sheet are rejected.  Off the principal sheet an
-    explicit ``seed`` on the target sheet must be supplied.  Each Newton
-    solve stops once |xi(F) - target| <= 1e-12 max(1, |target|) and
-    raises :class:`~transasym.errors.NewtonDiverged` after 60 steps.
-    """
-    xi = complex(xi)
-    w = (int(winding[0]), int(winding[1]))
-    if w == (0, 0) and seed is None:
-        if abs(xi.imag) <= 1e-12 * max(1.0, abs(xi.real)) and (
-                xi.real >= XI0 - 1e-12 or xi.real <= -XI0 * LATTICE_RATIO + 1e-12):
-            raise SheetUnreachable(
-                f"xi = {xi} lies on a principal-sheet cut ray")
-        F = 0.0 + 0.0j
-        for t in np.linspace(0.05, 1.0, 24):
-            F = _newton_F0(t * xi, F if F != 0 else t * xi, w)
-        return F
-    if seed is None:
-        raise SheetUnreachable(
-            "no Taylor seed off the principal sheet; pass an explicit seed")
-    return _newton_F0(xi, complex(seed), w)
-
-
-def abel_xi_set(p1: int, p2: int) -> complex:
-    """Lattice of singular xi values (-1)^{p1} xi_0 e^{p2 pi sqrt 3}."""
-    return complex((-1) ** int(p1) * XI0 * LATTICE_RATIO ** int(p2))
-
-
-def abel_phase_field(X, Y):
-    """Direction field (dX, dY) of the real-section trajectories; the
-    stationary points are the branch-point images (-1/2, +-sqrt(3)/6)."""
-    dX = X + 3 * X ** 2 - 3 * Y ** 2 + 3 * X ** 3 - 9 * X * Y ** 2
-    dY = Y * (1 + 6 * X + 9 * X ** 2 - 3 * Y ** 2)
-    return dX, dY
-
-
 # -- second worked family ----------------------------------------------------
-
-
-def p2_f0_a(xi):
-    """Leading profile xi/(1 - xi^2/9) of the first normalization."""
-    den = 1.0 - np.asarray(xi) ** 2 / 9.0
-    if np.min(np.abs(den)) < 1e-9:
-        raise PoleOfOracle("oracle evaluated at a pole (xi near +-3)")
-    out = np.asarray(xi) / den
-    return out.item() if np.ndim(xi) == 0 else out
-
-
-def p2_f0_b(xi, b_branch: int = 1):
-    """Leading profile 2 xi (1 + B xi)/(xi^2 + 2) of the second
-    normalization, B = b_branch i/sqrt(2)."""
-    B = 1j * b_branch / math.sqrt(2.0)
-    den = np.asarray(xi) ** 2 + 2.0
-    if np.min(np.abs(den)) < 1e-9:
-        raise PoleOfOracle("oracle evaluated at a pole (xi near +-i sqrt 2)")
-    out = 2.0 * np.asarray(xi) * (1.0 + B * np.asarray(xi)) / den
-    return out.item() if np.ndim(xi) == 0 else out
 
 
 def p2_f0_taylor(which: str, K: int, b_branch: int = 1) -> np.ndarray:

@@ -100,6 +100,7 @@ _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
 _RUNGS, _SPAN = 8, 7.0  # rungs of a C ladder, and its half-width in |x|
 _ANCHOR_ARG, _ANCHOR_XI = 1.2, 1e-3  # ray of a validation run's anchor, and |xi| there
 _DEEP_M = 12  # least level of the expansion a validation run's C ladder seeds from
+_CAPTURE = 1.0  # farthest a hunt's pole may lie from its target and still match it
 _RK_RTOL, _RK_ATOL, _ESCAPE = 1e-10, 1e-12, 1e8  # of integrate_path: RK45 tolerances, stop norm
 
 _log = logging.getLogger("transasym")
@@ -530,7 +531,8 @@ def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEsti
     k <= floor(|x|) per sample (the floor rule; the ladder spread shows
     its sensitivity), the residue is divided by e^{-x} x^{alpha_1}, and
     the resulting per-sample estimates are extrapolated to |x| = inf.
-    Raises ``NotConverging`` when the extrapolation steps stay larger
+    Raises ``NotConverging`` when the formal series or a per-sample
+    estimate is not finite, or when the extrapolation steps stay larger
     than max(0.1 |value|, 1e-8).
     """
     pts = sorted(
@@ -540,13 +542,19 @@ def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEsti
     if len(pts) < 4:
         raise ValueError("need at least 4 samples to stabilize C")
     r_top = int(math.floor(abs(pts[-1][0])))
-    tilde = e._formal_series(max(r_top, 2))[0]
+    try:
+        tilde = e._formal_series(max(r_top, 2))[0]
+    except ValueError as err:   # it overflows before the outermost sample's order
+        raise NotConverging(f"C ladder reaches |x| = {abs(pts[-1][0]):.6g}: {err}") from err
     alpha1 = complex(s.alpha[0])
     raw = []
     for x, y in pts:
         part = _formal_sum(tilde[: int(math.floor(abs(x))) + 1], x)
         scale = cmath.exp(-x + alpha1 * cmath.log(x))
         raw.append((complex(y[0]) - part) / scale)
+    bad = [abs(x) for (x, _), c in zip(pts, raw) if not cmath.isfinite(c)]
+    if bad:
+        raise NotConverging(f"C ladder is not finite at |x| = {bad[0]:.6g}")
     # extrapolate over at most 5 rungs spread across the ladder; the
     # per-rung error has a smooth non-polynomial floor (the next
     # transseries level), so walk the diagonal and stop where the steps
@@ -648,20 +656,16 @@ class ComparisonReport:
         }
 
 
-def compare_arrays(predicted: SingularityArray, observed: Sequence, *,
-                   capture: float = 1.0) -> ComparisonReport:
+def compare_arrays(predicted: SingularityArray, observed: Sequence) -> ComparisonReport:
     """Pair each hunt's pole with the predicted one it was aimed at.
 
     ``observed`` holds one observation, a PoleObservation or a bare
     complex location, per entry of ``predicted`` that has a refined root
     ``x_ref``, in entry order (``ValueError`` if the counts differ).  A
-    pair farther apart than ``capture`` goes to the unmatched tuples; an
-    entry without ``x_ref`` was never hunted and is an unmatched
-    prediction at ``x_asym``.  ``capture`` must be positive; ``inf``
-    matches every hunted entry.
+    pair farther apart than ``_CAPTURE`` = 1 goes to the unmatched tuples;
+    an entry without ``x_ref`` was never hunted and is an unmatched
+    prediction at ``x_asym``.
     """
-    if not capture > 0:   # also rejects NaN
-        raise ValueError(f"capture must be positive, got {capture}")
     hunted = sum(en.x_ref is not None for en in predicted.entries)
     if len(observed) != hunted:
         raise ValueError(f"{len(observed)} observations for {hunted} hunted entries")
@@ -672,7 +676,7 @@ def compare_arrays(predicted: SingularityArray, observed: Sequence, *,
             continue
         o = next(obs)
         x = complex(o.location) if isinstance(o, PoleObservation) else complex(o)
-        if (d := abs(en.x_ref - x)) <= capture:
+        if (d := abs(en.x_ref - x)) <= _CAPTURE:
             pairs.append((en.n, complex(en.x_ref), x, d))
         else:
             missed.append((en.n, complex(en.x_ref)))
@@ -807,7 +811,6 @@ def run_validation(
     C,
     n_range,
     *,
-    capture: float = 1.0,
     extract: bool = False,
     csv_dir=None,
 ) -> ValidationRun:
@@ -828,8 +831,6 @@ def run_validation(
     first failure in n order is raised.  The run is labelled with
     ``s.label``.
     """
-    if not capture > 0:   # before any hunt runs; also rejects NaN
-        raise ValueError(f"capture must be positive, got {capture}")
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
     C = complex(C)
@@ -848,7 +849,7 @@ def run_validation(
         starts.append((x0, y0, en.x_ref))
         csv_paths.append(None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv")
     observations = _hunts(s, starts, csv_paths=csv_paths)
-    report = compare_arrays(predicted, observations, capture=capture)
+    report = compare_arrays(predicted, observations)
     extraction = None
     if extract:
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not

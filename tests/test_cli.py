@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -116,9 +117,16 @@ def test_eval_rejects_a_level_outside_the_expansion(tmp_path, monkeypatch, capsy
 
 
 def test_unmatched_run_writes_strict_json(tmp_path, monkeypatch, capsys):
-    # nothing is captured, so max and median distance are not finite
+    # every pole is reported 1.5 from its target, beyond the capture radius
+    # of 1, so nothing matches and max and median distance are not finite
     monkeypatch.chdir(tmp_path)
-    assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--capture", "0.001"]) == 0
+    hunts = validate._hunts
+
+    def astray(*args, **kwargs):
+        return [dataclasses.replace(o, location=o.location + 1.5) for o in hunts(*args, **kwargs)]
+
+    monkeypatch.setattr(validate, "_hunts", astray)
+    assert main(["validate", "p1", "--C", "12", "--n", "8..9"]) == 0
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -150,14 +158,6 @@ def test_validate_refuses_an_unwritable_destination_before_hunting(
     assert captured.out == ""
     assert captured.err == f"transasym: {named} is not a writable directory\n"
     assert sorted(tmp_path.iterdir()) == before
-
-
-@pytest.mark.parametrize("capture", ["-1", "0", "nan"])
-def test_validate_rejects_a_capture_that_is_not_positive(tmp_path, monkeypatch, capsys, capture):
-    monkeypatch.chdir(tmp_path)
-    assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--capture", capture]) == 2
-    assert "capture must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "run.json").exists()
 
 
 def test_predict_artifacts_are_reproducible(tmp_path, monkeypatch, capsys):
@@ -311,8 +311,8 @@ def test_precision_is_a_flag_of_expand_and_validate(tmp_path, monkeypatch, capsy
     assert (tmp_path / "expansion.json").exists()
 
 
-@pytest.mark.parametrize("key, value", [("rel_tol", 1e-10), ("k_max", 14)],
-                         ids=["rel_tol", "k_max"])
+@pytest.mark.parametrize("key, value", [("rel_tol", 1e-10), ("k_max", 14), ("capture", 1.0)],
+                         ids=["rel_tol", "k_max", "capture"])
 def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
@@ -326,9 +326,9 @@ def test_config_with_retired_tolerances_exits_two(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("flags, named", [
     (["p1"], "the label"), (["--C", "5"], "--C"), (["--n", "3..4"], "--n"),
-    (["--M", "3"], "--M"), (["--K", "16"], "--K"), (["--capture", "2"], "--capture"),
+    (["--M", "3"], "--M"), (["--K", "16"], "--K"),
     (["--extract"], "--extract"), (["--precision", "double"], "--precision"),
-], ids=["label", "C", "n", "M", "K", "capture", "extract", "precision"])
+], ids=["label", "C", "n", "M", "K", "extract", "precision"])
 def test_config_refuses_run_flags(tmp_path, monkeypatch, capsys, flags, named):
     # the file holds the whole run; a flag beside it would otherwise be dropped
     monkeypatch.chdir(tmp_path)
@@ -340,12 +340,10 @@ def test_config_refuses_run_flags(tmp_path, monkeypatch, capsys, flags, named):
 
 @pytest.mark.parametrize("key, value", [
     ("M", 2.5), ("K", True), ("n_range", [8.7, 9]), ("n_range", [8, False]), ("n_range", 8),
-    ("C", [math.nan, 0.0]), ("C", [math.inf, 0.0]), ("C", 5), ("C", [12, 0, 1]), ("C", ["x"]),
-    ("capture", "1"), ("capture", math.inf), ("capture", True), ("extract", "no"),
-    ("extract", 1),
-], ids=["M-float", "K-bool", "n-float", "n-bool", "n-int", "C-nan", "C-inf", "C-int",
-        "C-three", "C-str", "capture-str", "capture-inf", "capture-bool", "extract-str",
-        "extract-int"])
+    ("n_range", []), ("C", [math.nan, 0.0]), ("C", [math.inf, 0.0]), ("C", 5), ("C", [12, 0, 1]),
+    ("C", ["x"]), ("extract", "no"), ("extract", 1),
+], ids=["M-float", "K-bool", "n-float", "n-bool", "n-int", "n-empty", "C-nan", "C-inf", "C-int",
+        "C-three", "C-str", "extract-str", "extract-int"])
 def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from closed_forms import abel_F0_of_xi
 from transasym import oracles
 from transasym.errors import OutsideReliableDisk, ResonantOrder
 from transasym.expansion import (TwoScaleExpansion, _x_jet, _xi_jet, build_expansion,
@@ -83,6 +84,13 @@ def test_an_overflowing_profile_is_rejected(abel):
             build_expansion(abel, M, K)
 
 
+def test_an_overflowing_formal_series_is_rejected(p1):
+    # p1's formal series grows factorially and leaves double range at order 173
+    assert np.isfinite(formal_power_series(p1, 172)).all()
+    with pytest.raises(ValueError, match="formal series is not finite from order 173 of R = 180:"):
+        formal_power_series(p1, 180)
+
+
 def test_order_violations_are_rejected():
     germ = AnalyticGerm(1, {(0, (1,)): 0.5, (1, (0,)): 0.1, (0, (2,)): 1.0})
     s = NormalSystem([1.0], [0.0], germ, label="bad")
@@ -140,7 +148,7 @@ def test_p2_leading_profile_matches_its_closed_form(label, b_branch, alpha):
 def test_abel_deep_leading_profile_matches_the_inverted_profile(abel):
     e = build_expansion(abel, 0, 400)
     for xi in (0.1, 0.1j):
-        ref = oracles.abel_F0_of_xi(xi)
+        ref = abel_F0_of_xi(xi)
         assert abs(e.observable_series(0).evaluate(xi) - ref) <= 1e-12 * abs(ref)
 
 

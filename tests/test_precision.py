@@ -24,7 +24,7 @@ def test_default_is_double(p1):
     e = build_expansion(p1, 2, 16)
     assert all(level.dtype == np.complex128 for level in e.fm)
     assert p1.field(20.0 + 5.0j, [0.1, 0.2]).dtype == np.complex128
-    assert RunConfig("p1").precision == "double"
+    assert RunConfig("p1", n_range=(8,)).precision == "double"
 
 
 @pytest.mark.parametrize("spelling", ["extended", "long", "longdouble"])

@@ -214,17 +214,6 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
     assert len(ended) == 4
 
 
-@pytest.mark.parametrize("capture", [-1.0, 0.0, math.nan])
-def test_survey_rejects_a_capture_that_is_not_positive_before_hunting(monkeypatch, p1, e_p1,
-                                                                      capture):
-    def hunts(*args, **kwargs):
-        raise AssertionError("a hunt ran")
-
-    monkeypatch.setattr(validate, "_hunts", hunts)
-    with pytest.raises(ValueError, match="capture must be positive"):
-        run_validation(p1, e_p1, 12.0, range(8, 10), capture=capture)
-
-
 def test_hunt_that_reads_the_other_array_is_no_blowup():
     # p2a's two pole arrays interleave pi apart: from the anchor toward n = 5
     # the first read lands near the other array's pole, 3.1 from the target,
@@ -332,6 +321,14 @@ def test_extracts_manufactured_constant(p1, e_p1):
     assert abs(est.value - 1.0) < 1e-6
 
 
+def test_a_sample_that_is_not_finite_raises_not_converging(p1, e_p1):
+    samples = _truncated_sum_samples(p1, 1.0)
+    x, y = samples[3]
+    samples[3] = (x, [complex(math.nan), y[1]])
+    with pytest.raises(NotConverging, match=f"not finite at .x. = {abs(x):.6g}"):
+        extract_C(p1, e_p1, samples)
+
+
 def test_zero_residue_reads_as_zero_or_refuses(p1, e_p1):
     # with nothing beyond the partial sums the estimate must either come
     # out tiny or refuse to converge; both are correct answers
@@ -400,6 +397,15 @@ def test_ladder_past_its_jet_budget_raises_not_converging(monkeypatch, p1, e12_p
     monkeypatch.setattr(validate, "_JET_BUDGET", jets[0] - 1)
     with pytest.raises(NotConverging):
         extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
+
+
+def test_ladder_past_the_formal_series_raises_not_converging(p1, e12_p1):
+    # at arg x = 1.5 the rungs reach |x| = 191, past order 173, where p1's
+    # formal series leaves double range
+    radii = ladder_radii(e12_p1, 1.5)
+    assert max(radii) > 173
+    with pytest.raises(NotConverging, match="formal series is not finite from order 173"):
+        extraction_ladder(p1, e12_p1, 12.0, 1.5, radii)
 
 
 def test_ladder_logs_its_jets(caplog, p1, e12_p1):
@@ -577,8 +583,20 @@ def test_compare_dissolves_outliers():
     assert rep.stats["n_pairs"] == 4
     assert len(rep.unmatched_predictions) == 1
     assert len(rep.unmatched_observations) == 1
-    rep_tight = compare_arrays(pred, [x + 0.1 for x in locs], capture=0.05)
-    assert rep_tight.stats["n_pairs"] == 0
+    rep_far = compare_arrays(pred, [x + 1.5 for x in locs])
+    assert rep_far.stats["n_pairs"] == 0
+
+
+def test_capture_radius_is_one():
+    # a pair exactly 1 apart matches; one just beyond it does not
+    pred = predict_array(12.0, 12.0, -0.5, [8, 9])
+    x8, x9 = (en.x_ref for en in pred.entries)
+    on, beyond = x8 - 1j, x9 - (1.0 + 1e-12) * 1j
+    assert abs(x8 - on) == validate._CAPTURE == 1.0
+    rep = compare_arrays(pred, [on, beyond])
+    assert rep.pairs == ((8, x8, on, 1.0),)
+    assert rep.unmatched_predictions == ((9, x9),)
+    assert rep.unmatched_observations == (beyond,)
 
 
 def test_a_hunt_is_judged_against_its_own_target():
