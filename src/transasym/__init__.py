@@ -2,7 +2,6 @@
 ODE systems near a rank-one irregular singular point."""
 
 from .errors import (
-    DegreeCapExceeded,
     InsufficientCoefficients,
     NoBlowup,
     NotConverging,
@@ -12,8 +11,6 @@ from .errors import (
     SingularApproach,
     StepUnderflow,
     TransasymError,
-    UnknownLabel,
-    ZeroC,
 )
 from .series import AnalyticGerm, TaylorSeries
 from .systems import (

@@ -185,15 +185,16 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.xi is None and (args.C is None or args.x is None):
-        raise _UsageError("eval needs --xi, or both --C and --x")
+    given = (args.xi is not None, args.C is not None, args.x is not None)
+    if given not in ((True, False, False), (False, True, True)):
+        raise _UsageError("eval needs --xi alone, or both --C and --x")
     with open(args.infile) as fh:
         e = TwoScaleExpansion.from_dict(json.load(fh))
     if args.xi is not None:
         e._require_disk(args.xi)
         print(_fmt_c(e.observable_series(args.m).evaluate(args.xi)))
         return 0
-    value, bound = eval_two_scale(e, args.C, args.x, m_used=args.m_used)
+    value, bound = eval_two_scale(e, args.C, args.x)
     print(" ".join(_fmt_c(v) for v in value), f"bound {bound:.6g}")
     return 0
 
@@ -225,7 +226,7 @@ def _cmd_validate(args) -> int:
             cfg = RunConfig.from_dict(json.load(fh))
     else:
         if args.label is None or not args.n_range:
-            raise TransasymError("validate needs a label and --n, or --config")
+            raise ValueError("validate needs a label and --n, or --config")
         cfg = RunConfig(**flags)
     # explicit destinations beat RunConfig's defaults and those a config records
     dests = {k: getattr(args, k) for k in ("out", "csv_dir") if getattr(args, k) is not None}
@@ -235,7 +236,7 @@ def _cmd_validate(args) -> int:
     # refuse a destination the run could not write before the survey, not after it
     for d in (os.path.dirname(cfg.out) or os.curdir, cfg.csv_dir):
         if d is not None and not (os.path.isdir(d) and os.access(d, os.W_OK)):
-            raise TransasymError(f"{d} is not a writable directory")
+            raise ValueError(f"{d} is not a writable directory")
     if args.emit_config:
         _dump_json(cfg.to_dict(), args.emit_config)
 
@@ -310,8 +311,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=0, help="level for --xi (default 0)")
     p.add_argument("--C", type=_complex, help="transseries constant for a two-scale sum")
     p.add_argument("--x", type=_complex, help="evaluation point for a two-scale sum")
-    p.add_argument("--m-used", dest="m_used", type=int,
-                   help="truncation level override for the two-scale sum")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("predict", help="singularity array at the system's own xi_s, as JSON")

@@ -3,7 +3,8 @@
 Every domain failure raises a subclass of TransasymError so callers (and the
 CLI) can distinguish "the mathematics said no" from programming errors.  Each
 class here is raised by some code path of the package; a usage error, such as
-a missing key or an argument out of range, is a ``ValueError``.
+a missing key, an unknown builtin label, C = 0 or a germ term above the
+degree cap, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,23 +23,15 @@ class TransasymError(Exception):
     """Base class for domain errors."""
 
 
-class DegreeCapExceeded(TransasymError):
-    """A germ term (or requested monomial) exceeds the germ's degree cap."""
-
-
 class ResonantOrder(TransasymError):
     """An order-k coefficient solve is singular and inconsistent.
 
     The offending order is stored in ``order``.
     """
 
-    def __init__(self, order: int, message: str | None = None):
+    def __init__(self, order: int):
         self.order = int(order)
-        super().__init__(message or f"resonant order k={order}: singular and inconsistent")
-
-
-class UnknownLabel(TransasymError):
-    """No builtin system registered under the requested label."""
+        super().__init__(f"resonant order k={order}: singular and inconsistent")
 
 
 class InsufficientCoefficients(TransasymError):
@@ -52,26 +45,22 @@ class OscillatoryCoefficients(TransasymError):
     dominant singularity is undetermined.
     """
 
-    def __init__(self, modulus: float, message: str | None = None):
+    def __init__(self, modulus: float):
         self.modulus = float(modulus)
-        super().__init__(message or f"oscillatory coefficient ratios; modulus-only radius {modulus:.6g}")
+        super().__init__(f"oscillatory coefficient ratios; modulus-only radius {modulus:.6g}")
 
 
 class SingularApproach(TransasymError):
     """Analytic continuation ran into a singularity; location in ``where``."""
 
-    def __init__(self, where: complex, message: str | None = None):
+    def __init__(self, where: complex):
         self.where = complex(where)
-        super().__init__(message or f"singular approach near {where:.8g}")
+        super().__init__(f"singular approach near {where:.8g}")
 
 
 class OutsideReliableDisk(TransasymError):
     """|xi| lies outside the disk where the Taylor rows can be summed:
     (|xi| / r)^(K+1) > 1e-8 for the leading profile's reliability radius r."""
-
-
-class ZeroC(TransasymError):
-    """Array prediction requested with C = 0 (no singularity array exists)."""
 
 
 class StepUnderflow(TransasymError):

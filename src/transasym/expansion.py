@@ -91,10 +91,9 @@ def _program(s: NormalSystem) -> tuple:
     Table rows are the state components, a constant 1, then product
     chains sorted by length.  Returns (rows in all, per chain length
     (chain, head, tail) index arrays with row chain = row head times
-    component tail, per monomial m its row ``rows[m]``, z power
-    ``zpow[m]`` and ``coef[:, m]``, per chain length the slices of its
-    heads and its rows and each chain's index among the (head, component)
-    products, and W[p, :, row], the z^p coefficients by row).
+    component tail, per chain length the slices of its heads and its rows
+    and each chain's index among the (head, component) products, and
+    W[p, :, row], the z^p coefficients by row).
     """
     if s._program is None:
         n, eye = s.n, np.eye(s.n)
@@ -105,19 +104,15 @@ def _program(s: NormalSystem) -> tuple:
         keys = dict.fromkeys(f[:L] for _, f, _ in terms for L in range(2, len(f) + 1))
         chains = {**{(j,): j for j in range(n)}, (): n,
                   **{k: n + 1 + r for r, k in enumerate(sorted(keys, key=len))}}
-        coef: dict[tuple[int, int], np.ndarray] = {}
+        W = np.zeros((max(i for i, _, _ in terms) + 1, len(chains), n), dtype=complex)
         for i, factors, vec in terms:
-            coef[chains[factors], i] = coef.get((chains[factors], i), 0) + vec
+            W[i, chains[factors]] += vec
         steps = [tuple(map(np.array, zip(*[(row, chains[key[:-1]], key[-1])
                                             for key, row in chains.items() if len(key) == L])))
                  for L in range(2, max(map(len, chains)) + 1)]
-        rows, zpow = np.array([r for r, _ in coef]), np.array([i for _, i in coef])
-        W = np.zeros((zpow.max() + 1, len(chains), n), dtype=complex)
-        W[zpow, rows] = list(coef.values())
         spans = [slice(0, n)] + [slice(c[0], c[-1] + 1) for c, _, _ in steps]
         groups = [(a, b, (h - a.start) * n + t) for a, b, (_, h, t) in zip(spans, spans[1:], steps)]
-        s._program = (len(chains), steps, rows, zpow, np.array(list(coef.values())).T.copy(),
-                      groups, W.transpose(0, 2, 1).copy())
+        s._program = (len(chains), steps, groups, W.transpose(0, 2, 1).copy())
     return s._program
 
 
@@ -159,7 +154,7 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
         raise ValueError(f"germ breaks the order condition at {terms}")
     n, lam, alpha1 = s.n, s.lam, s.alpha[0]
-    size, steps, rows, zpow, coef, groups, W = _program(s)
+    size, steps, groups, W = _program(s)
     depth = M + 2 if M >= 1 and K >= 1 else M + 1
     T = np.zeros((size, depth, K + 1), dtype=dtype)
     T[n, 0, 0] = 1.0
@@ -175,9 +170,10 @@ def _coefficients(s: NormalSystem, M: int, K: int,
 
     def scale(X: np.ndarray, m: int, k: int, j) -> np.ndarray:
         """The largest term entering components j of :func:`rhs`."""
-        c, r, i = coef[:, zpow <= m], rows[zpow <= m], m - zpow[zpow <= m]
+        p = min(m, len(W) - 1)
+        terms = W[: p + 1, j] * X[:, m - p : m + 1][:, ::-1].T[:, None]   # W[q, j] X[:, m - q]
         prev = np.abs(X[:n][j, m - 1])
-        return np.maximum(np.abs(c[j] * X[r, i]).max(1),
+        return np.maximum(np.abs(terms).max((0, 2)),
                           np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * k))
 
     lam_max = float(np.max(np.abs(lam)))
@@ -285,7 +281,7 @@ def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
     order-major table T[b, k, row] and the states reversed in R[b, order - k], order k of
     each chain length is one batched matmul, heads against states, and one selection; then
     ``step(T, k)`` gives order k+1 of the states.  Lanes share only batched matmuls."""
-    size, _, _, _, _, groups, _ = _program(s)
+    size, _, groups, _ = _program(s)
     y0 = np.asarray(y0, dtype=complex)
     B, n = y0.shape[1], s.n
     T = np.zeros((B, order + 1, size), dtype=complex)
@@ -316,7 +312,7 @@ def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
     (n, B).  With [t^k] z^i = C(i+k-1, k) (-rho/x0)^k / x0^i for
     z = 1/(x0 + rho t), order k of y' = -L y + z A y + g(z, y) gives
     (k+1) a_{k+1} = rho [t^k] f from a_0..a_k.  One matrix G per call
-    folds rho, ``coef`` and the z-power jets: (k+1) a_{k+1} is G's last
+    folds rho, ``W`` and the z-power jets: (k+1) a_{k+1} is G's last
     (k+1) size columns against orders 0..k of the table.  Computed in complex128.
     """
     W = _program(s)[-1]
@@ -472,7 +468,11 @@ class TwoScaleExpansion:
         system = NormalSystem.from_dict(d["system"])
         fm = [[TaylorSeries.from_dict(c).coeffs for c in level] for level in d["fm"]]
         consts = [complex(re, im) for re, im in d["free_constants"]]
-        return cls(system, fm, consts, K=int(d["K"]))
+        K = int(d["K"])
+        orders = {len(c) - 1 for level in fm for c in level} - {K}
+        if orders:
+            raise ValueError(f"expansion K = {K}, but its Taylor rows have order {min(orders)}")
+        return cls(system, fm, consts, K=K)
 
 
 def _profile_radius(f0: TaylorSeries) -> float:

@@ -7,8 +7,8 @@ Two carriers:
   coefficients c_0..c_K with explicit truncation order K; it evaluates
   and serializes a level profile,
 * ``AnalyticGerm``   sparse polynomial germ g(z, y) = sum g_{i,k} z^i y^k
-  with a total-degree cap, vector valued (one coefficient
-  vector per monomial).
+  of total degree at most ``_DEGREE_CAP`` = 12, vector valued (one
+  coefficient vector per monomial).
 
 All values are immutable after construction.  The hierarchy itself is
 built on coefficient arrays in :mod:`transasym.expansion`, and the formal
@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegreeCapExceeded, ResonantOrder, require_keys
+from .errors import ResonantOrder, require_keys
 
 __all__ = [
     "TaylorSeries",
@@ -42,6 +42,8 @@ __all__ = [
     "LinearSeriesSolution",
     "series_field_solve_linear",
 ]
+
+_DEGREE_CAP = 12  # largest total degree i + |k| of a germ term
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -79,9 +81,6 @@ class TaylorSeries:
     @property
     def truncation_order(self) -> int:
         return len(self._c) - 1
-
-    def __len__(self) -> int:
-        return len(self._c)
 
     def __repr__(self) -> str:
         lead = ", ".join(f"{c:.6g}" for c in self._c[:4])
@@ -125,14 +124,13 @@ class AnalyticGerm:
     terms : mapping
         ``{(i, k): coefficient}`` with ``i`` the z power and ``k`` a length-
         ``dims`` multiindex of y powers.  Coefficients are scalars (dims = 1)
-        or length-``dims`` vectors.
-    degree_cap : int
-        Total degree bound D; a term with i + |k| > D raises DegreeCapExceeded.
+        or length-``dims`` vectors.  A term with i + |k| above
+        ``_DEGREE_CAP`` = 12 raises ``ValueError``.
     """
 
-    __slots__ = ("_dims", "_terms", "_degree_cap", "_I", "_Km", "_Cm")
+    __slots__ = ("_dims", "_terms", "_I", "_Km", "_Cm")
 
-    def __init__(self, dims: int, terms: Mapping, degree_cap: int = 12):
+    def __init__(self, dims: int, terms: Mapping):
         if dims < 1:
             raise ValueError("dims must be positive")
         clean: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
@@ -141,8 +139,8 @@ class AnalyticGerm:
             i = int(i)
             if len(k) != dims or i < 0 or any(v < 0 for v in k):
                 raise ValueError(f"malformed germ key (i={i}, k={k})")
-            if i + sum(k) > degree_cap:
-                raise DegreeCapExceeded(f"term (i={i}, k={k}) exceeds degree cap {degree_cap}")
+            if i + sum(k) > _DEGREE_CAP:
+                raise ValueError(f"term (i={i}, k={k}) exceeds degree cap {_DEGREE_CAP}")
             vec = np.asarray(coeff, dtype=complex)
             if vec.ndim == 0:
                 vec = np.full(dims, complex(vec)) if dims == 1 else None
@@ -154,7 +152,6 @@ class AnalyticGerm:
                 clean[(i, k)] = _freeze(vec.copy())
         self._dims = dims
         self._terms = clean
-        self._degree_cap = int(degree_cap)
         # compiled arrays for fast pointwise evaluation
         T = len(clean)
         self._I = np.array([i for (i, _) in clean], dtype=np.int64).reshape(T)
@@ -166,18 +163,11 @@ class AnalyticGerm:
         return self._dims
 
     @property
-    def degree_cap(self) -> int:
-        return self._degree_cap
-
-    @property
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __repr__(self) -> str:
-        return f"AnalyticGerm(dims={self._dims}, terms={len(self._terms)}, D={self._degree_cap})"
+        return f"AnalyticGerm(dims={self._dims}, terms={len(self._terms)})"
 
     def order_violations(self) -> list[tuple[int, tuple[int, ...]]]:
         """Terms violating g = O(z^2) + O(|y|^2): nonzero g_{i,k} with
@@ -208,7 +198,7 @@ class AnalyticGerm:
             else:
                 c = [[float(v.real), float(v.imag)] for v in vec]
             terms.append({"i": i, "k": list(k), "c": c})
-        return {"dims": self._dims, "degree_cap": self._degree_cap, "terms": terms}
+        return {"dims": self._dims, "terms": terms}
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "AnalyticGerm":
@@ -223,7 +213,7 @@ class AnalyticGerm:
             else:
                 vec = np.array([complex(re, im) for re, im in c])
             terms[(int(t["i"]), tuple(int(v) for v in t["k"]))] = vec
-        return cls(dims, terms, degree_cap=int(d.get("degree_cap", 12)))
+        return cls(dims, terms)
 
 
 # -- composition over coefficient arrays --------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientCoefficients, OscillatoryCoefficients, ZeroC
+from .errors import InsufficientCoefficients, OscillatoryCoefficients
 from .series import TaylorSeries
 from .systems import NormalSystem
 
@@ -223,10 +223,6 @@ class ArrayEntry:
     x_ref: complex | None
     residual: float | None
 
-    @property
-    def converged(self) -> bool:
-        return self.x_ref is not None
-
 
 @dataclass
 class SingularityArray:
@@ -241,8 +237,8 @@ class SingularityArray:
         self.entries = tuple(sorted(self.entries, key=lambda en: en.n))
 
     def spacings(self) -> np.ndarray:
-        """x_{n+1} - x_n over consecutive converged entries (near 2 pi i)."""
-        xs = {e.n: e.x_ref for e in self.entries if e.converged}
+        """x_{n+1} - x_n over consecutive refined entries (near 2 pi i)."""
+        xs = {e.n: e.x_ref for e in self.entries if e.x_ref is not None}
         return np.array([xs[n + 1] - xs[n] for n in sorted(xs) if n + 1 in xs])
 
     def to_dict(self) -> dict:
@@ -281,12 +277,12 @@ def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:
     h(x) = -x + alpha_1 Log x + Log C - Log xi_s + 2 pi i n, whose roots
     are exactly the preimages, until |xi(x) - xi_s| <= 1e-12 max(1, |xi_s|).
     An entry that does not meet that within 50 steps is kept with
-    x_ref = None (``converged`` false); the other entries are unaffected.
+    x_ref = None; the other entries are unaffected.  C = 0 raises ``ValueError``.
     """
     C = complex(C)
     xi_sc = complex(xi_s)
     if C == 0:
-        raise ZeroC("C = 0 has no singularity array")
+        raise ValueError("C = 0 has no singularity array")
     if xi_sc == 0:
         raise ValueError("xi_s must be nonzero")
     a1 = complex(alpha1)

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UnknownLabel, require_keys
+from .errors import require_keys
 from .series import AnalyticGerm
 
 __all__ = ["BUILTIN_LABELS", "NormalSystem", "builtin"]
@@ -230,4 +230,4 @@ def builtin(label: str, alpha: complex = 0.0, b_branch: int = 1):
             params={"alpha": [al.real, al.imag], "b_branch": b_branch},
         )
         return system, None
-    raise UnknownLabel(f"no builtin system named {label!r}")
+    raise ValueError(f"no builtin system named {label!r}")

@@ -32,10 +32,11 @@ ladder or a continuation leg is driven alone on the same path; lanes do
 not share arithmetic, so a hunt's result is bitwise the same either way.
 
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
-leg by leg at fixed tolerances.  It alone uses scipy, imported on its
-first call; the level-curve points come from ``_brent``, a transcription
-of scipy's ``brentq`` that finds them bitwise as scipy does, so
-importing the package loads no scipy.  Blow-up ends it with
+leg by leg at fixed tolerances.  It alone uses scipy, which only the
+``test`` extra installs, and imports it on its first call; the
+level-curve points come from ``_brent``, a transcription of scipy's
+``brentq`` that finds them bitwise as scipy does, so every other path
+runs on numpy alone.  Blow-up ends it with
 ``StepUnderflow``; the partial trajectory is attached to the exception
 as ``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by
 a hunt's jet centres and ``transasym continue``.
@@ -143,7 +144,8 @@ def integrate_path(s: NormalSystem, y_init, waypoints) -> Trajectory:
     trajectory if every leg completes.  If the state norm reaches 1e8, or
     the step size collapses (both signal a nearby singularity), raises
     ``StepUnderflow`` with the stop location in ``.where`` and the partial
-    trajectory attached as ``.trajectory``.
+    trajectory attached as ``.trajectory``.  scipy, which only the ``test``
+    extra installs, is imported here: without it the call raises ``ImportError``.
     """
     from scipy.integrate import solve_ivp  # the reference alone loads scipy
 
@@ -427,7 +429,6 @@ def hunt_singularity(
     target,
     *,
     via: Sequence = (),
-    csv_path=None,
 ) -> PoleObservation:
     """Walk from a trusted state to a suspected singularity and home in on it.
 
@@ -439,24 +440,24 @@ def hunt_singularity(
     ``SingularApproach``, reads that resolve or confirm no single
     singularity ``NoBlowup``, and a ``target`` equal to ``x_start`` or to
     the last ``via`` point ``ValueError``.
-    ``csv_path`` receives one row per jet centre, the first at ``x_start``
-    (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``).
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
     ``hunt`` attribute holds ``start``, ``target``, ``approach_length``,
     ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``
     (inf when it fails).
     """
-    return _hunts(s, [(x_start, y_start, target)], via=via, csv_paths=[csv_path])[0]
+    return _hunts(s, [(x_start, y_start, target)], via=via)[0]
 
 
 def _hunts(s: NormalSystem, starts, *, via: Sequence = (), csv_paths=None) -> list:
-    """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`."""
+    """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`; a hunt
+    with a path in ``csv_paths`` writes one row per jet centre there, the first at its start
+    (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``)."""
     paths = csv_paths or [None] * len(starts)
     return _lockstep(s, _x_jet, [_hunt(s, x, y, t, via, p) for (x, y, t), p in zip(starts, paths)])
 
 
-def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_path=None):
+def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out=None):
     """The walk of one :func:`hunt_singularity`, for :func:`_lockstep`."""
     x_start, target = complex(x_start), complex(target)
     prev = complex(via[-1]) if via else x_start
@@ -480,8 +481,8 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_pat
                 "spread": found.local_fit[2] if found else math.inf,
                 "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
         _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
-        if csv_path is not None and centres:
-            _write_csv(csv_path, [c for c, _ in centres], np.array([v for _, v in centres]).T,
+        if csv_out is not None and centres:
+            _write_csv(csv_out, [c for c, _ in centres], np.array([v for _, v in centres]).T,
                        "x", "y")
     return found
 
@@ -500,9 +501,6 @@ class CEstimate:
     value: complex
     uncertainty: float
     ladder: tuple
-
-    def __complex__(self) -> complex:
-        return self.value
 
     def consistent_with(self, other: "CEstimate") -> bool:
         return abs(self.value - other.value) <= self.uncertainty + other.uncertainty
@@ -659,12 +657,11 @@ class ComparisonReport:
 def compare_arrays(predicted: SingularityArray, observed: Sequence) -> ComparisonReport:
     """Pair each hunt's pole with the predicted one it was aimed at.
 
-    ``observed`` holds one observation, a PoleObservation or a bare
-    complex location, per entry of ``predicted`` that has a refined root
-    ``x_ref``, in entry order (``ValueError`` if the counts differ).  A
-    pair farther apart than ``_CAPTURE`` = 1 goes to the unmatched tuples;
-    an entry without ``x_ref`` was never hunted and is an unmatched
-    prediction at ``x_asym``.
+    ``observed`` holds one pole location per entry of ``predicted`` that
+    has a refined root ``x_ref``, in entry order (``ValueError`` if the
+    counts differ).  A pair farther apart than ``_CAPTURE`` = 1 goes to the
+    unmatched tuples; an entry without ``x_ref`` was never hunted and is an
+    unmatched prediction at ``x_asym``.
     """
     hunted = sum(en.x_ref is not None for en in predicted.entries)
     if len(observed) != hunted:
@@ -674,8 +671,7 @@ def compare_arrays(predicted: SingularityArray, observed: Sequence) -> Compariso
         if en.x_ref is None:
             missed.append((en.n, complex(en.x_asym)))
             continue
-        o = next(obs)
-        x = complex(o.location) if isinstance(o, PoleObservation) else complex(o)
+        x = complex(next(obs))
         if (d := abs(en.x_ref - x)) <= _CAPTURE:
             pairs.append((en.n, complex(en.x_ref), x, d))
         else:
@@ -849,7 +845,7 @@ def run_validation(
         starts.append((x0, y0, en.x_ref))
         csv_paths.append(None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv")
     observations = _hunts(s, starts, csv_paths=csv_paths)
-    report = compare_arrays(predicted, observations)
+    report = compare_arrays(predicted, [o.location for o in observations])
     extraction = None
     if extract:
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not

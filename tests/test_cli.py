@@ -103,10 +103,12 @@ def test_eval_needs_a_mode(tmp_path, monkeypatch, capsys):
     main(["expand", "p1", "--M", "0", "--K", "8"])
     assert main(["eval"]) == 1
     assert "--xi" in capsys.readouterr().err
+    # --xi evaluates a level profile alone; --C and --x beside it would go unread
+    assert main(["eval", "--xi", "6", "--C", "12", "--x", "30"]) == 1
+    assert "--xi alone" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--xi", "0.1", "--m", "9"], ["--xi", "0.1", "--m", "-1"],
-                                  ["--C", "12", "--x", "25,10", "--m-used", "-1"]])
+@pytest.mark.parametrize("argv", [["--xi", "0.1", "--m", "9"], ["--xi", "0.1", "--m", "-1"]])
 def test_eval_rejects_a_level_outside_the_expansion(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(["expand", "p1", "--M", "2", "--K", "32"]) == 0
@@ -180,22 +182,28 @@ def _overflow(*args, **kwargs):
     raise OverflowError("math range error")
 
 
-@pytest.mark.parametrize("argv, message, broken", [
+@pytest.mark.parametrize("argv, message, broken, config", [
     # on arg x = 1.2, |xi| < 1e-3 already at |x| = 1 once |C| < 1e-3 e^{cos 1.2}
     (["validate", "p1", "--C", "1.4e-3", "--n", "8..9"],
-     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2", None),
+     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2", None, None),
     # an ArithmeticError from any callee is a domain error too
-    (["predict", "p1", "--C", "12", "--n", "1"], "math range error", "predict_array"),
-], ids=["no-anchor", "overflow"])
+    (["predict", "p1", "--C", "12", "--n", "1"], "math range error", "predict_array", None),
+    # a usage error found after parsing is a ValueError and exits 2 as well: here an
+    # unknown label, read from a config
+    (["validate", "--config", "cfg.json"], "no builtin system named 'nope'", None,
+     {"label": "nope", "C": [12.0, 0.0], "n_range": [8, 9]}),
+], ids=["no-anchor", "overflow", "unknown-label"])
 def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message,
-                                                broken):
+                                                broken, config):
     monkeypatch.chdir(tmp_path)
     if broken is not None:
         monkeypatch.setattr(cli, broken, _overflow)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("transasym: ") and message in err and err.count("\n") == 1
-    assert not any(tmp_path.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
 
 
 def test_predict_solves_where_e_to_the_minus_x_overflows(tmp_path, monkeypatch, capsys):
@@ -374,8 +382,14 @@ def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, 
      {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]], "germ": {"dims": 1, "terms": []}},
       "fm": [[{"coeffs": [[1, 0]]}]], "free_constants": [], "K": 1},
      "missing Taylor row keys: truncation"),
+    # "K" edited away from the order its rows were built to
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]], "germ": {"dims": 1, "terms": []}},
+      "fm": [[{"coeffs": [[1, 0], [0, 0], [0, 0]], "truncation": 2}]], "free_constants": [],
+      "K": 20},
+     "expansion K = 20, but its Taylor rows have order 2"),
 ], ids=["validate-config", "eval-expansion", "eval-system", "eval-germ", "eval-germ-term",
-        "eval-taylor-row"])
+        "eval-taylor-row", "eval-K"])
 def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, artifact, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.json").write_text(json.dumps(artifact))

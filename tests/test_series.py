@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transasym.errors import DegreeCapExceeded, ResonantOrder
+from transasym.errors import ResonantOrder, TransasymError
 from transasym.expansion import formal_power_series
 from transasym.series import (AnalyticGerm, TaylorSeries, compose_germ_series,
                               series_field_solve_linear)
@@ -60,8 +60,10 @@ def test_germ_compose_matches_pointwise():
 
 
 def test_germ_degree_cap():
-    with pytest.raises(DegreeCapExceeded):
-        AnalyticGerm(1, {(10, (3,)): 1.0}, degree_cap=12)
+    # a term above the degree cap is a usage error, not a domain error
+    with pytest.raises(ValueError, match="exceeds degree cap 12") as err:
+        AnalyticGerm(1, {(10, (3,)): 1.0})
+    assert not isinstance(err.value, TransasymError)
 
 
 def test_germ_serialization_round_trip():

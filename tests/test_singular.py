@@ -11,7 +11,7 @@ import pytest
 from transasym import validate
 from transasym.cli import _dump_json
 from transasym.errors import (InsufficientCoefficients, OscillatoryCoefficients,
-                              OutsideReliableDisk, SingularApproach, ZeroC)
+                              OutsideReliableDisk, SingularApproach, TransasymError)
 from transasym.expansion import build_expansion
 from transasym.oracles import XI0
 from transasym.series import AnalyticGerm, TaylorSeries
@@ -212,8 +212,9 @@ def test_predict_array_roots_solve_scale_equation():
 
 
 def test_predict_array_rejects_degenerate_inputs():
-    with pytest.raises(ZeroC):
+    with pytest.raises(ValueError, match="C = 0 has no singularity array") as err:
         predict_array(12.0, 0.0, -0.5, [3])
+    assert not isinstance(err.value, TransasymError)
     with pytest.raises(ValueError):
         predict_array(0.0, 12.0, -0.5, [3])
 

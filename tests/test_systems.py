@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transasym.errors import UnknownLabel
+from transasym.errors import TransasymError
 from transasym.series import AnalyticGerm
 from transasym.systems import BUILTIN_LABELS, NormalSystem, builtin
 
@@ -13,8 +13,9 @@ def test_builtin_labels_resolve():
         s, _ = builtin(label)
         assert s.label == label
         assert s.lam[0] == 1.0
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ValueError, match="no builtin system named 'nope'") as err:
         builtin("nope")
+    assert not isinstance(err.value, TransasymError)
 
 
 def test_first_eigenvalue_must_be_one():
