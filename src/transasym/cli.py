@@ -188,11 +188,13 @@ def _cmd_eval(args) -> int:
     given = (args.xi is not None, args.C is not None, args.x is not None)
     if given not in ((True, False, False), (False, True, True)):
         raise _UsageError("eval needs --xi alone, or both --C and --x")
+    if args.m is not None and args.xi is None:
+        raise _UsageError("--m picks the level --xi reads; the sum at --C and --x takes none")
     with open(args.infile) as fh:
         e = TwoScaleExpansion.from_dict(json.load(fh))
     if args.xi is not None:
         e._require_disk(args.xi)
-        print(_fmt_c(e.observable_series(args.m).evaluate(args.xi)))
+        print(_fmt_c(e.observable_series(args.m or 0).evaluate(args.xi)))
         return 0
     value, bound = eval_two_scale(e, args.C, args.x)
     print(" ".join(_fmt_c(v) for v in value), f"bound {bound:.6g}")
@@ -308,7 +310,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a saved expansion")
     p.add_argument("--in", dest="infile", default="expansion.json")
     p.add_argument("--xi", type=_complex, help="evaluate one level profile at xi")
-    p.add_argument("--m", type=int, default=0, help="level for --xi (default 0)")
+    p.add_argument("--m", type=int, help="level for --xi (default 0)")
     p.add_argument("--C", type=_complex, help="transseries constant for a two-scale sum")
     p.add_argument("--x", type=_complex, help="evaluation point for a two-scale sum")
     p.set_defaults(fn=_cmd_eval)

@@ -548,31 +548,44 @@ def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex, m_used: int | N
     min(M, floor(|x|/B_g)) of ``e.default_fit()``, which gives the bound.
     Raises :class:`OutsideReliableDisk` for xi outside the disk where the
     Taylor rows can be summed.  Returns (value: n-vector, error_bound: float).
+    The one-point case of :func:`_eval_points`.
     """
-    x = complex(x)
-    if abs(x) <= 1.0:
-        raise ValueError("evaluation requires |x| > 1")
-    if m_used is not None and m_used < 0:
-        raise ValueError(f"m_used = {m_used} is negative; levels run 0..{e.M}")
-    xi = e.xi(C, x)
-    e._require_disk(xi)
+    values, bounds = _eval_points(e, C, [x], m_used)
+    return values[0], bounds[0]
+
+
+def _eval_points(e: TwoScaleExpansion, C: complex, xs: Sequence[complex],
+                 m_used: int | None = None) -> tuple[np.ndarray, list[float]]:
+    """:func:`eval_two_scale` at each of ``xs``: values (P, n) and bounds, bitwise the lone
+    calls'.  One Horner in xi runs over every point and level; each point sums its levels
+    m <= m* in Python's powers of 1/x.  The first point a lone call refuses raises its error.
+    """
+    xs, xis = [complex(x) for x in xs], []
+    for x in xs:
+        if abs(x) <= 1.0:
+            raise ValueError("evaluation requires |x| > 1")
+        if m_used is not None and m_used < 0:
+            raise ValueError(f"m_used = {m_used} is negative; levels run 0..{e.M}")
+        xis.append(e.xi(C, x))
+        e._require_disk(xis[-1])
     fit = e.default_fit()
-    m_star = m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M)
-    m_star = min(m_star, e.M)
-    levels = e.fm[: m_star + 1]
+    stars = [min(m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M), e.M)
+             for x in xs]
+    levels = e.fm[: max(stars) + 1]
+    xi = np.array(xis)[:, None, None]
     acc = levels[:, :, -1]
-    for k in range(e.K - 1, -1, -1):   # Horner over every level at once
+    for k in range(e.K - 1, -1, -1):   # Horner over every point and level at once
         acc = acc * xi + levels[:, :, k]
-    value = np.zeros(e.system.n, dtype=e.fm.dtype)
-    xm = 1.0 + 0.0j
-    for level in acc:
-        value += level * xm
-        xm /= x
-    # error of the first omitted term under the Gevrey envelope
-    mp = m_star + 1
-    log_bound = math.log(max(fit.K_g, 1e-300)) + math.lgamma(mp + 1) \
-        + mp * math.log(fit.B_g) - mp * math.log(abs(x))
-    return value, math.exp(log_bound)
+    values, bounds = np.zeros((len(xs), e.system.n), dtype=e.fm.dtype), []
+    for value, level, x, m_star in zip(values, acc, xs, stars):
+        xm = 1.0 + 0.0j
+        for m in range(m_star + 1):
+            value += level[m] * xm
+            xm /= x
+        mp = m_star + 1  # the first omitted level, bounded under the Gevrey envelope
+        bounds.append(math.exp(math.log(max(fit.K_g, 1e-300)) + math.lgamma(mp + 1)
+                               + mp * math.log(fit.B_g) - mp * math.log(abs(x))))
+    return values, bounds
 
 
 # -- Gevrey diagnostics ------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientCoefficients, OscillatoryCoefficients
+from .errors import InsufficientCoefficients, OscillatoryCoefficients, TransasymError
 from .series import TaylorSeries
 from .systems import NormalSystem
 
@@ -51,12 +51,6 @@ class RadiusEstimate:
             raise ValueError("radius must be positive")
 
 
-def _coeff_array(f) -> np.ndarray:
-    if isinstance(f, TaylorSeries):
-        return np.asarray(f.coeffs)
-    return np.asarray(f, dtype=complex)
-
-
 def _neville_diagonal(u, v):
     """Neville table diagonal for extrapolating v(u) to u = 0.
 
@@ -70,6 +64,67 @@ def _neville_diagonal(u, v):
             t[j] = t[j] + (t[j] - t[j - 1]) * u[j] / (u[j - lev] - u[j])
         diag.append(t[-1])
     return diag
+
+
+def _domb_sykes(cs: np.ndarray) -> list:
+    """:func:`radius_estimate` of every row of ``cs``: its ``RadiusEstimate``,
+    or the exception a lone call raises.
+
+    The windows (stride, holes, trailing run), the ratios and the phase
+    test run once for all lanes; both 5-node Neville tables run lane by
+    lane, in Python's complex arithmetic, which a numpy table over the
+    lanes only matches from about 13 lanes on.  No lane's arithmetic
+    depends on another's, so each reads bitwise as it does alone.
+    """
+    live, out = np.abs(cs) > 1e-300, [None] * len(cs)
+    count = live.sum(axis=1)
+    for lane in np.flatnonzero(count < 20):
+        out[lane] = InsufficientCoefficients(
+            f"{count[lane]} nonzero coefficients, need at least 20")
+    b, cols = np.flatnonzero(count >= 20), np.arange(cs.shape[1])
+    if not b.size:
+        return out
+    nz = np.sort(np.where(live[b], cols, -1), axis=1)[:, -40:]  # last 40 nonzero orders, -1 first
+    gaps = np.diff(nz, axis=1)
+    stride = np.where(np.all((gaps == gaps[:, -1:]) | (nz[:, :-1] < 0), axis=1), gaps[:, -1], 1)
+    last = nz[:, -1]
+    offset = last % stride  # a lane reads d = c[offset::stride][start:orders]
+    orders = (last - offset) // stride + 1
+    holes = ~live[b] & ((cols - offset[:, None]) % stride[:, None] == 0) & (cols <= last[:, None])
+    start = (np.max(np.where(holes, cols, -1), axis=1) - offset) // stride + 1
+    for i in np.flatnonzero(orders - start < 20):
+        out[b[i]] = InsufficientCoefficients(
+            f"trailing nonzero run has {orders[i] - start[i]} terms, need at least 20")
+    b, stride, offset, start, orders = (v[orders - start >= 20]
+                                        for v in (b, stride, offset, start, orders))
+
+    def ratios(j):  # each lane's d_j / d_{j-1}
+        idx = offset[:, None] + stride[:, None] * j
+        return cs[b[:, None], idx] / cs[b[:, None], idx - stride[:, None]]
+
+    run, tail_j = orders - start, orders[:, None] - np.arange(12, 0, -1)
+    picks = orders[:, None] - 1 - np.maximum(1, (run[:, None] - 1) // 6) * np.arange(4, -1, -1)
+    tail, r = ratios(tail_j), ratios(picks)
+    wild = np.max(np.abs(np.angle(tail / tail[:, -1:])), axis=1) > 0.6
+    u = (1.0 / picks).tolist()
+    A = np.array([_neville_diagonal(w, v)[-1] for w, v in zip(u, r.tolist())])
+    B = [_neville_diagonal(w, v)[-1] for w, v in zip(u, (picks * (r - A[:, None])).tolist())]
+    for i, lane in enumerate(b):
+        n, a = int(stride[i]), complex(A[i])
+        try:
+            if wild[i]:
+                k = np.arange(start[i] + run[i] // 2, orders[i])
+                slope = np.polyfit(k, np.log(np.abs(cs[lane, offset[i] + n * k])), 1)[0]
+                raise OscillatoryCoefficients(math.exp(-slope) ** (1.0 / n))
+            if a == 0:
+                raise InsufficientCoefficients(
+                    "ratio limit vanishes; no finite singularity resolved")
+            eta_s = 1.0 / a
+            out[lane] = RadiusEstimate(abs(eta_s) ** (1.0 / n), eta_s ** (1.0 / n) if n > 1
+                                       else eta_s, float((-B[i] / a - 1.0).real))
+        except (TransasymError, ValueError, ArithmeticError) as err:
+            out[lane] = err
+    return out
 
 
 def radius_estimate(f) -> RadiusEstimate:
@@ -87,62 +142,14 @@ def radius_estimate(f) -> RadiusEstimate:
     exponent is unchanged by this substitution and the location is mapped
     back through the principal root.  Ratio sequences with unstable phase
     signal a conjugate pair of singularities; they abort with a
-    modulus-only root-test estimate attached.
+    modulus-only root-test estimate attached.  This is the one-lane case of
+    the read over a stack of series that homing runs for all its jets at once.
     """
-    c = _coeff_array(f)
-    nonzero = np.abs(c) > 1e-300
-    nz = np.flatnonzero(nonzero)
-    if nz.size < 20:
-        raise InsufficientCoefficients(
-            f"{nz.size} nonzero coefficients, need at least 20")
-
-    tail_nz = nz[-min(nz.size, 40):]
-    gaps = np.diff(tail_nz)
-    stride = int(gaps[0]) if gaps.size and np.all(gaps == gaps[0]) else 1
-    if stride > 1:
-        offset = int(tail_nz[-1]) % stride
-        d = c[offset::stride]
-    else:
-        d = c
-
-    live = np.abs(d) > 1e-300
-    if not live[-1]:
-        last = np.flatnonzero(live)
-        if last.size == 0:
-            raise InsufficientCoefficients("all coefficients vanish")
-        d = d[: last[-1] + 1]
-        live = live[: last[-1] + 1]
-    holes = np.flatnonzero(~live)
-    start = int(holes[-1]) + 1 if holes.size else 0
-    run = len(d) - start
-    if run < 20:
-        raise InsufficientCoefficients(
-            f"trailing nonzero run has {run} terms, need at least 20")
-
-    j_hi = len(d) - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_all = d[1:] / d[:-1]  # r_all[j-1] is the ratio at order j; used for j > start only
-    tail = r_all[max(start, j_hi - 12):]
-    rel = tail / tail[-1]
-    if np.max(np.abs(np.angle(rel))) > 0.6:
-        k_idx = np.arange(start + run // 2, len(d))
-        slope = np.polyfit(k_idx, np.log(np.abs(d[k_idx])), 1)[0]
-        raise OscillatoryCoefficients(math.exp(-slope) ** (1.0 / stride))
-
-    kappa = max(1, (run - 1) // 6)
-    picks = np.array([j_hi - i * kappa for i in range(4, -1, -1)])
-    u = 1.0 / picks
-    r = r_all[picks - 1]
-    A = _neville_diagonal(u, r)[-1]
-    if A == 0:
-        raise InsufficientCoefficients(
-            "ratio limit vanishes; no finite singularity resolved")
-    B = _neville_diagonal(u, picks * (r - A))[-1]
-    eta_s = 1.0 / A
-    exponent = float((-B / A - 1.0).real)
-    xi_s = eta_s ** (1.0 / stride) if stride > 1 else eta_s
-    return RadiusEstimate(radius=abs(eta_s) ** (1.0 / stride),
-                          xi_s=complex(xi_s), exponent=exponent)
+    (est,) = _domb_sykes(np.asarray(f.coeffs if isinstance(f, TaylorSeries) else
+                                    np.asarray(f, dtype=complex))[None])
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 # -- continuation of F_0 in the xi plane ------------------------------------

@@ -24,12 +24,13 @@ reads agree within 1e-10 of the hunt's distance, or stop drawing closer.
 No system declares its kind of blow-up.  A C ladder walks its ray inward
 through every rung.
 
-Walks are generators that yield jet requests; ``_lockstep`` runs any
-number together, one call of the lane-batched kernel per round and one
-read of every lane's radius, rescaled jet and reach.  A validation run
-hunts all its poles in lockstep, while a lone hunt or detection, a
-ladder or a continuation leg is driven alone on the same path; lanes do
-not share arithmetic, so a hunt's result is bitwise the same either way.
+Walks are generators that yield jet and read requests; ``_lockstep`` runs
+any number together, per round one Domb-Sykes read of every read request,
+then one call of the lane-batched kernel and one read of every lane's
+radius, rescaled jet and reach.  A validation run seeds its hunts in one
+evaluation and hunts all its poles in lockstep, while a lone hunt or
+detection, a ladder or a continuation leg is driven alone on the same
+path; lanes do not share arithmetic, so a result is bitwise the same either way.
 
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
 leg by leg at fixed tolerances.  It alone uses scipy, which only the
@@ -53,7 +54,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,11 +62,12 @@ from .errors import (InsufficientCoefficients, NoBlowup, NotConverging,
                      OscillatoryCoefficients, SingularApproach, StepUnderflow)
 from .expansion import (
     TwoScaleExpansion,
+    _eval_points,
     _x_jet,
     build_expansion,
     eval_two_scale,
 )
-from .singular import SingularityArray, _neville_diagonal, predict_array, radius_estimate
+from .singular import SingularityArray, _domb_sykes, _neville_diagonal, predict_array
 from .systems import NormalSystem
 
 __all__ = [
@@ -284,57 +286,88 @@ def _scale_jets(a: np.ndarray) -> list:
             for b in range(len(a))]
 
 
+class _Read(NamedTuple):
+    """A walk's request to read the jet ``a`` about ``x``, scaled to its radius ``rho``."""
+    x: complex
+    a: np.ndarray
+    rho: float
+    exact: bool
+
+
 def _lockstep(s: NormalSystem, jet, walks) -> list:
     """Run the generators ``walks`` together on the batched kernel ``jet``.
 
-    Each round computes the jets of the (x, y, rho) requests the live
-    walks yield in one call of ``jet``, reads them in one call of
-    :func:`_scale_jets` and sends each walk its lane's read.  Once every
-    walk has ended, raises the first failure in order, else returns the
-    walks' return values in order.
+    Walks yield jet requests (x, y, rho) and :class:`_Read` requests.  Each
+    round answers every read request in one call of :func:`_reads`, sending
+    or throwing each walk its outcome, then computes the jets asked in one
+    call of ``jet`` and sends each walk its lane's :func:`_scale_jets` read.
+    Once all have ended, one DEBUG record's attribute ``lockstep`` holds
+    ``rounds`` (kernel calls), ``jets``, ``reads`` and ``read_calls``; then the
+    first failure in order is raised, else the return values are returned.
     """
     outcomes, failures = [None] * len(walks), {}
-    live, reads = range(len(walks)), [None] * len(walks)
-    while live:
-        asked = {}
-        for i, read in zip(live, reads):
+    asked, replies = {}, dict.fromkeys(range(len(walks)))
+    rounds = jets = reads = read_calls = 0
+    while replies:
+        for i, reply in replies.items():
             try:
-                asked[i] = walks[i].send(read)
+                asked[i] = (walks[i].throw(reply) if isinstance(reply, Exception)
+                            else walks[i].send(reply))
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except Exception as err:  # ends this walk only; raised once all have ended
                 failures[i] = err
-        live = list(asked)
-        if live:
+        todo, replies = [i for i, q in asked.items() if isinstance(q, _Read)], {}
+        if todo:
+            replies = dict(zip(todo, _reads(s, [asked.pop(i) for i in todo])))
+            reads, read_calls = reads + len(todo), read_calls + 1
+        elif asked:
             x, y, rho = zip(*asked.values())
-            reads = _scale_jets(jet(s, np.array(x), np.array(y).T, np.array(rho), _ORDER))
+            replies = dict(zip(asked, _scale_jets(jet(s, np.array(x), np.array(y).T,
+                                                      np.array(rho), _ORDER))))
+            rounds, jets, asked = rounds + 1, jets + len(asked), {}
+    if _log.isEnabledFor(logging.DEBUG):
+        info = {"rounds": rounds, "jets": jets, "reads": reads, "read_calls": read_calls}
+        _log.debug("lockstep: %s", info, extra={"lockstep": info})
     if failures:
         raise failures[min(failures)]
     return outcomes
 
 
-def _read(s: NormalSystem, x: complex, a: np.ndarray, rho: float, exact: bool) -> PoleObservation:
-    """The singularity dominating a jet scaled to its radius, with spread 0."""
-    if exact:
-        raise NoBlowup(f"the jet at x = {x:.8g} terminates")
-    h = s.observable @ a
-    try:
-        est = radius_estimate(h)
-    except (InsufficientCoefficients, OscillatoryCoefficients) as err:
-        raise NoBlowup(f"no single singularity resolved from x = {x:.8g}: {err}") from err
-    t_s = est.xi_s
-    if abs(t_s) > 2.0:
-        raise NoBlowup(f"no singularity within two jet radii of x = {x:.8g}")
-    p = est.exponent
-    kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(p - _NOMINAL_EXPONENTS[k]))
-    deviation = abs(p - _NOMINAL_EXPONENTS[kind])
-    if deviation > _CLASSIFY_WINDOW:
-        kind = "unknown_blowup"
-    p = _NOMINAL_EXPONENTS.get(kind, p)
-    # top coefficient against h = A (x - x*)^p = A (-rho t_s)^p (1 - t/t_s)^p
-    g = np.prod((np.arange(_ORDER) - p) / np.arange(1, _ORDER + 1))
-    amplitude = complex(h[-1] * t_s ** _ORDER / (g * (-rho * t_s) ** p))
-    return PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0), deviation)
+def _reads(s: NormalSystem, asks: Sequence[_Read]) -> list:
+    """Each ask's singularity, with spread 0, or the error to throw into its walk.
+
+    One Domb-Sykes read of every jet's observable (``radius_estimate`` over
+    the stack) gives the location and exponent; the amplitude comes from the
+    top coefficient, the kind is the nominal exponent nearest the read one.
+    """
+    h = np.array([s.observable @ q.a for q in asks])
+    out = []
+    for (x, _, rho, exact), hb, est in zip(asks, h, _domb_sykes(h)):
+        try:
+            if exact:
+                raise NoBlowup(f"the jet at x = {x:.8g} terminates")
+            if isinstance(est, (InsufficientCoefficients, OscillatoryCoefficients)):
+                raise NoBlowup(f"no single singularity resolved from x = {x:.8g}: {est}") from est
+            if isinstance(est, Exception):
+                raise est
+            t_s = est.xi_s
+            if abs(t_s) > 2.0:
+                raise NoBlowup(f"no singularity within two jet radii of x = {x:.8g}")
+            p = est.exponent
+            kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(p - _NOMINAL_EXPONENTS[k]))
+            deviation = abs(p - _NOMINAL_EXPONENTS[kind])
+            if deviation > _CLASSIFY_WINDOW:
+                kind = "unknown_blowup"
+            p = _NOMINAL_EXPONENTS.get(kind, p)
+            # top coefficient against h = A (x - x*)^p = A (-rho t_s)^p (1 - t/t_s)^p
+            g = np.prod((np.arange(_ORDER) - p) / np.arange(1, _ORDER + 1))
+            amplitude = complex(hb[-1] * t_s ** _ORDER / (g * (-rho * t_s) ** p))
+            out.append(PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0),
+                                       deviation))
+        except Exception as err:  # thrown into its own walk, as if raised there
+            out.append(err)
+    return out
 
 
 def _walk(x: complex, y, waypoints, rho: float, centres: list):
@@ -373,20 +406,19 @@ def _walk(x: complex, y, waypoints, rho: float, centres: list):
     return states, rho
 
 
-def _home(s: NormalSystem, x: complex, y, rho: float, settle: float, centres: list):
+def _home(x: complex, y, rho: float, settle: float, centres: list):
     """Read the singularity nearest (x, y) from Taylor jets and home in on it.
 
     A walk for :func:`_lockstep`, and the package's one locator.  Each jet,
     scaled to its own radius from the trial scale ``rho`` (:func:`_jet`,
-    which records its centre in ``centres``), is read by ``radius_estimate``:
-    the location and exponent of the singularity dominating the observable's
-    coefficients, the amplitude from the top one, the kind the nominal
-    exponent nearest the read one.  The next jet is centred halfway to the
-    read location and scaled to the distance left.  ``NoBlowup`` is raised
-    when the second read is more than 1e-3 of the first read's distance from
-    it, or when a jet resolves no single singularity: it terminates, its
-    ratios have no finite limit or one beyond two jet radii (an entire
-    solution), or they oscillate (two singularities about equally near).
+    which records its centre in ``centres``), is yielded as a :class:`_Read`
+    request, answered with its observation (:func:`_reads`) or its failure.
+    The next jet is centred halfway to the read location and scaled to the
+    distance left.  ``NoBlowup`` is raised when the second read is more
+    than 1e-3 of the first read's distance from it, or when a jet resolves
+    no single singularity: it terminates, its ratios have no finite limit or
+    one beyond two jet radii (an entire solution), or they oscillate (two
+    singularities about equally near).
     Homing stops once two successive reads agree within ``settle``,
     returning the latest, or once their gap stops shrinking, returning the
     one before; the last gap that shrank is the returned spread.
@@ -394,7 +426,7 @@ def _home(s: NormalSystem, x: complex, y, rho: float, settle: float, centres: li
     x0, reads, spread = x, [], math.inf
     while True:
         a, rho, exact, _ = yield from _jet(x, y, rho, centres)
-        reads.append(_read(s, x, a, rho, exact))
+        reads.append((yield _Read(x, a, rho, exact)))
         if len(reads) > 1:
             gap = abs(reads[-1].location - reads[-2].location)
             if len(reads) == 2 and gap > 1e-3 * abs(reads[0].location - x0):
@@ -419,7 +451,7 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     x, y = complex(x), np.asarray(y, dtype=complex)
     slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
     rho = np.max(np.abs(y)) / np.max(np.abs(slope))
-    return _lockstep(s, _x_jet, [_home(s, x, y, rho, _SETTLE * rho, [])])[0]
+    return _lockstep(s, _x_jet, [_home(x, y, rho, _SETTLE * rho, [])])[0]
 
 
 def hunt_singularity(
@@ -470,7 +502,7 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out
     try:
         states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
                                        abs(target - x_start), centres)
-        found = yield from _home(s, pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
+        found = yield from _home(pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
                                  centres)
         stopped = "settled"
     except Exception as err:
@@ -818,7 +850,8 @@ def run_validation(
     of the refined predicted location and aims straight at it, from a
     fresh two-scale seed there; poles no higher than x_a are hunted from
     x_a itself, since the level curve below it comes closer to the origin,
-    where the seed is less accurate.  With ``extract`` set, a radius
+    where the seed is less accurate; every seed comes from one evaluation
+    (:func:`~transasym.expansion._eval_points`).  With ``extract`` set, a radius
     ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
     integrated solution, seeding from ``e`` deepened to level ``_DEEP_M`` =
     12 when it is shallower, in the precision of ``e``.  With ``csv_dir``
@@ -831,19 +864,14 @@ def run_validation(
         raise ValueError("system carries no xi_s hint to predict an array from")
     C = complex(C)
     x_a = anchor_point(s, C, _ANCHOR_ARG)
-    y_a, _ = eval_two_scale(e, C, x_a)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
-    starts, csv_paths = [], []
-    for en in predicted.entries:
-        if en.x_ref is None:
-            continue
-        x0, y0 = x_a, y_a
-        height = en.x_ref.imag
-        if height > x_a.imag:
-            x0 = _on_level(s, C, lambda u: complex(u, height), -1e4, 1e4)
-            y0, _ = eval_two_scale(e, C, x0)
-        starts.append((x0, y0, en.x_ref))
-        csv_paths.append(None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv")
+    hunted = [en for en in predicted.entries if en.x_ref is not None]
+    x0s = [x_a] + [x_a if en.x_ref.imag <= x_a.imag else
+                   _on_level(s, C, lambda u, h=en.x_ref.imag: complex(u, h), -1e4, 1e4)
+                   for en in hunted]
+    y0s = _eval_points(e, C, x0s)[0]  # the anchor leads: its seed is checked even if unused
+    starts = [(x0, y0, en.x_ref) for x0, y0, en in zip(x0s[1:], y0s[1:], hunted)]
+    csv_paths = [None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv" for en in hunted]
     observations = _hunts(s, starts, csv_paths=csv_paths)
     report = compare_arrays(predicted, [o.location for o in observations])
     extraction = None

@@ -108,6 +108,20 @@ def test_eval_needs_a_mode(tmp_path, monkeypatch, capsys):
     assert "--xi alone" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_level_beside_the_two_scale_sum(tmp_path, monkeypatch, capsys):
+    # --m picks the level --xi reads; the sum at --C and --x would ignore it
+    monkeypatch.chdir(tmp_path)
+    main(["expand", "p1", "--M", "2", "--K", "32"])
+    capsys.readouterr()
+    assert main(["eval", "--C", "12", "--x", "30,40", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--m picks the level --xi reads" in captured.err
+    assert main(["eval", "--xi", "6"]) == 0  # without --m, --xi reads level 0
+    level0 = capsys.readouterr().out
+    assert main(["eval", "--xi", "6", "--m", "0"]) == 0
+    assert capsys.readouterr().out == level0
+
+
 @pytest.mark.parametrize("argv", [["--xi", "0.1", "--m", "9"], ["--xi", "0.1", "--m", "-1"]])
 def test_eval_rejects_a_level_outside_the_expansion(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -12,8 +12,8 @@ from scipy.integrate import solve_ivp
 from closed_forms import abel_F0_of_xi
 from transasym import oracles
 from transasym.errors import OutsideReliableDisk, ResonantOrder
-from transasym.expansion import (TwoScaleExpansion, _x_jet, _xi_jet, build_expansion,
-                                 eval_two_scale, formal_power_series,
+from transasym.expansion import (TwoScaleExpansion, _eval_points, _x_jet, _xi_jet,
+                                 build_expansion, eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
 from transasym.series import AnalyticGerm, compose_germ_series
 from transasym.systems import NormalSystem, builtin
@@ -422,6 +422,23 @@ def test_levels_evaluate_as_one_horner_sum_each(name, request):
             ref += acc * xm
             xm /= x
         assert np.array_equal(value, ref)
+    # one call over points of different least-term depths m* comes out point by
+    # point as lone calls do; a point outside the disk raises as it does alone
+    fit = e.default_fit()
+    xs = [cmath.rect(r, rng.uniform(-0.5, 0.5))
+          for r in np.linspace(1.05, (e.M + 1) * fit.B_g, 6)]
+    assert len({least_term_index(fit.B_g, abs(x), e.M) for x in xs}) >= 2
+    C = 0.2 * e.reliability_radius() / max(abs(e.xi(1.0, x)) for x in xs)
+    values, bounds = _eval_points(e, C, xs)
+    for x, value, bound in zip(xs, values, bounds, strict=True):
+        lone, lone_bound = eval_two_scale(e, C, x)
+        assert np.array_equal(value, lone) and bound == lone_bound
+    outside = xs[0] - 5.0
+    with pytest.raises(OutsideReliableDisk) as alone:
+        eval_two_scale(e, C, outside)
+    with pytest.raises(OutsideReliableDisk) as batched:
+        _eval_points(e, C, [*xs[:2], outside, *xs[2:]])
+    assert str(batched.value) == str(alone.value)
 
 
 def test_two_scale_profile_value(p1):

@@ -8,14 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from transasym import validate
+from transasym import singular, validate
 from transasym.cli import _dump_json
 from transasym.errors import (InsufficientCoefficients, OscillatoryCoefficients,
                               OutsideReliableDisk, SingularApproach, TransasymError)
-from transasym.expansion import build_expansion
+from transasym.expansion import build_expansion, eval_two_scale
 from transasym.oracles import XI0
 from transasym.series import AnalyticGerm, TaylorSeries
-from transasym.singular import (SingularityArray, continue_f0, predict_array,
+from transasym.singular import (SingularityArray, _domb_sykes, continue_f0, predict_array,
                                 radius_estimate)
 from transasym.systems import NormalSystem, builtin
 
@@ -104,6 +104,131 @@ def test_radius_flags_beating_singularities():
     with pytest.raises(OscillatoryCoefficients) as info:
         radius_estimate(np.convolve(a.coeffs, b.coeffs)[:91])
     assert info.value.modulus == pytest.approx(2.0, rel=0.05)
+
+
+def _homing_series(monkeypatch, s, e, C, n):
+    """The observable's coefficients on the first jet homing reads, hunting
+    pole n of ``s`` from its anchor."""
+    asks, reads = [], validate._reads
+    x_a = validate.anchor_point(s, C, 1.2)
+    target = predict_array(s.xi_s_hint, C, s.alpha[0], [n]).entries[0].x_ref
+    with monkeypatch.context() as m:
+        m.setattr(validate, "_reads", lambda s_, qs: asks.extend(qs) or reads(s_, qs))
+        validate.hunt_singularity(s, x_a, eval_two_scale(e, C, x_a)[0], target)
+    return s.observable @ asks[0].a
+
+
+def test_one_read_over_a_stack_is_each_lone_read(monkeypatch, p1, e_p1, abel, e_abel):
+    # lanes of every fate in one stack of 41 coefficients, as homing reads them
+    # together: each is bitwise its lone estimate, or raises the same error
+    even = np.zeros(41, dtype=complex)
+    even[::2] = 9.0 ** -np.arange(21.0)  # support on xi^2: read with stride 2
+    holes = _binomial_series(-1.0, 2.0, 40).coeffs.copy()
+    holes[[3, 7]] = 0.0  # read from the run after the last hole
+    beats = np.convolve(_binomial_series(-1.0, 2.0, 40).coeffs,
+                        _binomial_series(-1.0, 2.0 * cmath.exp(1.0j), 40).coeffs)[:41]
+    ends = np.zeros(41, dtype=complex)
+    ends[:3] = 1.0, 2.0, 1.0  # a terminating jet, (1 + t)^2
+    sparse = np.zeros(41, dtype=complex)
+    sparse[::3] = 1.0  # 14 nonzero coefficients
+    short = _binomial_series(-2.0, 3.0, 40).coeffs.copy()
+    short[25] = 0.0  # a trailing run of 15
+    stack = np.array([_homing_series(monkeypatch, p1, e_p1, 12.0, 10),
+                      _homing_series(monkeypatch, abel, e_abel, 1.0, 1),
+                      even, holes, beats, ends, sparse, short])
+    reads = _domb_sykes(stack)
+    assert [type(r).__name__ for r in reads] == [
+        "RadiusEstimate"] * 4 + ["OscillatoryCoefficients"] + ["InsufficientCoefficients"] * 3
+    assert reads[0].exponent == pytest.approx(-2.0, abs=1e-3)
+    assert reads[1].exponent == pytest.approx(-0.5, abs=1e-3)
+
+    def bits(est):
+        return np.array([est.radius, est.xi_s, est.exponent]).tobytes()
+
+    for row, got in zip(stack, reads, strict=True):
+        try:
+            want = radius_estimate(row)
+        except TransasymError as err:
+            assert type(got) is type(err) and str(got) == str(err)
+        else:
+            assert bits(got) == bits(want)
+
+
+def _loop_read(c):
+    """Reference Domb-Sykes read of one series, written lane by lane."""
+    nz = np.flatnonzero(np.abs(c) > 1e-300)
+    if nz.size < 20:
+        raise InsufficientCoefficients(f"{nz.size} nonzero coefficients, need at least 20")
+    gaps = np.diff(nz[-40:])
+    stride = int(gaps[0]) if np.all(gaps == gaps[0]) else 1
+    d = c[int(nz[-1]) % stride::stride] if stride > 1 else c
+    live = np.abs(d) > 1e-300
+    d = d[: np.flatnonzero(live)[-1] + 1]
+    holes = np.flatnonzero(~live[: len(d)])
+    start = int(holes[-1]) + 1 if holes.size else 0
+    run = len(d) - start
+    if run < 20:
+        raise InsufficientCoefficients(f"trailing nonzero run has {run} terms, need at least 20")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_all = d[1:] / d[:-1]
+    tail = r_all[len(d) - 13:]
+    if np.max(np.abs(np.angle(tail / tail[-1]))) > 0.6:
+        k = np.arange(start + run // 2, len(d))
+        slope = np.polyfit(k, np.log(np.abs(d[k])), 1)[0]
+        raise OscillatoryCoefficients(math.exp(-slope) ** (1.0 / stride))
+    kappa = max(1, (run - 1) // 6)
+    picks = np.array([len(d) - 1 - i * kappa for i in range(4, -1, -1)])
+    u, r = 1.0 / picks, r_all[picks - 1]
+    A = singular._neville_diagonal(u, r)[-1]
+    if A == 0:
+        raise InsufficientCoefficients("ratio limit vanishes; no finite singularity resolved")
+    B = singular._neville_diagonal(u, picks * (r - A))[-1]
+    eta_s = 1.0 / A
+    return (abs(eta_s) ** (1.0 / stride), eta_s ** (1.0 / stride) if stride > 1 else eta_s,
+            float((-B / A - 1.0).real))
+
+
+def test_a_read_over_a_stack_is_bitwise_the_loop_read():
+    # random stacks of binomial series, real, strided (any offset), holed, beating,
+    # terminating and trailing-zero lanes: every lane reads bitwise as the loop does, signed
+    # zeros included, or raises the same error
+    rng = np.random.default_rng(3)
+
+    def lane(N):
+        xi_s = cmath.rect(rng.uniform(0.3, 5.0), rng.uniform(-math.pi, math.pi))
+        kind = rng.integers(0, 7)
+        if kind == 1:
+            xi_s = abs(xi_s)  # real coefficients
+        c = _binomial_series(rng.choice([-2.0, -1.0, -0.5, rng.uniform(-3.0, 2.0)]),
+                             xi_s, N - 1).coeffs.copy()
+        if kind == 2:  # support on one residue class mod 2 or 3
+            m = rng.integers(2, 4)
+            c[np.arange(N) % m != rng.integers(0, m)] = 0.0
+        elif kind == 3:
+            c[rng.integers(0, N, 3)] = 0.0
+        elif kind == 4:
+            c += _binomial_series(-1.0, xi_s * cmath.exp(1j * rng.uniform(0.5, 2.0)), N - 1).coeffs
+        elif kind == 5:
+            c[rng.integers(3, 25):] = 0.0
+        elif kind == 6:
+            c[-rng.integers(1, 6):] = 0.0
+        return c
+
+    fates = set()
+    for _ in range(150):
+        N = int(rng.choice([25, 41, 60]))
+        stack = np.array([lane(N) for _ in range(rng.integers(1, 14))])
+        for row, got in zip(stack, _domb_sykes(stack), strict=True):
+            try:
+                want = _loop_read(row)
+            except TransasymError as err:
+                assert type(got) is type(err) and str(got) == str(err)
+                fates.add(type(err).__name__)
+            else:
+                assert np.array([got.radius, got.xi_s, got.exponent]).tobytes() == \
+                    np.array(want).tobytes()
+                fates.add("estimate")
+    assert fates == {"estimate", "InsufficientCoefficients", "OscillatoryCoefficients"}
 
 
 # -- continuation ------------------------------------------------------------

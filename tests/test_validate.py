@@ -22,7 +22,7 @@ from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnd
 from transasym.expansion import (_x_jet, _xi_jet, build_expansion, eval_two_scale,
                                  formal_power_series)
 from transasym.series import AnalyticGerm
-from transasym.singular import predict_array
+from transasym.singular import RadiusEstimate, predict_array
 from transasym.systems import NormalSystem, builtin
 from transasym.validate import (CEstimate, PoleObservation,
                                 ValidationRun, anchor_point, compare_arrays,
@@ -833,6 +833,39 @@ def test_surveys_settle_in_few_jets(request, caplog, label, C, n_range, most, no
     jets = [h["jets"] for h in hunts]
     assert max(jets) <= most and sum(jets) <= 100
     assert max(abs(obs.local_fit[1] - nominal) for obs in run.observations) <= 1e-6
+
+
+def test_a_survey_logs_its_lockstep_rounds(caplog, p1, e_p1):
+    # the 13 hunts of a p1 survey walk and home together: one kernel call per
+    # round, and every read of a round in one call
+    with caplog.at_level(logging.DEBUG, logger="transasym"):
+        run_validation(p1, e_p1, 12.0, range(8, 21))
+    records = [r.lockstep for r in caplog.records if hasattr(r, "lockstep")]
+    assert records == [{"rounds": 7, "jets": 91, "reads": 39, "read_calls": 3}]
+
+
+def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1, e_p1):
+    # the first read, the n = 10 hunt's alone, gets an estimate whose amplitude
+    # overflows; the hunts beside it still settle, log and write their CSVs
+    x_a = anchor_point(p1, 12.0, 1.2)
+    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    targets = [en.x_ref for en in predict_array(12.0, 12.0, -0.5, [10, 11, 12]).entries]
+    read, calls = validate._domb_sykes, []
+
+    def spoiled(h):
+        out = read(h)
+        if not calls:
+            out[0] = RadiusEstimate(1e-200, 1e-200, -50.0)
+        calls.append(len(h))
+        return out
+
+    monkeypatch.setattr(validate, "_domb_sykes", spoiled)
+    paths = [tmp_path / f"n{n}.csv" for n in (10, 11, 12)]
+    with caplog.at_level(logging.DEBUG, logger="transasym"), pytest.raises(OverflowError):
+        validate._hunts(p1, [(x_a, y_a, t) for t in targets], csv_paths=paths)
+    hunts = {r.hunt["target"]: r.hunt["stopped"] for r in caplog.records if hasattr(r, "hunt")}
+    assert hunts == dict(zip(targets, ["OverflowError", "settled", "settled"]))
+    assert all(p.exists() for p in paths)
 
 
 def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
