@@ -2,7 +2,8 @@
 
 Three layers.  Domb-Sykes ratio analysis turns truncated Taylor
 coefficients into an estimate of the dominant singularity (radius,
-location, local algebraic exponent).  Taylor jets of the leading
+location, local algebraic exponent), and Pade approximants of the
+log-derivative refine a pole's location and exponent.  Taylor jets of the leading
 profile's flow in xi, walked like the x-plane hunts of
 :mod:`transasym.validate`, continue F_0 beyond its disk and stop at the
 blow-up point.  Finally, solving xi(x) = C e^{-x} x^{alpha_1} = xi_s
@@ -36,6 +37,8 @@ __all__ = [
 _NEWTON_TOL = 1e-12  # |xi(x_ref) - xi_s| a refined root meets, relative to max(1, |xi_s|)
 _NEWTON_ITER = 50  # Newton steps before an entry is kept unrefined
 _SEED_ORDER = 64  # Taylor order of the F_0 row that seeds a continuation
+_PADE = (11, 13)  # numerator degrees L of a pole read's two [L/L+1] Pade approximants
+_NEWTON = 8  # most Newton steps to a Pade denominator's root
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -125,6 +128,54 @@ def _domb_sykes(cs: np.ndarray) -> list:
         except (TransasymError, ValueError, ArithmeticError) as err:
             out[lane] = err
     return out
+
+
+def _solve(G: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Every system G[b] q = r[b] by ``np.linalg.solve``; a singular one reads NaN alone."""
+    try:
+        return np.linalg.solve(G, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # raised for the whole stack: solve lane by lane
+        return (np.concatenate([_solve(G[b:b + 1], r[b:b + 1]) for b in range(len(G))])
+                if len(G) > 1 else np.full_like(r, np.nan))
+
+
+def _pade_poles(h: np.ndarray, t0: np.ndarray) -> list:
+    """Per row of h, the pole of h'/h nearest t0 in its [L/L+1] Pade approximants, L in
+    ``_PADE``: the top degree's root and residue and the lower degree's root.
+
+    Where h ~ A (t - t*)^p, h'/h has a simple pole at t* of residue p.  Its
+    series comes by division, every row's denominator from one batched solve
+    of its Toeplitz system (NaN if singular), and its root by Newton from t0,
+    then from the lower degree's root, until a row's step falls below 1e-15
+    of its root or after ``_NEWTON`` steps.  A row reads bitwise the same in
+    any stack.
+    """
+    n, roots, t = 2 * _PADE[-1] + 2, [], t0
+    with np.errstate(all="ignore"):  # a row that is no pole reads NaN
+        # every complex operation runs along a row, as a lone row's does, or on a contiguous
+        # vector of the rows: numpy's loops of other layouts round differently
+        g, h0 = np.empty((len(h), n), complex), h[:, 0].copy()
+        dh = h[:, 1:n + 1] * np.arange(1, n + 1)
+        for k in range(n):
+            g[:, k] = (dh[:, k] - (h[:, k:0:-1] * g[:, :k]).sum(axis=1)) / h0
+        for L in _PADE:
+            j, q = np.arange(L + 2), np.ones((len(h), L + 2), complex)
+            q[:, 1:] = _solve(g[:, L + j[:-1, None] - j[:-1]], -g[:, L + 1 + j[:-1]])
+            pw = np.empty_like(q)
+            for i in range(_NEWTON + 1):
+                pw[:, 0], pw[:, 1:] = 1.0, t[:, None]
+                np.cumprod(pw, axis=1, out=pw)  # t^j, row by row
+                dq = (q[:, 1:] * j[1:] * pw[:, :-1]).sum(axis=1)
+                step = (q * pw).sum(axis=1) / dq
+                live = np.abs(step) > 1e-15 * np.abs(t)  # NaN rows stop
+                if not live.any() or i == _NEWTON:
+                    break
+                t = t - np.where(live, step, 0.0)
+            roots.append(t)
+        # the top numerator at its root: sum_j q_j t^j sum_{i <= L - j} g_i t^i
+        tail = np.cumsum(g[:, :L + 1] * pw[:, :-1], axis=1)[:, ::-1]
+        residue = (q[:, :-1] * pw[:, :-1] * tail).sum(axis=1) / dq
+    return list(zip(roots[-1], residue, roots[0]))
 
 
 def radius_estimate(f) -> RadiusEstimate:

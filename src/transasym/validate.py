@@ -18,9 +18,13 @@ hands over to homing 2.0 short of its target, under a third of an
 array's spacing of about 2 pi, where a read has not yet lost digits to
 cancellation near the pole.  Homing, the one locator (``_home``, also
 all of ``detect_singularity``), reads the nearest singularity from each
-jet by Domb-Sykes ratio analysis (``radius_estimate``), refuses a read
-the one from halfway to it does not confirm, and stops once successive
-reads agree within 1e-10 of the hunt's distance, or stop drawing closer.
+jet by Domb-Sykes ratio analysis (``radius_estimate``).  A pole's read is
+refined on the same jet from Pade approximants of h'/h, whose root must
+confirm it and whose two degrees' gap, within 1e-10 of the hunt's
+distance, ends the hunt there: a pole hunt reads one jet.  Any other read
+must be confirmed by the one from halfway to it, and homing stops once
+successive reads agree within 1e-10 of the hunt's distance, or stop
+drawing closer.
 No system declares its kind of blow-up.  A C ladder walks its ray inward
 through every rung.
 
@@ -67,7 +71,8 @@ from .expansion import (
     build_expansion,
     eval_two_scale,
 )
-from .singular import SingularityArray, _domb_sykes, _neville_diagonal, predict_array
+from .singular import (SingularityArray, _domb_sykes, _neville_diagonal, _pade_poles,
+                       predict_array)
 from .systems import NormalSystem
 
 __all__ = [
@@ -91,6 +96,7 @@ __all__ = [
 # farther than 0.35 from all of them is reported as unknown_blowup.
 _NOMINAL_EXPONENTS = {"simple_pole": -1.0, "double_pole": -2.0, "branch_neg_half": -0.5}
 _CLASSIFY_WINDOW = 0.35
+_POLES = ("simple_pole", "double_pole")  # kinds whose reads a Pade approximant refines
 _ORDER = 40  # of every Taylor jet
 _POWERS = np.arange(_ORDER + 1)  # of t in a jet
 _U = _POWERS[_ORDER // 2:] - _POWERS[_ORDER // 2:].mean()  # upper-half orders, centred
@@ -210,8 +216,10 @@ class PoleObservation:
 
     ``local_fit`` is (amplitude, exponent, spread): the blow-up
     h ~ amplitude * (x - location)^exponent read from the solution's
-    Taylor jet, and the last shrinking gap between successive reads of
-    the homing that found it (:func:`_home`).  ``exponent_deviation``
+    Taylor jet, and for a pole the gap between two Pade degrees' roots on
+    that jet, else the last shrinking gap between successive reads of the
+    homing that found it (:func:`_home`).  The spread measures the read's
+    consistency, not the location's error.  ``exponent_deviation``
     is the distance from the read exponent to the nominal one of the
     reported kind; it is recorded, never rounded away.
     """
@@ -334,16 +342,33 @@ def _lockstep(s: NormalSystem, jet, walks) -> list:
     return outcomes
 
 
+def _kind(p: float) -> tuple:
+    """(kind, deviation) of a read exponent: the nearest nominal, unless farther than the window."""
+    kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(p - _NOMINAL_EXPONENTS[k]))
+    deviation = abs(p - _NOMINAL_EXPONENTS[kind])
+    return ("unknown_blowup" if deviation > _CLASSIFY_WINDOW else kind), deviation
+
+
 def _reads(s: NormalSystem, asks: Sequence[_Read]) -> list:
-    """Each ask's singularity, with spread 0, or the error to throw into its walk.
+    """Each ask's singularity, or the error to throw into its walk.
 
     One Domb-Sykes read of every jet's observable (``radius_estimate`` over
-    the stack) gives the location and exponent; the amplitude comes from the
-    top coefficient, the kind is the nominal exponent nearest the read one.
+    the stack) gives a location and exponent, whose nearest nominal is the
+    kind.  A pole's read is refined on its jet (:func:`_pade_poles`): the Pade
+    root, its residue and the gap to the lower degree's root are its location,
+    exponent and spread, or ``NoBlowup`` if the root lies more than 1e-3 of
+    the read's distance from the Domb-Sykes one or the residue outside the
+    kind's window.  Other reads have spread inf.  The amplitude is read from
+    the top coefficient, a double pole's from the top two.
     """
     h = np.array([s.observable @ q.a for q in asks])
+    ests = _domb_sykes(h)
+    kinds = [None if isinstance(e, Exception) else _kind(e.exponent) for e in ests]
+    poles = [b for b, k in enumerate(kinds) if k and k[0] in _POLES]
+    refined = dict(zip(poles, _pade_poles(h[poles], np.array([ests[b].xi_s for b in poles])))
+                   if poles else {})
     out = []
-    for (x, _, rho, exact), hb, est in zip(asks, h, _domb_sykes(h)):
+    for b, ((x, _, rho, exact), hb, est) in enumerate(zip(asks, h, ests)):
         try:
             if exact:
                 raise NoBlowup(f"the jet at x = {x:.8g} terminates")
@@ -351,20 +376,25 @@ def _reads(s: NormalSystem, asks: Sequence[_Read]) -> list:
                 raise NoBlowup(f"no single singularity resolved from x = {x:.8g}: {est}") from est
             if isinstance(est, Exception):
                 raise est
-            t_s = est.xi_s
+            t_s, p, spread = est.xi_s, est.exponent, math.inf
             if abs(t_s) > 2.0:
                 raise NoBlowup(f"no singularity within two jet radii of x = {x:.8g}")
-            p = est.exponent
-            kind = min(_NOMINAL_EXPONENTS, key=lambda k: abs(p - _NOMINAL_EXPONENTS[k]))
-            deviation = abs(p - _NOMINAL_EXPONENTS[kind])
-            if deviation > _CLASSIFY_WINDOW:
-                kind = "unknown_blowup"
-            p = _NOMINAL_EXPONENTS.get(kind, p)
-            # top coefficient against h = A (x - x*)^p = A (-rho t_s)^p (1 - t/t_s)^p
-            g = np.prod((np.arange(_ORDER) - p) / np.arange(1, _ORDER + 1))
-            amplitude = complex(hb[-1] * t_s ** _ORDER / (g * (-rho * t_s) ** p))
-            out.append(PoleObservation(x + rho * t_s, kind, (amplitude, est.exponent, 0.0),
-                                       deviation))
+            kind, deviation = kinds[b]
+            if b in refined:
+                t, residue, t_low = refined[b]
+                deviation = abs(residue - _NOMINAL_EXPONENTS[kind])
+                if not (abs(t - t_s) <= 1e-3 * abs(t_s) and deviation <= _CLASSIFY_WINDOW):
+                    raise NoBlowup(f"the Pade read from x = {x:.8g} does not confirm the "
+                                   f"Domb-Sykes read: a {kind} at {x + rho * t_s:.8g}")
+                t_s, p, spread = complex(t), float(residue.real), float(rho * abs(t - t_low))
+            if kind == "double_pole":  # t_s^k [t^k] h = (k + 1) A (-rho t_s)^-2 + B: the top two
+                top = hb[-1] * t_s ** _ORDER - hb[-2] * t_s ** (_ORDER - 1)  # cancel B
+                amplitude = complex(top * (-rho * t_s) ** 2)
+            else:  # top coefficient against h = A (x - x*)^p = A (-rho t_s)^p (1 - t/t_s)^p
+                p_nom = _NOMINAL_EXPONENTS.get(kind, p)
+                g = np.prod((np.arange(_ORDER) - p_nom) / np.arange(1, _ORDER + 1))
+                amplitude = complex(hb[-1] * t_s ** _ORDER / (g * (-rho * t_s) ** p_nom))
+            out.append(PoleObservation(x + rho * t_s, kind, (amplitude, p, spread), deviation))
         except Exception as err:  # thrown into its own walk, as if raised there
             out.append(err)
     return out
@@ -413,15 +443,17 @@ def _home(x: complex, y, rho: float, settle: float, centres: list):
     scaled to its own radius from the trial scale ``rho`` (:func:`_jet`,
     which records its centre in ``centres``), is yielded as a :class:`_Read`
     request, answered with its observation (:func:`_reads`) or its failure.
-    The next jet is centred halfway to the read location and scaled to the
-    distance left.  ``NoBlowup`` is raised when the second read is more
-    than 1e-3 of the first read's distance from it, or when a jet resolves
-    no single singularity: it terminates, its ratios have no finite limit or
-    one beyond two jet radii (an entire solution), or they oscillate (two
-    singularities about equally near).
-    Homing stops once two successive reads agree within ``settle``,
-    returning the latest, or once their gap stops shrinking, returning the
-    one before; the last gap that shrank is the returned spread.
+    A read whose own spread is within ``settle``, a pole's Pade read, is
+    returned at once.  Else the next jet is centred halfway to the read
+    location and scaled to the distance left.  ``NoBlowup`` is raised when
+    the second read is more than 1e-3 of the first read's distance from it,
+    or when a jet resolves no single singularity: it terminates, its ratios
+    have no finite limit or one beyond two jet radii (an entire solution),
+    they oscillate (two singularities about equally near), or a pole's Pade
+    read does not confirm them.  Homing stops once two successive reads
+    agree within ``settle``, returning the latest, or once their gap stops
+    shrinking, returning the one before; the last gap that shrank is the
+    returned spread.
     """
     x0, reads, spread = x, [], math.inf
     while True:
@@ -435,6 +467,8 @@ def _home(x: complex, y, rho: float, settle: float, centres: list):
                 break
             spread = gap
         found = reads[-1]
+        if found.local_fit[2] <= settle:  # a pole's Pade read, consistent on its own jet
+            return found
         if spread <= settle:
             break
         t = 0.5 * (found.location - x) / rho

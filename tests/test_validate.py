@@ -133,6 +133,102 @@ def test_read_not_confirmed_halfway_is_no_blowup():
         detect_singularity(_logistic(), 2.0 + 0.5j, _logistic_state(2.0 + 0.5j))
 
 
+def _pole_jet(a, p, A, far, order=validate._ORDER):
+    """[t^k] of A (1 - t/a)^-p prod_b (1 - t/b)^-1, k <= order: a pole of order p at t = a."""
+    h = np.zeros(order + 1, complex)
+    h[0] = A
+    for r in [a] * p + list(far):  # times 1/(1 - t/r): partial sums of h_j r^j, over r^k
+        h = np.cumsum(h * r ** np.arange(order + 1.0)) / r ** np.arange(order + 1.0)
+    return h
+
+
+def _pole_jets():
+    """Strategy: (a, p, A, far), a pole of order p at |a| in [0.5, 1.5] and 0..3 poles b
+    2..4 times as far, drawn from a seed: generic numbers, never a jet like 1/(1 - t)
+    whose Toeplitz systems are exactly singular (it raises NoBlowup; see the stack test)."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def draw(seed, p, count):
+        rng = np.random.default_rng(seed)
+        a, A = rng.uniform(0.5, 1.5) * np.exp(2j * math.pi * rng.random(2))
+        far = abs(a) * rng.uniform(2.0, 4.0, count) * np.exp(2j * math.pi * rng.random(count))
+        return a, p, A, list(far)
+
+    return st.builds(draw, st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(0, 3))
+
+
+def test_pade_read_of_a_rational_jet_is_its_pole():
+    # the location, the exponent (the residue of h'/h) and the amplitude of a
+    # simple or double pole of a rational h, read about x = 1 + i at scale 0.5
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_pole_jets())
+    def check(jet):
+        a, p, A, far = jet
+        (obs,) = validate._reads(_logistic(), [validate._Read(1 + 1j, _pole_jet(*jet)[None], 0.5,
+                                                              False)])
+        assert obs.kind == ("simple_pole", "double_pole")[p - 1]
+        assert abs(obs.location - (1 + 1j + 0.5 * a)) <= 1e-10
+        assert abs(obs.local_fit[1] + p) <= 1e-9 and obs.exponent_deviation <= 1e-9
+        amplitude = A * np.prod([1 / (1 - a / b) for b in far]) * (-0.5 * a) ** p
+        assert abs(obs.local_fit[0] - amplitude) <= 1e-8 * abs(amplitude)
+        assert obs.local_fit[2] <= 1e-10
+
+    check()
+
+
+def test_a_noisy_jet_reads_its_pole_or_refuses():
+    # 1e-13 relative noise on every coefficient: the true pole within the
+    # confirm threshold, 1e-3 of its distance, or NoBlowup
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(_pole_jets(), st.integers(0, 2**32 - 1))
+    def check(jet, seed):
+        rng = np.random.default_rng(seed)
+        noise = [1.0, 1j] @ rng.normal(size=(2, validate._ORDER + 1))
+        h = _pole_jet(*jet) * (1.0 + 1e-13 * noise)
+        (obs,) = validate._reads(_logistic(), [validate._Read(0j, h[None], 1.0, False)])
+        assert isinstance(obs, NoBlowup) or abs(obs.location - jet[0]) <= 1e-3 * abs(jet[0])
+
+    check()
+
+
+def test_a_pade_read_over_a_stack_is_each_lone_read():
+    # rational poles, a geometric jet whose Toeplitz systems are singular, a
+    # square-root branch point (no Pade read), a logistic jet, an exact jet and
+    # eight more poles: each lane reads bitwise what it reads alone, and the
+    # singular lane's NoBlowup stays its own
+    s, x, k = _logistic(), 2.0 + 2.5j, np.arange(validate._ORDER + 1)
+    rng = np.random.default_rng(7)
+    logistic = _x_jet(s, [x], _logistic_state(x)[:, None], [2.0], validate._ORDER)[0, 0]
+    branch = np.cumprod(np.r_[1.0, (k[:-1] + 0.5) / k[1:]]) / 0.9 ** k  # (1 - t/0.9)^-1/2
+    lanes = [(0j, _pole_jet(0.8j, 2, 1.5, [2.0]), 1.0, False),
+             (1.0, np.ones(validate._ORDER + 1, complex), 1.0, False),  # 1/(1 - t)
+             (0.5j, _pole_jet(-1.1 + 0.2j, 1, 2.0 - 1j, [3.0j, -2.5]), 2.0, False),
+             (0j, branch.astype(complex), 1.0, False),
+             (x, logistic, 2.0, False),
+             (0j, _pole_jet(0.7, 1, 1.0, []), 1.0, True)]
+    lanes += [(0j, _pole_jet(cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-3.0, 3.0)), 1 + i % 2,
+                             1.0, [2.5 + i]), 1.0, False) for i in range(8)]
+    asks = [validate._Read(x0, h[None], rho, exact) for x0, h, rho, exact in lanes]
+    together = validate._reads(s, asks)
+    for got, ask in zip(together, asks, strict=True):
+        (alone,) = validate._reads(s, [ask])
+        if isinstance(alone, Exception):
+            assert type(got) is type(alone) and str(got) == str(alone)
+        else:
+            assert got == alone
+    assert [type(o).__name__ for o in together] == [
+        "PoleObservation", "NoBlowup", "PoleObservation", "PoleObservation", "PoleObservation",
+        "NoBlowup"] + ["PoleObservation"] * 8
+    assert "Pade" in str(together[1])
+    assert together[3].kind == "branch_neg_half" and together[3].local_fit[2] == math.inf
+    assert abs(together[4].location - 1j * math.pi) < 1e-12
+
+
 def test_entire_solution_is_no_blowup(lin):
     with pytest.raises(NoBlowup):
         detect_singularity(lin, 2.0 + 1.0j, [1.0])
@@ -835,13 +931,16 @@ def test_surveys_settle_in_few_jets(request, caplog, label, C, n_range, most, no
     assert max(abs(obs.local_fit[1] - nominal) for obs in run.observations) <= 1e-6
 
 
-def test_a_survey_logs_its_lockstep_rounds(caplog, p1, e_p1):
-    # the 13 hunts of a p1 survey walk and home together: one kernel call per
-    # round, and every read of a round in one call
+def test_a_survey_logs_its_lockstep_rounds(caplog, p1, e_p1, abel, e_abel):
+    # the hunts of a survey walk and home together: one kernel call per round,
+    # and every read of a round in one call; a p1 hunt settles on its first
+    # read, a Pade read at the staging point, while Abel's branch points home
     with caplog.at_level(logging.DEBUG, logger="transasym"):
         run_validation(p1, e_p1, 12.0, range(8, 21))
+        run_validation(abel, e_abel, 1.0, range(1, 11))
     records = [r.lockstep for r in caplog.records if hasattr(r, "lockstep")]
-    assert records == [{"rounds": 7, "jets": 91, "reads": 39, "read_calls": 3}]
+    assert records == [{"rounds": 5, "jets": 65, "reads": 13, "read_calls": 1},
+                       {"rounds": 14, "jets": 87, "reads": 50, "read_calls": 11}]
 
 
 def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1, e_p1):
