@@ -26,7 +26,10 @@ At xi^k, k >= 2, the states of every level enter linearly, through the
 xi^0 column only: one system, block lower-triangular in the level with
 diagonal k - L, whose inverse is formed once per build by forward
 substitution over levels.  So every level is solved at once, one order
-at a time, in the build's dtype.
+at a time, in the build's dtype.  The inverses are held as B[row, column,
+k], so each substitution step multiplies only the lower-triangular block
+it reads; a component singular at some order is masked to 0 only when
+one is, and on one level the inverse is the identity and is skipped.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
 monomial table (state rows, a constant row, product chains sorted by
@@ -145,9 +148,14 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     u = 0, then u = B_k (W~ F[k] / (lambda - k)), W~ the z-power
     coefficients, then F[k] += D u.  B_k inverts A_k = W~ D + (m-1) S +
     k (I - alpha_1 S) (S shifts the level) scaled to unit diagonal; every
-    B_k comes from one forward substitution over levels in ``dtype``.  A
-    component singular at order k is 0 in levels m >= 1 and must satisfy
-    its equation within _TOL of the largest term entering it.
+    B_k comes from one forward substitution over levels in ``dtype``, held
+    as B[row, column, k - 2].  B_k is block lower-triangular with identity
+    diagonal blocks, so level m's step is one matmul of A's block below the
+    diagonal against the view B[:m n, :m n], for every k at once.  A
+    component singular at order k is 0 in levels m >= 1, by a mask applied
+    only when some component is singular at some order, and must satisfy
+    its equation within _TOL of the largest term entering it.  On one level
+    B_k is the identity: u is the scaled right side itself.
     """
     bad = s.germ.order_violations()
     if bad:
@@ -182,25 +190,27 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     Y[0, 0, 1:2] = 1.0   # F_0'(0) = e_1, when K >= 1
     # columns xi^0 and xi^1 of every level, k outer and m inner; an overflow is raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, k in ((m, k) for k in range(min(K, 1) + 1) for m in range(1, depth)):
-            tails = Y[:, m::-1, k::-1].reshape(n, -1).T
-            for heads, chain, sel in groups:
-                P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
-                T[chain, m, k] = P.reshape(-1)[sel]
-            if k == 1 and m >= 2:
-                # solvability of the first component pins c_{m-1}, slope m - 1
-                Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
-                pinned.append(complex(Y[0, m - 1, 1]))
-                if m == M + 1:
-                    continue
-            r = rhs(T[:, :, k], m, k)
+        for k in range(min(K, 1) + 1):
             denom = lam - k
             sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
-            if np.any(sing):
-                if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
-                    raise ResonantOrder(k)
-                r = np.where(sing, 0, r)
-            Y[:, m, k] = r / np.where(sing, 1, denom)
+            any_sing, divisor = sing.any(), np.where(sing, 1, denom)
+            for m in range(1, depth):
+                tails = Y[:, m::-1, k::-1].reshape(n, -1).T
+                for heads, chain, sel in groups:
+                    P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
+                    T[chain, m, k] = P.reshape(-1)[sel]
+                if k == 1 and m >= 2:
+                    # solvability of the first component pins c_{m-1}, slope m - 1
+                    Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
+                    pinned.append(complex(Y[0, m - 1, 1]))
+                    if m == M + 1:
+                        continue
+                r = rhs(T[:, :, k], m, k)
+                if any_sing:
+                    if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
+                        raise ResonantOrder(k)
+                    r = np.where(sing, 0, r)
+                Y[:, m, k] = r / divisor
     if K < 2:   # the formal series alone (K = 0): level m is its order m
         bad = ~np.isfinite(Y[:, : M + 1]).all((0, 2))
         if bad.any():
@@ -216,7 +226,7 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     checked = set(ks[sing.any(0)].tolist())
     # xi^2..xi^K, every level at once: the table order-major, F[k, m, row], and its
     # states Toeplitz in the level, R[K - k, a, j, m] = Y_{m-a,k}[j] (0 for a > m)
-    L, eye = M + 1, np.eye(n)[:, None]
+    L, eye = M + 1, np.eye(n)[:, :, None]
     F = np.zeros((K + 1, L, size), dtype=dtype)
     F[:2] = T[:, :L, :2].transpose(2, 1, 0)
     R = np.zeros((K + 1, L, n, L), dtype=dtype)
@@ -234,27 +244,32 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         D[chain, tail] += F[0][:, head].T
     Wl, Dl = _block_toeplitz(W, L), _block_toeplitz(D.transpose(2, 0, 1), L)
     A = Wl @ Dl   # W~ D, read below its diagonal blocks only
-    # B[k - 2] solves A_k u = -r as u = B[k - 2] (r / (lambda - k)): forward substitution
-    # over levels, held as B[row, k - 2, column] so each level is one matmul for every k
+    # B[:, :, k - 2] solves A_k u = -r as u = B_k (r / (lambda - k)): forward substitution
+    # over levels, held as B[row, column, k - 2] so each level is one matmul for every k
+    # against the view B[:m n, :m n], the only nonzero columns of the rows it reads
     denom = lam[:, None] - ks
     shift = -alpha1 * ks.astype(dtype)   # the S part of k (I - alpha_1 S), in dtype
-    B = np.zeros((L * n, K - 1, L * n), dtype=dtype)
-    B[:n, :, :n] = eye
+    mask = ~sing[:, None] if sing.any() else None   # a component singular at k solves to 0
+    B = np.zeros((L * n, L * n, K - 1), dtype=dtype)
+    B[:n, :n] = eye
     for m in range(1, L):
-        lv, lo = slice(m * n, (m + 1) * n), slice((m - 1) * n, m * n)
-        B[lv] = (A[lv, : m * n] @ B[: m * n].reshape(m * n, -1)).reshape(n, K - 1, -1)
-        B[lv] = (B[lv] + ((m - 1) + shift)[:, None] * B[lo]) / denom[:, :, None]
-        B[lv, :, lv] += eye
-        B[lv] *= ~sing[:, :, None]   # a component singular at order k solves to 0
-    B, denom, RT = B.transpose(1, 0, 2).copy(), np.tile(denom.T, L), R.transpose(1, 0, 2, 3)
+        lv, lo, mn = slice(m * n, (m + 1) * n), slice((m - 1) * n, m * n), m * n
+        B[lv, :mn] = (A[lv, :mn] @ B[:mn, :mn].reshape(mn, -1)).reshape(n, mn, K - 1)
+        B[lv, :mn] = (B[lv, :mn] + ((m - 1) + shift) * B[lo, :mn]) / denom[:, None]
+        B[lv, lv] = eye
+        if mask is not None:
+            B[lv] *= mask
+    B, denom, RT = B.transpose(2, 0, 1).copy(), np.tile(denom.T, L), R.transpose(1, 0, 2, 3)
 
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
         for k in range(2, K + 1):
             Fk, tails = F[k], RT[:, K - k + 1 :].reshape(L, k, n * L)
             for heads, chain, sel in groups:
-                P = (F[1 : k + 1, :, heads].transpose(1, 2, 0) @ tails).sum(0)
-                Fk[:, chain] = P.reshape(-1, L)[sel].T
-            u = B[k - 2] @ ((Wl @ Fk.reshape(-1)) / denom[k - 2])
+                P = F[1 : k + 1, :, heads].transpose(1, 2, 0) @ tails
+                Fk[:, chain] = (P[0] if L == 1 else P.sum(0)).reshape(-1, L)[sel].T
+            u = (Wl @ Fk.reshape(-1)) / denom[k - 2]
+            if L > 1:   # B_k is the identity on one level
+                u = B[k - 2] @ u
             Fk += (Dl @ u).reshape(L, size)
             R[K - k].put(dst, Fk.take(src))
             if k in checked:

@@ -21,10 +21,10 @@ all of ``detect_singularity``), reads the nearest singularity from each
 jet by Domb-Sykes ratio analysis (``radius_estimate``).  A pole's read is
 refined on the same jet from Pade approximants of h'/h, whose root must
 confirm it and whose two degrees' gap, within 1e-10 of the hunt's
-distance, ends the hunt there: a pole hunt reads one jet.  Any other read
-must be confirmed by the one from halfway to it, and homing stops once
-successive reads agree within 1e-10 of the hunt's distance, or stop
-drawing closer.
+distance, ends the hunt there: a pole hunt reads one jet.  Any other read,
+and a pole read whose Pade system is exactly singular, must be confirmed
+by the one from halfway to it, and homing stops once successive reads
+agree within 1e-10 of the hunt's distance, or stop drawing closer.
 No system declares its kind of blow-up.  A C ladder walks its ray inward
 through every rung.
 
@@ -358,7 +358,9 @@ def _reads(s: NormalSystem, asks: Sequence[_Read]) -> list:
     root, its residue and the gap to the lower degree's root are its location,
     exponent and spread, or ``NoBlowup`` if the root lies more than 1e-3 of
     the read's distance from the Domb-Sykes one or the residue outside the
-    kind's window.  Other reads have spread inf.  The amplitude is read from
+    kind's window.  A pole whose Pade system is exactly singular (its residue
+    reads NaN, as for the jet of 1/(1 - t)) keeps its Domb-Sykes read, and
+    so do other reads: their spread is inf.  The amplitude is read from
     the top coefficient, a double pole's from the top two.
     """
     h = np.array([s.observable @ q.a for q in asks])
@@ -380,7 +382,7 @@ def _reads(s: NormalSystem, asks: Sequence[_Read]) -> list:
             if abs(t_s) > 2.0:
                 raise NoBlowup(f"no singularity within two jet radii of x = {x:.8g}")
             kind, deviation = kinds[b]
-            if b in refined:
+            if b in refined and not cmath.isnan(refined[b][1]):   # NaN: a singular Toeplitz system
                 t, residue, t_low = refined[b]
                 deviation = abs(residue - _NOMINAL_EXPONENTS[kind])
                 if not (abs(t - t_s) <= 1e-3 * abs(t_s) and deviation <= _CLASSIFY_WINDOW):

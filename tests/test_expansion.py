@@ -206,12 +206,17 @@ def _mp_levels(s, M, K):
     return Y
 
 
-@pytest.mark.parametrize("name", ["e_p1", "e_abel"])
-def test_levels_match_a_fifty_digit_recursion(name, request):
-    # p1 (M = 2, K = 32) and Abel (M = 2, K = 48), every coefficient of every
-    # level; a zero coefficient is judged against the level's largest one
+@pytest.mark.parametrize("label, alpha, M, K", [
+    pytest.param("p1", 0.0, 2, 32, id="e_p1"),
+    pytest.param("abel", 0.0, 2, 48, id="e_abel"),
+    pytest.param("p2b", 0.3, 4, 32, id="p2b_alpha0.3_M4_K32"),
+    pytest.param("p1", 0.0, 8, 24, id="p1_M8_K24")])
+def test_levels_match_a_fifty_digit_recursion(label, alpha, M, K):
+    # every coefficient of every level; a zero coefficient is judged against the
+    # level's largest one.  p2b has two chain lengths and alpha_1 != 0 drives the
+    # level solve's shift term; p1 at M = 8 takes eight forward-substitution steps
     mpmath = pytest.importorskip("mpmath")
-    e = request.getfixturevalue(name)
+    e = build_expansion(builtin(label, alpha=alpha)[0], M, K)
     with mpmath.workdps(50):
         Y = _mp_levels(e.system, e.M, e.K)
         ref = np.array([[[complex(Y[m][k][j]) for k in range(e.K + 1)]

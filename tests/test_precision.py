@@ -12,6 +12,7 @@ import pytest
 
 from transasym.cli import RunConfig, _dump_json, main
 from transasym.expansion import build_expansion
+from transasym.systems import builtin
 
 
 def _relative_residual_rows(e):
@@ -38,16 +39,22 @@ def test_environment_is_ignored(monkeypatch, p1, spelling):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="numpy.longdouble is no wider than double on this platform")
 def test_extended_build_matches_double(p1):
-    ext = build_expansion(p1, 8, 32, dtype=np.clongdouble)
-    dbl = build_expansion(p1, 8, 32)
-    assert all(level.dtype == np.clongdouble for level in ext.fm)
-    # every residual row vanishes below what double arithmetic can reach
-    assert max(_relative_residual_rows(ext)) < 1e-18
-    assert max(_relative_residual_rows(dbl)) > 1e-18
-    for a, b in zip(ext.free_constants, dbl.free_constants):
-        assert abs(a - b) <= 1e-12 * abs(b)
-    # the field is double whatever the seed's precision
-    assert p1.field(20.0, ext.fm[2][:, 3]).dtype == np.complex128
+    # p1 (M = 8, K = 32), and p2b at alpha = 0.3 (M = 8, K = 64: two chain lengths,
+    # the level solve's shift term, and levels that cancel, so a higher floor)
+    p2b = builtin("p2b", alpha=0.3)[0]
+    for s, M, K, floor in ((p1, 8, 32, 1e-18), (p2b, 8, 64, 1e-15)):
+        ext = build_expansion(s, M, K, dtype=np.clongdouble)
+        dbl = build_expansion(s, M, K)
+        assert all(level.dtype == np.clongdouble for level in ext.fm)
+        # every residual row vanishes below what double arithmetic can reach
+        assert max(_relative_residual_rows(ext)) < floor
+        assert max(_relative_residual_rows(dbl)) > floor
+        for a, b in zip(ext.free_constants, dbl.free_constants):
+            assert abs(a - b) <= 1e-12 * abs(b)
+        for m in range(M + 1):
+            assert np.max(np.abs(ext.fm[m] - dbl.fm[m])) <= 1e-13 * np.max(np.abs(dbl.fm[m]))
+        # the field is double whatever the seed's precision
+        assert s.field(20.0, ext.fm[2][:, 3]).dtype == np.complex128
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,

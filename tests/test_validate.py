@@ -145,7 +145,8 @@ def _pole_jet(a, p, A, far, order=validate._ORDER):
 def _pole_jets():
     """Strategy: (a, p, A, far), a pole of order p at |a| in [0.5, 1.5] and 0..3 poles b
     2..4 times as far, drawn from a seed: generic numbers, never a jet like 1/(1 - t)
-    whose Toeplitz systems are exactly singular (it raises NoBlowup; see the stack test)."""
+    whose Toeplitz systems are exactly singular (it keeps its Domb-Sykes read; see the
+    stack test)."""
     st = pytest.importorskip("hypothesis.strategies")
 
     def draw(seed, p, count):
@@ -200,7 +201,7 @@ def test_a_pade_read_over_a_stack_is_each_lone_read():
     # rational poles, a geometric jet whose Toeplitz systems are singular, a
     # square-root branch point (no Pade read), a logistic jet, an exact jet and
     # eight more poles: each lane reads bitwise what it reads alone, and the
-    # singular lane's NoBlowup stays its own
+    # singular lane keeps its own Domb-Sykes read
     s, x, k = _logistic(), 2.0 + 2.5j, np.arange(validate._ORDER + 1)
     rng = np.random.default_rng(7)
     logistic = _x_jet(s, [x], _logistic_state(x)[:, None], [2.0], validate._ORDER)[0, 0]
@@ -221,13 +222,21 @@ def test_a_pade_read_over_a_stack_is_each_lone_read():
             assert type(got) is type(alone) and str(got) == str(alone)
         else:
             assert got == alone
-    assert [type(o).__name__ for o in together] == [
-        "PoleObservation", "NoBlowup", "PoleObservation", "PoleObservation", "PoleObservation",
+    assert [type(o).__name__ for o in together] == ["PoleObservation"] * 5 + [
         "NoBlowup"] + ["PoleObservation"] * 8
-    assert "Pade" in str(together[1])
+    # 1/(1 - t) from x = 1 at radius 1: a simple pole at 2, homed from halfway
+    assert together[1].kind == "simple_pole" and together[1].location == 2.0
+    assert together[1].local_fit[1:] == (-1.0, math.inf)
     assert together[3].kind == "branch_neg_half" and together[3].local_fit[2] == math.inf
     assert abs(together[4].location - 1j * math.pi) < 1e-12
 
+
+def test_a_pade_root_that_disagrees_is_no_blowup():
+    # 1/(1 - t) - 0.9/(1 - t/1.01): Domb-Sykes reads one double pole at 1.0036,
+    # the Pade root is the simple pole at 1, 3.6e-3 away
+    h = 1.0 - 0.9 / 1.01 ** np.arange(validate._ORDER + 1.0) + 0j
+    (obs,) = validate._reads(_logistic(), [validate._Read(0j, h[None], 1.0, False)])
+    assert isinstance(obs, NoBlowup) and "does not confirm" in str(obs)
 
 def test_entire_solution_is_no_blowup(lin):
     with pytest.raises(NoBlowup):
