@@ -3,12 +3,12 @@
 """Confirm a predicted pole array by continuation in the complex plane.
 
 The two-scale prediction is cheap algebra; the check is numerics.  For
-each index n the validator seeds an accurate solution on the level curve
-|xi| = 1e-3 at the height of the predicted location and walks about nine
-units toward it by Taylor steps.  Near the pole it reads location,
-exponent and amplitude from the solution's own Taylor jet, homing in
-until the estimates settle.  The run report pairs predictions with
-observations and the distances shrink as n grows.
+each index n the validator seeds an accurate solution 2.0 from the
+predicted location toward Re x -> +inf, where the two-scale sum still
+holds, and reads location, exponent and amplitude there from the
+solution's own Taylor jet, homing in until the estimates settle.  The
+run report pairs predictions with observations and the distances shrink
+as n grows.
 
 usage:
     ./04_validate_pole_array.py [n_lo n_hi]

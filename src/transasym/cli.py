@@ -122,7 +122,7 @@ class RunConfig:
 
     label: str
     n_range: tuple[int, ...]
-    M: int = 2
+    M: int = 8
     K: int = 32
     C: complex = 1.0 + 0.0j
     extract: bool = False
@@ -339,7 +339,7 @@ def _build_parser() -> _Parser:
     # the run flags default to None, so RunConfig holds their defaults
     p.add_argument("--C", type=_complex, help="transseries constant (default 1)")
     p.add_argument("--n", dest="n_range", type=_int_range, help="indices a..b")
-    p.add_argument("--M", type=int, help="deepest level (default 2)")
+    p.add_argument("--M", type=int, help="deepest level of the hunts' seeds (default 8)")
     p.add_argument("--K", type=int, help="Taylor order (default 32)")
     _add_precision_flag(p, None)
     p.add_argument("--extract", action="store_true", default=None,

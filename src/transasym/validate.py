@@ -10,13 +10,15 @@ by the running-product recursion of the two-scale hierarchy (Corliss and
 Chang); ``continue_f0`` walks F_0 in xi the same way.  The walk sums
 each jet inside half its own radius of convergence, at every waypoint
 inside its reach; a jet whose radius falls below 1e-3 of the distance
-left to its waypoint stops it with ``SingularApproach``.  A validation
-run seeds each hunt with the two-scale expansion on the level curve
-|xi(x)| = 1e-3 at the height of its predicted pole, so every
-walk has about the same length whatever the pole's index.  The walk
-hands over to homing 2.0 short of its target, under a third of an
-array's spacing of about 2 pi, where a read has not yet lost digits to
-cancellation near the pole.  Homing, the one locator (``_home``, also
+left to its waypoint stops it with ``SingularApproach``.  A hunt's walk
+hands over to homing at its staging point 2.0 short of its target, under
+a third of an array's spacing of about 2 pi, where a read has not yet
+lost digits to cancellation near the pole.  A validation run seeds each
+hunt with the two-scale expansion at that point itself, 2.0 toward
+Re x -> +inf from the predicted pole, where |xi| is about e^-2 |xi_s|:
+the two-scale sum holds to an O(1) distance from the singularities it
+predicts (Costin and Costin 2001), so a survey hunt homes with no walk.
+Homing, the one locator (``_home``, also
 all of ``detect_singularity``), reads the nearest singularity from each
 jet by Domb-Sykes ratio analysis (``radius_estimate``).  A pole's read is
 refined on the same jet from Pade approximants of h'/h, whose root must
@@ -39,9 +41,9 @@ path; lanes do not share arithmetic, so a result is bitwise the same either way.
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
 leg by leg at fixed tolerances.  It alone uses scipy, which only the
 ``test`` extra installs, and imports it on its first call; the
-level-curve points come from ``_brent``, a transcription of scipy's
-``brentq`` that finds them bitwise as scipy does, so every other path
-runs on numpy alone.  Blow-up ends it with
+anchor's level-curve point comes from ``_brent``, a transcription of
+scipy's ``brentq`` that finds it bitwise as scipy does, so every other
+path runs on numpy alone.  Blow-up ends it with
 ``StepUnderflow``; the partial trajectory is attached to the exception
 as ``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by
 a hunt's jet centres and ``transasym continue``.
@@ -503,8 +505,10 @@ def hunt_singularity(
     Taylor steps walk the polyline through ``via`` to a staging point
     ``_STAGING`` = 2.0 short of ``target`` (:func:`_walk`), where
     :func:`_home` takes over, settling within ``_SETTLE`` = 1e-10 of
-    |target - x_start|.  More than ``_JET_BUDGET`` jets raise
-    ``NotConverging``, a walk stopped short of the staging point
+    |target - x_start|.  A start ``target + 2.0`` with no ``via``, as a
+    survey's, is its own staging point exactly (the unit step to it is
+    real, so exactly 1) and homes at once.  More than ``_JET_BUDGET`` jets
+    raise ``NotConverging``, a walk stopped short of the staging point
     ``SingularApproach``, reads that resolve or confirm no single
     singularity ``NoBlowup``, and a ``target`` equal to ``x_start`` or to
     the last ``via`` point ``ValueError``.
@@ -533,13 +537,14 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out
         where = "the last via point" if via else "x_start"
         raise ValueError(f"target {target:.6g} coincides with {where}")
     pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
+    y, rho = np.asarray(y_start, dtype=complex), abs(target - x_start)
     centres: list[tuple[complex, np.ndarray]] = []
     found, stopped = None, None
     try:
-        states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
-                                       abs(target - x_start), centres)
-        found = yield from _home(pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
-                                 centres)
+        if via or pts[-1] != x_start:  # a survey's start, target + _STAGING, homes at once
+            states, rho = yield from _walk(x_start, y, pts[1:], rho, centres)
+            y = states[-1]
+        found = yield from _home(pts[-1], y, rho, _SETTLE * abs(target - x_start), centres)
         stopped = "settled"
     except Exception as err:
         stopped = type(err).__name__
@@ -845,10 +850,12 @@ def anchor_point(s: NormalSystem, C, arg: float):
 
 @dataclass(frozen=True)
 class ValidationRun:
-    """Everything one validation pass produced."""
+    """Everything one validation pass produced; ``M`` and ``K`` are the seeds' depth and order."""
 
     system: str
     C: complex
+    M: int
+    K: int
     anchor: complex
     predicted: SingularityArray
     observations: tuple
@@ -859,6 +866,8 @@ class ValidationRun:
         d = {
             "system": self.system,
             "C": [self.C.real, self.C.imag],
+            "M": self.M,
+            "K": self.K,
             "anchor": [self.anchor.real, self.anchor.imag],
             "predicted": self.predicted.to_dict(),
             "observations": [o.to_dict() for o in self.observations],
@@ -881,13 +890,14 @@ def run_validation(
     """Predict a pole array, hunt each pole with Taylor jets, and compare.
 
     The anchor x_a is the point of the ray arg x = 1.2 where |xi| = 1e-3
-    (:func:`anchor_point`), far from every pole.  The hunt for a pole above
-    x_a starts on the same level curve |xi| = 1e-3 at the height
-    of the refined predicted location and aims straight at it, from a
-    fresh two-scale seed there; poles no higher than x_a are hunted from
-    x_a itself, since the level curve below it comes closer to the origin,
-    where the seed is less accurate; every seed comes from one evaluation
-    (:func:`~transasym.expansion._eval_points`).  With ``extract`` set, a radius
+    (:func:`anchor_point`), far from every pole.  The hunt for each refined
+    predicted location x_ref starts at its staging point x_ref + 2.0,
+    2.0 toward Re x -> +inf, from a fresh two-scale seed there, and homes
+    at once (:func:`hunt_singularity`).  Every seed comes from one
+    evaluation (:func:`~transasym.expansion._eval_points`), the anchor's
+    first: no hunt starts there, but a seed refused at x_a still stops
+    the run.  The run records the seeds' depth ``e.M`` and order ``e.K``.
+    With ``extract`` set, a radius
     ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
     integrated solution, seeding from ``e`` deepened to level ``_DEEP_M`` =
     12 when it is shallower, in the precision of ``e``.  With ``csv_dir``
@@ -902,10 +912,8 @@ def run_validation(
     x_a = anchor_point(s, C, _ANCHOR_ARG)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
     hunted = [en for en in predicted.entries if en.x_ref is not None]
-    x0s = [x_a] + [x_a if en.x_ref.imag <= x_a.imag else
-                   _on_level(s, C, lambda u, h=en.x_ref.imag: complex(u, h), -1e4, 1e4)
-                   for en in hunted]
-    y0s = _eval_points(e, C, x0s)[0]  # the anchor leads: its seed is checked even if unused
+    x0s = [x_a] + [en.x_ref + _STAGING for en in hunted]
+    y0s = _eval_points(e, C, x0s)[0]  # the anchor leads: its seed is checked, though unused
     starts = [(x0, y0, en.x_ref) for x0, y0, en in zip(x0s[1:], y0s[1:], hunted)]
     csv_paths = [None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv" for en in hunted]
     observations = _hunts(s, starts, csv_paths=csv_paths)
@@ -919,6 +927,8 @@ def run_validation(
     return ValidationRun(
         system=s.label,
         C=C,
+        M=e.M,
+        K=e.K,
         anchor=x_a,
         predicted=predicted,
         observations=tuple(observations),

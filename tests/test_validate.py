@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from transasym import validate
-from transasym.cli import main
+from transasym.cli import RunConfig, main
 from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
                               TransasymError)
 from transasym.expansion import (_x_jet, _xi_jet, build_expansion, eval_two_scale,
@@ -755,8 +755,9 @@ def test_anchor_names_a_constant_too_small_for_its_ray(p1):
 def test_level_curve_roots_are_bitwise_scipys_brentq():
     # the level-curve problems _on_level poses: |xi| = 1e-3 on a ray from
     # |x| = 1 outward (anchor_point), or along a horizontal line through a
-    # pole's height (run_validation); a constant too small for the ray puts
-    # the level below |x| = 1, where both finders refuse with one message
+    # pole's height (the far starts of the deep reference hunts below); a
+    # constant too small for the ray puts the level below |x| = 1, where
+    # both finders refuse with one message
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rays = st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True).map(
@@ -815,12 +816,13 @@ def test_the_package_imports_without_scipy(tmp_path, monkeypatch, capsys):
 def test_validation_run_serialization():
     pred = predict_array(12.0, 12.0, -0.5, [8, 9])
     rep = compare_arrays(pred, [en.x_ref for en in pred.entries])
-    run = ValidationRun("p1", 12.0 + 0j, 30.0 + 0j, pred, (), rep)
+    run = ValidationRun("p1", 12.0 + 0j, 8, 32, 30.0 + 0j, pred, (), rep)
     d = run.to_dict()
-    assert set(d) == {"system", "C", "anchor", "predicted", "observations",
+    assert set(d) == {"system", "C", "M", "K", "anchor", "predicted", "observations",
                       "comparison"}
+    assert (d["M"], d["K"]) == (8, 32)
     est = CEstimate(12.0 + 0j, 1e-4, (12.0 + 0j,))
-    d2 = ValidationRun("p1", 12.0 + 0j, 30.0 + 0j, pred, (), rep, est).to_dict()
+    d2 = ValidationRun("p1", 12.0 + 0j, 8, 32, 30.0 + 0j, pred, (), rep, est).to_dict()
     assert d2["C_extracted"]["value"] == [12.0, 0.0]
 
 
@@ -843,32 +845,35 @@ def _starts(monkeypatch, s, e, C, n_range):
 
 @pytest.mark.parametrize("label, C, n_range", [("p1", 12.0, range(8, 21)),
                                                ("abel", 1.0, range(1, 11))])
-def test_each_hunt_starts_on_the_level_at_its_pole_height(
-        monkeypatch, request, label, C, n_range):
+def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n_range):
+    # every hunt starts 2.0 toward Re x -> +inf from its refined target, from
+    # a seed of the one batched evaluation, whose first point is the anchor
     s = request.getfixturevalue(label)
     e = request.getfixturevalue(f"e_{label}")
+    evaluated, eval_points = [], validate._eval_points
+
+    def recorded(e_, C_, xs, *args):
+        evaluated.append(list(xs))
+        return eval_points(e_, C_, xs, *args)
+
+    monkeypatch.setattr(validate, "_eval_points", recorded)
     run, calls = _starts(monkeypatch, s, e, C, n_range)
     x_a = run.anchor
     assert x_a == anchor_point(s, C, 1.2)
-    y_a, bound_a = eval_two_scale(e, C, x_a)
+    assert abs(e.xi(C, x_a)) == pytest.approx(1e-3, rel=1e-12)
     targets = [en.x_ref for en in run.predicted.entries if en.x_ref is not None]
+    assert len(targets) == len(n_range)
     assert [t for _, _, t in calls] == targets
-    for x0, y0, target in calls:
-        y_seed, bound = eval_two_scale(e, C, x0)
-        assert abs(e.xi(C, x0)) == pytest.approx(1e-3, rel=1e-12)
-        assert x0.imag == max(target.imag, x_a.imag)
-        assert bound <= bound_a
+    assert [x0 for x0, _, _ in calls] == [t + validate._STAGING for t in targets]
+    assert evaluated == [[x_a, *(x0 for x0, _, _ in calls)]]
+    seeds = eval_points(e, C, evaluated[0])[0]
+    for (x0, y0, _), y_seed in zip(calls, seeds[1:]):
         assert np.array_equal(y0, y_seed)
-        if target.imag <= x_a.imag:
-            assert x0 == x_a and np.array_equal(y0, y_a)
-    if label == "abel":
-        # the lowest branch points keep the shared ray anchor and its seed
-        low = [x0 for x0, _, t in calls if t.imag <= x_a.imag]
-        assert len(low) == 3 and all(x0 == x_a for x0 in low)
+        assert np.array_equal(y0, eval_two_scale(e, C, x0)[0])
 
 
 @pytest.mark.parametrize("label, C, n_range", [("p1", 12.0, range(8, 21)),
-                                               ("abel", 1.0, range(3, 11))])
+                                               ("abel", 1.0, range(1, 11))])
 def test_integration_between_starts_stays_within_the_gevrey_bounds(
         monkeypatch, request, label, C, n_range):
     # ground truth for the eval_two_scale error bound: the integrated state
@@ -895,6 +900,36 @@ def test_a_lone_hunt_returns_its_survey_observation_bitwise(
     with monkeypatch.context() as stubbed:
         _, calls = _starts(stubbed, s, e, C, n_range)
     assert [hunt_singularity(s, x0, y0, t) for x0, y0, t in calls] == list(run.observations)
+
+
+@pytest.mark.parametrize("label, C, n_range, n_tight", [
+    ("p1", 12.0, range(8, 21), 8), ("p2a", 1.0, range(2, 12), 4),
+    ("p2b", 1.0, range(2, 12), 6), ("abel", 1.0, range(1, 11), 6)])
+def test_survey_locations_lie_near_a_deep_walked_reference(label, C, n_range, n_tight):
+    # the reference hunts walk from M = 16 seeds at far starts: the anchor for
+    # a pole no higher than it, else the level |xi| = 1e-3 at the pole's
+    # height.  From M = 2 seeds the same hunts are the survey those starts
+    # gave at the former default depth.  At today's default depth every
+    # n >= n_tight lies within 1e-9 of the reference, and no lower n lies
+    # farther from it than the former survey does
+    s = builtin(label)[0]
+    x_a = anchor_point(s, C, 1.2)
+    targets = [en.x_ref for en in predict_array(s.xi_s_hint, C, s.alpha[0], n_range).entries]
+    far = [x_a if t.imag <= x_a.imag else
+           validate._on_level(s, C, lambda u, h=t.imag: complex(u, h), -1e4, 1e4)
+           for t in targets]
+
+    def walked(M):
+        e = build_expansion(s, M, RunConfig.K)
+        return np.array([hunt_singularity(s, x0, eval_two_scale(e, C, x0)[0], t).location
+                         for x0, t in zip(far, targets)])
+
+    ref, former = walked(16), walked(2)
+    run = run_validation(s, build_expansion(s, RunConfig.M, RunConfig.K), C, n_range)
+    dist = np.abs(np.array([o.location for o in run.observations]) - ref)
+    tight = np.array(n_range) >= n_tight
+    assert np.all(dist[tight] <= 1e-9)
+    assert np.all(dist[~tight] <= np.abs(former - ref)[~tight])
 
 
 @pytest.fixture
@@ -941,15 +976,15 @@ def test_surveys_settle_in_few_jets(request, caplog, label, C, n_range, most, no
 
 
 def test_a_survey_logs_its_lockstep_rounds(caplog, p1, e_p1, abel, e_abel):
-    # the hunts of a survey walk and home together: one kernel call per round,
-    # and every read of a round in one call; a p1 hunt settles on its first
-    # read, a Pade read at the staging point, while Abel's branch points home
+    # the hunts of a survey home together from their staging points: one kernel
+    # call per round, and every read of a round in one call; a p1 hunt settles
+    # on its first read, a Pade read at its start, while Abel's branch points home
     with caplog.at_level(logging.DEBUG, logger="transasym"):
         run_validation(p1, e_p1, 12.0, range(8, 21))
         run_validation(abel, e_abel, 1.0, range(1, 11))
     records = [r.lockstep for r in caplog.records if hasattr(r, "lockstep")]
-    assert records == [{"rounds": 5, "jets": 65, "reads": 13, "read_calls": 1},
-                       {"rounds": 14, "jets": 87, "reads": 50, "read_calls": 11}]
+    assert records == [{"rounds": 1, "jets": 13, "reads": 13, "read_calls": 1},
+                       {"rounds": 5, "jets": 50, "reads": 50, "read_calls": 5}]
 
 
 def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1, e_p1):
