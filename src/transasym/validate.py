@@ -505,9 +505,10 @@ def hunt_singularity(
     Taylor steps walk the polyline through ``via`` to a staging point
     ``_STAGING`` = 2.0 short of ``target`` (:func:`_walk`), where
     :func:`_home` takes over, settling within ``_SETTLE`` = 1e-10 of
-    |target - x_start|.  A start ``target + 2.0`` with no ``via``, as a
-    survey's, is its own staging point exactly (the unit step to it is
-    real, so exactly 1) and homes at once.  More than ``_JET_BUDGET`` jets
+    |target - x_start|.  A start with no ``via`` that is its own staging
+    point, as a survey's ``target + 2.0`` is exactly, homes at once: its
+    walk lands on a waypoint equal to its position and takes no jet.
+    More than ``_JET_BUDGET`` jets
     raise ``NotConverging``, a walk stopped short of the staging point
     ``SingularApproach``, reads that resolve or confirm no single
     singularity ``NoBlowup``, and a ``target`` equal to ``x_start`` or to
@@ -537,14 +538,13 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out
         where = "the last via point" if via else "x_start"
         raise ValueError(f"target {target:.6g} coincides with {where}")
     pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
-    y, rho = np.asarray(y_start, dtype=complex), abs(target - x_start)
     centres: list[tuple[complex, np.ndarray]] = []
     found, stopped = None, None
     try:
-        if via or pts[-1] != x_start:  # a survey's start, target + _STAGING, homes at once
-            states, rho = yield from _walk(x_start, y, pts[1:], rho, centres)
-            y = states[-1]
-        found = yield from _home(pts[-1], y, rho, _SETTLE * abs(target - x_start), centres)
+        states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
+                                       abs(target - x_start), centres)
+        found = yield from _home(pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
+                                 centres)
         stopped = "settled"
     except Exception as err:
         stopped = type(err).__name__
@@ -818,24 +818,12 @@ def _brent(f, lo: float, hi: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-def _on_level(s: NormalSystem, C, line, lo: float, hi: float):
-    """The point ``line(t)``, lo < t < hi, where |xi(x)| = 1e-3, the anchor's level.
+def anchor_point(s: NormalSystem, C, arg: float):
+    """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor.
 
     log|xi| = log|C| - Re x + Re(alpha_1 log x), so Im alpha_1 enters
-    through arg x.
+    through arg x; the root in |x| is :func:`_brent`'s.
     """
-    alpha1 = complex(s.alpha[0])
-    level = math.log(abs(complex(C)) / _ANCHOR_XI)
-
-    def f(t):
-        x = line(t)
-        return level - x.real + (alpha1 * cmath.log(x)).real
-
-    return line(_brent(f, lo, hi))
-
-
-def anchor_point(s: NormalSystem, C, arg: float):
-    """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor."""
     if math.cos(arg) <= 0:
         raise ValueError("anchor ray must point into the decaying half-plane")
     # the level is sought from |x| = 1 outwards, where |xi| = |C| e^{-cos(arg) - Im(alpha_1) arg}
@@ -844,8 +832,14 @@ def anchor_point(s: NormalSystem, C, arg: float):
         raise ValueError(f"|C| = {abs(complex(C)):.6g} puts |xi| below {_ANCHOR_XI:g} already at "
                          f"|x| = 1 on the ray arg x = {arg:g}, so no anchor lies on it; "
                          f"|C| must be at least {least:.6g}")
-    direction = cmath.exp(1j * arg)
-    return _on_level(s, C, lambda r: r * direction, 1.0, 1e4)
+    direction, alpha1 = cmath.exp(1j * arg), complex(s.alpha[0])
+    level = math.log(abs(complex(C)) / _ANCHOR_XI)
+
+    def f(r):
+        x = r * direction
+        return level - x.real + (alpha1 * cmath.log(x)).real
+
+    return _brent(f, 1.0, 1e4) * direction
 
 
 @dataclass(frozen=True)

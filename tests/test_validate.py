@@ -753,11 +753,10 @@ def test_anchor_names_a_constant_too_small_for_its_ray(p1):
 
 
 def test_level_curve_roots_are_bitwise_scipys_brentq():
-    # the level-curve problems _on_level poses: |xi| = 1e-3 on a ray from
-    # |x| = 1 outward (anchor_point), or along a horizontal line through a
-    # pole's height (the far starts of the deep reference hunts below); a
-    # constant too small for the ray puts the level below |x| = 1, where
-    # both finders refuse with one message
+    # the level-curve problem anchor_point poses, |xi| = 1e-3 on a ray from
+    # |x| = 1 outward, and the same level along horizontal lines, which
+    # widen the draws of Brent's method; a constant too small for the ray
+    # puts the level below |x| = 1, where both finders refuse with one message
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rays = st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True).map(
@@ -915,9 +914,14 @@ def test_survey_locations_lie_near_a_deep_walked_reference(label, C, n_range, n_
     s = builtin(label)[0]
     x_a = anchor_point(s, C, 1.2)
     targets = [en.x_ref for en in predict_array(s.xi_s_hint, C, s.alpha[0], n_range).entries]
-    far = [x_a if t.imag <= x_a.imag else
-           validate._on_level(s, C, lambda u, h=t.imag: complex(u, h), -1e4, 1e4)
-           for t in targets]
+    level, alpha1 = math.log(C / 1e-3), complex(s.alpha[0])
+
+    def on_level(h):  # the point of Im x = h where |xi| = 1e-3
+        u = brentq(lambda u: level - u + (alpha1 * cmath.log(complex(u, h))).real, -1e4, 1e4,
+                   xtol=1e-14)
+        return complex(u, h)
+
+    far = [x_a if t.imag <= x_a.imag else on_level(t.imag) for t in targets]
 
     def walked(M):
         e = build_expansion(s, M, RunConfig.K)
