@@ -556,21 +556,21 @@ def least_term_index(b_g: float, x_abs: float, m_cap: int | None = None) -> int:
     return m
 
 
-def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex, m_used: int | None = None):
+def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex):
     """Evaluate sum_{m<=m*} x^{-m} F_m(xi(x)) with a Gevrey error bound.
 
-    m* is ``m_used`` (>= 0) capped at M, else the least-term rule
-    min(M, floor(|x|/B_g)) of ``e.default_fit()``, which gives the bound.
-    Raises :class:`OutsideReliableDisk` for xi outside the disk where the
-    Taylor rows can be summed.  Returns (value: n-vector, error_bound: float).
+    m* is the least-term rule min(M, floor(|x|/B_g)) of ``e.default_fit()``,
+    which gives the bound.  Raises :class:`OutsideReliableDisk` for xi outside
+    the disk where the Taylor rows can be summed.  Returns (value: n-vector,
+    error_bound: float).
     The one-point case of :func:`_eval_points`.
     """
-    values, bounds = _eval_points(e, C, [x], m_used)
+    values, bounds = _eval_points(e, C, [x])
     return values[0], bounds[0]
 
 
-def _eval_points(e: TwoScaleExpansion, C: complex, xs: Sequence[complex],
-                 m_used: int | None = None) -> tuple[np.ndarray, list[float]]:
+def _eval_points(e: TwoScaleExpansion, C: complex,
+                 xs: Sequence[complex]) -> tuple[np.ndarray, list[float]]:
     """:func:`eval_two_scale` at each of ``xs``: values (P, n) and bounds, bitwise the lone
     calls'.  One Horner in xi runs over every point and level; each point sums its levels
     m <= m* in Python's powers of 1/x.  The first point a lone call refuses raises its error.
@@ -579,14 +579,11 @@ def _eval_points(e: TwoScaleExpansion, C: complex, xs: Sequence[complex],
     for x in xs:
         if abs(x) <= 1.0:
             raise ValueError("evaluation requires |x| > 1")
-        if m_used is not None and m_used < 0:
-            raise ValueError(f"m_used = {m_used} is negative; levels run 0..{e.M}")
         xis.append(e.xi(C, x))
         e._require_disk(xis[-1])
     fit = e.default_fit()
-    stars = [min(m_used if m_used is not None else least_term_index(fit.B_g, abs(x), e.M), e.M)
-             for x in xs]
-    levels = e.fm[: max(stars) + 1]
+    stars = [least_term_index(fit.B_g, abs(x), e.M) for x in xs]
+    levels = e.fm[: max(stars, default=0) + 1]
     xi = np.array(xis)[:, None, None]
     acc = levels[:, :, -1]
     for k in range(e.K - 1, -1, -1):   # Horner over every point and level at once

@@ -40,10 +40,8 @@ path; lanes do not share arithmetic, so a result is bitwise the same either way.
 
 ``integrate_path`` is the tests' independent reference: scipy's RK45,
 leg by leg at fixed tolerances.  It alone uses scipy, which only the
-``test`` extra installs, and imports it on its first call; the
-anchor's level-curve point comes from ``_brent``, a transcription of
-scipy's ``brentq`` that finds it bitwise as scipy does, so every other
-path runs on numpy alone.  Blow-up ends it with
+``test`` extra installs, and imports it on its first call, so every
+other path runs on numpy alone.  Blow-up ends it with
 ``StepUnderflow``; the partial trajectory is attached to the exception
 as ``err.trajectory``.  ``_write_csv`` is the one CSV layout, shared by
 a hunt's jet centres and ``transasym continue``.
@@ -519,15 +517,15 @@ def hunt_singularity(
     ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``
     (inf when it fails).
     """
-    return _hunts(s, [(x_start, y_start, target)], via=via)[0]
+    return _lockstep(s, _x_jet, [_hunt(s, x_start, y_start, target, via)])[0]
 
 
-def _hunts(s: NormalSystem, starts, *, via: Sequence = (), csv_paths=None) -> list:
+def _hunts(s: NormalSystem, starts, *, csv_paths=None) -> list:
     """Hunts from each (x_start, y_start, target) of ``starts`` in :func:`_lockstep`; a hunt
     with a path in ``csv_paths`` writes one row per jet centre there, the first at its start
     (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``)."""
     paths = csv_paths or [None] * len(starts)
-    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, via, p) for (x, y, t), p in zip(starts, paths)])
+    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, (), p) for (x, y, t), p in zip(starts, paths)])
 
 
 def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out=None):
@@ -769,77 +767,31 @@ def compare_arrays(predicted: SingularityArray, observed: Sequence) -> Compariso
 # -- end-to-end orchestration -------------------------------------------------
 
 
-def _brent(f, lo: float, hi: float) -> float:
-    """Root of ``f`` in [lo, hi] by Brent's method, bitwise scipy's ``brentq(f, lo, hi, xtol=1e-14)``.
-
-    A line-for-line transcription of scipy's ``brentq.c`` (Brent 1973,
-    ch. 4): inverse quadratic or secant steps, bisection whenever a step
-    is not short enough, at most 100 iterations.  Raises ``ValueError``
-    if f(lo) and f(hi) have the same sign, ``RuntimeError`` if it does
-    not converge.
-    """
-    xtol, rtol = 1e-14, 4 * math.ulp(1.0)
-    xpre, xcur = float(lo), float(hi)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
 def anchor_point(s: NormalSystem, C, arg: float):
     """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor.
 
-    log|xi| = log|C| - Re x + Re(alpha_1 log x), so Im alpha_1 enters
-    through arg x; the root in |x| is :func:`_brent`'s.
+    On the ray, log|xi/1e-3| = log|C/1e-3| - Re x + Re(alpha_1 log x) is, in u = log|x|,
+    phi(u) = log|C/1e-3| - Im(alpha_1) arg + Re(alpha_1) u - cos(arg) e^u: concave.  Newton
+    starts right of its maximum, where cos(arg) e^u >= 2 Re(alpha_1), overshoots the root
+    at most once and then falls onto it monotonically, until a step is below 1e-12.
     """
-    if math.cos(arg) <= 0:
+    c, alpha1 = math.cos(arg), complex(s.alpha[0])
+    if c <= 0:
         raise ValueError("anchor ray must point into the decaying half-plane")
     # the level is sought from |x| = 1 outwards, where |xi| = |C| e^{-cos(arg) - Im(alpha_1) arg}
-    least = _ANCHOR_XI * math.exp(math.cos(arg) + complex(s.alpha[0]).imag * arg)
+    least = _ANCHOR_XI * math.exp(c + alpha1.imag * arg)
     if abs(complex(C)) < least:   # C = 0 included
         raise ValueError(f"|C| = {abs(complex(C)):.6g} puts |xi| below {_ANCHOR_XI:g} already at "
                          f"|x| = 1 on the ray arg x = {arg:g}, so no anchor lies on it; "
                          f"|C| must be at least {least:.6g}")
-    direction, alpha1 = cmath.exp(1j * arg), complex(s.alpha[0])
-    level = math.log(abs(complex(C)) / _ANCHOR_XI)
-
-    def f(r):
-        x = r * direction
-        return level - x.real + (alpha1 * cmath.log(x)).real
-
-    return _brent(f, 1.0, 1e4) * direction
+    level, a = math.log(abs(complex(C)) / _ANCHOR_XI) - alpha1.imag * arg, alpha1.real
+    u = math.log(max(level, 2.0 * a, c) / c)   # level >= c, so u >= 0: |x| >= 1
+    for _ in range(100):
+        step = (level + a * u - c * math.exp(u)) / (a - c * math.exp(u))
+        u -= step
+        if abs(step) < 1e-12:
+            break
+    return math.exp(u) * cmath.exp(1j * arg)
 
 
 @dataclass(frozen=True)
@@ -888,9 +840,8 @@ def run_validation(
     predicted location x_ref starts at its staging point x_ref + 2.0,
     2.0 toward Re x -> +inf, from a fresh two-scale seed there, and homes
     at once (:func:`hunt_singularity`).  Every seed comes from one
-    evaluation (:func:`~transasym.expansion._eval_points`), the anchor's
-    first: no hunt starts there, but a seed refused at x_a still stops
-    the run.  The run records the seeds' depth ``e.M`` and order ``e.K``.
+    evaluation (:func:`~transasym.expansion._eval_points`); no hunt starts
+    at x_a, which the run records with the seeds' depth ``e.M`` and order ``e.K``.
     With ``extract`` set, a radius
     ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
     integrated solution, seeding from ``e`` deepened to level ``_DEEP_M`` =
@@ -906,9 +857,9 @@ def run_validation(
     x_a = anchor_point(s, C, _ANCHOR_ARG)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
     hunted = [en for en in predicted.entries if en.x_ref is not None]
-    x0s = [x_a] + [en.x_ref + _STAGING for en in hunted]
-    y0s = _eval_points(e, C, x0s)[0]  # the anchor leads: its seed is checked, though unused
-    starts = [(x0, y0, en.x_ref) for x0, y0, en in zip(x0s[1:], y0s[1:], hunted)]
+    x0s = [en.x_ref + _STAGING for en in hunted]
+    y0s = _eval_points(e, C, x0s)[0]
+    starts = [(x0, y0, en.x_ref) for x0, y0, en in zip(x0s, y0s, hunted)]
     csv_paths = [None if csv_dir is None else f"{csv_dir}/pole_n{en.n}.csv" for en in hunted]
     observations = _hunts(s, starts, csv_paths=csv_paths)
     report = compare_arrays(predicted, [o.location for o in observations])

@@ -418,7 +418,7 @@ def test_levels_evaluate_as_one_horner_sum_each(name, request):
         x = complex(rng.uniform(8.0, 14.0), rng.uniform(-3.0, 3.0))
         xi = e.reliability_radius() * rng.uniform(0.05, 0.5) * cmath.exp(2j * math.pi * rng.uniform())
         C = xi / e.xi(1.0, x)
-        value, _ = eval_two_scale(e, C, x, m_used=e.M)
+        value, _ = eval_two_scale(e, C, x)   # |x| >= 8 sums every level: m* = M
         xi, ref, xm = e.xi(C, x), np.zeros(e.system.n, dtype=e.fm[0].dtype), 1.0 + 0.0j
         for level in e.fm:
             acc = level[:, -1].copy()
@@ -446,22 +446,28 @@ def test_levels_evaluate_as_one_horner_sum_each(name, request):
     assert str(batched.value) == str(alone.value)
 
 
+def test_no_points_evaluate_to_no_values(e_p1):
+    values, bounds = _eval_points(e_p1, 12.0, [])
+    assert values.shape == (0, e_p1.system.n) and bounds == []
+
+
 def test_two_scale_profile_value(p1):
     # pick C so that xi(x) = 6 exactly at x = 10; level 0 alone gives H0(6)
-    e = build_expansion(p1, 2, 64)
+    e = build_expansion(p1, 0, 64)
     x = 10.0
     C = 6.0 / (math.exp(-x) * x ** -0.5)
-    value, _ = eval_two_scale(e, C, x, m_used=0)
+    value, _ = eval_two_scale(e, C, x)
     h = p1.observable @ value
     assert abs(h - 24.0) < 1e-9
 
 
-def test_two_scale_linearization(e_p1):
+def test_two_scale_linearization(p1):
     # |xi| tiny: observable ~ xi itself (F_0 ~ xi e_1, observable weight 1)
+    e = build_expansion(p1, 0, 32)
     x = 30.0
     C = 1e-9 / (math.exp(-x) * x ** -0.5)
-    value, _ = eval_two_scale(e_p1, C, x, m_used=0)
-    xi = e_p1.xi(C, x)
+    value, _ = eval_two_scale(e, C, x)
+    xi = e.xi(C, x)
     assert abs(complex(value[0]) - xi) < 1e-6 * abs(xi)
 
 
@@ -477,11 +483,6 @@ def test_levels_outside_0_to_M_are_rejected(e_p1):
     for m in (-1, e_p1.M + 1):
         with pytest.raises(ValueError, match=f"0..{e_p1.M}"):
             e_p1.observable_series(m)
-    with pytest.raises(ValueError, match="negative"):
-        eval_two_scale(e_p1, 12.0, 25.0 + 10.0j, m_used=-1)
-    # a level above M is capped, as before
-    assert np.array_equal(eval_two_scale(e_p1, 12.0, 25.0 + 10.0j, m_used=9)[0],
-                          eval_two_scale(e_p1, 12.0, 25.0 + 10.0j, m_used=e_p1.M)[0])
 
 
 def test_least_term_index_clips():

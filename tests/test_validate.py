@@ -6,9 +6,9 @@ import logging
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -752,42 +752,59 @@ def test_anchor_names_a_constant_too_small_for_its_ray(p1):
     assert abs(anchor_point(p1, 1.5e-3, 1.2)) > 1.0
 
 
-def test_level_curve_roots_are_bitwise_scipys_brentq():
-    # the level-curve problem anchor_point poses, |xi| = 1e-3 on a ray from
-    # |x| = 1 outward, and the same level along horizontal lines, which
-    # widen the draws of Brent's method; a constant too small for the ray
-    # puts the level below |x| = 1, where both finders refuse with one message
+def _anchor_radius(C, alpha1, arg):
+    """|x| where |xi| = 1e-3 on the ray arg x = arg, to 40 digits, or None below |x| = 1.
+
+    The root of phi(u) = log|C/1e-3| - Im(alpha_1) arg + Re(alpha_1) u - cos(arg) e^u
+    in u = log|x|, bracketed right of phi's maximum.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c, a = mpmath.cos(arg), mpmath.mpf(alpha1.real)
+        level = mpmath.log(mpmath.mpf(abs(C)) / mpmath.mpf("1e-3")) - alpha1.imag * mpmath.mpf(arg)
+
+        def phi(u):
+            return level + a * u - c * mpmath.exp(u)
+
+        if phi(0) < 0:
+            return None
+        lo = mpmath.log(a / c) if a > c else mpmath.mpf(0)
+        hi = lo + 1
+        while phi(hi) >= 0:
+            hi = 2 * hi
+        return float(mpmath.exp(mpmath.findroot(phi, (lo, hi), solver="illinois")))
+
+
+def test_anchor_is_the_mpmath_root_on_its_ray():
+    # a constant too small for the ray puts the level below |x| = 1, where
+    # anchor_point refuses
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    rays = st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True).map(
-        lambda arg: (lambda r, d=cmath.exp(1j * arg): r * d, 1.0, 1e4))
-    heights = st.floats(0.5, 200.0, exclude_min=True, exclude_max=True).map(
-        lambda h: (lambda u: complex(u, h), -1e4, 1e4))
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(st.floats(-5.0, 8.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
-                      st.one_of(rays, heights))
-    @hypothesis.example(-4.0, -0.5, 0.0, (complex, 1.0, 1e4))  # no root on the real ray
-    def check(log10_c, re_a1, im_a1, problem):
-        # only |C| enters the level
-        line, lo, hi = problem
-        level = math.log(10.0 ** log10_c / 1e-3)
-        alpha1 = complex(re_a1, im_a1)
-
-        def f(t):
-            x = line(t)
-            return level - x.real + (alpha1 * cmath.log(x)).real
-
-        try:
-            want = brentq(f, lo, hi, xtol=1e-14)
-        except ValueError as err:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
-                validate._brent(f, lo, hi)
-            assert f(lo) * f(hi) > 0
-        else:
-            assert validate._brent(f, lo, hi).hex() == want.hex()
+                      st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True))
+    @hypothesis.example(-4.0, -0.5, 0.0, 0.0)  # no root on the real ray
+    def check(log10_c, re_a1, im_a1, arg):
+        s = types.SimpleNamespace(alpha=[complex(re_a1, im_a1)])
+        C, want = 10.0 ** log10_c, _anchor_radius(10.0 ** log10_c, s.alpha[0], arg)
+        if want is None:
+            with pytest.raises(ValueError, match=r"\|C\| must be at least"):
+                anchor_point(s, C, arg)
+            return
+        x = anchor_point(s, C, arg)
+        assert cmath.phase(x) == pytest.approx(arg, abs=1e-15)
+        assert abs(abs(x) - want) <= 1e-14 * want
 
     check()
+
+
+def test_an_anchor_lies_beyond_any_fixed_bracket(p1, e_p1):
+    # C = 1e100 on arg x = 1.55 puts the level |xi| = 1e-3 near |x| = 1.12e4
+    x = anchor_point(p1, 1e100, 1.55)
+    want = _anchor_radius(1e100, complex(p1.alpha[0]), 1.55)
+    assert want > 1e4 and abs(abs(x) - want) <= 1e-14 * want
+    assert abs(e_p1.xi(1e100, x)) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_the_package_imports_without_scipy(tmp_path, monkeypatch, capsys):
@@ -846,7 +863,7 @@ def _starts(monkeypatch, s, e, C, n_range):
                                                ("abel", 1.0, range(1, 11))])
 def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n_range):
     # every hunt starts 2.0 toward Re x -> +inf from its refined target, from
-    # a seed of the one batched evaluation, whose first point is the anchor
+    # a seed of the one batched evaluation, which leaves out the anchor
     s = request.getfixturevalue(label)
     e = request.getfixturevalue(f"e_{label}")
     evaluated, eval_points = [], validate._eval_points
@@ -864,9 +881,9 @@ def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n
     assert len(targets) == len(n_range)
     assert [t for _, _, t in calls] == targets
     assert [x0 for x0, _, _ in calls] == [t + validate._STAGING for t in targets]
-    assert evaluated == [[x_a, *(x0 for x0, _, _ in calls)]]
+    assert evaluated == [[x0 for x0, _, _ in calls]]
     seeds = eval_points(e, C, evaluated[0])[0]
-    for (x0, y0, _), y_seed in zip(calls, seeds[1:]):
+    for (x0, y0, _), y_seed in zip(calls, seeds, strict=True):
         assert np.array_equal(y0, y_seed)
         assert np.array_equal(y0, eval_two_scale(e, C, x0)[0])
 
