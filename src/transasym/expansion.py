@@ -32,19 +32,19 @@ it reads; a component singular at some order is masked to 0 only when
 one is, and on one level the inverse is the identity and is skipped.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
-monomial table (state rows, a constant row, product chains sorted by
-length, one coefficient matrix), kept on the ``NormalSystem``.  The
-build and both jet kernels run on that one table.  The build fills its
-running products over two indices, z^m and xi^k; over one index they
+monomial table (state rows, a constant row, one full grid of products
+per chain length, one coefficient matrix), kept on the ``NormalSystem``.
+The build and both jet kernels run on that one table.  The build fills
+its running products over two indices, z^m and xi^k; over one index they
 give the Taylor jet of a solution in x about any point, and of F_0 in
 xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
 read the first, and ``continue_f0`` walks the second; one kernel call
 computes the jets of many walks, one lane each.  The kernels, and the
 build at xi^2..xi^K, hold the table order-major: each Taylor order is
-one batched matmul and one constant selection per chain length, and one
-batched matmul against a step matrix folding the monomials'
-coefficients.  Lanes share only batched matmuls, so no lane's
-arithmetic depends on the others.
+one batched matmul per chain length, whose output is that length's grid
+block, and one batched matmul against a step matrix folding the
+monomials' coefficients, written in place as the next states.  Lanes
+share only batched matmuls, so no lane's arithmetic depends on the others.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -91,11 +91,14 @@ _SUP_POINTS = 256  # roots on the circle where gevrey_fit takes its sup norms
 def _program(s: NormalSystem) -> tuple:
     """The right side -L y + z A y + g(z, y) of ``s`` as a monomial table, kept on ``s``.
 
-    Table rows are the state components, a constant 1, then product
-    chains sorted by length.  Returns (rows in all, per chain length
-    (chain, head, tail) index arrays with row chain = row head times
-    component tail, per chain length the slices of its heads and its rows
-    and each chain's index among the (head, component) products, and
+    Table rows are the state components, a constant 1, then per chain
+    length L >= 2 a full grid: every row of length L - 1 times every
+    component, at row (block start + n head offset + component).  A monomial's
+    coefficient sits on the row of its sorted factors; the other grid rows
+    have zero columns.  So a kernel writes each block as one matmul, in
+    place.  1 + sum_L n^L rows: 7 for p1 (6 compact), 15 for p2a and p2b
+    (10), and for n = 1 (Abel, 4) the compact table itself.  Returns (rows
+    in all, per chain length the slices of its heads and of its rows, and
     W[p, :, row], the z^p coefficients by row).
     """
     if s._program is None:
@@ -104,18 +107,12 @@ def _program(s: NormalSystem) -> tuple:
                  for j in range(n) for i, c in ((0, -s.lam[j]), (1, s.alpha[j]))]
         terms += [(i, tuple(j for j, p in enumerate(k) for _ in range(p)), vec)
                   for (i, k), vec in s.germ.terms.items()]
-        keys = dict.fromkeys(f[:L] for _, f, _ in terms for L in range(2, len(f) + 1))
-        chains = {**{(j,): j for j in range(n)}, (): n,
-                  **{k: n + 1 + r for r, k in enumerate(sorted(keys, key=len))}}
-        W = np.zeros((max(i for i, _, _ in terms) + 1, len(chains), n), dtype=complex)
-        for i, factors, vec in terms:
-            W[i, chains[factors]] += vec
-        steps = [tuple(map(np.array, zip(*[(row, chains[key[:-1]], key[-1])
-                                            for key, row in chains.items() if len(key) == L])))
-                 for L in range(2, max(map(len, chains)) + 1)]
-        spans = [slice(0, n)] + [slice(c[0], c[-1] + 1) for c, _, _ in steps]
-        groups = [(a, b, (h - a.start) * n + t) for a, b, (_, h, t) in zip(spans, spans[1:], steps)]
-        s._program = (len(chains), steps, groups, W.transpose(0, 2, 1).copy())
+        ends = np.cumsum([n + 1, *n ** np.arange(2, max(len(f) for _, f, _ in terms) + 1)])
+        spans = [slice(n, n + 1), slice(0, n)] + [slice(a, b) for a, b in zip(ends, ends[1:])]
+        W = np.zeros((max(i for i, _, _ in terms) + 1, ends[-1], n), dtype=complex)
+        for i, f, vec in terms:   # spans[L] holds the rows of length L, the constant row at 0
+            W[i, spans[len(f)].start + np.ravel_multi_index(f, (n,) * len(f))] += vec
+        s._program = (int(ends[-1]), list(zip(spans[1:], spans[2:])), W.transpose(0, 2, 1).copy())
     return s._program
 
 
@@ -139,7 +136,7 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     T[:, m - p, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read while
     Y_{m,k} is still 0, so the -L y monomials drop out.  Each cell of the
     columns xi^0 and xi^1 extends each chain length by one contraction
-    over (level, xi).
+    over (level, xi), whose (head, component) products are its grid block.
 
     Then the orders k = 2..K are solved one at a time, every level at
     once, on the table held order-major, F[k, m, row].  The states u =
@@ -162,7 +159,7 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         terms = ", ".join(f"(i={i}, k={list(k)})" for i, k in bad)
         raise ValueError(f"germ breaks the order condition at {terms}")
     n, lam, alpha1 = s.n, s.lam, s.alpha[0]
-    size, steps, groups, W = _program(s)
+    size, groups, W = _program(s)
     depth = M + 2 if M >= 1 and K >= 1 else M + 1
     T = np.zeros((size, depth, K + 1), dtype=dtype)
     T[n, 0, 0] = 1.0
@@ -196,9 +193,9 @@ def _coefficients(s: NormalSystem, M: int, K: int,
             any_sing, divisor = sing.any(), np.where(sing, 1, denom)
             for m in range(1, depth):
                 tails = Y[:, m::-1, k::-1].reshape(n, -1).T
-                for heads, chain, sel in groups:
+                for heads, chain in groups:
                     P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
-                    T[chain, m, k] = P.reshape(-1)[sel]
+                    T[chain, m, k] = P.reshape(-1)
                 if k == 1 and m >= 2:
                     # solvability of the first component pins c_{m-1}, slope m - 1
                     Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
@@ -239,9 +236,9 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     # D[row, j, d] = d T[row, m, k] / d Y_{m-d,k}[j], carried along the chain steps
     D = np.zeros((size, n, L), dtype=dtype)
     D[range(n), range(n), 0] = 1.0
-    for chain, head, tail in steps:
-        D[chain] = D[head] @ R[K].transpose(1, 0, 2)[tail]
-        D[chain, tail] += F[0][:, head].T
+    for heads, chain in groups:   # D[chain] as [head, tail, j, d]: D[head] @ R[K][:, tail]
+        G = np.matmul(D[heads, None], R[K].transpose(1, 0, 2), out=D[chain].reshape(-1, n, n, L))
+        G[:, range(n), range(n)] += F[0][:, heads].T[:, None]
     Wl, Dl = _block_toeplitz(W, L), _block_toeplitz(D.transpose(2, 0, 1), L)
     A = Wl @ Dl   # W~ D, read below its diagonal blocks only
     # B[:, :, k - 2] solves A_k u = -r as u = B_k (r / (lambda - k)): forward substitution
@@ -264,9 +261,9 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
         for k in range(2, K + 1):
             Fk, tails = F[k], RT[:, K - k + 1 :].reshape(L, k, n * L)
-            for heads, chain, sel in groups:
+            for heads, chain in groups:
                 P = F[1 : k + 1, :, heads].transpose(1, 2, 0) @ tails
-                Fk[:, chain] = (P[0] if L == 1 else P.sum(0)).reshape(-1, L)[sel].T
+                Fk[:, chain] = (P[0] if L == 1 else P.sum(0)).reshape(-1, L).T
             u = (Wl @ Fk.reshape(-1)) / denom[k - 2]
             if L > 1:   # B_k is the identity on one level
                 u = B[k - 2] @ u
@@ -294,20 +291,22 @@ def _coefficients(s: NormalSystem, M: int, K: int,
 def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
     """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``: on the
     order-major table T[b, k, row] and the states reversed in R[b, order - k], order k of
-    each chain length is one batched matmul, heads against states, and one selection; then
-    ``step(T, k)`` gives order k+1 of the states.  Lanes share only batched matmuls."""
-    size, _, groups, _ = _program(s)
+    each chain block is one batched matmul, heads against states, written in place; then
+    ``step(T, k)`` writes order k+1 of the states in T.  Lanes share only batched matmuls."""
+    size, groups, _ = _program(s)
     y0 = np.asarray(y0, dtype=complex)
     B, n = y0.shape[1], s.n
     T = np.zeros((B, order + 1, size), dtype=complex)
     R = np.zeros((B, order + 1, n), dtype=complex)
     T[:, 0, :n] = R[:, order] = y0.T
     T[:, 0, n] = 1.0
+    H = T.transpose(0, 2, 1)   # heads by row, then order; each block[:, k] [lane, head, component]
+    blocks = [(h, T[:, :, c].reshape(B, order + 1, -1, n)) for h, c in groups]
     for k in range(order):
-        for heads, chain, sel in groups:
-            P = T[:, : k + 1, heads].transpose(0, 2, 1) @ R[:, order - k :]
-            T[:, k, chain] = P.reshape(B, -1)[:, sel]
-        T[:, k + 1, :n] = R[:, order - k - 1] = step(T, k)
+        for heads, block in blocks:
+            np.matmul(H[:, heads, : k + 1], R[:, order - k :], out=block[:, k])
+        step(T, k)
+        R[:, order - k - 1] = T[:, k + 1, :n]
     return T[:, :, :n].transpose(0, 2, 1).copy()
 
 
@@ -340,7 +339,8 @@ def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
 
     def step(T, k):
         cols = T.reshape(len(T), -1, 1)[:, : (k + 1) * T.shape[2]]
-        return (G[:, :, (order - k) * T.shape[2]:] @ cols)[..., 0] / (k + 1)
+        out = np.matmul(G[:, :, (order - k) * T.shape[2]:], cols, out=T[:, k + 1, : s.n, None])
+        out /= k + 1
 
     return _jets(s, y0, order, step)
 
@@ -360,7 +360,7 @@ def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
     Q = (-rho / xi0)[:, None, None, None] * ((W0 + k * np.eye(*W0.shape)) / (k + 1))
 
     def step(T, k):
-        return (Q[:, k] @ T[:, k, :, None])[..., 0]
+        np.matmul(Q[:, k], T[:, k, :, None], out=T[:, k + 1, : s.n, None])
 
     return _jets(s, F0, order, step)
 

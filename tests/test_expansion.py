@@ -12,8 +12,8 @@ from scipy.integrate import solve_ivp
 from closed_forms import abel_F0_of_xi
 from transasym import oracles
 from transasym.errors import OutsideReliableDisk, ResonantOrder
-from transasym.expansion import (TwoScaleExpansion, _eval_points, _x_jet, _xi_jet,
-                                 build_expansion, eval_two_scale, formal_power_series,
+from transasym.expansion import (TwoScaleExpansion, _eval_points, _program, _x_jet,
+                                 _xi_jet, build_expansion, eval_two_scale, formal_power_series,
                                  gevrey_fit, least_term_index)
 from transasym.series import AnalyticGerm, compose_germ_series
 from transasym.systems import NormalSystem, builtin
@@ -567,6 +567,38 @@ def test_lone_lanes_are_bitwise_lanes_of_a_batch():
             for b in range(B):
                 lone = kernel(s, c[b : b + 1], y0[:, b : b + 1], r[b : b + 1], _JET_ORDER)
                 assert np.array_equal(lone[0], batch[b])
+
+    check()
+
+
+def test_table_rows_contracted_with_w_give_the_field():
+    # rows formed as the kernels form them (states, 1, then each chain block one matmul of
+    # its heads against the states) give the field at (z, y); each germ monomial sits on
+    # exactly one row, whose exponents, formed the same way, are its own
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def check(seed, point):
+        s, rng = _random_system(seed), np.random.default_rng(point)
+        n, (size, groups, W) = s.n, _program(s)
+        z = rng.uniform(0.02, 0.5) * np.exp(2j * np.pi * rng.random())
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rows, powers = np.zeros(size, dtype=complex), np.zeros((size, n), dtype=int)
+        rows[:n], rows[n], powers[:n] = y, 1.0, np.eye(n, dtype=int)
+        for heads, chain in groups:
+            rows[chain] = (rows[heads, None] @ y[None]).reshape(-1)
+            powers[chain] = (powers[heads, None] + np.eye(n, dtype=int)).reshape(-1, n)
+        got = sum(z ** p * W[p] @ rows for p in range(len(W)))
+        scale = sum(abs(z) ** p * np.abs(W[p]) @ np.abs(rows) for p in range(len(W)))
+        assert np.max(np.abs(got - s.field(1 / z, y))) <= 1e-13 * np.max(scale)
+        chains = [(i, r) for i in range(len(W)) for r in range(n + 1, size) if W[i][:, r].any()]
+        products = {(i, k): vec for (i, k), vec in s.germ.terms.items() if sum(k) >= 2}
+        assert len(chains) == len(products)
+        for (i, k), vec in products.items():
+            (r,) = [r for j, r in chains if j == i and tuple(powers[r]) == k]
+            assert np.array_equal(W[i][:, r], vec)
 
     check()
 

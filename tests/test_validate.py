@@ -524,18 +524,23 @@ def test_ladder_logs_its_jets(caplog, p1, e12_p1):
     assert 1 <= ladder["jets"] < len(radii) - 1
 
 
+def _inward(arg, r, rungs):
+    """(start, waypoints) on the ray ``arg``, from |x| = r inward by each of ``rungs``."""
+    return cmath.rect(r, arg), [cmath.rect(w, arg) for w in r - np.cumsum(rungs)]
+
+
 def _inward_walks():
     """Strategy: (start, waypoints) on a p1 ray, 3..8 rungs inward from |x| in [25, 45]."""
     st = pytest.importorskip("hypothesis.strategies")
     return st.tuples(st.floats(0.8, 1.3), st.floats(25.0, 45.0),
                      st.lists(st.floats(0.3, 3.0), min_size=3, max_size=8)).map(
-        lambda d: (cmath.rect(d[1], d[0]),
-                   [cmath.rect(r, d[0]) for r in d[1] - np.cumsum(d[2])]))
+        lambda d: _inward(*d))
 
 
 def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
-    # each state of one walk against single-waypoint walks chained leg by leg;
-    # two walks in lockstep end bitwise as they do alone
+    # each state of one walk against single-waypoint walks chained leg by leg, within
+    # 16 eps e^{Re(x0 - w)} of max|y|: walking inward grows the e^{-x} mode by that factor
+    # (the largest ratio in 300 draws is 2.6); two walks in lockstep end bitwise as alone
     hypothesis = pytest.importorskip("hypothesis")
 
     def seed(x):
@@ -546,6 +551,7 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
 
     @hypothesis.settings(max_examples=20, deadline=None, database=None)
     @hypothesis.given(_inward_walks(), _inward_walks())
+    @hypothesis.example(_inward(1.0, 25.0, [1, 1, 1]), _inward(0.8125, 36.0, [1, 1, 3, 3, 3, 3]))
     def check(first, second):
         lone = []
         for x0, pts in (first, second):
@@ -555,7 +561,8 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
             for w, got in zip(pts, states, strict=True):
                 (y,), rho = alone(validate._walk(x, y, [w], rho, legs))
                 x = w
-                assert np.max(np.abs(got - y)) <= 1e-12 * np.max(np.abs(y))
+                bound = 16 * np.finfo(float).eps * math.exp((x0 - w).real) * np.max(np.abs(y))
+                assert np.max(np.abs(got - y)) <= bound
             assert len(centres) <= len(legs)
             lone.append(states)
         both = validate._lockstep(p1, _x_jet, [
