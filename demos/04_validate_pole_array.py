@@ -24,9 +24,9 @@ from transasym import build_expansion, builtin, run_validation
 
 def main(n_lo, n_hi):
     s, _ = builtin("p1")
-    e = build_expansion(s, 2, 32)
+    e = build_expansion(s, 8, 32)
     run = run_validation(s, e, 12.0, range(n_lo, n_hi + 1))
-    print(f"anchor {run.anchor:.4f}, {len(run.predicted.entries)} predictions")
+    print(f"{len(run.predicted.entries)} predictions")
     for n, x_pred, x_obs, dist in run.report.pairs:
         print(f"n = {n:2d}: predicted {x_pred:+.5f}  observed {x_obs:+.5f}"
               f"  |Delta| = {dist:.5f}")

@@ -41,7 +41,6 @@ from .validate import (
     ComparisonReport,
     PoleObservation,
     ValidationRun,
-    anchor_point,
     compare_arrays,
     detect_singularity,
     extract_C,

@@ -27,7 +27,8 @@ from . import oracles
 from .expansion import build_expansion, eval_two_scale, gevrey_fit
 from .singular import continue_f0, predict_array, radius_estimate
 from .systems import builtin
-from .validate import extraction_ladder, hunt_singularity, ladder_radii, run_validation
+from .validate import (_STAGING, extraction_ladder, hunt_singularity, ladder_radii,
+                       run_validation)
 
 __all__ = ["CHECKS", "run_check", "run_all", "format_report"]
 
@@ -45,7 +46,7 @@ def _expansion(label: str, M: int, K: int):
 @lru_cache(maxsize=None)
 def _survey():
     """Hunted pole survey shared by checks 5, 6 and 10, with its wall time."""
-    e = _expansion("p1", 2, 32)
+    e = _expansion("p1", 8, 32)
     t0 = time.perf_counter()
     run = run_validation(_system("p1"), e, 12.0, range(8, 21))
     return run, time.perf_counter() - t0
@@ -53,7 +54,7 @@ def _survey():
 
 @lru_cache(maxsize=None)
 def _abel_models():
-    """Two branch points hunted from the anchor plus the closed two-circuit defect."""
+    """Two branch points hunted from their staging points plus the closed two-circuit defect."""
     s = _system("abel")
     obs = run_validation(s, _expansion("abel", 2, 48), 1.0, [2, 3]).observations
     # double circuit about the branch point; the square-root pair
@@ -78,7 +79,7 @@ def _rel_coeff_dev(got, ref) -> float:
 
 def _check_profiles() -> tuple[bool, str]:
     t0 = time.perf_counter()
-    e = _expansion("p1", 2, 32)
+    e = _expansion("p1", 8, 32)
     dev = max(_rel_coeff_dev(e.observable_series(m).coeffs[:15],
                              oracles.p1_h_taylor(m, 14))
               for m in range(3))
@@ -89,7 +90,7 @@ def _check_profiles() -> tuple[bool, str]:
 
 
 def _check_scale_correction() -> tuple[bool, str]:
-    A = oracles.pole_scale_correction(_expansion("p1", 2, 32))
+    A = oracles.pole_scale_correction(_expansion("p1", 8, 32))
     err = abs(A - 10.9)
     return err <= 1e-6, (f"singular-scale correction A = {A.real:.10f}: "
                          f"|A - 109/10| = {err:.2e} (tol 1e-6)")
@@ -184,12 +185,12 @@ def _check_refinement_gap() -> tuple[bool, str]:
 def _check_second_array() -> tuple[bool, str]:
     run, _ = _survey()
     x_s = run.observations[0].location          # refined n = 8 pole
-    s = _system("p1")
-    y_a, _ = eval_two_scale(_expansion("p1", 2, 32), 12.0, run.anchor)
+    x_0 = run.predicted.entries[0].x_ref + _STAGING  # where the survey's n = 8 hunt starts
+    y_0, _ = eval_two_scale(_expansion("p1", 8, 32), 12.0, x_0)
     by_n = {en.n: en.x_ref for en in predict_array(12.0, 12.0, -0.5, [6, 7]).entries}
     gate = 0.5 * (by_n[6] + by_n[7])            # cross between first-array poles
     targets = [x_s + oracles.p1_second_array_offset(x_s, m) for m in (0, 1)]
-    obs = [hunt_singularity(s, run.anchor, y_a, t, via=(gate,)) for t in targets]
+    obs = [hunt_singularity(_system("p1"), x_0, y_0, t, via=(gate,)) for t in targets]
     deltas = [abs(o.location - t) for o, t in zip(obs, targets)]
     ok = max(deltas) <= 0.3
     return ok, (f"second-array targets m = 0, 1 seeded from the refined n = 8 "

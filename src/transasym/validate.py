@@ -88,7 +88,6 @@ __all__ = [
     "extraction_ladder",
     "ladder_radii",
     "compare_arrays",
-    "anchor_point",
     "run_validation",
 ]
 
@@ -107,7 +106,7 @@ _EPS = 1e-16  # truncation a walk step allows, relative to the state
 _STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
 _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
 _RUNGS, _SPAN = 8, 7.0  # rungs of a C ladder, and its half-width in |x|
-_ANCHOR_ARG, _ANCHOR_XI = 1.2, 1e-3  # ray of a validation run's anchor, and |xi| there
+_LADDER_ARG = 1.2  # ray of a validation run's C ladder
 _DEEP_M = 12  # least level of the expansion a validation run's C ladder seeds from
 _CAPTURE = 1.0  # farthest a hunt's pole may lie from its target and still match it
 _RK_RTOL, _RK_ATOL, _ESCAPE = 1e-10, 1e-12, 1e8  # of integrate_path: RK45 tolerances, stop norm
@@ -767,42 +766,16 @@ def compare_arrays(predicted: SingularityArray, observed: Sequence) -> Compariso
 # -- end-to-end orchestration -------------------------------------------------
 
 
-def anchor_point(s: NormalSystem, C, arg: float):
-    """Point on the ray arg(x) = arg where |xi| = 1e-3, the level of a validation run's anchor.
-
-    On the ray, log|xi/1e-3| = log|C/1e-3| - Re x + Re(alpha_1 log x) is, in u = log|x|,
-    phi(u) = log|C/1e-3| - Im(alpha_1) arg + Re(alpha_1) u - cos(arg) e^u: concave.  Newton
-    starts right of its maximum, where cos(arg) e^u >= 2 Re(alpha_1), overshoots the root
-    at most once and then falls onto it monotonically, until a step is below 1e-12.
-    """
-    c, alpha1 = math.cos(arg), complex(s.alpha[0])
-    if c <= 0:
-        raise ValueError("anchor ray must point into the decaying half-plane")
-    # the level is sought from |x| = 1 outwards, where |xi| = |C| e^{-cos(arg) - Im(alpha_1) arg}
-    least = _ANCHOR_XI * math.exp(c + alpha1.imag * arg)
-    if abs(complex(C)) < least:   # C = 0 included
-        raise ValueError(f"|C| = {abs(complex(C)):.6g} puts |xi| below {_ANCHOR_XI:g} already at "
-                         f"|x| = 1 on the ray arg x = {arg:g}, so no anchor lies on it; "
-                         f"|C| must be at least {least:.6g}")
-    level, a = math.log(abs(complex(C)) / _ANCHOR_XI) - alpha1.imag * arg, alpha1.real
-    u = math.log(max(level, 2.0 * a, c) / c)   # level >= c, so u >= 0: |x| >= 1
-    for _ in range(100):
-        step = (level + a * u - c * math.exp(u)) / (a - c * math.exp(u))
-        u -= step
-        if abs(step) < 1e-12:
-            break
-    return math.exp(u) * cmath.exp(1j * arg)
-
-
 @dataclass(frozen=True)
 class ValidationRun:
-    """Everything one validation pass produced; ``M`` and ``K`` are the seeds' depth and order."""
+    """Everything one validation pass produced: the predicted array, one
+    observation per hunted entry, their comparison and, when asked, the C
+    ladder's estimate.  ``M`` and ``K`` are the seeds' depth and order."""
 
     system: str
     C: complex
     M: int
     K: int
-    anchor: complex
     predicted: SingularityArray
     observations: tuple
     report: ComparisonReport
@@ -814,7 +787,6 @@ class ValidationRun:
             "C": [self.C.real, self.C.imag],
             "M": self.M,
             "K": self.K,
-            "anchor": [self.anchor.real, self.anchor.imag],
             "predicted": self.predicted.to_dict(),
             "observations": [o.to_dict() for o in self.observations],
             "comparison": self.report.to_dict(),
@@ -835,26 +807,23 @@ def run_validation(
 ) -> ValidationRun:
     """Predict a pole array, hunt each pole with Taylor jets, and compare.
 
-    The anchor x_a is the point of the ray arg x = 1.2 where |xi| = 1e-3
-    (:func:`anchor_point`), far from every pole.  The hunt for each refined
-    predicted location x_ref starts at its staging point x_ref + 2.0,
-    2.0 toward Re x -> +inf, from a fresh two-scale seed there, and homes
-    at once (:func:`hunt_singularity`).  Every seed comes from one
-    evaluation (:func:`~transasym.expansion._eval_points`); no hunt starts
-    at x_a, which the run records with the seeds' depth ``e.M`` and order ``e.K``.
-    With ``extract`` set, a radius
-    ladder on the anchor ray (:func:`ladder_radii`) re-measures C from the
-    integrated solution, seeding from ``e`` deepened to level ``_DEEP_M`` =
-    12 when it is shallower, in the precision of ``e``.  With ``csv_dir``
-    set, each hunt writes its jet centres to ``pole_n<n>.csv`` there.  The
-    hunts walk in lockstep (see :func:`_hunts`): once all have ended, the
-    first failure in n order is raised.  The run is labelled with
-    ``s.label``.
+    The hunt for each refined predicted location x_ref starts at its
+    staging point x_ref + 2.0, 2.0 toward Re x -> +inf, from a fresh
+    two-scale seed there, and homes at once (:func:`hunt_singularity`).
+    Every seed comes from one evaluation
+    (:func:`~transasym.expansion._eval_points`) of ``e``, whose depth
+    ``e.M`` and order ``e.K`` the run records.  With ``extract`` set, a
+    radius ladder on the ray arg x = 1.2 (:func:`ladder_radii`) re-measures
+    C from the integrated solution, seeding from ``e`` deepened to level
+    ``_DEEP_M`` = 12 when it is shallower, in the precision of ``e``.  With
+    ``csv_dir`` set, each hunt writes its jet centres to ``pole_n<n>.csv``
+    there.  The hunts walk in lockstep (see :func:`_hunts`): once all have
+    ended, the first failure in n order is raised.  The run is labelled
+    with ``s.label``.
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")
     C = complex(C)
-    x_a = anchor_point(s, C, _ANCHOR_ARG)
     predicted = predict_array(s.xi_s_hint, C, s.alpha[0], n_range)
     hunted = [en for en in predicted.entries if en.x_ref is not None]
     x0s = [en.x_ref + _STAGING for en in hunted]
@@ -868,13 +837,12 @@ def run_validation(
         # the seed floor scales like cos(arg)^{M+1}; hunting depth is not
         # enough for a 1e-3 constant measurement, so deepen if needed
         e_x = e if e.M >= _DEEP_M else build_expansion(s, _DEEP_M, e.K, dtype=e.fm.dtype)
-        extraction = extraction_ladder(s, e_x, C, _ANCHOR_ARG, ladder_radii(e_x, _ANCHOR_ARG))
+        extraction = extraction_ladder(s, e_x, C, _LADDER_ARG, ladder_radii(e_x, _LADDER_ARG))
     return ValidationRun(
         system=s.label,
         C=C,
         M=e.M,
         K=e.K,
-        anchor=x_a,
         predicted=predicted,
         observations=tuple(observations),
         report=report,

@@ -197,16 +197,13 @@ def _overflow(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv, message, broken, config", [
-    # on arg x = 1.2, |xi| < 1e-3 already at |x| = 1 once |C| < 1e-3 e^{cos 1.2}
-    (["validate", "p1", "--C", "1.4e-3", "--n", "8..9"],
-     "|C| = 0.0014 puts |xi| below 0.001 already at |x| = 1 on the ray arg x = 1.2", None, None),
     # an ArithmeticError from any callee is a domain error too
     (["predict", "p1", "--C", "12", "--n", "1"], "math range error", "predict_array", None),
     # a usage error found after parsing is a ValueError and exits 2 as well: here an
     # unknown label, read from a config
     (["validate", "--config", "cfg.json"], "no builtin system named 'nope'", None,
      {"label": "nope", "C": [12.0, 0.0], "n_range": [8, 9]}),
-], ids=["no-anchor", "overflow", "unknown-label"])
+], ids=["overflow", "unknown-label"])
 def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message,
                                                 broken, config):
     monkeypatch.chdir(tmp_path)
@@ -218,6 +215,17 @@ def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("transasym: ") and message in err and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
+
+
+def test_validate_surveys_a_small_constant(tmp_path, monkeypatch, capsys):
+    # |C| = 1e-3 keeps |xi| below 1e-3 all along the ray arg x = 1.2; each
+    # hunt still seeds at its own staging point, 2.0 from its target
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "p1", "--C", "1e-3", "--n", "8..12"]) == 0
+    assert "5/5 matched" in capsys.readouterr().out
+    comparison = json.loads((tmp_path / "run.json").read_text())["comparison"]
+    assert comparison["stats"]["max_distance"] < 0.05
+    assert comparison["unmatched_predictions"] == comparison["unmatched_observations"] == []
 
 
 def test_predict_solves_where_e_to_the_minus_x_overflows(tmp_path, monkeypatch, capsys):

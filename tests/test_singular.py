@@ -106,19 +106,19 @@ def test_radius_flags_beating_singularities():
     assert info.value.modulus == pytest.approx(2.0, rel=0.05)
 
 
-def _homing_series(monkeypatch, s, e, C, n):
+def _homing_series(monkeypatch, s, e, C, n, x_far):
     """The observable's coefficients on the first jet homing reads, hunting
-    pole n of ``s`` from its anchor."""
+    pole n of ``s`` from ``x_far``."""
     asks, reads = [], validate._reads
-    x_a = validate.anchor_point(s, C, 1.2)
     target = predict_array(s.xi_s_hint, C, s.alpha[0], [n]).entries[0].x_ref
     with monkeypatch.context() as m:
         m.setattr(validate, "_reads", lambda s_, qs: asks.extend(qs) or reads(s_, qs))
-        validate.hunt_singularity(s, x_a, eval_two_scale(e, C, x_a)[0], target)
+        validate.hunt_singularity(s, x_far, eval_two_scale(e, C, x_far)[0], target)
     return s.observable @ asks[0].a
 
 
-def test_one_read_over_a_stack_is_each_lone_read(monkeypatch, p1, e_p1, abel, e_abel):
+def test_one_read_over_a_stack_is_each_lone_read(monkeypatch, p1, e_p1, abel, e_abel,
+                                                  far_start):
     # lanes of every fate in one stack of 41 coefficients, as homing reads them
     # together: each is bitwise its lone estimate, or raises the same error
     even = np.zeros(41, dtype=complex)
@@ -133,8 +133,8 @@ def test_one_read_over_a_stack_is_each_lone_read(monkeypatch, p1, e_p1, abel, e_
     sparse[::3] = 1.0  # 14 nonzero coefficients
     short = _binomial_series(-2.0, 3.0, 40).coeffs.copy()
     short[25] = 0.0  # a trailing run of 15
-    stack = np.array([_homing_series(monkeypatch, p1, e_p1, 12.0, 10),
-                      _homing_series(monkeypatch, abel, e_abel, 1.0, 1),
+    stack = np.array([_homing_series(monkeypatch, p1, e_p1, 12.0, 10, far_start["p1"]),
+                      _homing_series(monkeypatch, abel, e_abel, 1.0, 1, far_start["abel"]),
                       even, holes, beats, ends, sparse, short])
     reads = _domb_sykes(stack)
     assert [type(r).__name__ for r in reads] == [

@@ -8,7 +8,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from transasym.series import AnalyticGerm
 from transasym.singular import RadiusEstimate, predict_array
 from transasym.systems import NormalSystem, builtin
 from transasym.validate import (CEstimate, PoleObservation,
-                                ValidationRun, anchor_point, compare_arrays,
+                                ValidationRun, compare_arrays,
                                 detect_singularity, extract_C, extraction_ladder,
                                 hunt_singularity, integrate_path, ladder_radii,
                                 run_validation)
@@ -243,49 +242,49 @@ def test_entire_solution_is_no_blowup(lin):
         detect_singularity(lin, 2.0 + 1.0j, [1.0])
 
 
-def test_straight_shot_underflows_at_the_pole(p1, e_p1):
+def test_straight_shot_underflows_at_the_pole(p1, e_p1, far_start):
     arr = predict_array(12.0, 12.0, -0.5, [10])
     x_ref = arr.entries[0].x_ref
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
-    beyond = x_ref + 0.3 * (x_ref - x_a) / abs(x_ref - x_a)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
+    beyond = x_ref + 0.3 * (x_ref - x_far) / abs(x_ref - x_far)
     with pytest.raises(StepUnderflow) as info:
-        integrate_path(p1, y_a, (x_a, beyond))
+        integrate_path(p1, y_far, (x_far, beyond))
     assert abs(info.value.where - x_ref) < 0.05
     assert info.value.trajectory.x.shape[0] > 100
     assert info.value.trajectory.stats["stopped"] == "state escaped"
 
 
-def test_hunt_lands_on_predicted_pole(p1, e_p1):
+def test_hunt_lands_on_predicted_pole(p1, e_p1, far_start):
     arr = predict_array(12.0, 12.0, -0.5, [10])
     en = arr.entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
-    obs = hunt_singularity(p1, x_a, y_a, en.x_ref)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
+    obs = hunt_singularity(p1, x_far, y_far, en.x_ref)
     assert abs(obs.location - en.x_ref) < 0.15
     assert obs.kind == "double_pole"
     assert obs.local_fit[1] == pytest.approx(-2.0, abs=0.05)
     assert abs(obs.local_fit[0]) == pytest.approx(12.0, abs=0.5)
 
 
-def test_walk_through_a_pole_raises_singular_approach(p1, e_p1):
+def test_walk_through_a_pole_raises_singular_approach(p1, e_p1, far_start):
     # the via point lies about 0.02 from the n = 8 pole: the jets shrink
     # there while the distance left to the via point does not
     x8, x9 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9]).entries)
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(SingularApproach) as info:
-        hunt_singularity(p1, x_a, y_a, x9, via=[x8])
+        hunt_singularity(p1, x_far, y_far, x9, via=[x8])
     assert abs(info.value.where - x8) < 0.05
 
 
-def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1):
+def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1, far_start):
     x8, x9, x10 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9, 10]).entries)
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
-    alone = hunt_singularity(p1, x_a, y_a, x10)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
+    alone = hunt_singularity(p1, x_far, y_far, x10)
     with pytest.raises(SingularApproach) as info:
-        hunt_singularity(p1, x_a, y_a, x9, via=[x8])
+        hunt_singularity(p1, x_far, y_far, x9, via=[x8])
 
     def caught(walk):
         try:
@@ -293,8 +292,8 @@ def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1):
         except SingularApproach as err:
             return err
 
-    both = validate._lockstep(p1, _x_jet, [validate._hunt(p1, x_a, y_a, x10),
-                                           caught(validate._hunt(p1, x_a, y_a, x9, via=[x8]))])
+    both = validate._lockstep(p1, _x_jet, [validate._hunt(p1, x_far, y_far, x10),
+                                           caught(validate._hunt(p1, x_far, y_far, x9, via=[x8]))])
     assert both[0] == alone
     assert isinstance(both[1], SingularApproach) and both[1].where == info.value.where
 
@@ -320,26 +319,26 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
     assert len(ended) == 4
 
 
-def test_hunt_that_reads_the_other_array_is_no_blowup():
-    # p2a's two pole arrays interleave pi apart: from the anchor toward n = 5
+def test_hunt_that_reads_the_other_array_is_no_blowup(far_start):
+    # p2a's two pole arrays interleave pi apart: from its far start toward n = 5
     # the first read lands near the other array's pole, 3.1 from the target,
     # and the read from halfway to it disagrees
     s = builtin("p2a")[0]
     e = build_expansion(s, 2, 32)
-    x_a = anchor_point(s, 1.0, 1.2)
-    y_a, _ = eval_two_scale(e, 1.0, x_a)
+    x_far = far_start["p2a"]
+    y_far, _ = eval_two_scale(e, 1.0, x_far)
     target = predict_array(s.xi_s_hint, 1.0, s.alpha[0], [5]).entries[0].x_ref
     with pytest.raises(NoBlowup, match="halfway"):
-        hunt_singularity(s, x_a, y_a, target)
+        hunt_singularity(s, x_far, y_far, target)
 
 
-def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1):
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1, far_start):
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(ValueError, match="x_start"):
-        hunt_singularity(p1, x_a, y_a, x_a)
+        hunt_singularity(p1, x_far, y_far, x_far)
     with pytest.raises(ValueError, match="via"):
-        hunt_singularity(p1, x_a, y_a, x_a + 1.0, via=(x_a + 1.0,))
+        hunt_singularity(p1, x_far, y_far, x_far + 1.0, via=(x_far + 1.0,))
 
 
 def test_locates_logistic_poles_against_closed_form():
@@ -355,13 +354,13 @@ def test_locates_logistic_poles_against_closed_form():
         assert abs(amplitude + 1.0) < 1e-3
 
 
-def test_hunt_between_two_poles_finds_one_or_refuses(p1, e_p1):
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+def test_hunt_between_two_poles_finds_one_or_refuses(p1, e_p1, far_start):
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     for pair in ([8, 9], [12, 13]):
         a, b = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, pair).entries)
         try:
-            obs = hunt_singularity(p1, x_a, y_a, 0.5 * (a + b))
+            obs = hunt_singularity(p1, x_far, y_far, 0.5 * (a + b))
         except TransasymError:
             continue
         assert min(abs(obs.location - a), abs(obs.location - b)) < 0.15
@@ -379,15 +378,15 @@ def _hunt_record(caplog, hunt, *args, **kwargs):
     return obs, records[0].hunt
 
 
-def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1):
+def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1, far_start):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
-    _, hunt = _hunt_record(caplog, hunt_singularity, p1, x_a, y_a, en.x_ref)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
+    _, hunt = _hunt_record(caplog, hunt_singularity, p1, x_far, y_far, en.x_ref)
     # one jet short of the read that showed the estimates had settled
     monkeypatch.setattr(validate, "_JET_BUDGET", hunt["jets"] - 1)
     with pytest.raises(NotConverging):
-        hunt_singularity(p1, x_a, y_a, en.x_ref)
+        hunt_singularity(p1, x_far, y_far, en.x_ref)
 
 
 # -- constant extraction -----------------------------------------------------
@@ -588,10 +587,10 @@ def _lane_read(a):
         0.5, (validate._EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / validate._ORDER))
 
 
-def test_batched_reads_are_bitwise_the_lane_reads(p1, e_p1):
-    # thirteen p1 lanes at scales 0.05..2 of their distance to the anchor, one
+def test_batched_reads_are_bitwise_the_lane_reads(p1, e_p1, far_start):
+    # thirteen p1 lanes at scales 0.05..2 of their distance to the far start, one
     # with zeros in its tail and one zero jet
-    x = anchor_point(p1, 12.0, 1.2) + 1j * np.linspace(0.0, 70.0, 13)
+    x = far_start["p1"] + 1j * np.linspace(0.0, 70.0, 13)
     y = np.array([eval_two_scale(e_p1, 12.0, v)[0] for v in x]).T
     a = _x_jet(p1, x, y, np.abs(x) * np.geomspace(0.05, 2.0, 13), validate._ORDER)
     a[3, :, 25::3] = 0.0
@@ -671,7 +670,7 @@ def test_estimate_consistency_is_symmetric():
     assert not a.consistent_with(c)
 
 
-# -- array comparison and anchoring ------------------------------------------
+# -- array comparison --------------------------------------------------------
 
 
 def test_compare_identical_arrays():
@@ -730,90 +729,6 @@ def test_compare_needs_one_observation_per_hunted_entry(count):
         compare_arrays(pred, [pred.entries[0].x_ref] * count)
 
 
-def test_anchor_sits_on_the_requested_level(p1, e_p1):
-    # p2b with alpha = 0.3 + 0.4i has alpha_1 = -0.8 - 0.4i, whose imaginary
-    # part scales |x^{alpha_1}| by e^{-Im alpha_1 arg x}
-    p2b = builtin("p2b", alpha=0.3 + 0.4j)[0]
-    e_p2b = build_expansion(p2b, 1, 8)
-    assert complex(p2b.alpha[0]).imag != 0
-    for s, e, C in ((p1, e_p1, 12.0), (p2b, e_p2b, 2.0 - 1.0j)):
-        for arg in (1.0, 1.2):
-            x = anchor_point(s, C, arg)
-            assert cmath.phase(x) == pytest.approx(arg, abs=1e-12)
-            assert abs(e.xi(C, x)) == pytest.approx(1e-3, rel=1e-12)
-
-
-def test_anchor_rejects_bad_rays(p1):
-    with pytest.raises(ValueError):
-        anchor_point(p1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        anchor_point(p1, 12.0, 2.0)    # growing half-plane
-
-
-def test_anchor_names_a_constant_too_small_for_its_ray(p1):
-    # p1 has real alpha_1, so |xi| at |x| = 1 on arg x = 1.2 is |C| e^{-cos 1.2}
-    least = 1e-3 * math.exp(math.cos(1.2))
-    with pytest.raises(ValueError, match=r"\|C\| = 0\.0014 .* ray arg x = 1\.2.* at least "
-                                         + f"{least:.6g}"):
-        anchor_point(p1, 1.4e-3, 1.2)
-    assert abs(anchor_point(p1, 1.5e-3, 1.2)) > 1.0
-
-
-def _anchor_radius(C, alpha1, arg):
-    """|x| where |xi| = 1e-3 on the ray arg x = arg, to 40 digits, or None below |x| = 1.
-
-    The root of phi(u) = log|C/1e-3| - Im(alpha_1) arg + Re(alpha_1) u - cos(arg) e^u
-    in u = log|x|, bracketed right of phi's maximum.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        c, a = mpmath.cos(arg), mpmath.mpf(alpha1.real)
-        level = mpmath.log(mpmath.mpf(abs(C)) / mpmath.mpf("1e-3")) - alpha1.imag * mpmath.mpf(arg)
-
-        def phi(u):
-            return level + a * u - c * mpmath.exp(u)
-
-        if phi(0) < 0:
-            return None
-        lo = mpmath.log(a / c) if a > c else mpmath.mpf(0)
-        hi = lo + 1
-        while phi(hi) >= 0:
-            hi = 2 * hi
-        return float(mpmath.exp(mpmath.findroot(phi, (lo, hi), solver="illinois")))
-
-
-def test_anchor_is_the_mpmath_root_on_its_ray():
-    # a constant too small for the ray puts the level below |x| = 1, where
-    # anchor_point refuses
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(st.floats(-5.0, 8.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
-                      st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True))
-    @hypothesis.example(-4.0, -0.5, 0.0, 0.0)  # no root on the real ray
-    def check(log10_c, re_a1, im_a1, arg):
-        s = types.SimpleNamespace(alpha=[complex(re_a1, im_a1)])
-        C, want = 10.0 ** log10_c, _anchor_radius(10.0 ** log10_c, s.alpha[0], arg)
-        if want is None:
-            with pytest.raises(ValueError, match=r"\|C\| must be at least"):
-                anchor_point(s, C, arg)
-            return
-        x = anchor_point(s, C, arg)
-        assert cmath.phase(x) == pytest.approx(arg, abs=1e-15)
-        assert abs(abs(x) - want) <= 1e-14 * want
-
-    check()
-
-
-def test_an_anchor_lies_beyond_any_fixed_bracket(p1, e_p1):
-    # C = 1e100 on arg x = 1.55 puts the level |xi| = 1e-3 near |x| = 1.12e4
-    x = anchor_point(p1, 1e100, 1.55)
-    want = _anchor_radius(1e100, complex(p1.alpha[0]), 1.55)
-    assert want > 1e4 and abs(abs(x) - want) <= 1e-14 * want
-    assert abs(e_p1.xi(1e100, x)) == pytest.approx(1e-3, rel=1e-12)
-
-
 def test_the_package_imports_without_scipy(tmp_path, monkeypatch, capsys):
     # scipy serves integrate_path, the tests' RK45 reference, alone; it is
     # imported there, on first call.  With scipy unimportable a survey runs
@@ -839,13 +754,12 @@ def test_the_package_imports_without_scipy(tmp_path, monkeypatch, capsys):
 def test_validation_run_serialization():
     pred = predict_array(12.0, 12.0, -0.5, [8, 9])
     rep = compare_arrays(pred, [en.x_ref for en in pred.entries])
-    run = ValidationRun("p1", 12.0 + 0j, 8, 32, 30.0 + 0j, pred, (), rep)
+    run = ValidationRun("p1", 12.0 + 0j, 8, 32, pred, (), rep)
     d = run.to_dict()
-    assert set(d) == {"system", "C", "M", "K", "anchor", "predicted", "observations",
-                      "comparison"}
+    assert set(d) == {"system", "C", "M", "K", "predicted", "observations", "comparison"}
     assert (d["M"], d["K"]) == (8, 32)
     est = CEstimate(12.0 + 0j, 1e-4, (12.0 + 0j,))
-    d2 = ValidationRun("p1", 12.0 + 0j, 8, 32, 30.0 + 0j, pred, (), rep, est).to_dict()
+    d2 = ValidationRun("p1", 12.0 + 0j, 8, 32, pred, (), rep, est).to_dict()
     assert d2["C_extracted"]["value"] == [12.0, 0.0]
 
 
@@ -870,7 +784,7 @@ def _starts(monkeypatch, s, e, C, n_range):
                                                ("abel", 1.0, range(1, 11))])
 def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n_range):
     # every hunt starts 2.0 toward Re x -> +inf from its refined target, from
-    # a seed of the one batched evaluation, which leaves out the anchor
+    # a seed of the one batched evaluation
     s = request.getfixturevalue(label)
     e = request.getfixturevalue(f"e_{label}")
     evaluated, eval_points = [], validate._eval_points
@@ -881,9 +795,6 @@ def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n
 
     monkeypatch.setattr(validate, "_eval_points", recorded)
     run, calls = _starts(monkeypatch, s, e, C, n_range)
-    x_a = run.anchor
-    assert x_a == anchor_point(s, C, 1.2)
-    assert abs(e.xi(C, x_a)) == pytest.approx(1e-3, rel=1e-12)
     targets = [en.x_ref for en in run.predicted.entries if en.x_ref is not None]
     assert len(targets) == len(n_range)
     assert [t for _, _, t in calls] == targets
@@ -929,23 +840,26 @@ def test_a_lone_hunt_returns_its_survey_observation_bitwise(
     ("p1", 12.0, range(8, 21), 8), ("p2a", 1.0, range(2, 12), 4),
     ("p2b", 1.0, range(2, 12), 6), ("abel", 1.0, range(1, 11), 6)])
 def test_survey_locations_lie_near_a_deep_walked_reference(label, C, n_range, n_tight):
-    # the reference hunts walk from M = 16 seeds at far starts: the anchor for
-    # a pole no higher than it, else the level |xi| = 1e-3 at the pole's
-    # height.  From M = 2 seeds the same hunts are the survey those starts
-    # gave at the former default depth.  At today's default depth every
+    # the reference hunts walk from M = 16 seeds at far starts: the point of
+    # the ray arg x = 1.2 where |xi| = 1e-3 for a pole no higher than it, else
+    # the level |xi| = 1e-3 at the pole's height.  From M = 2 seeds the same
+    # hunts are the survey those starts gave at the former default depth.
+    # At today's default depth every
     # n >= n_tight lies within 1e-9 of the reference, and no lower n lies
     # farther from it than the former survey does
     s = builtin(label)[0]
-    x_a = anchor_point(s, C, 1.2)
     targets = [en.x_ref for en in predict_array(s.xi_s_hint, C, s.alpha[0], n_range).entries]
     level, alpha1 = math.log(C / 1e-3), complex(s.alpha[0])
 
-    def on_level(h):  # the point of Im x = h where |xi| = 1e-3
-        u = brentq(lambda u: level - u + (alpha1 * cmath.log(complex(u, h))).real, -1e4, 1e4,
-                   xtol=1e-14)
-        return complex(u, h)
+    def log_xi(x):  # log|xi/1e-3| at x
+        return level - x.real + (alpha1 * cmath.log(x)).real
 
-    far = [x_a if t.imag <= x_a.imag else on_level(t.imag) for t in targets]
+    def on_level(h):  # the point of Im x = h where |xi| = 1e-3
+        return complex(brentq(lambda u: log_xi(complex(u, h)), -1e4, 1e4, xtol=1e-14), h)
+
+    ray = cmath.exp(1.2j)
+    x_ray = ray * brentq(lambda r: log_xi(r * ray), 1.0, 1e4, xtol=1e-14)
+    far = [x_ray if t.imag <= x_ray.imag else on_level(t.imag) for t in targets]
 
     def walked(M):
         e = build_expansion(s, M, RunConfig.K)
@@ -1015,11 +929,11 @@ def test_a_survey_logs_its_lockstep_rounds(caplog, p1, e_p1, abel, e_abel):
                        {"rounds": 5, "jets": 50, "reads": 50, "read_calls": 5}]
 
 
-def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1, e_p1):
+def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1, e_p1, far_start):
     # the first read, the n = 10 hunt's alone, gets an estimate whose amplitude
     # overflows; the hunts beside it still settle, log and write their CSVs
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     targets = [en.x_ref for en in predict_array(12.0, 12.0, -0.5, [10, 11, 12]).entries]
     read, calls = validate._domb_sykes, []
 
@@ -1033,27 +947,27 @@ def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1,
     monkeypatch.setattr(validate, "_domb_sykes", spoiled)
     paths = [tmp_path / f"n{n}.csv" for n in (10, 11, 12)]
     with caplog.at_level(logging.DEBUG, logger="transasym"), pytest.raises(OverflowError):
-        validate._hunts(p1, [(x_a, y_a, t) for t in targets], csv_paths=paths)
+        validate._hunts(p1, [(x_far, y_far, t) for t in targets], csv_paths=paths)
     hunts = {r.hunt["target"]: r.hunt["stopped"] for r in caplog.records if hasattr(r, "hunt")}
     assert hunts == dict(zip(targets, ["OverflowError", "settled", "settled"]))
     assert all(p.exists() for p in paths)
 
 
-def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1):
+def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1, far_start):
     en = predict_array(12.0, 12.0, -0.5, [10]).entries[0]
-    x_a = anchor_point(p1, 12.0, 1.2)
-    y_a, _ = eval_two_scale(e_p1, 12.0, x_a)
+    x_far = far_start["p1"]
+    y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     csv_path = tmp_path / "centres.csv"
     # a lone hunt writes its CSV through the survey's path, as validate --csv-dir does
-    (obs,), hunt = _hunt_record(caplog, validate._hunts, p1, [(x_a, y_a, en.x_ref)],
+    (obs,), hunt = _hunt_record(caplog, validate._hunts, p1, [(x_far, y_far, en.x_ref)],
                                 csv_paths=[csv_path])
-    assert hunt["start"] == x_a and hunt["target"] == en.x_ref
-    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_a) - validate._STAGING)
+    assert hunt["start"] == x_far and hunt["target"] == en.x_ref
+    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_far) - validate._STAGING)
     assert hunt["stopped"] == "settled" and hunt["spread"] == obs.local_fit[2]
     # one CSV row per jet centre, the first at the start
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     assert rows.shape[0] == hunt["jets"]
-    assert complex(rows[0, 0], rows[0, 1]) == x_a
+    assert complex(rows[0, 0], rows[0, 1]) == x_far
     # the hunt never evaluates the field pointwise
     assert field_calls[0] == 0
     assert capsys.readouterr() == ("", "")
