@@ -185,12 +185,12 @@ def _check_refinement_gap() -> tuple[bool, str]:
 def _check_second_array() -> tuple[bool, str]:
     run, _ = _survey()
     x_s = run.observations[0].location          # refined n = 8 pole
-    x_0 = run.predicted.entries[0].x_ref + _STAGING  # where the survey's n = 8 hunt starts
+    # staged between predictions 8 and 9: both straight walks to the second
+    # array pass about 2 from every first-array pole
+    x_0 = 0.5 * (run.predicted.entries[0].x_ref + run.predicted.entries[1].x_ref) + _STAGING
     y_0, _ = eval_two_scale(_expansion("p1", 8, 32), 12.0, x_0)
-    by_n = {en.n: en.x_ref for en in predict_array(12.0, 12.0, -0.5, [6, 7]).entries}
-    gate = 0.5 * (by_n[6] + by_n[7])            # cross between first-array poles
     targets = [x_s + oracles.p1_second_array_offset(x_s, m) for m in (0, 1)]
-    obs = [hunt_singularity(_system("p1"), x_0, y_0, t, via=(gate,)) for t in targets]
+    obs = [hunt_singularity(_system("p1"), x_0, y_0, t) for t in targets]
     deltas = [abs(o.location - t) for o, t in zip(obs, targets)]
     ok = max(deltas) <= 0.3
     return ok, (f"second-array targets m = 0, 1 seeded from the refined n = 8 "

@@ -254,13 +254,12 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     y = e.fm[0] @ pts[0] ** np.arange(_SEED_ORDER + 1)
 
     centres: list[tuple[complex, np.ndarray]] = []
-    rho = 0.0
+    rho = abs(pts[0])  # the first jet's trial scale: no radius reaches past xi = 0
     for a, b in zip(pts[:-1], pts[1:]):
         if a == b:
             continue
         if not _segment_clears_origin(a, b):
             raise ValueError("path leg passes through xi = 0, where the flow is singular")
-        rho = rho or abs(b - a)  # the first jet's trial scale: its leg's length
         leg: list[tuple[complex, np.ndarray]] = []
         (y,), rho = _lockstep(s, _xi_jet, [_walk(a, y, [b], rho, leg)])[0]
         centres += leg

@@ -489,34 +489,25 @@ def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     return _lockstep(s, _x_jet, [_home(x, y, rho, _SETTLE * rho, [])])[0]
 
 
-def hunt_singularity(
-    s: NormalSystem,
-    x_start,
-    y_start,
-    target,
-    *,
-    via: Sequence = (),
-) -> PoleObservation:
+def hunt_singularity(s: NormalSystem, x_start, y_start, target) -> PoleObservation:
     """Walk from a trusted state to a suspected singularity and home in on it.
 
-    Taylor steps walk the polyline through ``via`` to a staging point
-    ``_STAGING`` = 2.0 short of ``target`` (:func:`_walk`), where
-    :func:`_home` takes over, settling within ``_SETTLE`` = 1e-10 of
-    |target - x_start|.  A start with no ``via`` that is its own staging
-    point, as a survey's ``target + 2.0`` is exactly, homes at once: its
-    walk lands on a waypoint equal to its position and takes no jet.
-    More than ``_JET_BUDGET`` jets
-    raise ``NotConverging``, a walk stopped short of the staging point
-    ``SingularApproach``, reads that resolve or confirm no single
-    singularity ``NoBlowup``, and a ``target`` equal to ``x_start`` or to
-    the last ``via`` point ``ValueError``.
+    Taylor steps walk straight to the staging point ``_STAGING`` = 2.0
+    short of ``target`` (:func:`_walk`), where :func:`_home` takes over,
+    settling within ``_SETTLE`` = 1e-10 of |target - x_start|.  A start
+    that is its own staging point, as a survey's ``target + 2.0`` is
+    exactly, homes at once: its walk takes no jet.  More than
+    ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped short of
+    the staging point ``SingularApproach``, reads that resolve or confirm
+    no single singularity ``NoBlowup``, and a ``target`` equal to
+    ``x_start`` ``ValueError``.
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
     ``hunt`` attribute holds ``start``, ``target``, ``approach_length``,
     ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``
     (inf when it fails).
     """
-    return _lockstep(s, _x_jet, [_hunt(s, x_start, y_start, target, via)])[0]
+    return _lockstep(s, _x_jet, [_hunt(s, x_start, y_start, target)])[0]
 
 
 def _hunts(s: NormalSystem, starts, *, csv_paths=None) -> list:
@@ -524,24 +515,21 @@ def _hunts(s: NormalSystem, starts, *, csv_paths=None) -> list:
     with a path in ``csv_paths`` writes one row per jet centre there, the first at its start
     (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``)."""
     paths = csv_paths or [None] * len(starts)
-    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, (), p) for (x, y, t), p in zip(starts, paths)])
+    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, p) for (x, y, t), p in zip(starts, paths)])
 
 
-def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out=None):
+def _hunt(s: NormalSystem, x_start, y_start, target, csv_out=None):
     """The walk of one :func:`hunt_singularity`, for :func:`_lockstep`."""
     x_start, target = complex(x_start), complex(target)
-    prev = complex(via[-1]) if via else x_start
-    if prev == target:
-        where = "the last via point" if via else "x_start"
-        raise ValueError(f"target {target:.6g} coincides with {where}")
-    pts = [x_start, *map(complex, via), target + _STAGING * (prev - target) / abs(prev - target)]
+    if x_start == target:
+        raise ValueError(f"target {target:.6g} coincides with x_start")
+    staging = target + _STAGING * (x_start - target) / abs(x_start - target)
     centres: list[tuple[complex, np.ndarray]] = []
     found, stopped = None, None
     try:
-        states, rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), pts[1:],
-                                       abs(target - x_start), centres)
-        found = yield from _home(pts[-1], states[-1], rho, _SETTLE * abs(target - x_start),
-                                 centres)
+        (y,), rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), [staging],
+                                     abs(target - x_start), centres)
+        found = yield from _home(staging, y, rho, _SETTLE * abs(target - x_start), centres)
         stopped = "settled"
     except Exception as err:
         stopped = type(err).__name__
@@ -549,7 +537,7 @@ def _hunt(s: NormalSystem, x_start, y_start, target, via: Sequence = (), csv_out
     finally:
         info = {"start": x_start, "target": target, "jets": len(centres), "stopped": stopped,
                 "spread": found.local_fit[2] if found else math.inf,
-                "approach_length": sum(abs(b - a) for a, b in zip(pts, pts[1:]))}
+                "approach_length": abs(staging - x_start)}
         _log.debug("hunt toward %s: %s", target, info, extra={"hunt": info})
         if csv_out is not None and centres:
             _write_csv(csv_out, [c for c, _ in centres], np.array([v for _, v in centres]).T,

@@ -277,6 +277,18 @@ def test_continuation_steps_over_a_terminating_jet():
     assert abs(continue_f0(s, [0.25, 0.5]).final[0] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("label, start, end", [("abel", 0.1, 0.2), ("p1", 1.0, 5.0)])
+@pytest.mark.parametrize("leg", [1e-8, 1e-15, 1e-17, 1e-24])
+def test_continuation_takes_a_short_first_leg(label, start, end, leg):
+    # a first leg far shorter than the distance to xi = 0 must not set the
+    # first jet's scale: its coefficients would underflow to a terminating jet
+    s = builtin(label)[0]
+    direct = continue_f0(s, [start, end]).final
+    final = continue_f0(s, [start, start + 1j * leg, end]).final
+    assert np.all(np.isfinite(final))
+    assert np.max(np.abs(final - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_continuation_seed_is_kept_on_the_system():
     s = builtin("abel")[0]
     path = [0.1, 0.2 + 0.1j, 0.3]

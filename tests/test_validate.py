@@ -267,14 +267,20 @@ def test_hunt_lands_on_predicted_pole(p1, e_p1, far_start):
     assert abs(obs.local_fit[0]) == pytest.approx(12.0, abs=0.5)
 
 
+def _walk_through_x8(x_far, y_far, x8, x9):
+    """A walk from x_far through the n = 8 prediction x8 to 2.0 short of x9."""
+    return validate._walk(x_far, y_far, [x8, x9 + validate._STAGING * (x8 - x9) / abs(x8 - x9)],
+                          abs(x9 - x_far), [])
+
+
 def test_walk_through_a_pole_raises_singular_approach(p1, e_p1, far_start):
-    # the via point lies about 0.02 from the n = 8 pole: the jets shrink
-    # there while the distance left to the via point does not
+    # x8 lies about 0.02 from the n = 8 pole: the jets shrink there while
+    # the distance left to x8 does not
     x8, x9 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [8, 9]).entries)
     x_far = far_start["p1"]
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(SingularApproach) as info:
-        hunt_singularity(p1, x_far, y_far, x9, via=[x8])
+        validate._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
     assert abs(info.value.where - x8) < 0.05
 
 
@@ -284,7 +290,7 @@ def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1, far_start):
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     alone = hunt_singularity(p1, x_far, y_far, x10)
     with pytest.raises(SingularApproach) as info:
-        hunt_singularity(p1, x_far, y_far, x9, via=[x8])
+        validate._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
 
     def caught(walk):
         try:
@@ -293,7 +299,7 @@ def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1, far_start):
             return err
 
     both = validate._lockstep(p1, _x_jet, [validate._hunt(p1, x_far, y_far, x10),
-                                           caught(validate._hunt(p1, x_far, y_far, x9, via=[x8]))])
+                                           caught(_walk_through_x8(x_far, y_far, x8, x9))])
     assert both[0] == alone
     assert isinstance(both[1], SingularApproach) and both[1].where == info.value.where
 
@@ -337,8 +343,6 @@ def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1, far_start):
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(ValueError, match="x_start"):
         hunt_singularity(p1, x_far, y_far, x_far)
-    with pytest.raises(ValueError, match="via"):
-        hunt_singularity(p1, x_far, y_far, x_far + 1.0, via=(x_far + 1.0,))
 
 
 def test_locates_logistic_poles_against_closed_form():
