@@ -194,7 +194,8 @@ def _cmd_eval(args) -> int:
         e = TwoScaleExpansion.from_dict(json.load(fh))
     if args.xi is not None:
         e._require_disk(args.xi)
-        print(_fmt_c(e.observable_series(args.m or 0).evaluate(args.xi)))
+        row = e.observable_series(args.m or 0).coeffs
+        print(_fmt_c(np.polynomial.polynomial.polyval(args.xi, row)))
         return 0
     value, bound = eval_two_scale(e, args.C, args.x)
     print(" ".join(_fmt_c(v) for v in value), f"bound {bound:.6g}")

@@ -421,7 +421,7 @@ class TwoScaleExpansion:
     def reliability_radius(self) -> float:
         """Estimated convergence radius of the leading observable profile."""
         if self._radius is None:
-            self._radius = _profile_radius(self.observable_series(0))
+            self._radius = _profile_radius(self.observable_series(0).coeffs)
         return self._radius
 
     def _require_disk(self, xi: complex) -> None:
@@ -473,7 +473,8 @@ class TwoScaleExpansion:
             "K": self.K,
             "alpha1": [alpha1.real, alpha1.imag],
             "free_constants": [[c.real, c.imag] for c in self.free_constants],
-            "fm": [[TaylorSeries(level[j]).to_dict() for j in range(self.system.n)]
+            "fm": [[{"truncation": len(row) - 1,
+                     "coeffs": [[float(c.real), float(c.imag)] for c in row]} for row in level]
                    for level in self.fm],
         }
 
@@ -481,7 +482,8 @@ class TwoScaleExpansion:
     def from_dict(cls, d: Mapping) -> "TwoScaleExpansion":
         require_keys(d, ("system", "fm", "free_constants", "K"), "expansion")
         system = NormalSystem.from_dict(d["system"])
-        fm = [[TaylorSeries.from_dict(c).coeffs for c in level] for level in d["fm"]]
+        fm = [[_row_from_dict(row, f"{m}, {j}") for j, row in enumerate(level)]
+              for m, level in enumerate(d["fm"])]
         consts = [complex(re, im) for re, im in d["free_constants"]]
         K = int(d["K"])
         orders = {len(c) - 1 for level in fm for c in level} - {K}
@@ -490,7 +492,17 @@ class TwoScaleExpansion:
         return cls(system, fm, consts, K=K)
 
 
-def _profile_radius(f0: TaylorSeries) -> float:
+def _row_from_dict(d: Mapping, where: str) -> list:
+    """The coefficients of a Taylor row ``{"coeffs": [[re, im], ...], "truncation": K}``."""
+    require_keys(d, ("coeffs", "truncation"), "Taylor row")
+    coeffs = [complex(re, im) for re, im in d["coeffs"]]
+    if len(coeffs) != int(d["truncation"]) + 1:
+        raise ValueError(f"Taylor row {where} has {len(coeffs)} coefficients, "
+                         f"but truncation {d['truncation']}")
+    return coeffs
+
+
+def _profile_radius(f0: np.ndarray) -> float:
     """Convergence-radius estimate for eval reliability checks.
 
     Uses the singularity-analysis estimator when it converges, else a crude
@@ -503,7 +515,7 @@ def _profile_radius(f0: TaylorSeries) -> float:
     except OscillatoryCoefficients as err:
         return float(err.modulus)
     except (InsufficientCoefficients, ValueError):
-        c = np.abs(f0.coeffs)
+        c = np.abs(f0)
         K = len(c) - 1
         lo = max(1, K // 2)
         nz = [(k, v) for k, v in enumerate(c) if k >= lo and v > 0]

@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .series import TaylorSeries
-
 __all__ = [
     "XI0",
     "p1_h_taylor",
@@ -96,7 +94,8 @@ def p2_f0_taylor(which: str, K: int, b_branch: int = 1) -> np.ndarray:
 
 
 def pole_cancel_polynomial(series, xi_s, order: int) -> np.ndarray:
-    """Multiply a truncated series by (xi - xi_s)^order and trim to a polynomial.
+    """Multiply a truncated series, an array of coefficients, by
+    (xi - xi_s)^order and trim to a polynomial.
 
     If the series is a polynomial over (xi - xi_s)^order, the product's
     coefficients die off after the numerator degree; the trimmed ascending
@@ -104,10 +103,7 @@ def pole_cancel_polynomial(series, xi_s, order: int) -> np.ndarray:
     1e-9 of the largest.  Survivors in the top half of the product mean
     the pole order or location is off, which is an error.
     """
-    if isinstance(series, TaylorSeries):
-        c = np.asarray(series.coeffs)
-    else:
-        c = np.asarray(series, dtype=complex)
+    c = np.asarray(series, dtype=complex)
     xi_s = complex(xi_s)
     order = int(order)
     if order < 0:
@@ -142,8 +138,8 @@ def pole_scale_correction(e):
         raise ValueError("system declares no singular xi level")
     if e.M < 1:
         raise ValueError("need at least levels 0 and 1 to read off A")
-    p0 = pole_cancel_polynomial(e.observable_series(0), xi_s, 2)
-    p1 = pole_cancel_polynomial(e.observable_series(1), xi_s, 3)
+    p0 = pole_cancel_polynomial(e.observable_series(0).coeffs, xi_s, 2)
+    p1 = pole_cancel_polynomial(e.observable_series(1).coeffs, xi_s, 3)
     a0 = complex(np.polyval(p0[::-1], xi_s))
     a1 = complex(np.polyval(p1[::-1], xi_s))
     if a0 == 0:

@@ -3,23 +3,22 @@ series-level reference solver.
 
 Two carriers:
 
-* ``TaylorSeries``   dense Taylor polynomial in the fast variable xi,
-  coefficients c_0..c_K with explicit truncation order K; it evaluates
-  and serializes a level profile,
+* ``TaylorSeries``   a level's observable row c_0..c_K in the fast
+  variable xi, read-only,
 * ``AnalyticGerm``   sparse polynomial germ g(z, y) = sum g_{i,k} z^i y^k
   of total degree at most ``_DEGREE_CAP`` = 12, vector valued (one
   coefficient vector per monomial).
 
 All values are immutable after construction.  The hierarchy itself is
 built on coefficient arrays in :mod:`transasym.expansion`, and the formal
-power series is one of them; ``TaylorSeries`` wraps a level's rows.
-``compose_germ_series`` composes a germ with bivariate coefficient arrays
-in z and xi; it is the reference of the substitution check,
-``TwoScaleExpansion.residual_coefficients``, and the build does not call
-it.  ``series_field_solve_linear`` solves a linear field over truncated
-coefficient arrays; nothing in the package calls it.
+power series is one of them: a level row is summed and serialized there
+as a plain array.  ``compose_germ_series`` composes a germ with bivariate
+coefficient arrays in z and xi; it is the reference of the substitution
+check, ``TwoScaleExpansion.residual_coefficients``, and the build does not
+call it.  ``series_field_solve_linear`` solves a linear field over
+truncated coefficient arrays; nothing in the package calls it.
 
-Precision follows the data.  The Taylor carriers and the series-level
+Precision follows the data.  ``TaylorSeries`` and the series-level
 composition and solve keep the dtype of the arrays they are given, promoted
 to at least complex128, so an extended (``numpy.clongdouble``) hierarchy stays
 extended.  ``AnalyticGerm`` coefficients are always complex128: they come
@@ -58,60 +57,24 @@ def complex_array(a) -> np.ndarray:
 
 
 class TaylorSeries:
-    """Taylor polynomial sum_{k=0}^{K} c_k xi^k with truncation order K."""
+    """A level's observable row c_0..c_K in xi, as a read-only ``coeffs``.
+
+    Elsewhere a level row is a plain array; ``observable_series`` returns
+    this class, and ``radius_estimate`` takes it, only for the benchmark.
+    """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs, truncation_order: int | None = None):
+    def __init__(self, coeffs):
         c = np.atleast_1d(complex_array(coeffs))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        if truncation_order is not None and len(c) != truncation_order + 1:
-            raise ValueError(f"expected {truncation_order + 1} coefficients for truncation "
-                             f"order {truncation_order}, got {len(c)}")
         self._c = _freeze(c.copy())
-
-    # -- views ----------------------------------------------------------------
 
     @property
     def coeffs(self) -> np.ndarray:
         """Read-only coefficient array, length K + 1."""
         return self._c
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self._c) - 1
-
-    def __repr__(self) -> str:
-        lead = ", ".join(f"{c:.6g}" for c in self._c[:4])
-        tail = ", ..." if len(self._c) > 4 else ""
-        return f"TaylorSeries([{lead}{tail}], K={self.truncation_order})"
-
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, xi):
-        """Horner evaluation; accepts scalars or arrays."""
-        xi = np.asarray(xi)
-        acc = np.zeros_like(xi, dtype=self._c.dtype) + self._c[-1]
-        for c in self._c[-2::-1]:
-            acc = acc * xi + c
-        if acc.ndim == 0:
-            return acc[()]
-        return acc
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "truncation": self.truncation_order,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self._c],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TaylorSeries":
-        require_keys(d, ("coeffs", "truncation"), "Taylor row")
-        coeffs = [complex(re, im) for re, im in d["coeffs"]]
-        return cls(coeffs, truncation_order=int(d["truncation"]))
 
 
 class AnalyticGerm:
@@ -295,7 +258,7 @@ def _coerce_matrix_series(N) -> np.ndarray:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix series must be square")
-    K = min(s.truncation_order for row in rows for s in row)
+    K = min(len(s.coeffs) - 1 for row in rows for s in row)
     out = complex_array([[s.coeffs[: K + 1] for s in row] for row in rows])
     return np.moveaxis(out, 2, 0)
 
@@ -322,10 +285,7 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
     rhs : sequence of TaylorSeries (or a single TaylorSeries)
     seed : mapping {order: coefficient vector}, optional
     """
-    if isinstance(rhs, TaylorSeries):
-        rhs_list = [rhs]
-    else:
-        rhs_list = list(rhs)
+    rhs_list = [rhs] if isinstance(rhs, TaylorSeries) else list(rhs)
     Nc = _coerce_matrix_series(N)
     n = Nc.shape[1]
     if len(rhs_list) != n:
@@ -334,7 +294,7 @@ def series_field_solve_linear(N, rhs, seed: Mapping[int, object] | None = None,
     lam = np.diagonal(N0).copy()
     if np.any(N0 != np.diag(lam)):
         raise ValueError("N_0 must be diagonal")
-    K = min(Nc.shape[0] - 1, min(s.truncation_order for s in rhs_list))
+    K = min(Nc.shape[0] - 1, min(len(s.coeffs) - 1 for s in rhs_list))
     R = complex_array([s.coeffs[: K + 1] for s in rhs_list]).T
     dt = np.result_type(Nc, R)
     seed = dict(seed or {})

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientCoefficients, OscillatoryCoefficients, TransasymError
-from .series import TaylorSeries
+from .series import TaylorSeries, complex_array
 from .systems import NormalSystem
 
 __all__ = [
@@ -196,8 +196,7 @@ def radius_estimate(f) -> RadiusEstimate:
     modulus-only root-test estimate attached.  This is the one-lane case of
     the read over a stack of series that homing runs for all its jets at once.
     """
-    (est,) = _domb_sykes(np.asarray(f.coeffs if isinstance(f, TaylorSeries) else
-                                    np.asarray(f, dtype=complex))[None])
+    (est,) = _domb_sykes(complex_array(f.coeffs if isinstance(f, TaylorSeries) else f)[None])
     if isinstance(est, Exception):
         raise est
     return est

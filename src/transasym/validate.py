@@ -22,11 +22,11 @@ Homing, the one locator (``_home``, also
 all of ``detect_singularity``), reads the nearest singularity from each
 jet by Domb-Sykes ratio analysis (``radius_estimate``).  A pole's read is
 refined on the same jet from Pade approximants of h'/h, whose root must
-confirm it and whose two degrees' gap, within 1e-10 of the hunt's
+confirm it and whose two degrees' gap, within 1e-10 of the first read's
 distance, ends the hunt there: a pole hunt reads one jet.  Any other read,
 and a pole read whose Pade system is exactly singular, must be confirmed
 by the one from halfway to it, and homing stops once successive reads
-agree within 1e-10 of the hunt's distance, or stop drawing closer.
+agree within 1e-10 of the first read's distance, or stop drawing closer.
 No system declares its kind of blow-up.  A C ladder walks its ray inward
 through every rung.
 
@@ -101,7 +101,7 @@ _POWERS = np.arange(_ORDER + 1)  # of t in a jet
 _U = _POWERS[_ORDER // 2:] - _POWERS[_ORDER // 2:].mean()  # upper-half orders, centred
 _JET_BUDGET = 100  # jets one hunt or one ladder may compute
 _STAGING = 2.0  # how far short of its target a walk hands over to homing
-_SETTLE = 1e-10  # gap between successive reads, relative to the hunt's distance, that settles it
+_SETTLE = 1e-10  # gap between successive reads, relative to the first one's distance, that settles
 _EPS = 1e-16  # truncation a walk step allows, relative to the state
 _STOP = 1e-3  # jet radius, relative to the distance left, at which a walk stops
 _ATOL = 1e-8  # floor of the C extrapolation step that counts as converged
@@ -437,40 +437,42 @@ def _walk(x: complex, y, waypoints, rho: float, centres: list):
     return states, rho
 
 
-def _home(x: complex, y, rho: float, settle: float, centres: list):
+def _home(x: complex, y, rho: float, centres: list):
     """Read the singularity nearest (x, y) from Taylor jets and home in on it.
 
     A walk for :func:`_lockstep`, and the package's one locator.  Each jet,
     scaled to its own radius from the trial scale ``rho`` (:func:`_jet`,
     which records its centre in ``centres``), is yielded as a :class:`_Read`
     request, answered with its observation (:func:`_reads`) or its failure.
-    A read whose own spread is within ``settle``, a pole's Pade read, is
-    returned at once.  Else the next jet is centred halfway to the read
-    location and scaled to the distance left.  ``NoBlowup`` is raised when
-    the second read is more than 1e-3 of the first read's distance from it,
-    or when a jet resolves no single singularity: it terminates, its ratios
-    have no finite limit or one beyond two jet radii (an entire solution),
-    they oscillate (two singularities about equally near), or a pole's Pade
-    read does not confirm them.  Homing stops once two successive reads
-    agree within ``settle``, returning the latest, or once their gap stops
-    shrinking, returning the one before; the last gap that shrank is the
-    returned spread.
+    A read whose own spread settles it, a pole's Pade read, is returned at
+    once; the settle is ``_SETTLE`` = 1e-10 of the first read's distance.
+    Else the next jet is centred halfway to the read location and scaled to
+    the distance left.  ``NoBlowup`` is raised when the second read is more
+    than 1e-3 of the first read's distance from it, or when a jet resolves
+    no single singularity: it terminates, its ratios have no finite limit
+    or one beyond two jet radii (an entire solution), they oscillate (two
+    singularities about equally near), or a pole's Pade read does not
+    confirm them.  Homing stops once two successive reads agree within the
+    settle, returning the latest, or once their gap stops shrinking,
+    returning the one before; the last gap that shrank is the returned
+    spread.
     """
     x0, reads, spread = x, [], math.inf
     while True:
         a, rho, exact, _ = yield from _jet(x, y, rho, centres)
         reads.append((yield _Read(x, a, rho, exact)))
+        distance = abs(reads[0].location - x0)
         if len(reads) > 1:
             gap = abs(reads[-1].location - reads[-2].location)
-            if len(reads) == 2 and gap > 1e-3 * abs(reads[0].location - x0):
+            if len(reads) == 2 and gap > 1e-3 * distance:
                 raise NoBlowup(f"the reads from x = {x0:.8g} and from halfway to it disagree")
             if gap >= spread:
                 break
             spread = gap
         found = reads[-1]
-        if found.local_fit[2] <= settle:  # a pole's Pade read, consistent on its own jet
+        if found.local_fit[2] <= _SETTLE * distance:  # a pole's Pade read, consistent on its jet
             return found
-        if spread <= settle:
+        if spread <= _SETTLE * distance:
             break
         t = 0.5 * (found.location - x) / rho
         y = a @ t ** _POWERS
@@ -481,25 +483,25 @@ def _home(x: complex, y, rho: float, settle: float, centres: list):
 
 def detect_singularity(s: NormalSystem, x, y) -> PoleObservation:
     """Locate the nearest singularity of the solution through (x, y) by a lone
-    :func:`_home`: its first jet is scaled to rho = |y|/|y'|, about the distance
-    to a blow-up, and it settles within ``_SETTLE`` = 1e-10 of rho."""
+    :func:`_home`, whose first jet is scaled to rho = |y|/|y'|, about the
+    distance to a blow-up."""
     x, y = complex(x), np.asarray(y, dtype=complex)
     slope = _x_jet(s, [x], y[:, None], [1.0], 1)[0, :, 1]
     rho = np.max(np.abs(y)) / np.max(np.abs(slope))
-    return _lockstep(s, _x_jet, [_home(x, y, rho, _SETTLE * rho, [])])[0]
+    return _lockstep(s, _x_jet, [_home(x, y, rho, [])])[0]
 
 
 def hunt_singularity(s: NormalSystem, x_start, y_start, target) -> PoleObservation:
     """Walk from a trusted state to a suspected singularity and home in on it.
 
-    Taylor steps walk straight to the staging point ``_STAGING`` = 2.0
-    short of ``target`` (:func:`_walk`), where :func:`_home` takes over,
-    settling within ``_SETTLE`` = 1e-10 of |target - x_start|.  A start
-    that is its own staging point, as a survey's ``target + 2.0`` is
-    exactly, homes at once: its walk takes no jet.  More than
-    ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped short of
-    the staging point ``SingularApproach``, reads that resolve or confirm
-    no single singularity ``NoBlowup``, and a ``target`` equal to
+    Taylor steps walk straight to the staging point ``_STAGING`` = 2.0 short of
+    ``target`` (:func:`_walk`), where :func:`_home` takes over.  The first jet
+    is scaled to at least 2.0, the distance homing starts from, even for a
+    target a few ulps away.  A start that is its own staging point, as a
+    survey's ``target + 2.0`` is exactly, homes at once: its walk takes no jet.
+    More than ``_JET_BUDGET`` jets raise ``NotConverging``, a walk stopped
+    short of the staging point ``SingularApproach``, reads that resolve or
+    confirm no single singularity ``NoBlowup``, and a ``target`` equal to
     ``x_start`` ``ValueError``.
 
     Each hunt logs one DEBUG record to the ``transasym`` logger; its
@@ -507,7 +509,7 @@ def hunt_singularity(s: NormalSystem, x_start, y_start, target) -> PoleObservati
     ``jets``, ``stopped`` ("settled" or the error's name) and ``spread``
     (inf when it fails).
     """
-    return _lockstep(s, _x_jet, [_hunt(s, x_start, y_start, target)])[0]
+    return _lockstep(s, _x_jet, [_hunt(x_start, y_start, target)])[0]
 
 
 def _hunts(s: NormalSystem, starts, *, csv_paths=None) -> list:
@@ -515,10 +517,10 @@ def _hunts(s: NormalSystem, starts, *, csv_paths=None) -> list:
     with a path in ``csv_paths`` writes one row per jet centre there, the first at its start
     (:func:`_write_csv`, header ``x_re,x_im,y1_re,...``)."""
     paths = csv_paths or [None] * len(starts)
-    return _lockstep(s, _x_jet, [_hunt(s, x, y, t, p) for (x, y, t), p in zip(starts, paths)])
+    return _lockstep(s, _x_jet, [_hunt(x, y, t, p) for (x, y, t), p in zip(starts, paths)])
 
 
-def _hunt(s: NormalSystem, x_start, y_start, target, csv_out=None):
+def _hunt(x_start, y_start, target, csv_out=None):
     """The walk of one :func:`hunt_singularity`, for :func:`_lockstep`."""
     x_start, target = complex(x_start), complex(target)
     if x_start == target:
@@ -528,8 +530,8 @@ def _hunt(s: NormalSystem, x_start, y_start, target, csv_out=None):
     found, stopped = None, None
     try:
         (y,), rho = yield from _walk(x_start, np.asarray(y_start, dtype=complex), [staging],
-                                     abs(target - x_start), centres)
-        found = yield from _home(staging, y, rho, _SETTLE * abs(target - x_start), centres)
+                                     max(abs(target - x_start), _STAGING), centres)
+        found = yield from _home(staging, y, rho, centres)
         stopped = "settled"
     except Exception as err:
         stopped = type(err).__name__

@@ -410,8 +410,14 @@ def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, 
       "fm": [[{"coeffs": [[1, 0], [0, 0], [0, 0]], "truncation": 2}]], "free_constants": [],
       "K": 20},
      "expansion K = 20, but its Taylor rows have order 2"),
+    # level 1's row edited to one coefficient fewer than its "truncation" says
+    (["eval", "--xi", "1", "--in", "a.json"],
+     {"system": {"lambda": [[1, 0]], "alpha": [[0, 0]], "germ": {"dims": 1, "terms": []}},
+      "fm": [[{"coeffs": [[1, 0], [0, 0], [0, 0]], "truncation": 2}],
+             [{"coeffs": [[1, 0], [0, 0]], "truncation": 2}]], "free_constants": [], "K": 2},
+     "Taylor row 1, 0 has 2 coefficients, but truncation 2"),
 ], ids=["validate-config", "eval-expansion", "eval-system", "eval-germ", "eval-germ-term",
-        "eval-taylor-row", "eval-K"])
+        "eval-taylor-row", "eval-K", "eval-taylor-row-length"])
 def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, artifact, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.json").write_text(json.dumps(artifact))

@@ -149,7 +149,8 @@ def test_abel_deep_leading_profile_matches_the_inverted_profile(abel):
     e = build_expansion(abel, 0, 400)
     for xi in (0.1, 0.1j):
         ref = abel_F0_of_xi(xi)
-        assert abs(e.observable_series(0).evaluate(xi) - ref) <= 1e-12 * abs(ref)
+        got = np.polynomial.polynomial.polyval(xi, e.observable_series(0).coeffs)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def _mp_levels(s, M, K):

@@ -19,22 +19,10 @@ def _rand_series(K):
 # -- TaylorSeries ------------------------------------------------------------
 
 
-def test_evaluate_matches_polyval():
-    a = _rand_series(8)
-    z = 0.37 - 0.21j
-    assert abs(a.evaluate(z) - np.polynomial.polynomial.polyval(z, a.coeffs)) < 1e-13
-
-
 def test_coeffs_are_frozen():
     a = _rand_series(4)
     with pytest.raises(ValueError):
         a.coeffs[0] = 1.0
-
-
-def test_taylor_serialization_round_trip():
-    a = _rand_series(5)
-    b = TaylorSeries.from_dict(a.to_dict())
-    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 # -- AnalyticGerm ------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1, far_start):
         except SingularApproach as err:
             return err
 
-    both = validate._lockstep(p1, _x_jet, [validate._hunt(p1, x_far, y_far, x10),
+    both = validate._lockstep(p1, _x_jet, [validate._hunt(x_far, y_far, x10),
                                            caught(_walk_through_x8(x_far, y_far, x8, x9))])
     assert both[0] == alone
     assert isinstance(both[1], SingularApproach) and both[1].where == info.value.where
@@ -310,10 +311,10 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
     x9, x11 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [9, 11]).entries)
     hunt, ended = validate._hunt, []
 
-    def failing(s, x_start, y_start, target, *args):
+    def failing(x_start, y_start, target, *args):
         if abs(target - x11) < 1e-9:
             raise NotConverging("n = 11 fails first")
-        obs = yield from hunt(s, x_start, y_start, target, *args)
+        obs = yield from hunt(x_start, y_start, target, *args)
         ended.append(target)
         if abs(target - x9) < 1e-9:
             raise NoBlowup("n = 9 fails last")
@@ -343,6 +344,20 @@ def test_hunt_rejects_a_target_on_its_path_end(p1, e_p1, far_start):
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(ValueError, match="x_start"):
         hunt_singularity(p1, x_far, y_far, x_far)
+
+
+@pytest.mark.parametrize("offset", [1.2e-16, 3e-16])
+def test_hunt_toward_a_target_a_few_ulps_away_homes(p1, e_p1, offset):
+    # from 1.0 beyond the n = 10 staging point, targets 1 and 3 ulps from the
+    # start: a first jet scaled to that distance underflows and reads as terminating
+    x0 = predict_array(12.0, 12.0, -0.5, [10]).entries[0].x_ref + 3.0
+    y0, _ = eval_two_scale(e_p1, 12.0, x0)
+    ref = hunt_singularity(p1, x0, y0, x0 + 1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = hunt_singularity(p1, x0, y0, x0 + offset)
+    assert 0 < abs(x0 + offset - x0) < 1e-15
+    assert abs(obs.location - ref.location) < 1e-9
 
 
 def test_locates_logistic_poles_against_closed_form():
