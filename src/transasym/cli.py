@@ -36,6 +36,7 @@ import functools
 import json
 import numbers
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -65,7 +66,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the artifact contract wants 1."""
+    """argparse exits 2 on usage errors; the artifact contract wants 1.  No option starts
+    with a digit or '.', so a ``-<digit>...`` or ``-.<digit>...`` token is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -45,6 +45,8 @@ one batched matmul per chain length, whose output is that length's grid
 block, and one batched matmul against a step matrix folding the
 monomials' coefficients, written in place as the next states.  Lanes
 share only batched matmuls, so no lane's arithmetic depends on the others.
+Each kernel's workspace and per-order operand views are planned once per
+system and order, for one lane count, and reused: a call runs only its ufuncs.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -288,25 +290,44 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     return F[:, :, :n].transpose(2, 1, 0), pinned
 
 
-def _jets(s: NormalSystem, y0, order: int, step) -> np.ndarray:
-    """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``: on the
-    order-major table T[b, k, row] and the states reversed in R[b, order - k], order k of
-    each chain block is one batched matmul, heads against states, written in place; then
-    ``step(T, k)`` writes order k+1 of the states in T.  Lanes share only batched matmuls."""
-    size, groups, _ = _program(s)
+def _jets(s: NormalSystem, kernel, y0, order: int, shape: tuple, step, fill) -> np.ndarray:
+    """Jets a[b, :, k] of lanes b from states y0 (n, B) on the program of ``s``, by ``kernel``.
+
+    On the order-major table T[b, k, row] and the states reversed in R[b,
+    order - k], order k of each chain block is one batched matmul, heads
+    against states, written in place; then the ops that ``step(T, X, k)``
+    returns write order k+1 of the states in T from the kernel's workspace
+    X (B, *shape), which ``fill(X)`` writes first.  Lanes share only batched
+    matmuls.
+
+    The workspace and every order's operand views are planned once per
+    (kernel, order) and kept on ``s``, replaced when the lane count changes,
+    so a call only runs its ufuncs.  Apart from the constant row, a call
+    reads only entries it has written, and it returns a copy.  One system's
+    kernels are not reentrant across threads.
+    """
     y0 = np.asarray(y0, dtype=complex)
     B, n = y0.shape[1], s.n
-    T = np.zeros((B, order + 1, size), dtype=complex)
-    R = np.zeros((B, order + 1, n), dtype=complex)
+    plan = s._plans.get((kernel, order))
+    if plan is None or len(plan[0]) != B:
+        size, groups, _ = _program(s)
+        T = np.zeros((B, order + 1, size), dtype=complex)
+        R, X = np.empty((B, order + 1, n), dtype=complex), np.empty((B, *shape), dtype=complex)
+        T[:, 0, n] = 1.0
+        H = T.transpose(0, 2, 1)   # heads by row, then order; block[:, k] [lane, head, component]
+        blocks = [(h, T[:, :, c].reshape(B, order + 1, -1, n)) for h, c in groups]
+        ops = []   # the out operand positional: a keyword costs a dict per call
+        for k in range(order):
+            ops += [functools.partial(np.matmul, H[:, h, : k + 1], R[:, order - k :], b[:, k])
+                    for h, b in blocks]
+            ops += step(T, X, k)
+            ops.append(functools.partial(np.copyto, R[:, order - k - 1], T[:, k + 1, :n]))
+        plan = s._plans[kernel, order] = (T, R, X, ops)
+    T, R, X, ops = plan
+    fill(X)
     T[:, 0, :n] = R[:, order] = y0.T
-    T[:, 0, n] = 1.0
-    H = T.transpose(0, 2, 1)   # heads by row, then order; each block[:, k] [lane, head, component]
-    blocks = [(h, T[:, :, c].reshape(B, order + 1, -1, n)) for h, c in groups]
-    for k in range(order):
-        for heads, block in blocks:
-            np.matmul(H[:, heads, : k + 1], R[:, order - k :], out=block[:, k])
-        step(T, k)
-        R[:, order - k - 1] = T[:, k + 1, :n]
+    for op in ops:
+        op()
     return T[:, :, :n].transpose(0, 2, 1).copy()
 
 
@@ -327,22 +348,24 @@ def _x_jet(s: NormalSystem, x0, y0, rho, order: int) -> np.ndarray:
     z = 1/(x0 + rho t), order k of y' = -L y + z A y + g(z, y) gives
     (k+1) a_{k+1} = rho [t^k] f from a_0..a_k.  One matrix G per call
     folds rho, ``W`` and the z-power jets: (k+1) a_{k+1} is G's last
-    (k+1) size columns against orders 0..k of the table.  Computed in complex128.
+    (k+1) size columns against orders 0..k of the table.  G, written in
+    place, and each order's views of it are planned once per system by
+    :func:`_jets` and reused.  Computed in complex128.
     """
     W = _program(s)[-1]
     x0, rho = np.asarray(x0, dtype=complex), np.asarray(rho, dtype=float)
-    i, j = np.arange(len(W))[:, None], np.arange(order + 1)
+    i, j, (_, n, size) = np.arange(len(W))[:, None], np.arange(order + 1), W.shape
     # Z[b, i, order - k] = rho_b [t^k] z^i in lane b
     Z = (rho[:, None, None] * x0[:, None, None] ** -i * (-rho / x0)[:, None, None] ** j
          * _binomials(len(W) - 1, order))[:, :, ::-1]
-    G = np.einsum("biq,ijr->bjqr", Z, W).reshape(len(x0), s.n, -1)
 
-    def step(T, k):
-        cols = T.reshape(len(T), -1, 1)[:, : (k + 1) * T.shape[2]]
-        out = np.matmul(G[:, :, (order - k) * T.shape[2]:], cols, out=T[:, k + 1, : s.n, None])
-        out /= k + 1
+    def step(T, G, k):
+        cols, out = T.reshape(len(T), -1, 1)[:, : (k + 1) * size], T[:, k + 1, :n, None]
+        return (functools.partial(np.matmul, G[:, :, (order - k) * size:], cols, out),
+                functools.partial(np.divide, out, np.array(k + 1, dtype=complex), out))
 
-    return _jets(s, y0, order, step)
+    return _jets(s, _x_jet, y0, order, (n, (order + 1) * size), step, lambda G: np.einsum(
+        "biq,ijr->bjqr", Z, W, out=G.reshape(len(G), n, order + 1, size)))
 
 
 def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
@@ -351,18 +374,20 @@ def _xi_jet(s: NormalSystem, xi0, F0, rho, order: int) -> np.ndarray:
     The flow xi F' = Lam F - g(0, F), on the z^0 monomials of the same
     program: order k of (xi0 + rho t) dF/dt = rho (Lam F - g(0, F)) gives
     xi0 (k+1) a_{k+1} = rho ([t^k](Lam F - g(0, F)) - k a_k), without the
-    alternating sum of expanding 1/(xi0 + rho t).  One matrix per order k
-    folds -rho/xi0, the z^0 monomials and the k a_k term.  Computed in complex128.
+    alternating sum of expanding 1/(xi0 + rho t).  One matrix Q[:, k] per
+    order k folds -rho/xi0, the z^0 monomials and the k a_k term; Q and its
+    views are planned as in :func:`_x_jet`.  Computed in complex128.
     """
     W0 = _program(s)[-1][0]
     xi0, rho = np.asarray(xi0, dtype=complex), np.asarray(rho, dtype=float)
     k = np.arange(order)[:, None, None]
-    Q = (-rho / xi0)[:, None, None, None] * ((W0 + k * np.eye(*W0.shape)) / (k + 1))
+    fold = (W0 + k * np.eye(*W0.shape)) / (k + 1)
 
-    def step(T, k):
-        np.matmul(Q[:, k], T[:, k, :, None], out=T[:, k + 1, : s.n, None])
+    def step(T, Q, k):
+        return (functools.partial(np.matmul, Q[:, k], T[:, k, :, None], T[:, k + 1, : s.n, None]),)
 
-    return _jets(s, F0, order, step)
+    return _jets(s, _xi_jet, F0, order, (order, *W0.shape), step,
+                 lambda Q: np.multiply((-rho / xi0)[:, None, None, None], fold, out=Q))
 
 
 def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:

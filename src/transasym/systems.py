@@ -82,6 +82,12 @@ class NormalSystem:
         self.params = dict(params or {})
         self._program = None  # one monomial table for the build and the jet kernels, made on first use
         self._seed = None  # the order-64 F_0 expansion that seeds continue_f0, made on first use
+        # per (jet kernel, order): its workspace and each order's operand views, planned once
+        # for one lane count and reused; a copy or pickle drops them, as views alias the workspace
+        self._plans = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_plans": {}}
 
     def __repr__(self) -> str:
         return f"NormalSystem(label={self.label!r}, n={self.n})"

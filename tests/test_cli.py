@@ -295,6 +295,30 @@ def test_unknown_flag_exits_one(capsys):
         assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv, dest, value", [
+    (["predict", "p1", "--C", "-12,1", "--n", "8..9"], "C", -12 + 1j),
+    (["predict", "p1", "--C", "12", "--n", "-16..-8"], "n", tuple(range(-16, -7))),
+    (["eval", "--xi", "-0.1,0.1", "--m", "0"], "xi", -0.1 + 0.1j),
+    (["continue", "abel", "--path", "0.1", "0.2,0.1", "-0.1,0.15"], "path",
+     [0.1, 0.2 + 0.1j, -0.1 + 0.15j]),
+], ids=["predict-C", "predict-n", "eval-xi", "continue-path"])
+def test_a_value_that_starts_with_a_minus_sign_is_a_value(tmp_path, monkeypatch, capsys,
+                                                          argv, dest, value):
+    assert getattr(cli._build_parser().parse_args(argv), dest) == value
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "eval":
+        assert main(["expand", "p1", "--M", "2", "--K", "32"]) == 0
+    assert main(argv) == 0
+
+
+def test_an_unknown_short_option_exits_one_with_the_usage_line(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["predict", "p1", "--C", "12", "--n", "8", "-z"])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: transasym") and "unrecognized arguments: -z" in err
+
+
 def test_one_parser_per_process():
     # importing the front end builds no parser, and a second main() reuses the first's
     script = """

@@ -1,11 +1,13 @@
 """Complex-plane integration, blow-up detection, and constant extraction."""
 
 import cmath
+import copy
 import csv
 import logging
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import warnings
@@ -636,7 +638,8 @@ _MIXED = NormalSystem([1.0, 2.0], [0.3, 0.0],
                       AnalyticGerm(2, {(1, (2, 0)): [1.0, 0.0], (0, (0, 2)): [0.0, 1.0]}))
 
 
-@pytest.mark.parametrize("kernel, lanes", [
+# per kernel: an ordinary lane, a short one, a retrying lane and a terminating lane
+_MIXED_LANES = [
     (_x_jet, [(3 + 1j, (0.1, 0.2), [4 + 1j, 6 + 1j], 1.0),  # ordinary
               (3 + 2j, (0.05, 0.3), [5 + 2j], 1.0),
               (3 + 1j, (0.1, 0.2), [4 + 1j, 6 + 1j], 0.01),  # trial scale 100x short
@@ -645,17 +648,21 @@ _MIXED = NormalSystem([1.0, 2.0], [0.3, 0.0],
                (0.25 + 0.1j, (0.25 + 0.1j, 0.05), [0.5 + 0.1j], 0.5),
                (0.25, (0.25, 0.1), [0.4, 0.6], 0.005),
                (0.25, (0.25, 0.0), [0.5, 2.0], 0.25)]),  # F = (xi, 0): a line
-], ids=["x", "xi"])
+]
+
+
+def _mixed_walk(lane, centres):
+    x0, y0, pts, rho = lane
+    return validate._walk(x0, np.array(y0, dtype=complex), pts, rho, centres)
+
+
+@pytest.mark.parametrize("kernel, lanes", _MIXED_LANES, ids=["x", "xi"])
 def test_mixed_lanes_end_as_they_do_alone(kernel, lanes):
     # a retrying lane, a terminating lane and ordinary lanes in one lockstep
-    def walk(lane, centres):
-        x0, y0, pts, rho = lane
-        return validate._walk(x0, np.array(y0, dtype=complex), pts, rho, centres)
-
     alone, asked, centres = [], [[] for _ in lanes], [[] for _ in lanes]
     for lane, a, c in zip(lanes, asked, centres):
-        alone += validate._lockstep(_MIXED, kernel, [_asking(walk(lane, c), a)])
-    together = validate._lockstep(_MIXED, kernel, [walk(lane, []) for lane in lanes])
+        alone += validate._lockstep(_MIXED, kernel, [_asking(_mixed_walk(lane, c), a)])
+    together = validate._lockstep(_MIXED, kernel, [_mixed_walk(lane, []) for lane in lanes])
     for (states, rho), (lone, lone_rho) in zip(together, alone, strict=True):
         assert rho == lone_rho
         assert all(np.array_equal(a, b) for a, b in zip(states, lone, strict=True))
@@ -664,6 +671,58 @@ def test_mixed_lanes_end_as_they_do_alone(kernel, lanes):
     assert len(centres[3]) == 1 and alone[3][1] == lanes[3][3]  # one exact jet, at its trial scale
     x0, y0, pts, _ = lanes[3]  # y = 0 and F = (xi, 0) both scale with x
     assert np.allclose(alone[3][0][-1], np.array(y0) * pts[-1] / x0, rtol=1e-15, atol=0)
+
+
+def _jet_args(kernel, s, lanes, seed, big=False):
+    """Inputs of ``lanes`` lanes for ``kernel`` on ``s``; ``big`` states overflow the jet."""
+    rng = np.random.default_rng(seed)
+    z, y = (rng.normal(size=(*shape, 2)) @ [1, 1j] for shape in ((lanes,), (s.n, lanes)))
+    y *= 1e200 if big else 0.05
+    if kernel is _x_jet:
+        return 6.0 + z, y, 0.5 + rng.random(lanes)
+    return 0.25 + 0.05 * z, y, 0.02 + 0.05 * rng.random(lanes)
+
+
+@pytest.mark.parametrize("lanes", [1, 13])
+@pytest.mark.parametrize("kernel", [_x_jet, _xi_jet], ids=["x", "xi"])
+@pytest.mark.parametrize("label", ["p1", "abel"])
+def test_a_jet_reads_nothing_an_earlier_jet_left(label, kernel, lanes):
+    # the kernel's workspace and views are kept on the system between calls
+    used, order = builtin(label)[0], 40
+    args = _jet_args(kernel, used, lanes, 0)
+    kernel(used, *_jet_args(kernel, used, lanes, 1), order)
+    kernel(used, *_jet_args(kernel, used, 4, 2), order)
+    kernel(used, *_jet_args(kernel, used, lanes, 3), 1)
+    with np.errstate(all="ignore"):
+        blown = kernel(used, *_jet_args(kernel, used, lanes, 4, big=True), order)
+    assert not np.isfinite(blown).all()
+    got, want = kernel(used, *args, order), kernel(builtin(label)[0], *args, order)
+    assert np.isfinite(want).all() and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel, lanes", _MIXED_LANES, ids=["x", "xi"])
+def test_a_lockstep_whose_lanes_shrink_keeps_one_plan(kernel, lanes):
+    s, sizes = NormalSystem(_MIXED.lam, _MIXED.alpha, _MIXED.germ), []
+
+    def counting(s, x, y, rho, order):
+        sizes.append(len(x))
+        return kernel(s, x, y, rho, order)
+
+    validate._lockstep(s, counting, [_mixed_walk(lane, []) for lane in lanes])
+    assert sizes[0] == len(lanes) and len(set(sizes)) > 1
+    assert list(s._plans) == [(kernel, validate._ORDER)]
+    assert len(s._plans[kernel, validate._ORDER][0]) == sizes[-1]
+
+
+@pytest.mark.parametrize("kernel", [_x_jet, _xi_jet], ids=["x", "xi"])
+def test_a_copied_or_pickled_system_jets_as_the_original(kernel):
+    s = builtin("abel")[0]
+    args, other = _jet_args(kernel, s, 3, 0), _jet_args(kernel, s, 3, 1)
+    want = [kernel(builtin("abel")[0], *a, 40).tobytes() for a in (other, args)]
+    assert kernel(s, *args, 40).tobytes() == want[1]
+    for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert [kernel(c, *a, 40).tobytes() for a in (other, args)] == want
+        assert [kernel(s, *a, 40).tobytes() for a in (other, args)] == want
 
 
 def test_a_jet_whose_scale_misses_four_times_returns_its_own_scale():
