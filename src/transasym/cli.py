@@ -9,7 +9,7 @@ eval      evaluate a saved expansion: a level profile at xi, or the
 predict   write the singularity array at the system's own xi_s as JSON
 continue  continue the leading profile along a xi-plane polyline on Taylor
           jets, CSV out
-validate  integrate, hunt and compare a whole array; JSON report
+validate  hunt and compare a whole array on Taylor jets; JSON report
 report    run the numbered release checks
 
 Complex values are written ``re,im`` (a bare real is accepted) and must
@@ -24,7 +24,7 @@ produce byte-identical files.  Exit status: 0 success, 1 usage error,
 
 ``expand`` and ``validate`` take ``--precision double|extended``, the
 dtype (complex128 or clongdouble) of the two-scale hierarchy they build.
-Integration always runs in double, and a saved expansion stores doubles.
+The Taylor jets always run in double, and a saved expansion stores doubles.
 """
 
 from __future__ import annotations
@@ -107,6 +107,17 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.12g},{z.imag:.12g}"
 
 
+def _load_json(path: str, build):
+    """``build`` of the JSON document at ``path``.  A ``TypeError`` raised while
+    building, a value of the wrong JSON type, is a ``ValueError`` naming the file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        return build(doc)
+    except TypeError as err:
+        raise ValueError(f"{path} is malformed: {err}") from None
+
+
 def _dump_json(obj, path: str | None) -> None:
     """Write ``obj`` as JSON to ``path``, or to stdout when ``path`` is None.
 
@@ -143,7 +154,13 @@ class RunConfig:
                 ("n_range", bool(self.n_range) and all(map(_integer, self.n_range)),
                  "a non-empty list of integers"),
                 ("C", isinstance(self.C, numbers.Complex) and cmath.isfinite(self.C), "finite"),
-                ("extract", isinstance(self.extract, bool), "true or false")):
+                ("extract", isinstance(self.extract, bool), "true or false"),
+                ("label", self.label in BUILTIN_LABELS, f"one of {', '.join(BUILTIN_LABELS)}"),
+                ("precision", isinstance(self.precision, str) and self.precision in _DTYPES,
+                 f"one of {', '.join(sorted(_DTYPES))}"),
+                ("out", isinstance(self.out, str), "a string"),
+                ("csv_dir", self.csv_dir is None or isinstance(self.csv_dir, str),
+                 "a string or null")):
             if not ok:
                 raise ValueError(f"RunConfig {key} must be {what}, got {getattr(self, key)!r}")
 
@@ -155,6 +172,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d) -> "RunConfig":
+        if not isinstance(d, dict):   # dict() would take a list of pairs as well
+            raise TypeError(f"a RunConfig is a JSON object, not {type(d).__name__}")
         d = dict(d)
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
@@ -196,8 +215,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError("eval needs --xi alone, or both --C and --x")
     if args.m is not None and args.xi is None:
         raise _UsageError("--m picks the level --xi reads; the sum at --C and --x takes none")
-    with open(args.infile) as fh:
-        e = TwoScaleExpansion.from_dict(json.load(fh))
+    e = _load_json(args.infile, TwoScaleExpansion.from_dict)
     if args.xi is not None:
         e._require_disk(args.xi)
         row = e.observable_series(args.m or 0).coeffs
@@ -231,8 +249,7 @@ def _cmd_validate(args) -> int:
         if flags:
             raise _UsageError("--config takes no run flags, got "
                               + ", ".join(_RUN_FLAGS[k] for k in flags))
-        with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+        cfg = _load_json(args.config, RunConfig.from_dict)
     else:
         if args.label is None or not args.n_range:
             raise ValueError("validate needs a label and --n, or --config")
@@ -240,8 +257,6 @@ def _cmd_validate(args) -> int:
     # explicit destinations beat RunConfig's defaults and those a config records
     dests = {k: getattr(args, k) for k in ("out", "csv_dir") if getattr(args, k) is not None}
     cfg = dataclasses.replace(cfg, **dests)
-    if cfg.precision not in _DTYPES:
-        raise ValueError(f"precision must be one of {sorted(_DTYPES)}, got {cfg.precision!r}")
     # refuse a destination the run could not write before the survey, not after it
     for d in (os.path.dirname(cfg.out) or os.curdir, cfg.csv_dir):
         if d is not None and not (os.path.isdir(d) and os.access(d, os.W_OK)):
@@ -288,8 +303,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_precision_flag(p: argparse.ArgumentParser, default: str | None) -> None:
     p.add_argument("--precision", choices=sorted(_DTYPES), default=default,
-                   help="dtype of the hierarchy build (default double); "
-                        "integration runs in double")
+                   help=f"dtype of the hierarchy build (default {RunConfig.precision}); "
+                        "Taylor jets run in double")
 
 
 @functools.cache
@@ -310,7 +325,7 @@ def _build_parser() -> _Parser:
     _add_family_flags(p)
     p.add_argument("--M", type=int, default=8, help="deepest level (default 8)")
     p.add_argument("--K", type=int, default=64, help="Taylor order (default 64)")
-    _add_precision_flag(p, "double")
+    _add_precision_flag(p, RunConfig.precision)
     p.add_argument("--out", default="expansion.json")
     p.set_defaults(fn=_cmd_expand)
 
@@ -338,20 +353,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="continuation.csv")
     p.set_defaults(fn=_cmd_continue)
 
-    p = sub.add_parser("validate", help="integrate, hunt and compare an array")
+    p = sub.add_parser("validate", help="hunt and compare an array on Taylor jets")
     p.add_argument("label", nargs="?", choices=BUILTIN_LABELS)
     p.add_argument("--config", help="load a RunConfig JSON instead of flags")
     p.add_argument("--emit-config", dest="emit_config",
                    help="write the effective RunConfig here")
     # the run flags default to None, so RunConfig holds their defaults
-    p.add_argument("--C", type=_complex, help="transseries constant (default 1)")
+    p.add_argument("--C", type=_complex,
+                   help=f"transseries constant (default {_fmt_c(RunConfig.C)})")
     p.add_argument("--n", dest="n_range", type=_int_range, help="indices a..b")
-    p.add_argument("--M", type=int, help="deepest level of the hunts' seeds (default 8)")
-    p.add_argument("--K", type=int, help="Taylor order (default 32)")
+    p.add_argument("--M", type=int,
+                   help=f"deepest level of the hunts' seeds (default {RunConfig.M})")
+    p.add_argument("--K", type=int, help=f"Taylor order (default {RunConfig.K})")
     _add_precision_flag(p, None)
     p.add_argument("--extract", action="store_true", default=None,
-                   help="also recover C from the integrated solution")
-    p.add_argument("--out", help="report destination (default run.json)")
+                   help="also recover C from the solution, walked on Taylor jets")
+    p.add_argument("--out", help=f"report destination (default {RunConfig.out})")
     p.add_argument("--csv-dir", dest="csv_dir",
                    help="write one CSV per pole here, a row per Taylor-jet centre of its hunt")
     p.set_defaults(fn=_cmd_validate)

@@ -24,14 +24,16 @@ class TransasymError(Exception):
 
 
 class ResonantOrder(TransasymError):
-    """An order-k coefficient solve is singular and inconsistent.
+    """An order-k coefficient solve is singular and cannot go on.
 
-    The offending order is stored in ``order``.
+    The hierarchy build refuses every singular order k >= 2; at k = 0 or 1,
+    and in a linear series solve, a singular order is refused only when its
+    equation is inconsistent.  The offending order is stored in ``order``.
     """
 
     def __init__(self, order: int):
         self.order = int(order)
-        super().__init__(f"resonant order k={order}: singular and inconsistent")
+        super().__init__(f"resonant order k={order}: the order-{order} solve is singular")
 
 
 class InsufficientCoefficients(TransasymError):

@@ -26,10 +26,12 @@ At xi^k, k >= 2, the states of every level enter linearly, through the
 xi^0 column only: one system, block lower-triangular in the level with
 diagonal k - L, whose inverse is formed once per build by forward
 substitution over levels.  So every level is solved at once, one order
-at a time, in the build's dtype.  The inverses are held as B[row, column,
-k], so each substitution step multiplies only the lower-triangular block
-it reads; a component singular at some order is masked to 0 only when
-one is, and on one level the inverse is the identity and is skipped.
+at a time, in the build's dtype.  The one resonance rule: the first order
+k >= 2 with some |lambda_j - k| < 1e-12 max(1, max|lambda| + k) raises
+ResonantOrder(k) for every level, so the diagonal is regular.  The
+inverses are held as B[row, column, k], so each substitution step
+multiplies only the lower-triangular block it reads; on one level the
+inverse is the identity and is skipped.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
 monomial table (state rows, a constant row, one full grid of products
@@ -127,9 +129,8 @@ def _block_toeplitz(blocks: np.ndarray, L: int) -> np.ndarray:
     return out.reshape(L * r, L * c)
 
 
-def _coefficients(s: NormalSystem, M: int, K: int,
-                  dtype=np.complex128) -> tuple[np.ndarray, list[complex]]:
-    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K, and the pinned c_1..c_M.
+def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.ndarray:
+    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K; c_m = Y[0, m, 1] is pinned.
 
     Runs on the system's monomial table (:func:`_program`): one array
     T[row, m, k] whose first n rows are Y, row n the constant 1, and the
@@ -150,11 +151,9 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     B_k comes from one forward substitution over levels in ``dtype``, held
     as B[row, column, k - 2].  B_k is block lower-triangular with identity
     diagonal blocks, so level m's step is one matmul of A's block below the
-    diagonal against the view B[:m n, :m n], for every k at once.  A
-    component singular at order k is 0 in levels m >= 1, by a mask applied
-    only when some component is singular at some order, and must satisfy
-    its equation within _TOL of the largest term entering it.  On one level
-    B_k is the identity: u is the scaled right side itself.
+    diagonal against the view B[:m n, :m n], for every k at once.  An
+    order k >= 2 singular in some component raises before any is solved.
+    On one level B_k is the identity: u is the scaled right side itself.
     """
     bad = s.germ.order_violations()
     if bad:
@@ -184,7 +183,6 @@ def _coefficients(s: NormalSystem, M: int, K: int,
                           np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * k))
 
     lam_max = float(np.max(np.abs(lam)))
-    pinned: list[complex] = []
 
     Y[0, 0, 1:2] = 1.0   # F_0'(0) = e_1, when K >= 1
     # columns xi^0 and xi^1 of every level, k outer and m inner; an overflow is raised below
@@ -201,7 +199,6 @@ def _coefficients(s: NormalSystem, M: int, K: int,
                 if k == 1 and m >= 2:
                     # solvability of the first component pins c_{m-1}, slope m - 1
                     Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
-                    pinned.append(complex(Y[0, m - 1, 1]))
                     if m == M + 1:
                         continue
                 r = rhs(T[:, :, k], m, k)
@@ -215,14 +212,12 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         if bad.any():
             raise ValueError(f"the formal series is not finite from order {int(np.argmax(bad))} "
                              f"of R = {M}: its coefficients overflow; lower R")
-        return Y, pinned
+        return Y
 
     ks = np.arange(2, K + 1)
-    resonant = np.abs(lam[:, None] - ks) < 1e-12 * (1.0 + ks)
-    if resonant.any():
-        raise ResonantOrder(int(ks[resonant.any(0)][0]))
     sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, lam_max + ks)
-    checked = set(ks[sing.any(0)].tolist())
+    if sing.any():   # singular at some order k >= 2: refused for every level
+        raise ResonantOrder(int(ks[sing.any(0)][0]))
     # xi^2..xi^K, every level at once: the table order-major, F[k, m, row], and its
     # states Toeplitz in the level, R[K - k, a, j, m] = Y_{m-a,k}[j] (0 for a > m)
     L, eye = M + 1, np.eye(n)[:, :, None]
@@ -248,7 +243,6 @@ def _coefficients(s: NormalSystem, M: int, K: int,
     # against the view B[:m n, :m n], the only nonzero columns of the rows it reads
     denom = lam[:, None] - ks
     shift = -alpha1 * ks.astype(dtype)   # the S part of k (I - alpha_1 S), in dtype
-    mask = ~sing[:, None] if sing.any() else None   # a component singular at k solves to 0
     B = np.zeros((L * n, L * n, K - 1), dtype=dtype)
     B[:n, :n] = eye
     for m in range(1, L):
@@ -256,8 +250,6 @@ def _coefficients(s: NormalSystem, M: int, K: int,
         B[lv, :mn] = (A[lv, :mn] @ B[:mn, :mn].reshape(mn, -1)).reshape(n, mn, K - 1)
         B[lv, :mn] = (B[lv, :mn] + ((m - 1) + shift) * B[lo, :mn]) / denom[:, None]
         B[lv, lv] = eye
-        if mask is not None:
-            B[lv] *= mask
     B, denom, RT = B.transpose(2, 0, 1).copy(), np.tile(denom.T, L), R.transpose(1, 0, 2, 3)
 
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
@@ -271,11 +263,6 @@ def _coefficients(s: NormalSystem, M: int, K: int,
                 u = B[k - 2] @ u
             Fk += (Dl @ u).reshape(L, size)
             R[K - k].put(dst, Fk.take(src))
-            if k in checked:
-                j = sing[:, k - 2]
-                for m in range(1, L):
-                    if np.any(np.abs(rhs(Fk.T, m, k)[j]) > _TOL * scale(Fk.T, m, k, j)):
-                        raise ResonantOrder(k)
     bad = ~np.isfinite(F).all(2)
     if bad.any():
         k, m = map(int, np.unravel_index(np.argmax(bad), bad.shape))
@@ -287,7 +274,7 @@ def _coefficients(s: NormalSystem, M: int, K: int,
             m = M
         raise ValueError(f"F_{m} is not finite from order {k} of K = {K}: "
                          "its Taylor coefficients overflow; lower K")
-    return F[:, :, :n].transpose(2, 1, 0), pinned
+    return F[:, :, :n].transpose(2, 1, 0)
 
 
 def _jets(s: NormalSystem, kernel, y0, order: int, shape: tuple, step, fill) -> np.ndarray:
@@ -403,7 +390,7 @@ def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
     """
     if R < 2:
         raise ValueError("R must be at least 2")
-    c = _coefficients(s, R, 0)[0][:, :, 0]
+    c = _coefficients(s, R, 0)[:, :, 0]
     c.setflags(write=False)
     return c
 
@@ -562,21 +549,21 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     all in ``dtype`` (see the module docstring).
     The free constant c_m of level m is pinned at (m+1, xi^1), where the
     first component of the right side is d + m c_m; c_M uses row M+1,
-    which is computed through xi^1 only and then dropped.  F_0 raises
-    :class:`ResonantOrder` at its first singular order k >= 2, checked
-    after the columns xi^0 and xi^1.  A level's singular
-    component must vanish within 1e-9 of the largest term entering it;
-    otherwise :class:`ResonantOrder` names its order.  A z y_1 term in the
-    first component of g raises ``ResonantOrder(1)`` that way.  A
-    coefficient that overflows raises ``ValueError`` naming the first
-    level and order that are not finite.
+    which is computed through xi^1 only and then dropped; c_m is fm[m, 0,
+    1].  At xi^0 and xi^1 a singular component must vanish within 1e-9 of
+    the largest term entering it, else :class:`ResonantOrder` names its
+    order: a z y_1 term in the first component of g raises it at 1.  The
+    first order k >= 2 singular in some component raises it at k, for
+    every level alike, after the columns xi^0 and xi^1.  A coefficient
+    that overflows raises ``ValueError`` naming the first level and order
+    that are not finite.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     if K < 2:
         raise ValueError("K must be at least 2")
-    Y, consts = _coefficients(s, M, K, np.result_type(dtype, np.complex128))
-    return TwoScaleExpansion(s, Y.transpose(1, 0, 2), consts, K=K)
+    fm = _coefficients(s, M, K, np.result_type(dtype, np.complex128)).transpose(1, 0, 2)
+    return TwoScaleExpansion(s, fm, fm[1:, 0, 1], K=K)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -237,8 +237,8 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     landing exactly on each waypoint, at most ``_JET_BUDGET`` per leg
     (``NotConverging``).  A jet whose radius falls below 1e-3 of the
     distance left to its waypoint raises SingularApproach carrying its
-    centre.  The flow is singular at xi = 0, so no leg may pass through
-    the origin.
+    centre.  The flow is singular at xi = 0, so a path with a leg through
+    the origin raises ``ValueError`` before its first jet.
     """
     from .expansion import _xi_jet, build_expansion
     from .validate import _lockstep, _walk
@@ -250,15 +250,14 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
         s._seed = build_expansion(s, 0, _SEED_ORDER)
     e = s._seed
     e._require_disk(pts[0])
+    legs = [(a, b) for a, b in zip(pts[:-1], pts[1:]) if a != b]
+    if not all(_segment_clears_origin(a, b) for a, b in legs):   # before the first jet
+        raise ValueError("path leg passes through xi = 0, where the flow is singular")
     y = e.fm[0] @ pts[0] ** np.arange(_SEED_ORDER + 1)
 
     centres: list[tuple[complex, np.ndarray]] = []
     rho = abs(pts[0])  # the first jet's trial scale: no radius reaches past xi = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if a == b:
-            continue
-        if not _segment_clears_origin(a, b):
-            raise ValueError("path leg passes through xi = 0, where the flow is singular")
+    for a, b in legs:
         leg: list[tuple[complex, np.ndarray]] = []
         (y,), rho = _lockstep(s, _xi_jet, [_walk(a, y, [b], rho, leg)])[0]
         centres += leg

@@ -804,12 +804,12 @@ def run_validation(
     (:func:`~transasym.expansion._eval_points`) of ``e``, whose depth
     ``e.M`` and order ``e.K`` the run records.  With ``extract`` set, a
     radius ladder on the ray arg x = 1.2 (:func:`ladder_radii`) re-measures
-    C from the integrated solution, seeding from ``e`` deepened to level
-    ``_DEEP_M`` = 12 when it is shallower, in the precision of ``e``.  With
-    ``csv_dir`` set, each hunt writes its jet centres to ``pole_n<n>.csv``
-    there.  The hunts walk in lockstep (see :func:`_hunts`): once all have
-    ended, the first failure in n order is raised.  The run is labelled
-    with ``s.label``.
+    C from the solution walked on Taylor jets, seeding from ``e`` deepened
+    to level ``_DEEP_M`` = 12 when it is shallower, in the precision of
+    ``e``.  With ``csv_dir`` set, each hunt writes its jet centres to
+    ``pole_n<n>.csv`` there.  The hunts walk in lockstep (see
+    :func:`_hunts`): once all have ended, the first failure in n order is
+    raised.  The run is labelled with ``s.label``.
     """
     if s.xi_s_hint is None:
         raise ValueError("system carries no xi_s hint to predict an array from")

@@ -17,6 +17,7 @@ import pytest
 
 from transasym import cli, validate
 from transasym.cli import RunConfig, _complex, _dump_json, _int_range, main
+from transasym.expansion import build_expansion
 from transasym.singular import continue_f0
 from transasym.systems import builtin
 
@@ -201,7 +202,8 @@ def _overflow(*args, **kwargs):
     (["predict", "p1", "--C", "12", "--n", "1"], "math range error", "predict_array", None),
     # a usage error found after parsing is a ValueError and exits 2 as well: here an
     # unknown label, read from a config
-    (["validate", "--config", "cfg.json"], "no builtin system named 'nope'", None,
+    (["validate", "--config", "cfg.json"],
+     "RunConfig label must be one of abel, p1, p2a, p2b, got 'nope'", None,
      {"label": "nope", "C": [12.0, 0.0], "n_range": [8, 9]}),
 ], ids=["overflow", "unknown-label"])
 def test_a_domain_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys, argv, message,
@@ -395,9 +397,9 @@ def test_config_refuses_run_flags(tmp_path, monkeypatch, capsys, flags, named):
 @pytest.mark.parametrize("key, value", [
     ("M", 2.5), ("K", True), ("n_range", [8.7, 9]), ("n_range", [8, False]), ("n_range", 8),
     ("n_range", []), ("C", [math.nan, 0.0]), ("C", [math.inf, 0.0]), ("C", 5), ("C", [12, 0, 1]),
-    ("C", ["x"]), ("extract", "no"), ("extract", 1),
+    ("C", ["x"]), ("extract", "no"), ("extract", 1), ("csv_dir", 5),
 ], ids=["M-float", "K-bool", "n-float", "n-bool", "n-int", "n-empty", "C-nan", "C-inf", "C-int",
-        "C-three", "C-str", "extract-str", "extract-int"])
+        "C-three", "C-str", "extract-str", "extract-int", "csv-dir-int"])
 def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
@@ -447,6 +449,45 @@ def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, ar
     (tmp_path / "a.json").write_text(json.dumps(artifact))
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def _edit(path, value):
+    """An edit that copies a JSON document and sets its entry at ``path`` to ``value``."""
+    def apply(d):
+        root = node = json.loads(json.dumps(d))
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return root
+    return apply
+
+
+@pytest.mark.parametrize("cmd, edit, named", [
+    ("validate", _edit(["out"], 5), "RunConfig out must be a string, got 5"),
+    ("validate", _edit(["out"], None), "RunConfig out must be a string, got None"),
+    ("validate", _edit(["precision"], ["double"]), "RunConfig precision must be one of"),
+    ("validate", lambda d: [5], "a.json is malformed"),
+    ("validate", lambda d: list(d.items()), "a.json is malformed: a RunConfig is a JSON object"),
+    ("eval", _edit(["K"], [8]), "a.json is malformed"),
+    ("eval", _edit(["fm"], 5), "a.json is malformed"),
+    ("eval", _edit(["fm", 0, 0, "coeffs"], 5), "a.json is malformed"),
+    ("eval", _edit(["system", "lambda"], 5), "a.json is malformed"),
+    ("eval", _edit(["system", "germ", "terms"], 5), "a.json is malformed"),
+], ids=["out-int", "out-null", "precision-list", "config-list", "config-pairs",
+        "K-list", "fm-int", "coeffs-int", "lambda-int", "terms-int"])
+def test_json_of_the_wrong_type_exits_two(tmp_path, monkeypatch, capsys, cmd, edit, named):
+    # a value of the wrong JSON type is a domain error with one line, not a traceback
+    monkeypatch.chdir(tmp_path)
+    if cmd == "validate":
+        doc, argv = RunConfig("p1", C=12.0, n_range=(8,)).to_dict(), ["--config", "a.json"]
+    else:
+        doc = build_expansion(builtin("p1")[0], 1, 4).to_dict()
+        argv = ["--in", "a.json", "--xi", "1"]
+    (tmp_path / "a.json").write_text(json.dumps(edit(doc)))
+    assert main([cmd, *argv]) == 2
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run.json").exists()
 
 
 @pytest.mark.parametrize("label", ["p2a", "p2b"])

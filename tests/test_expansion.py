@@ -229,20 +229,25 @@ def test_levels_match_a_fifty_digit_recursion(label, alpha, M, K):
 
 @pytest.mark.parametrize("c", [0.0, 0.3])
 def test_level_resonance_at_xi_two(c):
-    # lambda_2 - 2 = 5e-12 is singular for the levels but not for F_0; the
-    # z y_1 term puts c F_0[xi^2] = -c into that component at (1, xi^2)
+    # one rule for every level: |lambda_2 - 2| < 1e-12 (lambda_max + 2) is singular,
+    # so 5e-12 is as resonant as 0, whether the z y_1 term puts c F_0[xi^2] = -c into
+    # that component at (1, xi^2) or leaves it consistent (c = 0)
     germ = AnalyticGerm(3, {(0, (2, 0, 0)): [1.0, 0.0, 0.5], (1, (1, 0, 0)): [0.0, c, 0.2],
                             (2, (0, 0, 0)): [0.0, 0.0, 0.1]})
-    s = NormalSystem([1.0, 2.0 + 5e-12, 100.0], [0.1, 0.0, 0.0], germ)
-    if c:
+    for lam2 in (2.0 + 5e-12, 2.0):
+        s = NormalSystem([1.0, lam2, 100.0], [0.1, 0.0, 0.0], germ)
         with pytest.raises(ResonantOrder) as err:
             build_expansion(s, 3, 8)
         assert err.value.order == 2
-    else:
-        e = build_expansion(s, 3, 8)
-        res = e.residual_coefficients()
-        for m in range(e.M + 1):
-            assert np.max(np.abs(res[:, m, :])) <= 1e-14 * np.max(np.abs(e.fm[m]))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble], ids=["double", "extended"])
+@pytest.mark.parametrize("label, M, K", [("p1", 8, 32), ("abel", 8, 48)])
+def test_free_constants_are_the_levels_pinned_coefficients(label, M, K, dtype):
+    # c_m is level m's first-component xi^1 coefficient, nothing kept beside it
+    e = build_expansion(builtin(label)[0], M, K, dtype=dtype)
+    assert len(e.free_constants) == M
+    assert e.free_constants == tuple(complex(c) for c in e.fm[1:, 0, 1])
 
 
 def _random_system(seed: int) -> NormalSystem:

@@ -189,6 +189,9 @@ def test_unknown_mode_rejected(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         main(["validate", "p1", "--C", "12", "--n", "8", "--precision", "quad"])
     assert info.value.code == 1
-    _dump_json(RunConfig("p1", C=12.0, n_range=(8,), precision="quad").to_dict(), "cfg.json")
+    cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
+    _dump_json({**cfg, "precision": "quad"}, "cfg.json")
+    with pytest.raises(ValueError, match="RunConfig precision must be one of double, extended"):
+        RunConfig.from_dict({**cfg, "precision": "quad"})
     assert main(["validate", "--config", "cfg.json"]) == 2
     assert "precision must be one of" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from transasym import singular, validate
+from transasym import expansion, singular, validate
 from transasym.cli import _dump_json
 from transasym.errors import (InsufficientCoefficients, OscillatoryCoefficients,
                               OutsideReliableDisk, SingularApproach, TransasymError)
@@ -251,6 +251,17 @@ def test_continuation_path_independence(abel):
 def test_continuation_rejects_origin_leg(abel):
     with pytest.raises(ValueError):
         continue_f0(abel, [0.05, -0.05])
+
+
+def test_continuation_checks_every_leg_before_its_first_jet(monkeypatch):
+    # the last leg crosses xi = 0: the path is refused before the earlier legs jet
+    s, calls, jet = builtin("abel")[0], [], expansion._xi_jet
+    monkeypatch.setattr(expansion, "_xi_jet", lambda *args: calls.append(1) or jet(*args))
+    with pytest.raises(ValueError, match="passes through xi = 0"):
+        continue_f0(s, [0.1, 0.2, 0.2 + 0.1j, -0.1 - 0.05j])
+    assert not calls
+    continue_f0(s, [0.1, 0.2, 0.2 + 0.1j])
+    assert calls
 
 
 def test_continuation_rejects_far_start(abel):
