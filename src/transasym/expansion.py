@@ -9,8 +9,8 @@ independent scale) gives, for the coefficients Y_{m,k} = [z^m xi^k] y,
 with F_0(0) = 0 and F_0'(0) = e_1.  The right side involves only lower
 orders: Y_{0,0} = 0 and every linear germ term carries a power of z.
 Only F_0 solves a nonlinear equation; its row is the xi-jet of F_0 at
-the regular singular point xi = 0.  The columns k = 0 and k = 1 of every
-level are solved one cell at a time, k outer and m inner.  Column k = 0
+the regular singular point xi = 0.  The orders k = 0 and k = 1 of every
+level are solved one cell at a time, k outer and m inner.  Order k = 0
 is the formal power series: F_m(0) = c_m, the coefficient of x^{-m} in
 the unique formal solution.
 
@@ -18,37 +18,35 @@ Each level m >= 1 is resonant at xi^1 in the first component; its free
 coefficient c_m = Y_{m,1}[0] is the delayed constant.  It is pinned at
 (m+1, xi^1), where the first component of the right side is exactly
 affine in c_m with slope m, so solvability fixes it before the rest of
-that column is solved.  (A z y_1 term in the first component of g would
+that order is solved.  (A z y_1 term in the first component of g would
 change that slope, but it already makes (1, xi^1) inconsistent.)  Row
 M+1 is computed only to xi^1, to pin c_M.
 
 At xi^k, k >= 2, the states of every level enter linearly, through the
-xi^0 column only: one system, block lower-triangular in the level with
+xi^0 order only: one system, block lower-triangular in the level with
 diagonal k - L, whose inverse is formed once per build by forward
 substitution over levels.  So every level is solved at once, one order
 at a time, in the build's dtype.  The one resonance rule: the first order
 k >= 2 with some |lambda_j - k| < 1e-12 max(1, max|lambda| + k) raises
-ResonantOrder(k) for every level, so the diagonal is regular.  The
-inverses are held as B[row, column, k], so each substitution step
-multiplies only the lower-triangular block it reads; on one level the
-inverse is the identity and is skipped.
+ResonantOrder(k) for every level, so the diagonal is regular.
 
 The right side -L y + z A y + g(z, y) is compiled once per system into a
 monomial table (state rows, a constant row, one full grid of products
 per chain length, one coefficient matrix), kept on the ``NormalSystem``.
-The build and both jet kernels run on that one table.  The build fills
-its running products over two indices, z^m and xi^k; over one index they
-give the Taylor jet of a solution in x about any point, and of F_0 in
-xi.  The pole hunts and C ladders of :mod:`transasym.validate` walk and
-read the first, and ``continue_f0`` walks the second; one kernel call
-computes the jets of many walks, one lane each.  The kernels, and the
-build at xi^2..xi^K, hold the table order-major: each Taylor order is
-one batched matmul per chain length, whose output is that length's grid
-block, and one batched matmul against a step matrix folding the
-monomials' coefficients, written in place as the next states.  Lanes
-share only batched matmuls, so no lane's arithmetic depends on the others.
-Each kernel's workspace and per-order operand views are planned once per
-system and order, for one lane count, and reused: a call runs only its ufuncs.
+The build and both jet kernels run on that one table, held order-major:
+the build's F[k, m, row] from its first cell, a kernel's T[lane, k, row].
+The build fills its running products over two indices, z^m and xi^k;
+over one index they give the Taylor jet of a solution in x about any
+point, and of F_0 in xi.  The pole hunts and C ladders of
+:mod:`transasym.validate` walk and read the first, and ``continue_f0``
+walks the second; one kernel call computes the jets of many walks, one
+lane each.  Each order of a kernel, and each order xi^2..xi^K of the
+build, is one batched matmul per chain length, whose output is that
+length's grid block; a kernel's step matrix, folding the monomials'
+coefficients, writes the next states in place.  Lanes share only batched
+matmuls, so no lane's arithmetic depends on the others.  Each kernel's
+workspace and per-order operand views are planned once per system and
+order, for one lane count, and reused: a call runs only its ufuncs.
 
 The hierarchy is built in the dtype passed to :func:`build_expansion`
 (complex128 by default, ``numpy.clongdouble`` for extended precision);
@@ -130,22 +128,22 @@ def _block_toeplitz(blocks: np.ndarray, L: int) -> np.ndarray:
 
 
 def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.ndarray:
-    """Y[:, m, k] = [z^m xi^k] y for m <= M, k <= K; c_m = Y[0, m, 1] is pinned.
+    """The states F[k, m, :n] = Y_{m,k} = [z^m xi^k] y, m <= M, k <= K, as (K+1, M+1, n).
 
-    Runs on the system's monomial table (:func:`_program`): one array
-    T[row, m, k] whose first n rows are Y, row n the constant 1, and the
-    rest the product chains.  A chain's (m, k) coefficient never involves
-    Y_{m,k}, since Y_{0,0} = 0.  The right side at (m, k) is sum_p W[p] @
-    T[:, m - p, k] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k}, read while
-    Y_{m,k} is still 0, so the -L y monomials drop out.  Each cell of the
-    columns xi^0 and xi^1 extends each chain length by one contraction
-    over (level, xi), whose (head, component) products are its grid block.
+    One array F[k, m, row] holds the system's monomial table
+    (:func:`_program`) order-major: its first n rows are Y, row n the
+    constant 1, the rest the product chains.  A chain's (m, k) coefficient
+    never involves Y_{m,k}, since Y_{0,0} = 0.  The right side at (m, k) is
+    sum_p W[p] @ F[k, m - p] plus (m-1) Y_{m-1,k} - alpha_1 k Y_{m-1,k},
+    read while Y_{m,k} is still 0, so the -L y monomials drop out.  Each
+    cell of the orders xi^0 and xi^1 extends each chain length by one
+    contraction over (level, xi), whose (head, component) products are its
+    grid block; level M+1 pins c_M and is then sliced off.
 
     Then the orders k = 2..K are solved one at a time, every level at
-    once, on the table held order-major, F[k, m, row].  The states u =
-    Y_{:,k} enter it only through the xi^0 column, T[:, :, k] = F[k] + D u,
-    so order k takes one matmul per chain length and level for F[k] at
-    u = 0, then u = B_k (W~ F[k] / (lambda - k)), W~ the z-power
+    once.  The states u = Y_{:,k} enter F[k] only through the xi^0 order,
+    as D u, so order k takes one matmul per chain length and level for
+    F[k] at u = 0, then u = B_k (W~ F[k] / (lambda - k)), W~ the z-power
     coefficients, then F[k] += D u.  B_k inverts A_k = W~ D + (m-1) S +
     k (I - alpha_1 S) (S shifts the level) scaled to unit diagonal; every
     B_k comes from one forward substitution over levels in ``dtype``, held
@@ -153,7 +151,6 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
     diagonal blocks, so level m's step is one matmul of A's block below the
     diagonal against the view B[:m n, :m n], for every k at once.  An
     order k >= 2 singular in some component raises before any is solved.
-    On one level B_k is the identity: u is the scaled right side itself.
     """
     bad = s.germ.order_violations()
     if bad:
@@ -162,75 +159,64 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
     n, lam, alpha1 = s.n, s.lam, s.alpha[0]
     size, groups, W = _program(s)
     depth = M + 2 if M >= 1 and K >= 1 else M + 1
-    T = np.zeros((size, depth, K + 1), dtype=dtype)
-    T[n, 0, 0] = 1.0
-    Y = T[:n]
+    F = np.zeros((K + 1, depth, size), dtype=dtype)
+    F[0, 0, n] = 1.0     # the constant row
+    F[1:2, 0, 0] = 1.0   # F_0'(0) = e_1, when K >= 1
     Wz = W.swapaxes(0, 1).reshape(n, -1)   # Wz[:, p size + row] = W[p, :, row]
 
-    def rhs(X: np.ndarray, m: int, k: int) -> np.ndarray:
-        """The right side at z^m >= 1 from X[row, level], the table's column xi^k."""
+    def rhs(m: int, k: int) -> np.ndarray:
+        """The right side at z^m >= 1, xi^k from the level rows F[k, :m + 1]."""
         p = min(m, len(W) - 1)
-        t = X[:, m - p : m + 1][:, ::-1].T.reshape(-1, 1)
-        prev = X[:n, m - 1, None]
+        t = F[k, m - p : m + 1][::-1].reshape(-1, 1)
+        prev = F[k, m - 1, :n, None]
         return (Wz[:, : len(t)] @ t + (m - 1) * prev - (alpha1 * prev) * k)[:, 0]
 
-    def scale(X: np.ndarray, m: int, k: int, j) -> np.ndarray:
-        """The largest term entering components j of :func:`rhs`."""
-        p = min(m, len(W) - 1)
-        terms = W[: p + 1, j] * X[:, m - p : m + 1][:, ::-1].T[:, None]   # W[q, j] X[:, m - q]
-        prev = np.abs(X[:n][j, m - 1])
-        return np.maximum(np.abs(terms).max((0, 2)),
-                          np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * k))
-
-    lam_max = float(np.max(np.abs(lam)))
-
-    Y[0, 0, 1:2] = 1.0   # F_0'(0) = e_1, when K >= 1
-    # columns xi^0 and xi^1 of every level, k outer and m inner; an overflow is raised below
+    # the one resonance rule: sing[j, k] where |lambda_j - k| < 1e-12 max(1, max|lambda| + k)
+    ks = np.arange(K + 1)
+    sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, np.max(np.abs(lam)) + ks)
+    # orders xi^0 and xi^1 of every level, k outer and m inner; an overflow is raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(min(K, 1) + 1):
-            denom = lam - k
-            sing = np.abs(denom) < 1e-12 * max(1.0, lam_max + k)
-            any_sing, divisor = sing.any(), np.where(sing, 1, denom)
+        for k, sk in enumerate(sing.T[:2]):
+            any_sing, divisor = sk.any(), np.where(sk, 1, lam - k)
             for m in range(1, depth):
-                tails = Y[:, m::-1, k::-1].reshape(n, -1).T
+                tails = F[k::-1, m::-1, :n].transpose(1, 0, 2).reshape(-1, n)
                 for heads, chain in groups:
-                    P = T[heads, : m + 1, : k + 1].reshape(-1, len(tails)) @ tails
-                    T[chain, m, k] = P.reshape(-1)
+                    P = F[: k + 1, : m + 1, heads].transpose(2, 1, 0).reshape(-1, len(tails))
+                    F[k, m, chain] = (P @ tails).reshape(-1)
                 if k == 1 and m >= 2:
                     # solvability of the first component pins c_{m-1}, slope m - 1
-                    Y[0, m - 1, 1] = -rhs(T[:, :, 1], m, 1)[0] / (m - 1)
+                    F[1, m - 1, 0] = -rhs(m, 1)[0] / (m - 1)
                     if m == M + 1:
                         continue
-                r = rhs(T[:, :, k], m, k)
-                if any_sing:
-                    if np.any(np.abs(r[sing]) > _TOL * scale(T[:, :, k], m, k, sing)):
+                r = rhs(m, k)
+                if any_sing:   # each singular component against the largest term entering it
+                    p = min(m, len(W) - 1)
+                    terms = np.abs(W[: p + 1, sk] * F[k, m - p : m + 1][::-1, None]).max((0, 2))
+                    prev = np.abs(F[k, m - 1, :n][sk])
+                    big = np.maximum(terms, np.maximum(abs(m - 1) * prev, abs(alpha1) * prev * k))
+                    if np.any(np.abs(r[sk]) > _TOL * big):
                         raise ResonantOrder(k)
-                    r = np.where(sing, 0, r)
-                Y[:, m, k] = r / divisor
+                    r = np.where(sk, 0, r)
+                F[k, m, :n] = r / divisor
+    F = F[:, : M + 1]   # row M + 1 only pinned c_M
     if K < 2:   # the formal series alone (K = 0): level m is its order m
-        bad = ~np.isfinite(Y[:, : M + 1]).all((0, 2))
+        bad = ~np.isfinite(F[:, :, :n]).all((0, 2))
         if bad.any():
             raise ValueError(f"the formal series is not finite from order {int(np.argmax(bad))} "
                              f"of R = {M}: its coefficients overflow; lower R")
-        return Y
+        return F[:, :, :n]
 
-    ks = np.arange(2, K + 1)
-    sing = np.abs(lam[:, None] - ks) < 1e-12 * np.maximum(1.0, lam_max + ks)
-    if sing.any():   # singular at some order k >= 2: refused for every level
-        raise ResonantOrder(int(ks[sing.any(0)][0]))
-    # xi^2..xi^K, every level at once: the table order-major, F[k, m, row], and its
-    # states Toeplitz in the level, R[K - k, a, j, m] = Y_{m-a,k}[j] (0 for a > m)
+    if sing[:, 2:].any():   # singular at some order k >= 2: refused for every level
+        raise ResonantOrder(int(np.argmax(sing[:, 2:].any(0))) + 2)
+    # xi^2..xi^K, every level at once, on the states R[K - k, a, j, m] = Y_{m-a,k}[j], 0 for a > m
     L, eye = M + 1, np.eye(n)[:, :, None]
-    F = np.zeros((K + 1, L, size), dtype=dtype)
-    F[:2] = T[:, :L, :2].transpose(2, 1, 0)
     R = np.zeros((K + 1, L, n, L), dtype=dtype)
     mm, aa = np.tril_indices(L)   # R[K - k] takes Y_{m-a,k}[j] at dst from F[k] at src
     dst = (((aa * n)[:, None] + range(n)) * L + mm[:, None]).ravel()
     src = (((mm - aa) * size)[:, None] + range(n)).ravel()
-    for k in (0, 1):
-        R[K - k].put(dst, F[k].take(src))
+    R[K].put(dst, F[0].take(src))
 
-    # D[row, j, d] = d T[row, m, k] / d Y_{m-d,k}[j], carried along the chain steps
+    # D[row, j, d] = d F[k, m, row] / d Y_{m-d,k}[j], carried along the chain steps
     D = np.zeros((size, n, L), dtype=dtype)
     D[range(n), range(n), 0] = 1.0
     for heads, chain in groups:   # D[chain] as [head, tail, j, d]: D[head] @ R[K][:, tail]
@@ -241,8 +227,8 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
     # B[:, :, k - 2] solves A_k u = -r as u = B_k (r / (lambda - k)): forward substitution
     # over levels, held as B[row, column, k - 2] so each level is one matmul for every k
     # against the view B[:m n, :m n], the only nonzero columns of the rows it reads
-    denom = lam[:, None] - ks
-    shift = -alpha1 * ks.astype(dtype)   # the S part of k (I - alpha_1 S), in dtype
+    denom = lam[:, None] - ks[2:]
+    shift = -alpha1 * ks[2:].astype(dtype)   # the S part of k (I - alpha_1 S), in dtype
     B = np.zeros((L * n, L * n, K - 1), dtype=dtype)
     B[:n, :n] = eye
     for m in range(1, L):
@@ -254,6 +240,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
 
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
         for k in range(2, K + 1):
+            R[K - k + 1].put(dst, F[k - 1].take(src))
             Fk, tails = F[k], RT[:, K - k + 1 :].reshape(L, k, n * L)
             for heads, chain in groups:
                 P = F[1 : k + 1, :, heads].transpose(1, 2, 0) @ tails
@@ -262,7 +249,6 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
             if L > 1:   # B_k is the identity on one level
                 u = B[k - 2] @ u
             Fk += (Dl @ u).reshape(L, size)
-            R[K - k].put(dst, Fk.take(src))
     bad = ~np.isfinite(F).all(2)
     if bad.any():
         k, m = map(int, np.unravel_index(np.argmax(bad), bad.shape))
@@ -274,7 +260,7 @@ def _coefficients(s: NormalSystem, M: int, K: int, dtype=np.complex128) -> np.nd
             m = M
         raise ValueError(f"F_{m} is not finite from order {k} of K = {K}: "
                          "its Taylor coefficients overflow; lower K")
-    return F[:, :, :n].transpose(2, 1, 0)
+    return F[:, :, :n]
 
 
 def _jets(s: NormalSystem, kernel, y0, order: int, shape: tuple, step, fill) -> np.ndarray:
@@ -381,7 +367,7 @@ def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
     """Unique formal solution y ~ sum_{r>=2} c_r x^{-r}, orders to R.
 
     Returns the read-only (n, R+1) array c[j, r], the coefficient of
-    x^{-r} in y_j: column xi^0 of the two-scale recursion, with nothing
+    x^{-r} in y_j: order xi^0 of the two-scale recursion, with nothing
     pinned, so c[:, 0] and c[:, 1] vanish.  Order r reads
     L c_r = (A + (r-1) I) c_{r-1} + [z^r] g(z, y), whose right side
     depends on c_2..c_{r-1} only.  Computed in complex128.  A coefficient
@@ -390,7 +376,7 @@ def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
     """
     if R < 2:
         raise ValueError("R must be at least 2")
-    c = _coefficients(s, R, 0)[:, :, 0]
+    c = _coefficients(s, R, 0)[0].T
     c.setflags(write=False)
     return c
 
@@ -496,19 +482,28 @@ class TwoScaleExpansion:
         system = NormalSystem.from_dict(d["system"])
         fm = [[_row_from_dict(row, f"{m}, {j}") for j, row in enumerate(level)]
               for m, level in enumerate(d["fm"])]
-        consts = [complex(re, im) for re, im in d["free_constants"]]
-        K = int(d["K"])
+        consts = _read(d, "free_constants", "expansion", pairs=True)
+        K = _read(d, "K", "expansion")
         orders = {len(c) - 1 for level in fm for c in level} - {K}
         if orders:
             raise ValueError(f"expansion K = {K}, but its Taylor rows have order {min(orders)}")
         return cls(system, fm, consts, K=K)
 
 
+def _read(d: Mapping, key: str, where: str, pairs: bool = False):
+    """``d[key]`` as an int, or as complex [re, im] ``pairs``; else a TypeError naming ``key``."""
+    try:
+        return [complex(re, im) for re, im in d[key]] if pairs else int(d[key])
+    except (TypeError, ValueError):
+        what = "a list of [re, im]" if pairs else "an integer"
+        raise TypeError(f"{where} {key} must be {what}, got {d[key]!r}") from None
+
+
 def _row_from_dict(d: Mapping, where: str) -> list:
     """The coefficients of a Taylor row ``{"coeffs": [[re, im], ...], "truncation": K}``."""
     require_keys(d, ("coeffs", "truncation"), "Taylor row")
-    coeffs = [complex(re, im) for re, im in d["coeffs"]]
-    if len(coeffs) != int(d["truncation"]) + 1:
+    coeffs = _read(d, "coeffs", f"Taylor row {where}", pairs=True)
+    if len(coeffs) != _read(d, "truncation", f"Taylor row {where}") + 1:
         raise ValueError(f"Taylor row {where} has {len(coeffs)} coefficients, "
                          f"but truncation {d['truncation']}")
     return coeffs
@@ -544,9 +539,9 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     or ``numpy.clongdouble``.  A germ that breaks the order condition
     g = O(z^2) + O(|y|^2) is rejected with ``ValueError``.
 
-    The columns xi^0 and xi^1 of every level are solved one cell at a
-    time, then xi^2..xi^K one order at a time for every level at once,
-    all in ``dtype`` (see the module docstring).
+    On one order-major table, the orders xi^0 and xi^1 of every level are
+    solved one cell at a time, then xi^2..xi^K one order at a time for
+    every level at once, all in ``dtype`` (see the module docstring).
     The free constant c_m of level m is pinned at (m+1, xi^1), where the
     first component of the right side is d + m c_m; c_M uses row M+1,
     which is computed through xi^1 only and then dropped; c_m is fm[m, 0,
@@ -554,7 +549,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     the largest term entering it, else :class:`ResonantOrder` names its
     order: a z y_1 term in the first component of g raises it at 1.  The
     first order k >= 2 singular in some component raises it at k, for
-    every level alike, after the columns xi^0 and xi^1.  A coefficient
+    every level alike, after the orders xi^0 and xi^1.  A coefficient
     that overflows raises ``ValueError`` naming the first level and order
     that are not finite.
     """
@@ -562,7 +557,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
         raise ValueError("M must be nonnegative")
     if K < 2:
         raise ValueError("K must be at least 2")
-    fm = _coefficients(s, M, K, np.result_type(dtype, np.complex128)).transpose(1, 0, 2)
+    fm = _coefficients(s, M, K, np.result_type(dtype, np.complex128)).transpose(1, 2, 0)
     return TwoScaleExpansion(s, fm, fm[1:, 0, 1], K=K)
 
 

@@ -589,6 +589,7 @@ def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEsti
     k <= floor(|x|) per sample (the floor rule; the ladder spread shows
     its sensitivity), the residue is divided by e^{-x} x^{alpha_1}, and
     the resulting per-sample estimates are extrapolated to |x| = inf.
+    Fewer than 4 samples, or two that share |x|, raise ``ValueError``.
     Raises ``NotConverging`` when the formal series or a per-sample
     estimate is not finite, or when the extrapolation steps stay larger
     than max(0.1 |value|, 1e-8).
@@ -599,6 +600,8 @@ def extract_C(s: NormalSystem, e: TwoScaleExpansion, samples: Iterable) -> CEsti
     )
     if len(pts) < 4:
         raise ValueError("need at least 4 samples to stabilize C")
+    if len({abs(x) for x, _ in pts}) < len(pts):   # the extrapolation in 1/|x| divides by gaps
+        raise ValueError("two samples share one |x|; C needs distinct |x|")
     r_top = int(math.floor(abs(pts[-1][0])))
     try:
         tilde = e._formal_series(max(r_top, 2))[0]

@@ -473,8 +473,15 @@ def _edit(path, value):
     ("eval", _edit(["fm", 0, 0, "coeffs"], 5), "a.json is malformed"),
     ("eval", _edit(["system", "lambda"], 5), "a.json is malformed"),
     ("eval", _edit(["system", "germ", "terms"], 5), "a.json is malformed"),
+    # a value its field cannot read: the one line names the file and the key
+    ("eval", _edit(["K"], "x"), "a.json is malformed: expansion K must be an integer, got 'x'"),
+    ("eval", _edit(["free_constants"], [[1, 2, 3]]),
+     "a.json is malformed: expansion free_constants must be a list of [re, im], got [[1, 2, 3]]"),
+    ("eval", _edit(["fm", 0, 0, "truncation"], "a"),
+     "a.json is malformed: Taylor row 0, 0 truncation must be an integer, got 'a'"),
 ], ids=["out-int", "out-null", "precision-list", "config-list", "config-pairs",
-        "K-list", "fm-int", "coeffs-int", "lambda-int", "terms-int"])
+        "K-list", "fm-int", "coeffs-int", "lambda-int", "terms-int",
+        "K-str", "free-constants-triple", "truncation-str"])
 def test_json_of_the_wrong_type_exits_two(tmp_path, monkeypatch, capsys, cmd, edit, named):
     # a value of the wrong JSON type is a domain error with one line, not a traceback
     monkeypatch.chdir(tmp_path)

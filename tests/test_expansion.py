@@ -404,8 +404,16 @@ def test_kept_formal_series_slices_bitwise(p1):
     assert e._formal.shape == (p1.n, 61)
 
 
+@pytest.mark.parametrize("label,alpha", [("p1", 0.0), ("abel", 0.0), ("p2a", 0.0), ("p2a", 0.3),
+                                         ("p2b", 0.0), ("p2b", 0.3)])
+def test_formal_series_is_the_hierarchys_xi0_order_bitwise(label, alpha):
+    # both come from the same xi^0 cells: the formal series is the build at K = 0
+    s, _ = builtin(label, alpha=alpha)
+    assert np.array_equal(formal_power_series(s, 8), build_expansion(s, 8, 32).fm[:, :, 0].T)
+
+
 def test_formal_series_agrees_with_two_scale_at_zero_C(p1, e_p1):
-    # column xi^0 of the hierarchy and the formal series come from one
+    # order xi^0 of the hierarchy and the formal series come from one
     # recursion, so this checks evaluation, not the coefficients
     c = formal_power_series(p1, 12)
     x = 10.0

@@ -456,6 +456,15 @@ def test_a_sample_that_is_not_finite_raises_not_converging(p1, e_p1):
         extract_C(p1, e_p1, samples)
 
 
+def test_samples_that_share_a_modulus_are_refused(p1, e_p1):
+    # the extrapolation runs in 1/|x|: two samples at one |x| have no step between them
+    samples = _truncated_sum_samples(p1, 1.0)[:4]
+    x, y = samples[1]
+    samples.append((x.conjugate(), y))   # five samples: the extrapolation takes each
+    with pytest.raises(ValueError, match="two samples share one .x."):
+        extract_C(p1, e_p1, samples)
+
+
 def test_zero_residue_reads_as_zero_or_refuses(p1, e_p1):
     # with nothing beyond the partial sums the estimate must either come
     # out tiny or refuse to converge; both are correct answers
@@ -533,6 +542,11 @@ def test_ladder_past_the_formal_series_raises_not_converging(p1, e12_p1):
     assert max(radii) > 173
     with pytest.raises(NotConverging, match="formal series is not finite from order 173"):
         extraction_ladder(p1, e12_p1, 12.0, 1.5, radii)
+
+
+def test_ladder_with_a_repeated_radius_is_refused(p1, e12_p1):
+    with pytest.raises(ValueError, match="two samples share one .x."):
+        extraction_ladder(p1, e12_p1, 12.0, 1.2, [20, 20, 24, 28, 32])
 
 
 def test_ladder_logs_its_jets(caplog, p1, e12_p1):
