@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TransasymError, require_keys
+from .errors import TransasymError, read_field, require_keys
 from .expansion import TwoScaleExpansion, build_expansion, eval_two_scale
 from .singular import continue_f0, predict_array
 from .systems import BUILTIN_LABELS, builtin
@@ -55,10 +55,6 @@ _DTYPES = {"double": np.complex128, "extended": np.clongdouble}
 # RunConfig field -> the validate flag that sets it; --config takes none of them
 _RUN_FLAGS = {"label": "the label", "C": "--C", "n_range": "--n", "M": "--M", "K": "--K",
               "extract": "--extract", "precision": "--precision"}
-
-
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class _UsageError(Exception):
@@ -108,14 +104,14 @@ def _fmt_c(z: complex) -> str:
 
 
 def _load_json(path: str, build):
-    """``build`` of the JSON document at ``path``.  A ``TypeError`` raised while
-    building, a value of the wrong JSON type, is a ``ValueError`` naming the file."""
+    """``build`` of the JSON document at ``path``.  Every refusal of the document (text
+    that is not JSON, a missing key, a value of the wrong type or one that disagrees
+    with another) is one ``ValueError`` naming the file."""
     with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return build(doc)
-    except TypeError as err:
-        raise ValueError(f"{path} is malformed: {err}") from None
+        try:
+            return build(json.load(fh))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path} is malformed: {err}") from None
 
 
 def _dump_json(obj, path: str | None) -> None:
@@ -148,11 +144,9 @@ class RunConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        """Give values read from JSON the flags' checks; a bool counts as no number."""
+        """Give values read from JSON, past ``from_dict``'s reader, the flags' checks."""
         for key, ok, what in (
-                ("M", _integer(self.M), "an integer"), ("K", _integer(self.K), "an integer"),
-                ("n_range", bool(self.n_range) and all(map(_integer, self.n_range)),
-                 "a non-empty list of integers"),
+                ("n_range", bool(self.n_range), "a non-empty list of integers"),
                 ("C", isinstance(self.C, numbers.Complex) and cmath.isfinite(self.C), "finite"),
                 ("extract", isinstance(self.extract, bool), "true or false"),
                 ("label", self.label in BUILTIN_LABELS, f"one of {', '.join(BUILTIN_LABELS)}"),
@@ -179,12 +173,9 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         require_keys(d, ("label", "C", "n_range"), "RunConfig")
-        for key, read, what in (("C", lambda v: complex(*v), "[re, im]"),
-                                ("n_range", tuple, "a list of integers")):
-            try:
-                d[key] = read(d[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"RunConfig {key} must be {what}, got {d[key]!r}") from None
+        d["C"] = read_field(d, "C", "RunConfig", complex)
+        d["n_range"] = tuple(read_field(d, "n_range", "RunConfig", listed=True))
+        d.update((key, read_field(d, key, "RunConfig")) for key in ("M", "K") if key in d)
         return cls(**d)
 
 

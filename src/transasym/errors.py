@@ -1,14 +1,17 @@
-"""Exception types the package raises, and the check for missing keys.
+"""Exception types the package raises, and the one reader of a JSON document.
 
 Every domain failure raises a subclass of TransasymError so callers (and the
 CLI) can distinguish "the mathematics said no" from programming errors.  Each
 class here is raised by some code path of the package; a usage error, such as
 a missing key, an unknown builtin label, C = 0 or a germ term above the
-degree cap, is a ``ValueError``.
+degree cap, is a ``ValueError``.  Every document read back (a system, its
+germ, an expansion, a run config) names the keys it lacks by
+:func:`require_keys` and reads each value by :func:`read_field`.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Mapping
 
 
@@ -17,6 +20,26 @@ def require_keys(d: Mapping, keys: Iterable[str], what: str) -> None:
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValueError(f"missing {what} keys: {', '.join(missing)}")
+
+
+def _integer(v) -> bool:
+    """A JSON integer: never a bool, nor a float such as 8.0."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def read_field(d: Mapping, key: str, what: str, kind: type = int, listed: bool = False):
+    """``d[key]`` of the ``what`` document: an ``int``, or for ``kind=complex`` a pair
+    ``[re, im]`` of two numbers (never bools); ``listed``, a list of them.  Any other
+    value raises ``TypeError`` naming ``what`` and ``key``."""
+    v = d[key]
+    items = v if listed else [v]
+    ok = _integer if kind is int else lambda u: isinstance(u, list) and len(u) == 2 and all(
+        isinstance(r, numbers.Real) and not isinstance(r, bool) for r in u)
+    if not (isinstance(items, list) and all(map(ok, items))):
+        noun = ("integers" if listed else "an integer") if kind is int else "[re, im]"
+        raise TypeError(f"{what} {key} must be {'a list of ' * listed}{noun}, got {v!r}")
+    values = [int(u) if kind is int else complex(*u) for u in items]
+    return values if listed else values[0]
 
 
 class TransasymError(Exception):

@@ -67,6 +67,7 @@ from .errors import (
     OscillatoryCoefficients,
     OutsideReliableDisk,
     ResonantOrder,
+    read_field,
     require_keys,
 )
 from .series import TaylorSeries, complex_array, compose_germ_series
@@ -385,26 +386,32 @@ def formal_power_series(s: NormalSystem, R: int) -> np.ndarray:
 
 
 class TwoScaleExpansion:
-    """The computed F_0..F_M with the pinned free constants.
+    """The computed F_0..F_M of a system, with the free constants they pin.
 
     ``fm`` is the read-only (M+1, n, K+1) array of Taylor coefficients,
-    level m in ``fm[m]``, given as one array or as a sequence of levels;
+    level m in ``fm[m]``, given as one array or as a sequence of levels.
+    M and K are read from its shape, and the delayed constants c_1..c_M,
+    which the hierarchy itself fixes, from ``fm[1:, 0, 1]``.
     ``observable_series(m)`` projects a level on the system's observable
-    weights.
+    weights.  ``free_constants`` and ``K`` are accepted and ignored, only
+    because ``bench/selftest.py`` still passes them (ROADMAP item 1).
     """
 
     def __init__(self, system: NormalSystem, fm: np.ndarray | Sequence[np.ndarray],
-                 free_constants: Sequence[complex], K: int):
+                 free_constants=None, K=None):
         self.system = system
         # contiguous: matmul sums a strided level in another order (continue_f0's seed)
         self.fm = np.ascontiguousarray(complex_array(fm))
         self.fm.setflags(write=False)
-        self.free_constants = tuple(complex(c) for c in free_constants)
-        self.K = int(K)
-        self.M = len(self.fm) - 1
+        self.M, self.K = len(self.fm) - 1, self.fm.shape[2] - 1
         self._radius: float | None = None
         self._default_fit: "GevreyFit | None" = None
         self._formal: np.ndarray | None = None
+
+    @property
+    def free_constants(self) -> tuple[complex, ...]:
+        """c_1..c_M, pinned at (m+1, xi^1): ``fm[1:, 0, 1]`` as complex128."""
+        return tuple(complex(c) for c in self.fm[1:, 0, 1])
 
     def observable_series(self, m: int) -> TaylorSeries:
         """w . F_m for a level 0 <= m <= M; any other m raises ``ValueError``."""
@@ -478,32 +485,32 @@ class TwoScaleExpansion:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TwoScaleExpansion":
+        """The expansion ``to_dict`` wrote.  ``fm`` holds one or more levels of n rows, and
+        ``K``, each row's ``truncation`` and ``free_constants`` must agree with it."""
         require_keys(d, ("system", "fm", "free_constants", "K"), "expansion")
         system = NormalSystem.from_dict(d["system"])
         fm = [[_row_from_dict(row, f"{m}, {j}") for j, row in enumerate(level)]
               for m, level in enumerate(d["fm"])]
-        consts = _read(d, "free_constants", "expansion", pairs=True)
-        K = _read(d, "K", "expansion")
+        K = read_field(d, "K", "expansion")
+        consts = read_field(d, "free_constants", "expansion", complex, listed=True)
+        if not fm or any(len(level) != system.n for level in fm):
+            raise ValueError(f"expansion fm must hold one or more levels of {system.n} rows, "
+                             f"got row counts {[len(level) for level in fm]}")
         orders = {len(c) - 1 for level in fm for c in level} - {K}
         if orders:
             raise ValueError(f"expansion K = {K}, but its Taylor rows have order {min(orders)}")
-        return cls(system, fm, consts, K=K)
-
-
-def _read(d: Mapping, key: str, where: str, pairs: bool = False):
-    """``d[key]`` as an int, or as complex [re, im] ``pairs``; else a TypeError naming ``key``."""
-    try:
-        return [complex(re, im) for re, im in d[key]] if pairs else int(d[key])
-    except (TypeError, ValueError):
-        what = "a list of [re, im]" if pairs else "an integer"
-        raise TypeError(f"{where} {key} must be {what}, got {d[key]!r}") from None
+        e = cls(system, fm)
+        if consts != list(e.free_constants):
+            raise ValueError(f"expansion free_constants must be fm[1:, 0, 1] = "
+                             f"{list(e.free_constants)}, got {consts}")
+        return e
 
 
 def _row_from_dict(d: Mapping, where: str) -> list:
     """The coefficients of a Taylor row ``{"coeffs": [[re, im], ...], "truncation": K}``."""
     require_keys(d, ("coeffs", "truncation"), "Taylor row")
-    coeffs = _read(d, "coeffs", f"Taylor row {where}", pairs=True)
-    if len(coeffs) != _read(d, "truncation", f"Taylor row {where}") + 1:
+    coeffs = read_field(d, "coeffs", f"Taylor row {where}", complex, listed=True)
+    if len(coeffs) != read_field(d, "truncation", f"Taylor row {where}") + 1:
         raise ValueError(f"Taylor row {where} has {len(coeffs)} coefficients, "
                          f"but truncation {d['truncation']}")
     return coeffs
@@ -544,10 +551,11 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     every level at once, all in ``dtype`` (see the module docstring).
     The free constant c_m of level m is pinned at (m+1, xi^1), where the
     first component of the right side is d + m c_m; c_M uses row M+1,
-    which is computed through xi^1 only and then dropped; c_m is fm[m, 0,
-    1].  At xi^0 and xi^1 a singular component must vanish within 1e-9 of
-    the largest term entering it, else :class:`ResonantOrder` names its
-    order: a z y_1 term in the first component of g raises it at 1.  The
+    which is computed through xi^1 only and then dropped.  The expansion
+    returned holds only fm: it reads M and K from its shape and c_m from
+    fm[m, 0, 1].  At xi^0 and xi^1 a singular component must vanish within
+    1e-9 of the largest term entering it, else :class:`ResonantOrder` names
+    its order: a z y_1 term in the first component of g raises it at 1.  The
     first order k >= 2 singular in some component raises it at k, for
     every level alike, after the orders xi^0 and xi^1.  A coefficient
     that overflows raises ``ValueError`` naming the first level and order
@@ -558,7 +566,7 @@ def build_expansion(s: NormalSystem, M: int, K: int, *,
     if K < 2:
         raise ValueError("K must be at least 2")
     fm = _coefficients(s, M, K, np.result_type(dtype, np.complex128)).transpose(1, 2, 0)
-    return TwoScaleExpansion(s, fm, fm[1:, 0, 1], K=K)
+    return TwoScaleExpansion(s, fm)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -568,11 +576,8 @@ def least_term_index(b_g: float, x_abs: float, m_cap: int | None = None) -> int:
     """Least-term truncation index floor(|x| / B_g), clipped to [0, m_cap]."""
     if x_abs <= 0:
         raise ValueError("x_abs must be positive")
-    m = int(math.floor(x_abs / b_g))
-    m = max(0, m)
-    if m_cap is not None:
-        m = min(m, m_cap)
-    return m
+    m = max(0, int(math.floor(x_abs / b_g)))
+    return m if m_cap is None else min(m, m_cap)
 
 
 def eval_two_scale(e: TwoScaleExpansion, C: complex, x: complex):

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ResonantOrder, require_keys
+from .errors import ResonantOrder, read_field, require_keys
 
 __all__ = [
     "TaylorSeries",
@@ -166,16 +166,12 @@ class AnalyticGerm:
     @classmethod
     def from_dict(cls, d: Mapping) -> "AnalyticGerm":
         require_keys(d, ("dims", "terms"), "germ")
-        dims = int(d["dims"])
+        dims = read_field(d, "dims", "germ")
         terms = {}
         for t in d["terms"]:
             require_keys(t, ("i", "k", "c"), "germ term")
-            c = t["c"]
-            if dims == 1:
-                vec = np.array([complex(c[0], c[1])])
-            else:
-                vec = np.array([complex(re, im) for re, im in c])
-            terms[(int(t["i"]), tuple(int(v) for v in t["k"]))] = vec
+            i, k = read_field(t, "i", "germ term"), read_field(t, "k", "germ term", listed=True)
+            terms[i, tuple(k)] = read_field(t, "c", "germ term", complex, listed=dims != 1)
         return cls(dims, terms)
 
 

@@ -297,29 +297,13 @@ class SingularityArray:
         return np.array([xs[n + 1] - xs[n] for n in sorted(xs) if n + 1 in xs])
 
     def to_dict(self) -> dict:
-        entries = []
-        for e in self.entries:
-            entries.append({
-                "n": e.n,
-                "x_asym": [e.x_asym.real, e.x_asym.imag],
-                "x_ref": None if e.x_ref is None else [e.x_ref.real, e.x_ref.imag],
-                "residual": e.residual,
-            })
+        entries = [{"n": e.n, "x_asym": [e.x_asym.real, e.x_asym.imag],
+                    "x_ref": None if e.x_ref is None else [e.x_ref.real, e.x_ref.imag],
+                    "residual": e.residual} for e in self.entries]
         return {"xi_s": [self.xi_s.real, self.xi_s.imag],
                 "C": [self.C.real, self.C.imag],
                 "alpha1": [self.alpha1.real, self.alpha1.imag],
                 "entries": entries}
-
-    @classmethod
-    def from_dict(cls, d) -> "SingularityArray":
-        entries = []
-        for e in d["entries"]:
-            ref = e.get("x_ref")
-            entries.append(ArrayEntry(
-                int(e["n"]), complex(*e["x_asym"]),
-                None if ref is None else complex(*ref), e.get("residual")))
-        return cls(complex(*d["xi_s"]), complex(*d["C"]),
-                   complex(*d["alpha1"]), tuple(entries))
 
 
 def predict_array(xi_s, C, alpha1, n_range: Iterable[int]) -> SingularityArray:

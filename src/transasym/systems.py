@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import require_keys
+from .errors import read_field, require_keys
 from .series import AnalyticGerm
 
 __all__ = ["BUILTIN_LABELS", "NormalSystem", "builtin"]
@@ -43,7 +43,8 @@ class NormalSystem:
         The nonlinearity g(z, y) with z = 1/x.
     observable : complex sequence, optional
         Weights w such that w . y is the scalar of interest (for reduced
-        second-order equations, w = (1, 1) recovers h).  Defaults to e_1.
+        second-order equations, w = (1, 1) recovers h), one per component.
+        Defaults to e_1.
     xi_s_hint : complex, optional
         Known first-sheet singular value of the leading two-scale profile,
         used to seed singularity searches.
@@ -77,6 +78,9 @@ class NormalSystem:
             observable = np.zeros(n, dtype=complex)
             observable[0] = 1.0
         self.observable = np.asarray(observable, dtype=complex)
+        if self.observable.shape != (n,):
+            raise ValueError(f"observable has {self.observable.size} weights, "
+                             f"system has {n} components")
         self.observable.setflags(write=False)
         self.xi_s_hint = None if xi_s_hint is None else complex(xi_s_hint)
         self.params = dict(params or {})
@@ -119,16 +123,12 @@ class NormalSystem:
     @classmethod
     def from_dict(cls, d: Mapping) -> "NormalSystem":
         require_keys(d, ("lambda", "alpha", "germ"), "system")
-        hint = d.get("xi_s_hint")
-        return cls(
-            lam=[complex(re, im) for re, im in d["lambda"]],
-            alpha=[complex(re, im) for re, im in d["alpha"]],
-            germ=AnalyticGerm.from_dict(d["germ"]),
-            label=d.get("label", "custom"),
-            observable=[complex(re, im) for re, im in d["observable"]] if "observable" in d else None,
-            xi_s_hint=None if hint is None else complex(hint[0], hint[1]),
-            params=d.get("params"),
-        )
+        lam, alpha, observable = (read_field(d, key, "system", complex, listed=True)
+                                  if key in d else None for key in ("lambda", "alpha", "observable"))
+        hint = None if d.get("xi_s_hint") is None else read_field(d, "xi_s_hint", "system", complex)
+        return cls(lam=lam, alpha=alpha, germ=AnalyticGerm.from_dict(d["germ"]),
+                   label=d.get("label", "custom"), observable=observable, xi_s_hint=hint,
+                   params=d.get("params"))
 
 
 # -- built-in systems --------------------------------------------------------

@@ -397,9 +397,10 @@ def test_config_refuses_run_flags(tmp_path, monkeypatch, capsys, flags, named):
 @pytest.mark.parametrize("key, value", [
     ("M", 2.5), ("K", True), ("n_range", [8.7, 9]), ("n_range", [8, False]), ("n_range", 8),
     ("n_range", []), ("C", [math.nan, 0.0]), ("C", [math.inf, 0.0]), ("C", 5), ("C", [12, 0, 1]),
-    ("C", ["x"]), ("extract", "no"), ("extract", 1), ("csv_dir", 5),
+    ("C", ["x"]), ("C", [12]), ("C", [True, 0]), ("extract", "no"), ("extract", 1),
+    ("csv_dir", 5),
 ], ids=["M-float", "K-bool", "n-float", "n-bool", "n-int", "n-empty", "C-nan", "C-inf", "C-int",
-        "C-three", "C-str", "extract-str", "extract-int", "csv-dir-int"])
+        "C-three", "C-str", "C-one", "C-bool", "extract-str", "extract-int", "csv-dir-int"])
 def test_config_values_get_the_flags_checks(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg = RunConfig("p1", C=12.0, n_range=(8,)).to_dict()
@@ -448,7 +449,7 @@ def test_json_that_lacks_a_key_exits_two(tmp_path, monkeypatch, capsys, argv, ar
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.json").write_text(json.dumps(artifact))
     assert main(argv) == 2
-    assert named in capsys.readouterr().err
+    assert f"a.json is malformed: {named}" in capsys.readouterr().err
 
 
 def _edit(path, value):
@@ -479,9 +480,39 @@ def _edit(path, value):
      "a.json is malformed: expansion free_constants must be a list of [re, im], got [[1, 2, 3]]"),
     ("eval", _edit(["fm", 0, 0, "truncation"], "a"),
      "a.json is malformed: Taylor row 0, 0 truncation must be an integer, got 'a'"),
+    # a number that is no integer is refused, not truncated
+    ("eval", _edit(["K"], 4.7), "a.json is malformed: expansion K must be an integer, got 4.7"),
+    ("eval", _edit(["fm", 0, 0, "truncation"], 4.2),
+     "a.json is malformed: Taylor row 0, 0 truncation must be an integer, got 4.2"),
+    ("eval", _edit(["system", "germ", "dims"], 2.9),
+     "a.json is malformed: germ dims must be an integer, got 2.9"),
+    ("eval", _edit(["system", "germ", "terms", 0, "i"], 1.5),
+     "a.json is malformed: germ term i must be an integer, got 1.5"),
+    ("eval", _edit(["system", "germ", "terms", 0, "k"], [0.5, 1]),
+     "a.json is malformed: germ term k must be a list of integers, got [0.5, 1]"),
+    # a complex value is exactly two numbers
+    ("eval", _edit(["system", "xi_s_hint"], [12]),
+     "a.json is malformed: system xi_s_hint must be [re, im], got [12]"),
+    ("eval", _edit(["system", "lambda"], [[1, 0, 0], [-1, 0]]),
+     "a.json is malformed: system lambda must be a list of [re, im], got [[1, 0, 0], [-1, 0]]"),
+    ("eval", _edit(["system", "germ", "terms", 0, "c"], [[1, 2, 3], [0, 0]]),
+     "a.json is malformed: germ term c must be a list of [re, im], got [[1, 2, 3], [0, 0]]"),
+    # a value that disagrees with another, and a file cut short
+    ("eval", _edit(["free_constants"], [[99, 0]]),
+     "a.json is malformed: expansion free_constants must be fm[1:, 0, 1] = [(0.125-0j)], "
+     "got [(99+0j)]"),
+    ("eval", _edit(["system", "observable"], [[1, 0]]),
+     "a.json is malformed: observable has 1 weights, system has 2 components"),
+    ("eval", _edit(["fm"], []),
+     "a.json is malformed: expansion fm must hold one or more levels of 2 rows, got row counts []"),
+    ("eval", lambda d: _edit(["fm", 1], d["fm"][1][:1])(d), "got row counts [2, 1]"),
+    ("eval", lambda d: json.dumps(d)[:100], "a.json is malformed: "),
 ], ids=["out-int", "out-null", "precision-list", "config-list", "config-pairs",
         "K-list", "fm-int", "coeffs-int", "lambda-int", "terms-int",
-        "K-str", "free-constants-triple", "truncation-str"])
+        "K-str", "free-constants-triple", "truncation-str",
+        "K-float", "truncation-float", "dims-float", "term-i-float", "term-k-floats",
+        "hint-one", "lambda-triple", "term-c-triple",
+        "free-constants-not-fm", "observable-short", "fm-empty", "fm-level-short", "cut-short"])
 def test_json_of_the_wrong_type_exits_two(tmp_path, monkeypatch, capsys, cmd, edit, named):
     # a value of the wrong JSON type is a domain error with one line, not a traceback
     monkeypatch.chdir(tmp_path)
@@ -490,7 +521,8 @@ def test_json_of_the_wrong_type_exits_two(tmp_path, monkeypatch, capsys, cmd, ed
     else:
         doc = build_expansion(builtin("p1")[0], 1, 4).to_dict()
         argv = ["--in", "a.json", "--xi", "1"]
-    (tmp_path / "a.json").write_text(json.dumps(edit(doc)))
+    doc = edit(doc)   # an edit that returns text is written as it stands
+    (tmp_path / "a.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main([cmd, *argv]) == 2
     err = capsys.readouterr().err
     assert named in err and err.count("\n") == 1 and "Traceback" not in err

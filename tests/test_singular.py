@@ -2,7 +2,6 @@
 
 import cmath
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -365,14 +364,6 @@ def test_predict_array_rejects_degenerate_inputs():
     assert not isinstance(err.value, TransasymError)
     with pytest.raises(ValueError):
         predict_array(0.0, 12.0, -0.5, [3])
-
-
-def test_singularity_array_round_trip():
-    arr = predict_array(12.0, 12.0, -0.5, [5, 6])
-    clone = SingularityArray.from_dict(json.loads(json.dumps(arr.to_dict())))
-    assert clone.C == arr.C and len(clone.entries) == 2
-    for a, b in zip(clone.entries, arr.entries):
-        assert a.x_ref == pytest.approx(b.x_ref, abs=1e-12)
 
 
 def test_a_value_that_is_not_finite_is_not_saved(tmp_path):

@@ -23,6 +23,13 @@ def test_first_eigenvalue_must_be_one():
         NormalSystem([2.0], [0.0], AnalyticGerm(1, {}))
 
 
+def test_observable_needs_one_weight_per_component():
+    germ = AnalyticGerm(2, {})
+    with pytest.raises(ValueError, match="observable has 1 weights, system has 2 components"):
+        NormalSystem([1.0, -1.0], [0.0, 0.0], germ, observable=[1])
+    assert NormalSystem([1.0, -1.0], [0.0, 0.0], germ, observable=[1, 1]).observable.shape == (2,)
+
+
 def test_builtin_metadata(p1, abel):
     assert p1.xi_s_hint == 12.0
     assert abel.alpha[0] == pytest.approx(0.2)
