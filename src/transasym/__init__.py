@@ -36,10 +36,10 @@ from .singular import (
     predict_array,
     radius_estimate,
 )
+from .walk import PoleObservation
 from .validate import (
     CEstimate,
     ComparisonReport,
-    PoleObservation,
     ValidationRun,
     compare_arrays,
     detect_singularity,

@@ -27,8 +27,8 @@ from . import oracles
 from .expansion import build_expansion, eval_two_scale, gevrey_fit
 from .singular import continue_f0, predict_array, radius_estimate
 from .systems import builtin
-from .validate import (_STAGING, extraction_ladder, hunt_singularity, ladder_radii,
-                       run_validation)
+from .validate import extraction_ladder, hunt_singularity, ladder_radii, run_validation
+from .walk import _STAGING
 
 __all__ = ["CHECKS", "run_check", "run_all", "format_report"]
 

@@ -46,7 +46,8 @@ from .errors import TransasymError, read_field, require_keys
 from .expansion import TwoScaleExpansion, build_expansion, eval_two_scale
 from .singular import continue_f0, predict_array
 from .systems import BUILTIN_LABELS, builtin
-from .validate import _write_csv, run_validation
+from .validate import run_validation
+from .walk import _write_csv
 
 __all__ = ["RunConfig", "main"]
 

@@ -27,18 +27,28 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def read_field(d: Mapping, key: str, what: str, kind: type = int, listed: bool = False):
-    """``d[key]`` of the ``what`` document: an ``int``, or for ``kind=complex`` a pair
-    ``[re, im]`` of two numbers (never bools); ``listed``, a list of them.  Any other
-    value raises ``TypeError`` naming ``what`` and ``key``."""
+def _pair(v) -> bool:
+    """``[re, im]``: exactly two numbers, never bools."""
+    return isinstance(v, list) and len(v) == 2 and all(
+        isinstance(r, numbers.Real) and not isinstance(r, bool) for r in v)
+
+
+_NOUNS = {int: ("an integer", "integers"), complex: ("[re, im]", "[re, im]"),
+          list: ("a list", "lists"), dict: ("an object", "objects")}  # alone, and listed
+
+
+def read_field(d, key, what: str, kind: type = int, listed: bool = False):
+    """``d[key]`` of the ``what`` document: an ``int``; for ``kind=complex`` a pair
+    ``[re, im]`` (:func:`_pair`); for ``list`` or ``dict`` a JSON array or object, as it
+    stands; ``listed``, a list of them.  ``d`` is an object, or an array read by index.
+    Any other value raises ``TypeError`` naming ``what`` and ``key``."""
     v = d[key]
     items = v if listed else [v]
-    ok = _integer if kind is int else lambda u: isinstance(u, list) and len(u) == 2 and all(
-        isinstance(r, numbers.Real) and not isinstance(r, bool) for r in u)
+    ok = {int: _integer, complex: _pair}.get(kind, lambda u: isinstance(u, kind))
     if not (isinstance(items, list) and all(map(ok, items))):
-        noun = ("integers" if listed else "an integer") if kind is int else "[re, im]"
+        noun = _NOUNS[kind][listed]
         raise TypeError(f"{what} {key} must be {'a list of ' * listed}{noun}, got {v!r}")
-    values = [int(u) if kind is int else complex(*u) for u in items]
+    values = [int(u) if kind is int else complex(*u) if kind is complex else u for u in items]
     return values if listed else values[0]
 
 

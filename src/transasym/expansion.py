@@ -38,7 +38,7 @@ the build's F[k, m, row] from its first cell, a kernel's T[lane, k, row].
 The build fills its running products over two indices, z^m and xi^k;
 over one index they give the Taylor jet of a solution in x about any
 point, and of F_0 in xi.  The pole hunts and C ladders of
-:mod:`transasym.validate` walk and read the first, and ``continue_f0``
+:mod:`transasym.walk` walk and read the first, and ``continue_f0``
 walks the second; one kernel call computes the jets of many walks, one
 lane each.  Each order of a kernel, and each order xi^2..xi^K of the
 build, is one batched matmul per chain length, whose output is that
@@ -71,6 +71,7 @@ from .errors import (
     require_keys,
 )
 from .series import TaylorSeries, complex_array, compose_germ_series
+from .singular import radius_estimate
 from .systems import NormalSystem
 
 __all__ = [
@@ -486,11 +487,12 @@ class TwoScaleExpansion:
     @classmethod
     def from_dict(cls, d: Mapping) -> "TwoScaleExpansion":
         """The expansion ``to_dict`` wrote.  ``fm`` holds one or more levels of n rows, and
-        ``K``, each row's ``truncation`` and ``free_constants`` must agree with it."""
+        ``K``, each row's ``truncation``, ``free_constants`` and, where given, ``M`` and
+        ``alpha1``, the system's alpha_1, must agree with it."""
         require_keys(d, ("system", "fm", "free_constants", "K"), "expansion")
-        system = NormalSystem.from_dict(d["system"])
-        fm = [[_row_from_dict(row, f"{m}, {j}") for j, row in enumerate(level)]
-              for m, level in enumerate(d["fm"])]
+        system = NormalSystem.from_dict(read_field(d, "system", "expansion", dict))
+        levels = read_field(d, "fm", "expansion", list)
+        fm = [_level_from_dict(levels, m) for m in range(len(levels))]
         K = read_field(d, "K", "expansion")
         consts = read_field(d, "free_constants", "expansion", complex, listed=True)
         if not fm or any(len(level) != system.n for level in fm):
@@ -499,6 +501,10 @@ class TwoScaleExpansion:
         orders = {len(c) - 1 for level in fm for c in level} - {K}
         if orders:
             raise ValueError(f"expansion K = {K}, but its Taylor rows have order {min(orders)}")
+        for key, kind, want in (("M", int, len(fm) - 1),
+                                ("alpha1", complex, complex(system.alpha[0]))):
+            if key in d and (got := read_field(d, key, "expansion", kind)) != want:
+                raise ValueError(f"expansion {key} must be {want}, got {got}")
         e = cls(system, fm)
         if consts != list(e.free_constants):
             raise ValueError(f"expansion free_constants must be fm[1:, 0, 1] = "
@@ -506,14 +512,18 @@ class TwoScaleExpansion:
         return e
 
 
-def _row_from_dict(d: Mapping, where: str) -> list:
-    """The coefficients of a Taylor row ``{"coeffs": [[re, im], ...], "truncation": K}``."""
-    require_keys(d, ("coeffs", "truncation"), "Taylor row")
-    coeffs = read_field(d, "coeffs", f"Taylor row {where}", complex, listed=True)
-    if len(coeffs) != read_field(d, "truncation", f"Taylor row {where}") + 1:
-        raise ValueError(f"Taylor row {where} has {len(coeffs)} coefficients, "
-                         f"but truncation {d['truncation']}")
-    return coeffs
+def _level_from_dict(fm: list, m: int) -> list:
+    """The coefficients of each Taylor row ``{"coeffs": [[re, im], ...], "truncation": K}``
+    of level ``fm[m]`` of an expansion document."""
+    rows, level = read_field(fm, m, "expansion fm level", list), []
+    for j in range(len(rows)):
+        d, where = read_field(rows, j, f"expansion fm level {m} row", dict), f"Taylor row {m}, {j}"
+        require_keys(d, ("coeffs", "truncation"), "Taylor row")
+        level.append(read_field(d, "coeffs", where, complex, listed=True))
+        if len(level[-1]) != read_field(d, "truncation", where) + 1:
+            raise ValueError(f"{where} has {len(level[-1])} coefficients, "
+                             f"but truncation {d['truncation']}")
+    return level
 
 
 def _profile_radius(f0: np.ndarray) -> float:
@@ -522,8 +532,6 @@ def _profile_radius(f0: np.ndarray) -> float:
     Uses the singularity-analysis estimator when it converges, else a crude
     root test on the top half of the coefficients.
     """
-    from .singular import radius_estimate
-
     try:
         return float(radius_estimate(f0).radius)
     except OscillatoryCoefficients as err:

@@ -168,7 +168,7 @@ class AnalyticGerm:
         require_keys(d, ("dims", "terms"), "germ")
         dims = read_field(d, "dims", "germ")
         terms = {}
-        for t in d["terms"]:
+        for t in read_field(d, "terms", "germ", dict, listed=True):
             require_keys(t, ("i", "k", "c"), "germ term")
             i, k = read_field(t, "i", "germ term"), read_field(t, "k", "germ term", listed=True)
             terms[i, tuple(k)] = read_field(t, "c", "germ term", complex, listed=dims != 1)

@@ -4,8 +4,8 @@ Three layers.  Domb-Sykes ratio analysis turns truncated Taylor
 coefficients into an estimate of the dominant singularity (radius,
 location, local algebraic exponent), and Pade approximants of the
 log-derivative refine a pole's location and exponent.  Taylor jets of the leading
-profile's flow in xi, walked like the x-plane hunts of
-:mod:`transasym.validate`, continue F_0 beyond its disk and stop at the
+profile's flow in xi, walked like the x-plane hunts
+(:mod:`transasym.walk`), continue F_0 beyond its disk and stop at the
 blow-up point.  Finally, solving xi(x) = C e^{-x} x^{alpha_1} = xi_s
 produces the nearly periodic array of x-plane singularity locations,
 each entry Newton-refined from its asymptotic seed.
@@ -231,17 +231,14 @@ def continue_f0(s: NormalSystem, path: Sequence[complex]) -> ContinuationResult:
     order ``_SEED_ORDER`` = 64, built once per system and kept on it with
     its disk radius.  ``path[0]`` must lie well inside the convergence
     disk: the disk rule of :func:`~transasym.expansion.eval_two_scale`
-    raises :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each leg is walked
-    like a pole hunt's approach (see :func:`transasym.validate.hunt_singularity`):
-    jets in xi scaled to their own radius, summed inside half of it and
-    landing exactly on each waypoint, at most ``_JET_BUDGET`` per leg
-    (``NotConverging``).  A jet whose radius falls below 1e-3 of the
-    distance left to its waypoint raises SingularApproach carrying its
-    centre.  The flow is singular at xi = 0, so a path with a leg through
-    the origin raises ``ValueError`` before its first jet.
+    raises :class:`~transasym.errors.OutsideReliableDisk` otherwise.  Each
+    leg is one :func:`~transasym.walk._walk` on jets in xi, with its own jet
+    budget, stops and errors.  The flow is singular at xi = 0, so a path with
+    a leg through the origin raises ``ValueError`` before its first jet.
     """
+    # local: expansion and walk import this module; the benchmark spans continue_f0 here
     from .expansion import _xi_jet, build_expansion
-    from .validate import _lockstep, _walk
+    from .walk import _lockstep, _walk
 
     pts = [complex(p) for p in path]
     if len(pts) < 2:

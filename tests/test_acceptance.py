@@ -7,7 +7,8 @@ import pytest
 from transasym import acceptance, oracles
 from transasym.expansion import build_expansion, eval_two_scale
 from transasym.singular import predict_array
-from transasym.validate import _STAGING, hunt_singularity
+from transasym.validate import hunt_singularity
+from transasym.walk import _STAGING
 
 
 @pytest.mark.parametrize("number", sorted(acceptance.CHECKS))

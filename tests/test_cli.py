@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from transasym import cli, validate
+from transasym import cli, validate, walk
 from transasym.cli import RunConfig, _complex, _dump_json, _int_range, main
 from transasym.expansion import build_expansion
 from transasym.singular import continue_f0
@@ -470,10 +470,18 @@ def _edit(path, value):
     ("validate", lambda d: [5], "a.json is malformed"),
     ("validate", lambda d: list(d.items()), "a.json is malformed: a RunConfig is a JSON object"),
     ("eval", _edit(["K"], [8]), "a.json is malformed"),
-    ("eval", _edit(["fm"], 5), "a.json is malformed"),
+    ("eval", _edit(["fm"], 5), "a.json is malformed: expansion fm must be a list, got 5"),
     ("eval", _edit(["fm", 0, 0, "coeffs"], 5), "a.json is malformed"),
     ("eval", _edit(["system", "lambda"], 5), "a.json is malformed"),
-    ("eval", _edit(["system", "germ", "terms"], 5), "a.json is malformed"),
+    ("eval", _edit(["system", "germ", "terms"], 5),
+     "a.json is malformed: germ terms must be a list of objects, got 5"),
+    # a container of the wrong type is named by its place in the document
+    ("eval", _edit(["fm", 0], 4),
+     "a.json is malformed: expansion fm level 0 must be a list, got 4"),
+    ("eval", _edit(["fm", 1, 0], 3),
+     "a.json is malformed: expansion fm level 1 row 0 must be an object, got 3"),
+    ("eval", _edit(["system"], 5),
+     "a.json is malformed: expansion system must be an object, got 5"),
     # a value its field cannot read: the one line names the file and the key
     ("eval", _edit(["K"], "x"), "a.json is malformed: expansion K must be an integer, got 'x'"),
     ("eval", _edit(["free_constants"], [[1, 2, 3]]),
@@ -506,13 +514,18 @@ def _edit(path, value):
     ("eval", _edit(["fm"], []),
      "a.json is malformed: expansion fm must hold one or more levels of 2 rows, got row counts []"),
     ("eval", lambda d: _edit(["fm", 1], d["fm"][1][:1])(d), "got row counts [2, 1]"),
+    ("eval", _edit(["M"], 7), "a.json is malformed: expansion M must be 1, got 7"),
+    ("eval", _edit(["alpha1"], [3, 0]),
+     "a.json is malformed: expansion alpha1 must be (-0.5+0j), got (3+0j)"),
     ("eval", lambda d: json.dumps(d)[:100], "a.json is malformed: "),
 ], ids=["out-int", "out-null", "precision-list", "config-list", "config-pairs",
         "K-list", "fm-int", "coeffs-int", "lambda-int", "terms-int",
+        "fm-level-int", "fm-row-int", "system-int",
         "K-str", "free-constants-triple", "truncation-str",
         "K-float", "truncation-float", "dims-float", "term-i-float", "term-k-floats",
         "hint-one", "lambda-triple", "term-c-triple",
-        "free-constants-not-fm", "observable-short", "fm-empty", "fm-level-short", "cut-short"])
+        "free-constants-not-fm", "observable-short", "fm-empty", "fm-level-short",
+        "M-not-fm", "alpha1-not-system", "cut-short"])
 def test_json_of_the_wrong_type_exits_two(tmp_path, monkeypatch, capsys, cmd, edit, named):
     # a value of the wrong JSON type is a domain error with one line, not a traceback
     monkeypatch.chdir(tmp_path)
@@ -574,13 +587,13 @@ def _csv_rows(path):
 
 def test_hunt_and_continue_csvs_share_one_layout(tmp_path, monkeypatch, caplog, capsys):
     monkeypatch.chdir(tmp_path)
-    written, write = {}, validate._write_csv
+    written, write = {}, walk._write_csv
 
     def recording(path, x, y, *names):
         written[path] = (np.asarray(x), np.asarray(y))
         write(path, x, y, *names)
 
-    monkeypatch.setattr(validate, "_write_csv", recording)
+    monkeypatch.setattr(walk, "_write_csv", recording)
     (tmp_path / "hunts").mkdir()
     with caplog.at_level(logging.DEBUG, logger="transasym"):
         assert main(["validate", "p1", "--C", "12", "--n", "8..9", "--csv-dir", "hunts"]) == 0

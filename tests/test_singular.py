@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from transasym import expansion, singular, validate
+from transasym import expansion, singular, validate, walk
 from transasym.cli import _dump_json
 from transasym.errors import (InsufficientCoefficients, OscillatoryCoefficients,
                               OutsideReliableDisk, SingularApproach, TransasymError)
@@ -108,10 +108,10 @@ def test_radius_flags_beating_singularities():
 def _homing_series(monkeypatch, s, e, C, n, x_far):
     """The observable's coefficients on the first jet homing reads, hunting
     pole n of ``s`` from ``x_far``."""
-    asks, reads = [], validate._reads
+    asks, reads = [], walk._reads
     target = predict_array(s.xi_s_hint, C, s.alpha[0], [n]).entries[0].x_ref
     with monkeypatch.context() as m:
-        m.setattr(validate, "_reads", lambda s_, qs: asks.extend(qs) or reads(s_, qs))
+        m.setattr(walk, "_reads", lambda s_, qs: asks.extend(qs) or reads(s_, qs))
         validate.hunt_singularity(s, x_far, eval_two_scale(e, C, x_far)[0], target)
     return s.observable @ asks[0].a
 
@@ -316,7 +316,7 @@ def test_continuation_budget_is_per_leg(abel):
     theta = np.linspace(math.pi, 21.0 * math.pi, 81)
     loop = [XI0 + 0.12 * cmath.exp(1j * t) for t in theta]
     res = continue_f0(abel, [0.1] + loop + [0.1])
-    assert res.xi.size > validate._JET_BUDGET
+    assert res.xi.size > walk._JET_BUDGET
     assert np.max(np.abs(res.final - res.values[:, 0])) < 1e-12
 
 

@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from transasym import validate
+from transasym import validate, walk
 from transasym.cli import RunConfig, main
 from transasym.errors import (NoBlowup, NotConverging, SingularApproach, StepUnderflow,
                               TransasymError)
@@ -26,11 +26,11 @@ from transasym.expansion import (_x_jet, _xi_jet, build_expansion, eval_two_scal
 from transasym.series import AnalyticGerm
 from transasym.singular import RadiusEstimate, predict_array
 from transasym.systems import NormalSystem, builtin
-from transasym.validate import (CEstimate, PoleObservation,
-                                ValidationRun, compare_arrays,
+from transasym.validate import (CEstimate, ValidationRun, compare_arrays,
                                 detect_singularity, extract_C, extraction_ladder,
                                 hunt_singularity, integrate_path, ladder_radii,
                                 run_validation)
+from transasym.walk import PoleObservation
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_integrate_path_rejects_a_stationary_leg(lin, waypoints):
 def test_trajectory_csv_round_trip(tmp_path, lin):
     tr = integrate_path(lin, np.array([1.0 + 0j]), (1.0, 2.0 + 1.0j))
     out = tmp_path / "traj.csv"
-    validate._write_csv(out, tr.x, tr.y, "x", "y")
+    walk._write_csv(out, tr.x, tr.y, "x", "y")
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x_re", "x_im", "y1_re", "y1_im"]
@@ -96,8 +96,8 @@ def test_batched_jets_sum_to_the_logistic_closed_form():
     x0 = np.array([0.5, 1.0 + 1.0j, -0.3 + 0.8j, 2.0 - 1.0j, 0.2 + 2.5j])
     rho = np.array([1.0, 1.5, 0.7, 2.0, 0.4])
     y0 = np.array([_logistic_state(x) for x in x0]).T
-    a = _x_jet(s, x0, y0, rho, validate._ORDER)
-    assert a.shape == (5, 1, validate._ORDER + 1)
+    a = _x_jet(s, x0, y0, rho, walk._ORDER)
+    assert a.shape == (5, 1, walk._ORDER + 1)
     for b in range(5):
         for t in 0.5 * np.exp(2j * math.pi * np.arange(8) / 8):
             got = sum(complex(c) * t ** k for k, c in enumerate(a[b, 0]))
@@ -135,7 +135,7 @@ def test_read_not_confirmed_halfway_is_no_blowup():
         detect_singularity(_logistic(), 2.0 + 0.5j, _logistic_state(2.0 + 0.5j))
 
 
-def _pole_jet(a, p, A, far, order=validate._ORDER):
+def _pole_jet(a, p, A, far, order=walk._ORDER):
     """[t^k] of A (1 - t/a)^-p prod_b (1 - t/b)^-1, k <= order: a pole of order p at t = a."""
     h = np.zeros(order + 1, complex)
     h[0] = A
@@ -169,8 +169,8 @@ def test_pade_read_of_a_rational_jet_is_its_pole():
     @hypothesis.given(_pole_jets())
     def check(jet):
         a, p, A, far = jet
-        (obs,) = validate._reads(_logistic(), [validate._Read(1 + 1j, _pole_jet(*jet)[None], 0.5,
-                                                              False)])
+        (obs,) = walk._reads(_logistic(), [walk._Read(1 + 1j, _pole_jet(*jet)[None], 0.5,
+                                                      False)])
         assert obs.kind == ("simple_pole", "double_pole")[p - 1]
         assert abs(obs.location - (1 + 1j + 0.5 * a)) <= 1e-10
         assert abs(obs.local_fit[1] + p) <= 1e-9 and obs.exponent_deviation <= 1e-9
@@ -191,9 +191,9 @@ def test_a_noisy_jet_reads_its_pole_or_refuses():
     @hypothesis.given(_pole_jets(), st.integers(0, 2**32 - 1))
     def check(jet, seed):
         rng = np.random.default_rng(seed)
-        noise = [1.0, 1j] @ rng.normal(size=(2, validate._ORDER + 1))
+        noise = [1.0, 1j] @ rng.normal(size=(2, walk._ORDER + 1))
         h = _pole_jet(*jet) * (1.0 + 1e-13 * noise)
-        (obs,) = validate._reads(_logistic(), [validate._Read(0j, h[None], 1.0, False)])
+        (obs,) = walk._reads(_logistic(), [walk._Read(0j, h[None], 1.0, False)])
         assert isinstance(obs, NoBlowup) or abs(obs.location - jet[0]) <= 1e-3 * abs(jet[0])
 
     check()
@@ -204,22 +204,22 @@ def test_a_pade_read_over_a_stack_is_each_lone_read():
     # square-root branch point (no Pade read), a logistic jet, an exact jet and
     # eight more poles: each lane reads bitwise what it reads alone, and the
     # singular lane keeps its own Domb-Sykes read
-    s, x, k = _logistic(), 2.0 + 2.5j, np.arange(validate._ORDER + 1)
+    s, x, k = _logistic(), 2.0 + 2.5j, np.arange(walk._ORDER + 1)
     rng = np.random.default_rng(7)
-    logistic = _x_jet(s, [x], _logistic_state(x)[:, None], [2.0], validate._ORDER)[0, 0]
+    logistic = _x_jet(s, [x], _logistic_state(x)[:, None], [2.0], walk._ORDER)[0, 0]
     branch = np.cumprod(np.r_[1.0, (k[:-1] + 0.5) / k[1:]]) / 0.9 ** k  # (1 - t/0.9)^-1/2
     lanes = [(0j, _pole_jet(0.8j, 2, 1.5, [2.0]), 1.0, False),
-             (1.0, np.ones(validate._ORDER + 1, complex), 1.0, False),  # 1/(1 - t)
+             (1.0, np.ones(walk._ORDER + 1, complex), 1.0, False),  # 1/(1 - t)
              (0.5j, _pole_jet(-1.1 + 0.2j, 1, 2.0 - 1j, [3.0j, -2.5]), 2.0, False),
              (0j, branch.astype(complex), 1.0, False),
              (x, logistic, 2.0, False),
              (0j, _pole_jet(0.7, 1, 1.0, []), 1.0, True)]
     lanes += [(0j, _pole_jet(cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-3.0, 3.0)), 1 + i % 2,
                              1.0, [2.5 + i]), 1.0, False) for i in range(8)]
-    asks = [validate._Read(x0, h[None], rho, exact) for x0, h, rho, exact in lanes]
-    together = validate._reads(s, asks)
+    asks = [walk._Read(x0, h[None], rho, exact) for x0, h, rho, exact in lanes]
+    together = walk._reads(s, asks)
     for got, ask in zip(together, asks, strict=True):
-        (alone,) = validate._reads(s, [ask])
+        (alone,) = walk._reads(s, [ask])
         if isinstance(alone, Exception):
             assert type(got) is type(alone) and str(got) == str(alone)
         else:
@@ -236,8 +236,8 @@ def test_a_pade_read_over_a_stack_is_each_lone_read():
 def test_a_pade_root_that_disagrees_is_no_blowup():
     # 1/(1 - t) - 0.9/(1 - t/1.01): Domb-Sykes reads one double pole at 1.0036,
     # the Pade root is the simple pole at 1, 3.6e-3 away
-    h = 1.0 - 0.9 / 1.01 ** np.arange(validate._ORDER + 1.0) + 0j
-    (obs,) = validate._reads(_logistic(), [validate._Read(0j, h[None], 1.0, False)])
+    h = 1.0 - 0.9 / 1.01 ** np.arange(walk._ORDER + 1.0) + 0j
+    (obs,) = walk._reads(_logistic(), [walk._Read(0j, h[None], 1.0, False)])
     assert isinstance(obs, NoBlowup) and "does not confirm" in str(obs)
 
 def test_entire_solution_is_no_blowup(lin):
@@ -272,7 +272,7 @@ def test_hunt_lands_on_predicted_pole(p1, e_p1, far_start):
 
 def _walk_through_x8(x_far, y_far, x8, x9):
     """A walk from x_far through the n = 8 prediction x8 to 2.0 short of x9."""
-    return validate._walk(x_far, y_far, [x8, x9 + validate._STAGING * (x8 - x9) / abs(x8 - x9)],
+    return walk._walk(x_far, y_far, [x8, x9 + walk._STAGING * (x8 - x9) / abs(x8 - x9)],
                           abs(x9 - x_far), [])
 
 
@@ -283,7 +283,7 @@ def test_walk_through_a_pole_raises_singular_approach(p1, e_p1, far_start):
     x_far = far_start["p1"]
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     with pytest.raises(SingularApproach) as info:
-        validate._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
+        walk._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
     assert abs(info.value.where - x8) < 0.05
 
 
@@ -293,16 +293,16 @@ def test_hunts_driven_together_end_as_they_do_alone(p1, e_p1, far_start):
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     alone = hunt_singularity(p1, x_far, y_far, x10)
     with pytest.raises(SingularApproach) as info:
-        validate._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
+        walk._lockstep(p1, _x_jet, [_walk_through_x8(x_far, y_far, x8, x9)])
 
-    def caught(walk):
+    def caught(steps):
         try:
-            return (yield from walk)
+            return (yield from steps)
         except SingularApproach as err:
             return err
 
-    both = validate._lockstep(p1, _x_jet, [validate._hunt(x_far, y_far, x10),
-                                           caught(_walk_through_x8(x_far, y_far, x8, x9))])
+    both = walk._lockstep(p1, _x_jet, [walk._hunt(x_far, y_far, x10),
+                                       caught(_walk_through_x8(x_far, y_far, x8, x9))])
     assert both[0] == alone
     assert isinstance(both[1], SingularApproach) and both[1].where == info.value.where
 
@@ -311,7 +311,7 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
     # the n = 11 hunt fails before its first jet, the n = 9 hunt after its
     # last; the survey lets every hunt end, then raises n = 9's failure
     x9, x11 = (en.x_ref for en in predict_array(12.0, 12.0, -0.5, [9, 11]).entries)
-    hunt, ended = validate._hunt, []
+    hunt, ended = walk._hunt, []
 
     def failing(x_start, y_start, target, *args):
         if abs(target - x11) < 1e-9:
@@ -322,7 +322,7 @@ def test_survey_raises_its_first_failure_in_n_order(monkeypatch, p1, e_p1):
             raise NoBlowup("n = 9 fails last")
         return obs
 
-    monkeypatch.setattr(validate, "_hunt", failing)
+    monkeypatch.setattr(walk, "_hunt", failing)
     with pytest.raises(NoBlowup, match="n = 9"):
         run_validation(p1, e_p1, 12.0, range(8, 13))
     assert len(ended) == 4
@@ -405,7 +405,7 @@ def test_unsettled_estimates_raise_not_converging(monkeypatch, caplog, p1, e_p1,
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     _, hunt = _hunt_record(caplog, hunt_singularity, p1, x_far, y_far, en.x_ref)
     # one jet short of the read that showed the estimates had settled
-    monkeypatch.setattr(validate, "_JET_BUDGET", hunt["jets"] - 1)
+    monkeypatch.setattr(walk, "_JET_BUDGET", hunt["jets"] - 1)
     with pytest.raises(NotConverging):
         hunt_singularity(p1, x_far, y_far, en.x_ref)
 
@@ -519,18 +519,18 @@ def test_ladder_rungs_match_reference_integration(monkeypatch, p1, e12_p1):
 
 def test_ladder_past_its_jet_budget_raises_not_converging(monkeypatch, p1, e12_p1):
     jets = [0]
-    jet = validate._jet
+    jet = walk._jet
 
     def counted(*args):
         jets[0] += 1
         return jet(*args)
 
-    monkeypatch.setattr(validate, "_jet", counted)
+    monkeypatch.setattr(walk, "_jet", counted)
     radii = ladder_radii(e12_p1, 1.2)
     extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
     # a jet serves every rung inside its reach, so the walk takes fewer jets than legs
     assert 1 <= jets[0] < len(radii) - 1
-    monkeypatch.setattr(validate, "_JET_BUDGET", jets[0] - 1)
+    monkeypatch.setattr(walk, "_JET_BUDGET", jets[0] - 1)
     with pytest.raises(NotConverging):
         extraction_ladder(p1, e12_p1, 12.0, 1.2, radii)
 
@@ -580,8 +580,8 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
     def seed(x):
         return np.asarray(eval_two_scale(e12_p1, 12.0, x)[0], dtype=complex)
 
-    def alone(walk):
-        return validate._lockstep(p1, _x_jet, [walk])[0]
+    def alone(steps):
+        return walk._lockstep(p1, _x_jet, [steps])[0]
 
     @hypothesis.settings(max_examples=20, deadline=None, database=None)
     @hypothesis.given(_inward_walks(), _inward_walks())
@@ -590,17 +590,17 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
         lone = []
         for x0, pts in (first, second):
             centres, legs = [], []
-            states, _ = alone(validate._walk(x0, seed(x0), pts, abs(pts[-1] - x0), centres))
+            states, _ = alone(walk._walk(x0, seed(x0), pts, abs(pts[-1] - x0), centres))
             x, y, rho = x0, seed(x0), abs(pts[-1] - x0)
             for w, got in zip(pts, states, strict=True):
-                (y,), rho = alone(validate._walk(x, y, [w], rho, legs))
+                (y,), rho = alone(walk._walk(x, y, [w], rho, legs))
                 x = w
                 bound = 16 * np.finfo(float).eps * math.exp((x0 - w).real) * np.max(np.abs(y))
                 assert np.max(np.abs(got - y)) <= bound
             assert len(centres) <= len(legs)
             lone.append(states)
-        both = validate._lockstep(p1, _x_jet, [
-            validate._walk(x0, seed(x0), pts, abs(pts[-1] - x0), []) for x0, pts in (first, second)])
+        both = walk._lockstep(p1, _x_jet, [
+            walk._walk(x0, seed(x0), pts, abs(pts[-1] - x0), []) for x0, pts in (first, second)])
         for (got, _), states in zip(both, lone):
             assert all(np.array_equal(a, b) for a, b in zip(got, states, strict=True))
 
@@ -609,9 +609,9 @@ def test_one_walk_through_many_waypoints_matches_a_chain_of_legs(p1, e12_p1):
 
 def _lane_read(a):
     """Reference read of one lane's jet a (n, K+1), one lane at a time."""
-    k = np.arange(validate._ORDER + 1)
+    k = np.arange(walk._ORDER + 1)
     mag = np.max(np.abs(a), axis=0)
-    keep = (k >= validate._ORDER // 2) & (mag > 0)
+    keep = (k >= walk._ORDER // 2) & (mag > 0)
     if np.count_nonzero(keep) < 2:
         return a, 1.0, True, math.inf
     u, v = k[keep] - k[keep].mean(), np.log(mag[keep])
@@ -619,7 +619,7 @@ def _lane_read(a):
     a = a * r ** k
     top = np.max(np.abs(a[:, -1]))
     return a, r, False, 0.5 if top == 0 else min(
-        0.5, (validate._EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / validate._ORDER))
+        0.5, (walk._EPS * np.max(np.abs(a[:, 0])) / top) ** (1.0 / walk._ORDER))
 
 
 def test_batched_reads_are_bitwise_the_lane_reads(p1, e_p1, far_start):
@@ -627,19 +627,19 @@ def test_batched_reads_are_bitwise_the_lane_reads(p1, e_p1, far_start):
     # with zeros in its tail and one zero jet
     x = far_start["p1"] + 1j * np.linspace(0.0, 70.0, 13)
     y = np.array([eval_two_scale(e_p1, 12.0, v)[0] for v in x]).T
-    a = _x_jet(p1, x, y, np.abs(x) * np.geomspace(0.05, 2.0, 13), validate._ORDER)
+    a = _x_jet(p1, x, y, np.abs(x) * np.geomspace(0.05, 2.0, 13), walk._ORDER)
     a[3, :, 25::3] = 0.0
     a[7] = 0.0
-    for got, want in zip(validate._scale_jets(a), map(_lane_read, a), strict=True):
+    for got, want in zip(walk._scale_jets(a), map(_lane_read, a), strict=True):
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-def _asking(walk, asked):
-    """``walk``, recording each jet it asks for in ``asked``."""
+def _asking(steps, asked):
+    """The walk ``steps``, recording each jet it asks for in ``asked``."""
     read = None
     while True:
         try:
-            request = walk.send(read)
+            request = steps.send(read)
         except StopIteration as stop:
             return stop.value
         asked.append(request)
@@ -667,7 +667,7 @@ _MIXED_LANES = [
 
 def _mixed_walk(lane, centres):
     x0, y0, pts, rho = lane
-    return validate._walk(x0, np.array(y0, dtype=complex), pts, rho, centres)
+    return walk._walk(x0, np.array(y0, dtype=complex), pts, rho, centres)
 
 
 @pytest.mark.parametrize("kernel, lanes", _MIXED_LANES, ids=["x", "xi"])
@@ -675,8 +675,8 @@ def test_mixed_lanes_end_as_they_do_alone(kernel, lanes):
     # a retrying lane, a terminating lane and ordinary lanes in one lockstep
     alone, asked, centres = [], [[] for _ in lanes], [[] for _ in lanes]
     for lane, a, c in zip(lanes, asked, centres):
-        alone += validate._lockstep(_MIXED, kernel, [_asking(_mixed_walk(lane, c), a)])
-    together = validate._lockstep(_MIXED, kernel, [_mixed_walk(lane, []) for lane in lanes])
+        alone += walk._lockstep(_MIXED, kernel, [_asking(_mixed_walk(lane, c), a)])
+    together = walk._lockstep(_MIXED, kernel, [_mixed_walk(lane, []) for lane in lanes])
     for (states, rho), (lone, lone_rho) in zip(together, alone, strict=True):
         assert rho == lone_rho
         assert all(np.array_equal(a, b) for a, b in zip(states, lone, strict=True))
@@ -722,10 +722,10 @@ def test_a_lockstep_whose_lanes_shrink_keeps_one_plan(kernel, lanes):
         sizes.append(len(x))
         return kernel(s, x, y, rho, order)
 
-    validate._lockstep(s, counting, [_mixed_walk(lane, []) for lane in lanes])
+    walk._lockstep(s, counting, [_mixed_walk(lane, []) for lane in lanes])
     assert sizes[0] == len(lanes) and len(set(sizes)) > 1
-    assert list(s._plans) == [(kernel, validate._ORDER)]
-    assert len(s._plans[kernel, validate._ORDER][0]) == sizes[-1]
+    assert list(s._plans) == [(kernel, walk._ORDER)]
+    assert len(s._plans[kernel, walk._ORDER][0]) == sizes[-1]
 
 
 @pytest.mark.parametrize("kernel", [_x_jet, _xi_jet], ids=["x", "xi"])
@@ -748,7 +748,7 @@ def test_a_jet_whose_scale_misses_four_times_returns_its_own_scale():
         trials.extend(rho)
         return np.tile(20.0 ** -np.arange(order + 1.0), (len(x), 1, 1)).astype(complex)
 
-    a, rho, exact, _ = validate._lockstep(None, kernel, [validate._jet(0j, np.ones(1), 1.0, [])])[0]
+    a, rho, exact, _ = walk._lockstep(None, kernel, [walk._jet(0j, np.ones(1), 1.0, [])])[0]
     assert trials == pytest.approx([1.0, 20.0, 400.0, 8000.0], rel=1e-12)
     assert not exact and rho == pytest.approx(1.6e5, rel=1e-12)
     assert np.allclose(a, 1.0, rtol=1e-12, atol=0)  # 20^-k rescaled by r^k once
@@ -890,7 +890,7 @@ def test_each_hunt_starts_at_its_staging_point(monkeypatch, request, label, C, n
     targets = [en.x_ref for en in run.predicted.entries if en.x_ref is not None]
     assert len(targets) == len(n_range)
     assert [t for _, _, t in calls] == targets
-    assert [x0 for x0, _, _ in calls] == [t + validate._STAGING for t in targets]
+    assert [x0 for x0, _, _ in calls] == [t + walk._STAGING for t in targets]
     assert evaluated == [[x0 for x0, _, _ in calls]]
     seeds = eval_points(e, C, evaluated[0])[0]
     for (x0, y0, _), y_seed in zip(calls, seeds, strict=True):
@@ -1027,7 +1027,7 @@ def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1,
     x_far = far_start["p1"]
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     targets = [en.x_ref for en in predict_array(12.0, 12.0, -0.5, [10, 11, 12]).entries]
-    read, calls = validate._domb_sykes, []
+    read, calls = walk._domb_sykes, []
 
     def spoiled(h):
         out = read(h)
@@ -1036,10 +1036,10 @@ def test_a_failed_read_ends_only_its_own_hunt(monkeypatch, caplog, tmp_path, p1,
         calls.append(len(h))
         return out
 
-    monkeypatch.setattr(validate, "_domb_sykes", spoiled)
+    monkeypatch.setattr(walk, "_domb_sykes", spoiled)
     paths = [tmp_path / f"n{n}.csv" for n in (10, 11, 12)]
     with caplog.at_level(logging.DEBUG, logger="transasym"), pytest.raises(OverflowError):
-        validate._hunts(p1, [(x_far, y_far, t) for t in targets], csv_paths=paths)
+        walk._hunts(p1, [(x_far, y_far, t) for t in targets], csv_paths=paths)
     hunts = {r.hunt["target"]: r.hunt["stopped"] for r in caplog.records if hasattr(r, "hunt")}
     assert hunts == dict(zip(targets, ["OverflowError", "settled", "settled"]))
     assert all(p.exists() for p in paths)
@@ -1051,10 +1051,10 @@ def test_hunt_logs_its_legs(field_calls, caplog, capsys, tmp_path, p1, e_p1, far
     y_far, _ = eval_two_scale(e_p1, 12.0, x_far)
     csv_path = tmp_path / "centres.csv"
     # a lone hunt writes its CSV through the survey's path, as validate --csv-dir does
-    (obs,), hunt = _hunt_record(caplog, validate._hunts, p1, [(x_far, y_far, en.x_ref)],
+    (obs,), hunt = _hunt_record(caplog, walk._hunts, p1, [(x_far, y_far, en.x_ref)],
                                 csv_paths=[csv_path])
     assert hunt["start"] == x_far and hunt["target"] == en.x_ref
-    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_far) - validate._STAGING)
+    assert hunt["approach_length"] == pytest.approx(abs(en.x_ref - x_far) - walk._STAGING)
     assert hunt["stopped"] == "settled" and hunt["spread"] == obs.local_fit[2]
     # one CSV row per jet centre, the first at the start
     rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
